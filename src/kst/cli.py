@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .decompose import (
@@ -106,8 +105,7 @@ def cmd_decompose(args) -> int:
     caps = DecompositionCaps(
         k_max=args.k_max,
         grid_budget=args.grid_budget,
-        audit_resolution=args.audit_resolution
-        or (101 if args.n == 2 else 31),
+        audit_resolution=args.audit_resolution,
         n_random=args.n_random,
         seed=args.seed,
     )
@@ -146,7 +144,11 @@ def cmd_assemble(args) -> int:
     asm, report = assemble_from_state(state, args.eps, caps)
     _write_text(args.out_report, _json_text(report.to_json_dict()))
     if args.out_net is not None:
-        _write_text(args.out_net, _json_text(asm.network.to_json_dict()))
+        # compact separators keep json on its C encoder (indent=2 does not)
+        net_text = json.dumps(
+            asm.network.to_json_dict(), sort_keys=True, separators=(",", ":")
+        )
+        _write_text(args.out_net, net_text + "\n")
     timings = ", ".join(f"{k}={v:.2f}s" for k, v in report.timings.items())
     print(f"assembled: W={report.W} L={report.L} ({timings})", file=sys.stderr)
     return 0
@@ -193,12 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kst",
         description="Constructive superposition decomposition and its ReLU "
         "network assembly, at desk scale.",
-    )
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("KST_THREADS", "0")) or None,
-        help="reserved; sweeps are vectorized and order-independent",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -266,7 +262,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget guard: {exc}", file=sys.stderr)
         return 3
-    except (InternalCheckError, AssertionError) as exc:
+    except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4
 

@@ -53,9 +53,15 @@ class OuterApprox:
 
 @dataclass(frozen=True)
 class DecompositionCaps:
+    """Depth cap, budgets and audit sizes of a decomposition.
+
+    ``audit_resolution`` is the points per axis of the audit mesh; None
+    takes the default for the dimension when the state is created.
+    """
+
     k_max: int = 3
     grid_budget: int = 10**6
-    audit_resolution: int = 101
+    audit_resolution: int | None = None
     n_random: int = 1000
     seed: int = 0
 
@@ -103,8 +109,10 @@ def init_state(
     params = make_params(target.dim) if params is None else params
     if params.n != target.dim:
         raise DomainError("target dimension does not match params")
-    if caps is None:
-        caps = DecompositionCaps(audit_resolution=101 if params.n == 2 else 31)
+    caps = DecompositionCaps() if caps is None else caps
+    if caps.audit_resolution is None:
+        # 101^2 mesh points at n = 2; 31^n keeps n >= 3 at desk scale
+        caps = replace(caps, audit_resolution=101 if params.n == 2 else 31)
     state = DecompositionState(
         params=params,
         lambdas=lambda_coeffs(params),
@@ -509,12 +517,71 @@ def state_to_json_dict(state) -> dict:
     } | {"outer": outer}
 
 
+# JSON layout of a state file: a dict maps keys to layouts, a one-item
+# list is a list of that layout, str/int/bool are JSON leaves, and float
+# is a decimal string.
+_STATE_LAYOUT = {
+    "schema": str,
+    "params": {
+        "n": int, "m": int, "gamma": int, "delta": float, "eta": float,
+        "lambda_depth": int,
+    },
+    "target": {"provenance": {"kind": str}},
+    "caps": {
+        "k_max": int, "grid_budget": int, "audit_resolution": int,
+        "n_random": int, "seed": int,
+    },
+    "r": int,
+    "k_list": [int],
+    "k_warnings": [bool],
+    "residual_norms": [float],
+    "outer": [
+        {"j": int, "layers": [{"k": int, "bumps": [
+            {"xi": float, "plateau": float, "coeff": float}]}]}
+    ],
+}
+
+
+def _is_decimal(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _check_layout(value, layout, where: str) -> None:
+    """Raise DomainError naming the first place value departs from layout."""
+    if isinstance(layout, dict):
+        if not isinstance(value, dict):
+            raise DomainError(f"{where} is not a JSON object")
+        for key, sub in layout.items():
+            if key not in value:
+                raise DomainError(f"{where} has no {key!r} entry")
+            _check_layout(value[key], sub, f"{where}.{key}")
+    elif isinstance(layout, list):
+        if not isinstance(value, list):
+            raise DomainError(f"{where} is not a JSON list")
+        for i, item in enumerate(value):
+            _check_layout(item, layout[0], f"{where}[{i}]")
+    elif layout is float:
+        if not (isinstance(value, str) and _is_decimal(value)):
+            raise DomainError(f"{where} is not a decimal string")
+    elif not isinstance(value, layout) or isinstance(value, bool) != (layout is bool):
+        raise DomainError(f"{where} is not of JSON type {layout.__name__}")
+
+
 def state_from_json_dict(d: dict) -> DecompositionState:
-    if d.get("schema") != STATE_SCHEMA:
-        raise DomainError(f"unrecognized decomposition schema {d.get('schema')!r}")
+    _check_layout(d, {"schema": str}, "state")
+    if d["schema"] != STATE_SCHEMA:
+        raise DomainError(f"unrecognized decomposition schema {d['schema']!r}")
+    _check_layout(d, _STATE_LAYOUT, "state")
+    provenance = d["target"]["provenance"]
+    text_key = "name" if provenance["kind"] == "builtin" else "text"
+    _check_layout(provenance, {text_key: str}, "state.target.provenance")
     params = KstParams.from_json_dict(d["params"])
-    caps = DecompositionCaps(**d["caps"])
-    target = target_from_provenance(d["target"]["provenance"], params.n)
+    caps = DecompositionCaps(**{key: d["caps"][key] for key in _STATE_LAYOUT["caps"]})
+    target = target_from_provenance(provenance, params.n)
     state = DecompositionState(
         params=params,
         lambdas=lambda_coeffs(params),

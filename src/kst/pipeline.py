@@ -42,7 +42,7 @@ class PipelineCaps:
     grid_budget: int = 10**6
     knot_budget: int = 10**6
     align_inner_knots: bool = True
-    audit_resolution: int = 101
+    audit_resolution: int | None = None  # None: init_state's default for n
     n_random: int = 10**4
     seed: int = 0
 

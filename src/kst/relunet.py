@@ -1,24 +1,32 @@
-"""ReLU networks as weighted DAGs with skip connections, a univariate
+"""ReLU networks stored as per-layer columns, a univariate
 piecewise-linear builder, and the assembly of the full decomposition
 network.
+
+A ``ReluNetwork`` keeps its units as kind/layer/bias arrays in
+layer-major order, so a unit's id is its position and each layer is a
+contiguous range, and its edges as src/dst/w arrays sorted by
+(dst, src). The forward pass runs layer by layer over blocks of points:
+gather the source values, weight them, sum them per destination, add
+the bias and apply ReLU on the relu units.
 
 The builder realizes the interpolant of a sampled function as
 c_0 + sum_i a_i * ReLU(x - t_i), a depth-2 network whose size is linear
 in the knot count. The assembled network replicates the inner net once
 per (coordinate, family) pair with the family shift applied through
 hinge biases, wires the weighted sums into one outer-net copy per
-family, and sums the copies.
+family, and sums the copies. Both builders fill the columns with
+whole-array operations, never one Python object per unit.
 
 Network size W counts edges plus nonzero biases; depth L is the largest
-layer index with inputs at 0. Bulk evaluation of big networks goes
-through the interpolant form, which the tests pin to the explicit
+layer index with inputs at 0. Bulk evaluation of assembled networks
+goes through the interpolant form, which the tests pin to the explicit
 forward pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,105 +34,194 @@ from .errors import DomainError, InternalCheckError
 from .params import KstParams, LambdaCoeffs
 
 MATERIALIZE_UNIT_CAP = 2_000_000
+# Points per forward block are chosen so that one block's (points x
+# edges) temporaries stay under this many floats (8 MB each); blocks
+# that fit in cache run faster than larger ones.
+FORWARD_BLOCK_ELEMENTS = 1 << 20
+KINDS = ("input", "relu", "linear")
+_ROW_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(NamedTuple):
     id: int
     kind: str  # "input" | "relu" | "linear"
     layer: int
     bias: float
 
 
+class _Rows:
+    """Read-only view of parallel columns as rows of Python scalars."""
+
+    def __init__(self, make: Callable, columns: Sequence[np.ndarray]):
+        self._make = make
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self):
+        for start in range(0, len(self), _ROW_CHUNK):
+            chunk = [c[start : start + _ROW_CHUNK].tolist() for c in self._columns]
+            yield from map(self._make, *chunk)
+
+
+def _f17_list(values: np.ndarray) -> list[str]:
+    """17-digit decimal strings of a float array. Weights and biases
+    repeat across the copies of the inner net, so each distinct bit
+    pattern (signed zeros apart) is formatted once and shared."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = [format(v, ".17g") for v in bits.view(np.float64).tolist()]
+    return np.asarray(text, dtype=object)[inverse].tolist()
+
+
+def _layer_columns(kinds: Sequence[str], counts) -> tuple[np.ndarray, np.ndarray]:
+    """Kind and layer columns of a network whose layer l holds counts[l]
+    units, all of kind kinds[l]."""
+    layer = np.repeat(np.arange(len(counts)), counts)
+    return np.asarray(kinds)[layer], layer
+
+
 class ReluNetwork:
-    """Immutable weighted DAG of ReLU and linear units."""
+    """Immutable layered network of ReLU and linear units, as columns.
+
+    Units are numbered in layer-major order; layer 0 holds exactly the
+    input units. Edges run from a lower to a higher layer (skip
+    connections allowed), are sorted by (dst, src), and every unit past
+    layer 0 has at least one incoming edge.
+    """
 
     def __init__(
         self,
-        units: Sequence[Unit],
-        edges: Sequence[tuple[int, int, float]],
-        input_ids: Sequence[int],
+        kind: Sequence[str],
+        layer: Sequence[int],
+        bias: Sequence[float],
+        src: Sequence[int],
+        dst: Sequence[int],
+        w: Sequence[float],
         output_ids: Sequence[int],
         domain: tuple[float, float] | None = None,
     ):
-        self.units = list(units)
-        self.edges = list(edges)
-        self.input_ids = list(input_ids)
-        self.output_ids = list(output_ids)
+        self.kind = np.asarray(kind, dtype=str)
+        self.layer = np.asarray(layer, dtype=np.int64)
+        self.bias = np.asarray(bias, dtype=float)
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        self.w = np.asarray(w, dtype=float)
+        self.output_ids = [int(o) for o in output_ids]
         self.domain = domain
-        by_id = {u.id: u for u in self.units}
-        if len(by_id) != len(self.units):
-            raise InternalCheckError("duplicate unit ids")
-        for src, dst, _ in self.edges:
-            if by_id[dst].layer <= by_id[src].layer:
-                raise InternalCheckError(
-                    f"edge {src}->{dst} does not increase the layer index"
-                )
-        self._by_id = by_id
-        self._incoming: dict[int, list[tuple[int, float]]] = {u.id: [] for u in units}
-        for src, dst, w in self.edges:
-            self._incoming[dst].append((src, w))
+        n_units = len(self.layer)
+        if not (len(self.kind) == len(self.bias) == n_units > 0):
+            raise InternalCheckError("unit columns are empty or differ in length")
+        if not len(self.src) == len(self.dst) == len(self.w):
+            raise InternalCheckError("edge columns differ in length")
+        if not np.all(np.isin(self.kind, KINDS)):
+            raise InternalCheckError(f"unit kinds must be among {KINDS}")
+        if np.any(np.diff(self.layer) < 0):
+            raise InternalCheckError("units are not in layer-major order")
+        if not np.array_equal(self.kind == "input", self.layer == 0):
+            raise InternalCheckError("layer 0 must hold exactly the input units")
+        ids = np.concatenate([self.src, self.dst, self.output_ids])
+        if ids.size and (ids.min() < 0 or ids.max() >= n_units):
+            raise InternalCheckError("unit id out of range")
+        if np.any(np.diff(self.dst * n_units + self.src) < 0):
+            raise InternalCheckError("edges are not sorted by (dst, src)")
+        bad = np.flatnonzero(self.layer[self.dst] <= self.layer[self.src])
+        if bad.size:
+            s, d = self.src[bad[0]], self.dst[bad[0]]
+            raise InternalCheckError(f"edge {s}->{d} does not increase the layer index")
+        fed = np.bincount(self.dst, minlength=n_units) > 0
+        orphans = np.flatnonzero(~fed & (self.layer > 0))
+        if orphans.size:
+            raise InternalCheckError(f"unit {orphans[0]} has no incoming edge")
+        self.n_inputs = int(np.count_nonzero(self.layer == 0))
+        self._plan = [self._layer_plan(lay) for lay in np.unique(self.layer[self.n_inputs :])]
+
+    def _layer_plan(self, lay: int) -> tuple:
+        """Unit range, sources (a slice when contiguous), weights (None
+        when all are 1), per-unit edge heads (None when every unit has
+        one edge) and ReLU selector (a bool when uniform) of one layer."""
+        u0, u1 = np.searchsorted(self.layer, [lay, lay + 1])
+        e0, e1 = np.searchsorted(self.dst, [u0, u1])
+        sources = self.src[e0:e1]
+        if sources[-1] - sources[0] == e1 - e0 - 1 and np.all(np.diff(sources) == 1):
+            sources = slice(int(sources[0]), int(sources[-1]) + 1)
+        weights = self.w[e0:e1]
+        if np.all(weights == 1.0):
+            weights = None
+        heads = None
+        if e1 - e0 > u1 - u0:
+            heads = np.searchsorted(self.dst[e0:e1], np.arange(u0, u1))
+        relu = self.kind[u0:u1] == "relu"
+        relu = bool(relu[0]) if np.all(relu == relu[0]) else relu
+        return slice(int(u0), int(u1)), sources, weights, heads, relu
 
     @property
     def W(self) -> int:
-        return len(self.edges) + sum(1 for u in self.units if u.bias != 0.0)
+        return len(self.w) + int(np.count_nonzero(self.bias))
 
     @property
     def L(self) -> int:
-        return max(u.layer for u in self.units)
+        return int(self.layer[-1])
 
-    def _ordered(self) -> list[Unit]:
-        return sorted(self.units, key=lambda u: (u.layer, u.id))
+    @property
+    def units(self) -> _Rows:
+        """The units as ``Unit`` rows, built on access."""
+        ids = np.arange(len(self.layer))
+        return _Rows(Unit, (ids, self.kind, self.layer, self.bias))
 
-    def eval_net(self, inputs: Sequence[float]) -> list[float]:
-        if len(inputs) != len(self.input_ids):
-            raise DomainError(
-                f"expected {len(self.input_ids)} inputs, got {len(inputs)}"
-            )
-        vals: dict[int, float] = {}
-        for uid, x in zip(self.input_ids, inputs):
-            vals[uid] = float(x)
-        for unit in self._ordered():
-            if unit.kind == "input":
-                continue
-            acc = unit.bias
-            for src, w in self._incoming[unit.id]:
-                acc += w * vals[src]
-            vals[unit.id] = max(acc, 0.0) if unit.kind == "relu" else acc
-        return [vals[o] for o in self.output_ids]
+    @property
+    def edges(self) -> _Rows:
+        """The edges as (src, dst, w) tuples, built on access."""
+        return _Rows(lambda s, d, w: (s, d, w), (self.src, self.dst, self.w))
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
+        """Outputs at the rows of X, as a (points, outputs) array."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != len(self.input_ids):
-            raise DomainError(
-                f"expected {len(self.input_ids)} inputs, got {X.shape[1]}"
-            )
-        vals: dict[int, np.ndarray] = {}
-        for col, uid in enumerate(self.input_ids):
-            vals[uid] = X[:, col]
-        for unit in self._ordered():
-            if unit.kind == "input":
-                continue
-            acc = np.full(X.shape[0], unit.bias)
-            for src, w in self._incoming[unit.id]:
-                acc += w * vals[src]
-            vals[unit.id] = np.maximum(acc, 0.0) if unit.kind == "relu" else acc
-        return np.stack([vals[o] for o in self.output_ids], axis=1)
+        if X.shape[1] != self.n_inputs:
+            raise DomainError(f"expected {self.n_inputs} inputs, got {X.shape[1]}")
+        out = np.empty((X.shape[0], len(self.output_ids)))
+        step = max(1, FORWARD_BLOCK_ELEMENTS // max(len(self.w), len(self.layer)))
+        for start in range(0, X.shape[0], step):
+            out[start : start + step] = self._forward(X[start : start + step])
+        return out
+
+    def _forward(self, X: np.ndarray) -> np.ndarray:
+        vals = np.empty((X.shape[0], len(self.layer)))
+        vals[:, : self.n_inputs] = X
+        for units, sources, weights, heads, relu in self._plan:
+            if isinstance(sources, slice):
+                terms = vals[:, sources]
+            else:
+                terms = np.take(vals, sources, axis=1)
+            if weights is not None:
+                terms = terms * weights
+            if heads is not None:
+                terms = np.add.reduceat(terms, heads, axis=1)
+            out = vals[:, units]
+            np.add(terms, self.bias[units], out=out)
+            if relu is True:
+                np.maximum(out, 0.0, out=out)
+            elif relu is not False:
+                out[:, relu] = np.maximum(out[:, relu], 0.0)
+        return vals[:, self.output_ids]
 
     def to_json_dict(self) -> dict:
-        f17 = lambda v: format(float(v), ".17g")
-        units = [
-            {"id": u.id, "kind": u.kind, "layer": u.layer, "bias": f17(u.bias)}
-            for u in self._ordered()
-        ]
-        edges = [
-            {"from": s, "to": d, "w": f17(w)}
-            for s, d, w in sorted(self.edges, key=lambda e: (e[0], e[1]))
-        ]
-        meta = {"W": self.W, "L": self.L}
+        meta = {"W": self.W, "L": self.L, "outputs": self.output_ids}
         if self.domain is not None:
-            meta["domain"] = [f17(self.domain[0]), f17(self.domain[1])]
-        return {"units": units, "edges": edges, "meta": meta}
+            meta["domain"] = _f17_list(np.asarray(self.domain, dtype=float))
+        return {
+            "units": {
+                "kind": self.kind.tolist(),
+                "layer": self.layer.tolist(),
+                "bias": _f17_list(self.bias),
+            },
+            "edges": {
+                "from": self.src.tolist(),
+                "to": self.dst.tolist(),
+                "w": _f17_list(self.w),
+            },
+            "meta": meta,
+        }
 
 
 def size_report(net) -> dict:
@@ -172,15 +269,16 @@ class UnivariateNet:
     def network(self) -> ReluNetwork:
         if self._network is None:
             c0, t, a = self.hinge_coeffs()
-            units = [Unit(0, "input", 0, 0.0)]
-            edges = []
-            out_id = len(t) + 1
-            for i, (ti, ai) in enumerate(zip(t, a), start=1):
-                units.append(Unit(i, "relu", 1, float(-ti)))
-                edges.append((0, i, 1.0))
-                edges.append((i, out_id, float(ai)))
-            units.append(Unit(out_id, "linear", 2, c0))
-            net = ReluNetwork(units, edges, [0], [out_id], domain=(0.0, self.domain))
+            hinges = np.arange(1, len(t) + 1)
+            net = ReluNetwork(
+                *_layer_columns(("input", "relu", "linear"), [1, len(t), 1]),
+                bias=np.concatenate([[0.0], -t, [c0]]),
+                src=np.concatenate([np.zeros(len(t), dtype=np.int64), hinges]),
+                dst=np.concatenate([hinges, np.full(len(t), len(t) + 1)]),
+                w=np.concatenate([np.ones(len(t)), a]),
+                output_ids=[len(t) + 1],
+                domain=(0.0, self.domain),
+            )
             if net.W != self.W:
                 raise InternalCheckError("size accounting does not match the graph")
             self._network = net
@@ -365,51 +463,50 @@ def assemble_kst(
 
 def _materialize(asm: AssembledKst) -> ReluNetwork:
     p = asm.params
-    a_f = float(p.a)
-    units: list[Unit] = []
-    edges: list[tuple[int, int, float]] = []
-    next_id = 0
-
-    def add(kind, layer, bias):
-        nonlocal next_id
-        units.append(Unit(next_id, kind, layer, float(bias)))
-        next_id += 1
-        return next_id - 1
-
-    input_ids = [add("input", 0, 0.0) for _ in range(p.n)]
+    n, fams = p.n, p.m + 1
     c0_psi, t_psi, a_psi = asm.psi_net.hinge_coeffs()
-
-    agg_inputs: dict[int, list[tuple[int, float]]] = {}
-    for j in range(p.m + 1):
-        agg_inputs[j] = []
-        for i in range(p.n):
-            out_id_edges = []
-            for tk, ak in zip(t_psi, a_psi):
-                h = add("relu", 1, j * a_f - tk)
-                edges.append((input_ids[i], h, 1.0))
-                out_id_edges.append((h, float(ak)))
-            out = add("linear", 2, c0_psi)
-            for h, ak in out_id_edges:
-                edges.append((h, out, ak))
-            agg_inputs[j].append((out, float(asm.lam_floats[i])))
-
-    final_inputs = []
-    for j in range(p.m + 1):
-        agg = add("linear", 3, 0.0)
-        for out, lam in agg_inputs[j]:
-            edges.append((out, agg, lam))
-        c0_phi, t_phi, a_phi = asm.phi_nets[j].hinge_coeffs()
-        hinge_edges = []
-        for tk, ak in zip(t_phi, a_phi):
-            h = add("relu", 4, -tk)
-            edges.append((agg, h, 1.0))
-            hinge_edges.append((h, float(ak)))
-        out = add("linear", 5, c0_phi)
-        for h, ak in hinge_edges:
-            edges.append((h, out, ak))
-        final_inputs.append(out)
-
-    final = add("linear", 6, 0.0)
-    for out in final_inputs:
-        edges.append((out, final, 1.0))
-    return ReluNetwork(units, edges, input_ids, [final])
+    phis = [net.hinge_coeffs() for net in asm.phi_nets]
+    n_phi = np.asarray([len(t) for _, t, _ in phis])
+    # Inner copy c = j * n + i applies family shift j to coordinate i.
+    copies = n * fams
+    j_of_copy = np.repeat(np.arange(fams), n)
+    counts = [n, copies * len(t_psi), copies, fams, int(n_phi.sum()), fams, 1]
+    # first unit id of layers 1..6
+    psi_h, psi_out, agg, phi_h, phi_out, final = np.cumsum(counts)[:-1]
+    bias = np.concatenate([
+        np.zeros(n),
+        (j_of_copy[:, None] * float(p.a) - t_psi[None, :]).ravel(),
+        np.full(copies, c0_psi),
+        np.zeros(fams),
+        np.concatenate([-t for _, t, _ in phis]),
+        [c0 for c0, _, _ in phis],
+        [0.0],
+    ])
+    src = np.concatenate([
+        np.repeat(np.tile(np.arange(n), fams), len(t_psi)),
+        np.arange(psi_h, psi_out),
+        np.arange(psi_out, agg),
+        np.repeat(np.arange(agg, phi_h), n_phi),
+        np.arange(phi_h, phi_out),
+        np.arange(phi_out, final),
+    ])
+    dst = np.concatenate([
+        np.arange(psi_h, psi_out),
+        np.repeat(np.arange(psi_out, agg), len(t_psi)),
+        np.repeat(np.arange(agg, phi_h), n),
+        np.arange(phi_h, phi_out),
+        np.repeat(np.arange(phi_out, final), n_phi),
+        np.full(fams, final),
+    ])
+    w = np.concatenate([
+        np.ones(copies * len(t_psi)),
+        np.tile(a_psi, copies),
+        np.tile(asm.lam_floats, fams),
+        np.ones(int(n_phi.sum())),
+        np.concatenate([a for _, _, a in phis]),
+        np.ones(fams),
+    ])
+    return ReluNetwork(
+        *_layer_columns(("input", "relu", "linear", "linear", "relu", "linear", "linear"), counts),
+        bias=bias, src=src, dst=dst, w=w, output_ids=[final],
+    )

@@ -6,6 +6,9 @@ oracles for exact comparisons.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
 
 from kst.params import beta
 
@@ -49,3 +52,38 @@ def dense_phi_sum(state, j: int, y: float) -> float:
             t2 = min(max(layer.slope * (y - xi - layer.plateau), 0.0), 1.0)
             total += coeff * (t1 - t2)
     return total
+
+
+def dag_forward(net, X) -> np.ndarray:
+    """Network outputs at the rows of X, by a loop over the units in
+    (layer, id) order that sums each unit's incoming edges in turn.
+
+    Reads only ``net.units``, ``net.edges`` and ``net.output_ids``.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    units = sorted(net.units, key=lambda u: (u.layer, u.id))
+    incoming = {u.id: [] for u in units}
+    for src, dst, w in net.edges:
+        incoming[dst].append((src, w))
+    inputs = [u.id for u in units if u.kind == "input"]
+    vals = {uid: X[:, col] for col, uid in enumerate(inputs)}
+    for unit in units:
+        if unit.kind == "input":
+            continue
+        acc = np.full(X.shape[0], unit.bias)
+        for src, w in incoming[unit.id]:
+            acc = acc + w * vals[src]
+        vals[unit.id] = np.maximum(acc, 0.0) if unit.kind == "relu" else acc
+    return np.stack([vals[o] for o in net.output_ids], axis=1)
+
+
+def json_network(doc: dict) -> SimpleNamespace:
+    """The units, edges and outputs of a ``--out-net`` document, in the
+    shape ``dag_forward`` reads."""
+    u, e = doc["units"], doc["edges"]
+    units = [
+        SimpleNamespace(id=i, kind=kind, layer=layer, bias=float(bias))
+        for i, (kind, layer, bias) in enumerate(zip(u["kind"], u["layer"], u["bias"]))
+    ]
+    edges = [(s, d, float(w)) for s, d, w in zip(e["from"], e["to"], e["w"])]
+    return SimpleNamespace(units=units, edges=edges, output_ids=doc["meta"]["outputs"])

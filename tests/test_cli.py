@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+import kst.cli
 from kst.cli import main
+from oracles import dag_forward, json_network
 
 
 def run(args):
@@ -106,6 +109,59 @@ class TestAssembleCmd:
     def test_missing_file_exit_2(self, tmp_path):
         code = run(["assemble", "--decomp", str(tmp_path / "nope.json"), "--eps", "0.5"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: [d],
+            lambda d: {k: v for k, v in d.items() if k != "params"},
+            lambda d: d | {"r": "1"},
+            lambda d: d | {"k_warnings": [0]},
+            lambda d: d | {"caps": d["caps"] | {"seed": 1.5}},
+            lambda d: d | {"target": {"provenance": {"kind": "builtin"}}},
+            lambda d: d | {"outer": [{"j": 0, "layers": [{"k": 2, "bumps": [{}]}]}]},
+            lambda d: d | {"residual_norms": ["one"]},
+        ],
+        ids=["list", "no-params", "r-string", "warning-int", "seed-float",
+             "no-builtin-name", "bump-keys", "norm-text"],
+    )
+    def test_malformed_state_exit_2(self, saved_state, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(saved_state.read_text()))))
+        code = run(["assemble", "--decomp", str(bad), "--eps", "0.5"])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_net_file_matches_network(self, saved_state, tmp_path, monkeypatch):
+        built = {}
+        original = kst.cli.assemble_from_state
+
+        def keep(*args, **kwargs):
+            built["asm"], _ = out = original(*args, **kwargs)
+            return out
+
+        monkeypatch.setattr(kst.cli, "assemble_from_state", keep)
+        report, net = tmp_path / "report.json", tmp_path / "net.json"
+        code = run(
+            ["assemble", "--decomp", str(saved_state), "--eps", "0.5",
+             "--n-random", "200", "--knot-budget", "6000", "--uniform-inner",
+             "--out-report", str(report), "--out-net", str(net)]
+        )
+        assert code == 0
+        rep = json.loads(report.read_text())
+        doc = json.loads(net.read_text())
+        units, edges = doc["units"], doc["edges"]
+        nonzero_bias = sum(float(b) != 0.0 for b in units["bias"])
+        assert doc["meta"]["W"] == rep["W"] == len(edges["w"]) + nonzero_bias
+        assert doc["meta"]["L"] == rep["L"] == max(units["layer"])
+        pts = np.random.default_rng(3).random((100, 2))
+        from_file = dag_forward(json_network(doc), pts)
+        asm = built["asm"]
+        # .17g strings round-trip every float, so the file is the network
+        assert np.array_equal(from_file, dag_forward(asm.network, pts))
+        # outer hinge weights reach 5.6e4, and sums of thousands of such
+        # terms leave ~2e-9 of rounding against the interpolant form
+        assert np.max(np.abs(from_file[:, 0] - asm.eval_batch(pts))) <= 1e-8
 
 
 class TestExperimentCmd:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kst import pipeline
 from kst.errors import DomainError
 from kst.params import make_params
 from kst.pipeline import (
@@ -79,6 +80,23 @@ class TestEpsilonSplit:
             epsilon_split(p, 0.0, 0.2)
         with pytest.raises(DomainError):
             epsilon_split(p, 1.0, 1.5)
+
+
+class _StateBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, requested, used", [(2, None, 101), (3, None, 31), (3, 21, 21)])
+def test_audit_resolution_default_per_dimension(monkeypatch, n, requested, used):
+    real_init = pipeline.init_state
+
+    def stop_after_init(*args, **kwargs):
+        raise _StateBuilt(real_init(*args, **kwargs))
+
+    monkeypatch.setattr(pipeline, "init_state", stop_after_init)
+    with pytest.raises(_StateBuilt) as built:
+        run_pipeline(builtin_target("zero", n), 0.5, PipelineCaps(audit_resolution=requested))
+    assert built.value.args[0].caps.audit_resolution == used
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,66 +7,109 @@ import numpy as np
 import pytest
 
 from kst.decompose import evaluate_phi, init_state, iterate, lipschitz_report
-from kst.errors import DomainError
+from kst.errors import DomainError, InternalCheckError
 from kst.inner import InnerEvaluator
 from kst.params import lambda_coeffs, make_params
+from kst import relunet
 from kst.relunet import (
     ReluNetwork,
-    Unit,
     assemble_kst,
     build_univariate,
     size_report,
 )
 from kst.target import builtin_target
+from oracles import dag_forward
+
+
+def one_row(net, x):
+    return net.eval_batch([x])[0].tolist()
 
 
 def single_relu():
-    units = [Unit(0, "input", 0, 0.0), Unit(1, "relu", 1, 0.0)]
-    return ReluNetwork(units, [(0, 1, 1.0)], [0], [1])
+    return ReluNetwork(
+        kind=["input", "relu"], layer=[0, 1], bias=[0.0, 0.0],
+        src=[0], dst=[1], w=[1.0], output_ids=[1],
+    )
+
+
+def two_hinges(bias2):
+    """Columns of x -> w[2] ReLU(w[0] x) + w[3] ReLU(w[1] x + bias2), less w."""
+    return dict(
+        kind=["input", "relu", "relu", "linear"], layer=[0, 1, 1, 2],
+        bias=[0.0, 0.0, bias2, 0.0], dst=[1, 2, 3, 3], src=[0, 0, 1, 2],
+    )
 
 
 class TestEvalNet:
     def test_single_relu(self):
         net = single_relu()
-        assert net.eval_net([-1.0]) == [0.0]
-        assert net.eval_net([2.5]) == [2.5]
+        assert one_row(net, [-1.0]) == [0.0]
+        assert one_row(net, [2.5]) == [2.5]
 
     def test_identity_from_two_relus(self):
-        units = [
-            Unit(0, "input", 0, 0.0),
-            Unit(1, "relu", 1, 0.0),
-            Unit(2, "relu", 1, 0.0),
-            Unit(3, "linear", 2, 0.0),
-        ]
-        edges = [(0, 1, 1.0), (0, 2, -1.0), (1, 3, 1.0), (2, 3, -1.0)]
-        net = ReluNetwork(units, edges, [0], [3])
-        assert net.eval_net([0.7]) == [0.7]
-        assert net.eval_net([-0.3]) == [-0.3]
+        net = ReluNetwork(**two_hinges(0.0), w=[1.0, -1.0, 1.0, -1.0], output_ids=[3])
+        assert one_row(net, [0.7]) == [0.7]
+        assert one_row(net, [-0.3]) == [-0.3]
 
     def test_clamp_realization(self):
         # sigma(x) = ReLU(x) - ReLU(x - 1)
-        units = [
-            Unit(0, "input", 0, 0.0),
-            Unit(1, "relu", 1, 0.0),
-            Unit(2, "relu", 1, -1.0),
-            Unit(3, "linear", 2, 0.0),
-        ]
-        edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, -1.0)]
-        net = ReluNetwork(units, edges, [0], [3])
-        assert net.eval_net([0.5]) == [0.5]
-        assert net.eval_net([2.0]) == [1.0]
-        assert net.eval_net([-1.0]) == [0.0]
+        net = ReluNetwork(**two_hinges(-1.0), w=[1.0, 1.0, 1.0, -1.0], output_ids=[3])
+        assert one_row(net, [0.5]) == [0.5]
+        assert one_row(net, [2.0]) == [1.0]
+        assert one_row(net, [-1.0]) == [0.0]
 
     def test_arity_check(self):
         with pytest.raises(DomainError):
-            single_relu().eval_net([1.0, 2.0])
+            one_row(single_relu(), [1.0, 2.0])
 
     def test_batch_matches_single(self):
         net = single_relu()
         xs = np.linspace(-2, 2, 13).reshape(-1, 1)
         batch = net.eval_batch(xs)[:, 0]
-        for x, got in zip(xs[:, 0], batch):
-            assert got == net.eval_net([x])[0]
+        by_unit = dag_forward(net, xs)[:, 0]
+        for x, got, want in zip(xs[:, 0], batch, by_unit):
+            assert got == want
+
+    def test_mixed_layer_with_skip_edge(self):
+        # layer 1 mixes a hinge and a linear unit; the output also reads x
+        net = ReluNetwork(
+            kind=["input", "relu", "linear", "relu"], layer=[0, 1, 1, 2],
+            bias=[0.0, -0.5, 0.25, 0.0], src=[0, 0, 0, 1, 2], dst=[1, 2, 3, 3, 3],
+            w=[1.0, -2.0, 0.5, 1.0, 1.0], output_ids=[3, 2],
+        )
+        xs = np.linspace(-2, 2, 13).reshape(-1, 1)
+        want = np.stack([np.maximum(0.5 * xs[:, 0] + np.maximum(xs[:, 0] - 0.5, 0.0)
+                                    - 2.0 * xs[:, 0] + 0.25, 0.0),
+                         -2.0 * xs[:, 0] + 0.25], axis=1)
+        np.testing.assert_allclose(net.eval_batch(xs), want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dag_forward(net, xs), want, rtol=0, atol=1e-15)
+
+    def test_views_yield_python_scalars(self):
+        net = build_univariate(lambda x: x * x, 1.0, 4).network
+        units, edges = list(net.units), list(net.edges)
+        assert len(units) == len(net.units) == 6
+        assert len(edges) == len(net.edges) == 8
+        assert [u.id for u in units] == list(range(6))
+        assert [type(v) for v in units[1]] == [int, str, int, float]
+        assert [type(v) for v in edges[-1]] == [int, int, float]
+        json.dumps([units, edges])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(layer=[0, 1, 2, 1]), "layer-major"),
+            (dict(src=[0, 0, 2, 1]), "sorted"),
+            (dict(dst=[2, 1, 3, 3]), "sorted"),
+            (dict(src=[0, 0, 1, 9]), "out of range"),
+            (dict(src=[0, 1, 1, 2]), "does not increase"),
+            (dict(kind=["input", "input", "relu", "linear"]), "input units"),
+            (dict(src=[0, 1, 2], dst=[1, 3, 3], w=[1.0, 1.0, 1.0]), "no incoming edge"),
+        ],
+    )
+    def test_malformed_columns_refused(self, change, message):
+        cols = two_hinges(0.0) | {"w": [1.0, 1.0, 1.0, 1.0]} | change
+        with pytest.raises(InternalCheckError, match=message):
+            ReluNetwork(**cols, output_ids=[3])
 
 
 class TestBuildUnivariate:
@@ -80,7 +124,7 @@ class TestBuildUnivariate:
         rng = random.Random(3)
         for _ in range(200):
             x = rng.uniform(0, 2)
-            assert uni.network.eval_net([x])[0] == pytest.approx(
+            assert one_row(uni.network, [x])[0] == pytest.approx(
                 float(uni.eval(x)), abs=1e-12
             )
 
@@ -88,11 +132,11 @@ class TestBuildUnivariate:
         g = lambda x: np.cos(x)
         uni = build_univariate(g, 1.0, 9)
         for t, v in zip(uni.knots, uni.values):
-            assert uni.network.eval_net([t])[0] == pytest.approx(float(v), abs=1e-12)
+            assert one_row(uni.network, [t])[0] == pytest.approx(float(v), abs=1e-12)
         mids = 0.5 * (uni.knots[:-1] + uni.knots[1:])
         expected = 0.5 * (uni.values[:-1] + uni.values[1:])
         for t, v in zip(mids, expected):
-            assert uni.network.eval_net([t])[0] == pytest.approx(float(v), abs=1e-12)
+            assert one_row(uni.network, [t])[0] == pytest.approx(float(v), abs=1e-12)
 
     def test_psi_error_within_holder_bound(self):
         p = make_params(2)
@@ -215,9 +259,20 @@ class TestAssembly:
                 )
                 for j in range(5)
             )
-            dag = asm.network.eval_net(list(x))[0]
+            dag = one_row(asm.network, x)[0]
             assert abs(dag - by_formula) <= 1e-10
             assert abs(fast[row] - by_formula) <= 1e-10
+
+    def test_blocked_forward_matches_unit_loop(self, small_assembly, monkeypatch):
+        _, asm = small_assembly
+        net = asm.network
+        pts = np.random.default_rng(5).random((40, 2))
+        want = dag_forward(net, pts)
+        # blocks of 7 points, the last one short
+        monkeypatch.setattr(relunet, "FORWARD_BLOCK_ELEMENTS", 7 * len(net.w))
+        got = net.eval_batch(pts)
+        assert got.shape == (40, 1)
+        assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_domain_coverage_checks(self, small_assembly):
         state, _ = small_assembly
@@ -234,9 +289,7 @@ class TestAssembly:
         rep = size_report(asm)
         assert rep == {"W": asm.W, "L": 6}
         passthrough = ReluNetwork(
-            [Unit(0, "input", 0, 0.0), Unit(1, "linear", 1, 0.0)],
-            [(0, 1, 1.0)],
-            [0],
-            [1],
+            kind=["input", "linear"], layer=[0, 1], bias=[0.0, 0.0],
+            src=[0], dst=[1], w=[1.0], output_ids=[1],
         )
         assert size_report(passthrough) == {"W": 1, "L": 1}
