@@ -4,16 +4,7 @@ arithmetic at desk scale."""
 
 from .params import KstParams, LambdaCoeffs, beta, lambda_coeffs, make_params
 from .inner import BaseGammaPoint, InnerEvaluator
-from .bumps import (
-    BumpSpec,
-    ShiftedGrid,
-    b_k,
-    disjoint_support_audit,
-    make_bump,
-    sigma,
-    theta,
-    xi,
-)
+from .bumps import ShiftedGrid, b_k, disjoint_support_audit, xi
 from .target import (
     TargetFunction,
     builtin_target,
@@ -49,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseGammaPoint",
-    "BumpSpec",
     "DecompositionCaps",
     "DecompositionState",
     "InnerEvaluator",
@@ -78,17 +68,14 @@ __all__ = [
     "iterate",
     "lambda_coeffs",
     "lipschitz_report",
-    "make_bump",
     "make_params",
     "modulus_estimate",
     "parse",
     "r_of_epsilon",
     "run_pipeline",
-    "sigma",
     "size_bound_report",
     "size_report",
     "state_from_json_dict",
     "state_to_json_dict",
-    "theta",
     "xi",
 ]

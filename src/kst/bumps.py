@@ -1,6 +1,6 @@
 """Geometric machinery of the outer construction: shifted grids, image
-points of grid vectors, the plateau tail constant, and the trapezoidal
-bump built from two clamps.
+points of grid vectors, the plateau tail constant, and the exact
+disjointness audit of a bump family.
 
 Everything here is exact. At n=2, gamma=6, k=2 the ramp slope is
 6**7 = 279936 while the plateau is about 4e-6; gap checks in doubles
@@ -20,19 +20,6 @@ from .inner import InnerEvaluator
 from .params import KstParams, LambdaCoeffs, beta
 
 AUDIT_BUMP_BUDGET = 10**4
-
-
-def sigma(x: float) -> float:
-    """Piecewise-linear clamp: 0 below 0, identity on [0, 1], 1 above.
-
-    Equals ReLU(x) - ReLU(x - 1) pointwise, which is how the network
-    realization spells it.
-    """
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return x
 
 
 def grid_shift(params: KstParams, k: int, j: int) -> Fraction:
@@ -124,65 +111,6 @@ def b_k(params: KstParams, lambdas: LambdaCoeffs, k: int) -> BkResult:
     tail = tail_first * Fraction(g, g - 1)
     hi = (partial + tail) * total_lambda
     return BkResult(value=lo, lo=lo, hi=hi)
-
-
-@dataclass(frozen=True)
-class BumpSpec:
-    """One trapezoidal bump: plateau of height 1 over
-    [center_left, center_left + plateau], linear ramps of width
-    1/slope on both sides, zero outside.
-    """
-
-    center_left: Fraction
-    plateau: Fraction
-    slope: int
-    k: int
-
-    @property
-    def ramp(self) -> Fraction:
-        return Fraction(1, self.slope)
-
-    @property
-    def support_lo(self) -> Fraction:
-        return self.center_left - self.ramp
-
-    @property
-    def support_hi(self) -> Fraction:
-        return self.center_left + self.plateau + self.ramp
-
-
-def make_bump(params: KstParams, bk: BkResult, xi_value: Fraction, k: int) -> BumpSpec:
-    g, n = params.gamma, params.n
-    return BumpSpec(
-        center_left=xi_value,
-        plateau=(g - 2) * bk.value,
-        slope=g ** beta(n, k + 1),
-        k=k,
-    )
-
-
-def theta(spec: BumpSpec, x: float) -> float:
-    """Trapezoid value at x, evaluated in floating point."""
-    slope = float(spec.slope)
-    left = float(spec.center_left)
-    width = float(spec.plateau)
-    return sigma(slope * (x - left) + 1.0) - sigma(slope * (x - left - width))
-
-
-def theta_exact(spec: BumpSpec, x: Fraction) -> Fraction:
-    """Trapezoid value at an exact x; used by boundary tests."""
-
-    def clamp(v: Fraction) -> Fraction:
-        if v <= 0:
-            return Fraction(0)
-        if v >= 1:
-            return Fraction(1)
-        return v
-
-    s = Fraction(spec.slope)
-    return clamp(s * (x - spec.center_left) + 1) - clamp(
-        s * (x - spec.center_left - spec.plateau)
-    )
 
 
 @dataclass(frozen=True)

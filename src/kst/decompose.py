@@ -19,12 +19,13 @@ observationally invisible.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .bumps import b_k, disjoint_support_audit, grid_shift
+from .bumps import b_k, disjoint_support_audit
 from .errors import BudgetError, ConstraintViolation, DomainError
 from .inner import InnerEvaluator
 from .params import KstParams, LambdaCoeffs, beta, lambda_coeffs, make_params
@@ -325,7 +326,10 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
     """Append one bump layer to every family and remeasure the residual.
 
     Raises ConstraintViolation rather than place nonzero bumps at a
-    depth whose supports the exact audit shows overlapping (depth 1).
+    depth whose supports the exact audit shows overlapping (depth 1),
+    or build a depth whose float ramp or plateau is no wider than the
+    float spacing at the top of the outer domain (n=2 from depth 4 on,
+    n=3 from depth 3 on), where every bump would collapse.
     """
     p = state.params
     g, n, m = p.gamma, p.n, p.m
@@ -333,6 +337,17 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
         k_r, warned = choose_k_r(state)
     else:
         k_r, warned = force_k, False
+    bk = b_k(p, state.lambdas, k_r)
+    slope_int = g ** beta(n, k_r + 1)
+    plateau_f = float((g - 2) * bk.value)
+    ramp_f = float(Fraction(1, slope_int))
+    slope_f = float(slope_int)
+    spacing = float(np.spacing(float(p.phi_domain_sup)))
+    if min(ramp_f, plateau_f) <= spacing:
+        raise ConstraintViolation(
+            f"depth-{k_r} bump ramp and plateau wider than the float spacing {spacing:.3e}",
+            f"ramp {ramp_f:.3e}, plateau {plateau_f:.3e} at depth {k_r}",
+        )
     if (g**k_r + 1) ** n > state.caps.grid_budget:
         raise BudgetError(
             f"grid size (gamma**k + 1)**n = {(g**k_r + 1)**n} exceeds "
@@ -356,17 +371,12 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
                 f"exact audit min_gap = {float(gap):.6e} at depth {k_r}",
             )
 
-    bk = b_k(p, state.lambdas, k_r)
-    slope_int = g ** beta(n, k_r + 1)
-    plateau_f = float((g - 2) * bk.value)
-    ramp_f = float(Fraction(1, slope_int))
-    slope_f = float(slope_int)
-
+    # Family j's shift j * sum_{l=2..k} gamma**-l, in steps of gamma**-k
+    shift_step = sum(g ** (k_r - ell) for ell in range(2, k_r + 1))
     new_outer = []
     for j in range(m + 1):
-        s = grid_shift(p, k_r, j)
         psi_ax = np.asarray(
-            [float(state.ev.psi_exact_extended(q + s)) for q in axis_fracs]
+            [state.ev.psi_lattice_float(i + j * shift_step, k_r) for i in range(g**k_r + 1)]
         )
         lams = _lambda_floats(state)
         xi_flat = _mesh_sum(lams, [psi_ax] * n).ravel()
@@ -519,7 +529,7 @@ def state_to_json_dict(state) -> dict:
 
 # JSON layout of a state file: a dict maps keys to layouts, a one-item
 # list is a list of that layout, str/int/bool are JSON leaves, and float
-# is a decimal string.
+# is a finite decimal string.
 _STATE_LAYOUT = {
     "schema": str,
     "params": {
@@ -537,17 +547,16 @@ _STATE_LAYOUT = {
     "residual_norms": [float],
     "outer": [
         {"j": int, "layers": [{"k": int, "bumps": [
-            {"xi": float, "plateau": float, "coeff": float}]}]}
+            {"xi": float, "plateau": float, "slope": float, "coeff": float}]}]}
     ],
 }
 
 
 def _is_decimal(text: str) -> bool:
     try:
-        float(text)
+        return math.isfinite(float(text))
     except ValueError:
         return False
-    return True
 
 
 def _check_layout(value, layout, where: str) -> None:
@@ -566,9 +575,61 @@ def _check_layout(value, layout, where: str) -> None:
             _check_layout(item, layout[0], f"{where}[{i}]")
     elif layout is float:
         if not (isinstance(value, str) and _is_decimal(value)):
-            raise DomainError(f"{where} is not a decimal string")
+            raise DomainError(f"{where} is not a finite decimal string")
     elif not isinstance(value, layout) or isinstance(value, bool) != (layout is bool):
         raise DomainError(f"{where} is not of JSON type {layout.__name__}")
+
+
+def _check_rounds(d: dict, m: int) -> None:
+    """Raise DomainError naming the first place where the round count r,
+    the per-round lists, the families j = 0..m and their per-round
+    layer depths disagree."""
+    r = d["r"]
+    for key, extra in (("k_list", 0), ("k_warnings", 0), ("residual_norms", 1)):
+        if len(d[key]) != r + extra:
+            raise DomainError(f"state.{key} has {len(d[key])} entries for r = {r}")
+    for i, k in enumerate(d["k_list"]):
+        if k < 1:
+            raise DomainError(f"state.k_list[{i}] = {k} is not a depth >= 1")
+    if len(d["outer"]) != m + 1:
+        raise DomainError(f"state.outer has {len(d['outer'])} families, expected m + 1 = {m + 1}")
+    for j, oa in enumerate(d["outer"]):
+        if oa["j"] != j:
+            raise DomainError(f"state.outer[{j}].j is {oa['j']}, expected {j}")
+        if len(oa["layers"]) != r:
+            raise DomainError(f"state.outer[{j}] has {len(oa['layers'])} layers for r = {r}")
+        for l, (ld, k) in enumerate(zip(oa["layers"], d["k_list"])):
+            if ld["k"] != k:
+                raise DomainError(f"state.outer[{j}].layers[{l}].k is {ld['k']}, k_list[{l}] is {k}")
+
+
+def _load_layer(ld: dict, params: KstParams, where: str) -> Layer:
+    """A stored layer, refused with DomainError unless it has the
+    (gamma**k + 1)**n bumps of its depth k, all with slope
+    gamma**beta_n(k+1), in ascending order of xi."""
+    g, n, k, bumps = params.gamma, params.n, ld["k"], ld["bumps"]
+    # gamma**k exceeds the bump count once k exceeds the count's bit
+    # length, so no grid size is computed for an absurd depth
+    if k > len(bumps).bit_length() or len(bumps) != (g**k + 1) ** n:
+        raise DomainError(f"{where} has {len(bumps)} bumps, not (gamma**k + 1)**n at k = {k}")
+    slope_int = g ** beta(n, k + 1)
+    slope = float(slope_int)
+    text = format(slope, ".17g")  # as state_to_json_dict writes it
+    for i, b in enumerate(bumps):
+        if b["slope"] != text and float(b["slope"]) != slope:
+            raise DomainError(f"{where}.bumps[{i}].slope is not gamma**beta_n(k+1) at k = {k}")
+    xi = np.asarray([float(b["xi"]) for b in bumps])
+    drops = np.flatnonzero(np.diff(xi) < 0)
+    if drops.size:
+        raise DomainError(f"{where}.bumps[{drops[0] + 1}].xi decreases")
+    return Layer(
+        k=k,
+        slope=slope,
+        plateau=float(bumps[0]["plateau"]),
+        ramp=float(Fraction(1, slope_int)),
+        xi=xi,
+        coeff=np.asarray([float(b["coeff"]) for b in bumps]),
+    )
 
 
 def state_from_json_dict(d: dict) -> DecompositionState:
@@ -580,38 +641,24 @@ def state_from_json_dict(d: dict) -> DecompositionState:
     text_key = "name" if provenance["kind"] == "builtin" else "text"
     _check_layout(provenance, {text_key: str}, "state.target.provenance")
     params = KstParams.from_json_dict(d["params"])
+    _check_rounds(d, params.m)
     caps = DecompositionCaps(**{key: d["caps"][key] for key in _STATE_LAYOUT["caps"]})
     target = target_from_provenance(provenance, params.n)
-    state = DecompositionState(
+    return DecompositionState(
         params=params,
         lambdas=lambda_coeffs(params),
         ev=InnerEvaluator(params),
         target=target,
         caps=caps,
-        r=int(d["r"]),
-        k_list=tuple(int(k) for k in d["k_list"]),
-        k_warnings=tuple(bool(w) for w in d["k_warnings"]),
-        outer=(),
+        r=d["r"],
+        k_list=tuple(d["k_list"]),
+        k_warnings=tuple(d["k_warnings"]),
+        outer=tuple(
+            OuterApprox(j, tuple(
+                _load_layer(ld, params, f"state.outer[{j}].layers[{l}]")
+                for l, ld in enumerate(oa["layers"])
+            ))
+            for j, oa in enumerate(d["outer"])
+        ),
         residual_norms=tuple(float(v) for v in d["residual_norms"]),
     )
-    outer = []
-    for oa in d["outer"]:
-        layers = []
-        for ld in oa["layers"]:
-            k = int(ld["k"])
-            slope_int = params.gamma ** beta(params.n, k + 1)
-            xi = np.asarray([float(b["xi"]) for b in ld["bumps"]])
-            coeff = np.asarray([float(b["coeff"]) for b in ld["bumps"]])
-            layers.append(
-                Layer(
-                    k=k,
-                    slope=float(slope_int),
-                    plateau=float(ld["bumps"][0]["plateau"]) if ld["bumps"] else 0.0,
-                    ramp=float(Fraction(1, slope_int)),
-                    xi=xi,
-                    coeff=coeff,
-                )
-            )
-        outer.append(OuterApprox(int(oa["j"]), tuple(layers)))
-    state.outer = tuple(outer)
-    return state

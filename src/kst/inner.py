@@ -5,9 +5,19 @@ Grid values are defined by a three-case recursion on the digits of a
 point d = sum_l i_l * gamma**(-l). Level-1 points map to themselves,
 appending a digit below gamma-1 adds i_k * gamma**(-beta_n(k)), and a
 trailing digit of gamma-1 averages the two neighbouring values. The
-averaging case introduces factors of two, so grid values are exact
-rationals whose denominators are products of powers of gamma and 2;
-they are memoized and never rounded.
+averaging case introduces factors of two, so every value on the depth-k
+grid is an integer numerator over the one denominator
+D_k = 2**(k-1) * gamma**beta_n(k).
+
+Whole grids are built level by level as one lattice of Python-int
+numerators N_k[0..gamma**k], with the carry N_k[gamma**k] = D_k pinned
+to psi = 1. With s = 2 * gamma**(beta_n(k) - beta_n(k-1)), entry
+i*gamma + d is s * N_{k-1}[i] + d * 2**(k-1) for d < gamma-1, and the
+last digit averages its left neighbour with s * N_{k-1}[i+1]; that sum
+is always even, so nothing is ever rounded. Float tables and truncated
+values are N / D by integer true division, rounded once. Single points,
+which may be deeper than any table budget, go through a memoized exact
+recursion on their digits instead.
 
 Continuum evaluation truncates the base-gamma expansion of x at a
 requested depth and certifies the truncation with the Hoelder bound
@@ -120,17 +130,19 @@ def _decimal_fraction(x) -> Fraction:
 
 
 class InnerEvaluator:
-    """Memoized exact evaluation of the inner function.
+    """Exact evaluation of the inner function: per-depth lattices for
+    whole grids, a memoized recursion for single points.
 
-    The memo behaves as a cache only: psi_grid is a pure function of
-    (params, point). Concurrent readers should pre-warm the table for
-    the grids they need and then share it read-only.
+    The lattices, float tables and memo behave as caches only: every
+    value is a pure function of (params, point). Concurrent readers
+    should pre-warm the depths they need and then share them read-only.
     """
 
     def __init__(self, params: KstParams):
         self.params = params
         self._memo: dict[tuple[int, ...], Fraction] = {}
-        self._trunc_cache: dict[tuple[int, int, int], Fraction] = {}
+        self._lattices: dict[int, tuple[list[int], int]] = {}
+        self._tables: dict[int, np.ndarray] = {}
 
     # -- exact values on grids -------------------------------------------
 
@@ -224,36 +236,54 @@ class InnerEvaluator:
         err = p.nu * p.gamma ** (-p.alpha * k_trunc)
         return PsiValue(value_exact=exact, err_bound=err, k_trunc=k_trunc)
 
-    def psi_trunc_float(self, q: Fraction, k_trunc: int) -> float:
-        """Float of the depth-k truncated value at an exact q in [0, 2).
-
-        Hot path for decomposition sweeps; cached per (q, depth).
-        """
-        key = (q.numerator, q.denominator, k_trunc)
-        got = self._trunc_cache.get(key)
+    def lattice(self, k: int) -> tuple[list[int], int]:
+        """Numerators N_k[0..gamma**k] of psi on D_k over the denominator
+        D_k = 2**(k-1) * gamma**beta_n(k), built from level k-1."""
+        got = self._lattices.get(k)
         if got is None:
-            shift = 0
-            if q >= 1:
-                shift = 1
-                q = q - 1
-            digits = self.truncate_digits(q, k_trunc)
-            got = self._psi(BaseGammaPoint(digits, self.params.gamma).canonical())
-            got += shift
-            self._trunc_cache[key] = got
-        return float(got)
+            g, n = self.params.gamma, self.params.n
+            if k < 1:
+                raise DomainError("k must be >= 1")
+            if g**k > PLOT_ROW_BUDGET:
+                raise BudgetError(f"gamma**k = {g**k} exceeds the table budget")
+            if k == 1:
+                got = (list(range(g + 1)), g)
+            else:
+                prev, prev_den = self.lattice(k - 1)
+                s = 2 * g ** (beta(n, k) - beta(n, k - 1))
+                steps = [d << (k - 1) for d in range(g - 1)]
+                last = steps[-1]
+                scaled = [s * v for v in prev]
+                nums = []
+                for lo, hi in zip(scaled, scaled[1:]):
+                    nums.extend([lo + step for step in steps])
+                    nums.append((lo + last + hi) >> 1)
+                nums.append(scaled[-1])
+                got = (nums, s * prev_den)
+            self._lattices[k] = got
+        return got
+
+    def psi_lattice_float(self, idx: int, k: int) -> float:
+        """Float of psi at idx * gamma**(-k) for an integer idx in
+        [0, 2 * gamma**k), with psi(x) = 1 + psi(x - 1) on [1, 2)."""
+        nums, den = self.lattice(k)
+        shift, i = divmod(idx, len(nums) - 1)
+        return (shift * den + nums[i]) / den
+
+    def psi_trunc_float(self, q: Fraction, k_trunc: int) -> float:
+        """Float of the depth-k truncated value at an exact q in [0, 2)."""
+        if not (0 <= q < 2):
+            raise DomainError(f"psi domain is [0, 2), got {q}")
+        idx = q.numerator * self.params.gamma**k_trunc // q.denominator
+        return self.psi_lattice_float(idx, k_trunc)
 
     def psi_table(self, k: int) -> np.ndarray:
         """Float values of psi on all of D_k, indexed by i of i*gamma**-k."""
-        key = ("table", k)
-        got = self._trunc_cache.get(key)
+        got = self._tables.get(k)
         if got is None:
-            g = self.params.gamma
-            if g**k > PLOT_ROW_BUDGET:
-                raise BudgetError(f"gamma**k = {g**k} exceeds the table budget")
-            got = np.asarray(
-                [float(self.psi_grid(Fraction(i, g**k))) for i in range(g**k)]
-            )
-            self._trunc_cache[key] = got
+            nums, den = self.lattice(k)
+            got = np.asarray([v / den for v in nums[:-1]])
+            self._tables[k] = got
         return got
 
     def psi_trunc_vector(self, u: np.ndarray, k_trunc: int) -> np.ndarray:
@@ -288,11 +318,10 @@ class InnerEvaluator:
             raise BudgetError(
                 f"gamma**k = {p.gamma**k} exceeds the pair budget {HOLDER_PAIR_BUDGET}"
             )
-        base = self._grid_values(k)
-        xs = [float(d) for d, _ in base] + [float(d) + 1.0 for d, _ in base]
-        ys = [float(v) for _, v in base] + [float(v) + 1.0 for _, v in base]
-        x = np.asarray(xs)
-        y = np.asarray(ys)
+        x = np.arange(p.gamma**k) / p.gamma**k
+        y = self.psi_table(k)
+        x = np.concatenate([x, x + 1.0])
+        y = np.concatenate([y, y + 1.0])
         dx = np.abs(x[:, None] - x[None, :])
         dy = np.abs(y[:, None] - y[None, :])
         np.fill_diagonal(dx, 1.0)  # excluded pairs; dy diagonal is 0
@@ -302,7 +331,7 @@ class InnerEvaluator:
         return {
             "max_ratio": float(ratio[i, j]),
             "witness": (x[i], x[j]),
-            "points": len(xs),
+            "points": len(x),
         }
 
     def psi_plot_data(self, k: int) -> list[tuple[Fraction, Fraction]]:
@@ -314,15 +343,8 @@ class InnerEvaluator:
             raise BudgetError(
                 f"gamma**k = {p.gamma**k} exceeds the row budget {PLOT_ROW_BUDGET}"
             )
-        return self._grid_values(k)
-
-    def _grid_values(self, k: int) -> list[tuple[Fraction, Fraction]]:
-        g = self.params.gamma
-        out = []
-        for i in range(g**k):
-            d = Fraction(i, g**k)
-            out.append((d, self.psi_grid(d)))
-        return out
+        nums, den = self.lattice(k)
+        return [(Fraction(i, p.gamma**k), Fraction(nums[i], den)) for i in range(p.gamma**k)]
 
 
 def _add_ulp(prefix: tuple[int, ...], gamma: int) -> tuple[int, ...] | None:

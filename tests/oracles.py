@@ -2,9 +2,12 @@
 
 These are written directly from the defining recursions, with no
 memoization tricks shared with the library code, so they can serve as
-oracles for exact comparisons.
+oracles for exact comparisons. The single trapezoidal bump
+(``BumpSpec``, ``theta``, ``theta_exact``) lives here too: the library
+stores bumps as whole layers and never builds one alone.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -87,3 +90,75 @@ def json_network(doc: dict) -> SimpleNamespace:
     ]
     edges = [(s, d, float(w)) for s, d, w in zip(e["from"], e["to"], e["w"])]
     return SimpleNamespace(units=units, edges=edges, output_ids=doc["meta"]["outputs"])
+
+
+def sigma(x: float) -> float:
+    """Piecewise-linear clamp: 0 below 0, identity on [0, 1], 1 above.
+
+    Equals ReLU(x) - ReLU(x - 1) pointwise, which is how the network
+    realization spells it.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    return x
+
+
+@dataclass(frozen=True)
+class BumpSpec:
+    """One trapezoidal bump: plateau of height 1 over
+    [center_left, center_left + plateau], linear ramps of width
+    1/slope on both sides, zero outside.
+    """
+
+    center_left: Fraction
+    plateau: Fraction
+    slope: int
+    k: int
+
+    @property
+    def ramp(self) -> Fraction:
+        return Fraction(1, self.slope)
+
+    @property
+    def support_lo(self) -> Fraction:
+        return self.center_left - self.ramp
+
+    @property
+    def support_hi(self) -> Fraction:
+        return self.center_left + self.plateau + self.ramp
+
+
+def make_bump(params, bk, xi_value: Fraction, k: int) -> BumpSpec:
+    g, n = params.gamma, params.n
+    return BumpSpec(
+        center_left=xi_value,
+        plateau=(g - 2) * bk.value,
+        slope=g ** beta(n, k + 1),
+        k=k,
+    )
+
+
+def theta(spec: BumpSpec, x: float) -> float:
+    """Trapezoid value at x, evaluated in floating point."""
+    slope = float(spec.slope)
+    left = float(spec.center_left)
+    width = float(spec.plateau)
+    return sigma(slope * (x - left) + 1.0) - sigma(slope * (x - left - width))
+
+
+def theta_exact(spec: BumpSpec, x: Fraction) -> Fraction:
+    """Trapezoid value at an exact x; used by boundary tests."""
+
+    def clamp(v: Fraction) -> Fraction:
+        if v <= 0:
+            return Fraction(0)
+        if v >= 1:
+            return Fraction(1)
+        return v
+
+    s = Fraction(spec.slope)
+    return clamp(s * (x - spec.center_left) + 1) - clamp(
+        s * (x - spec.center_left - spec.plateau)
+    )

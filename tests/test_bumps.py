@@ -3,21 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from kst.bumps import (
-    BumpSpec,
-    ShiftedGrid,
-    b_k,
-    disjoint_support_audit,
-    grid_shift,
-    make_bump,
-    sigma,
-    theta,
-    theta_exact,
-    xi,
-)
+from kst.bumps import ShiftedGrid, b_k, disjoint_support_audit, grid_shift, xi
 from kst.errors import BudgetError, DomainError
 from kst.inner import InnerEvaluator
 from kst.params import beta, lambda_coeffs, make_params
+from oracles import make_bump, sigma, theta, theta_exact
 
 
 @pytest.fixture(scope="module")

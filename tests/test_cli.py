@@ -93,6 +93,22 @@ def saved_state(tmp_path_factory):
     return path
 
 
+def _edit_layer(d, change):
+    """d with the last family's first layer replaced by change(layer)."""
+    last = d["outer"][-1]
+    layer = change(last["layers"][0])
+    return d | {"outer": d["outer"][:-1] + [last | {"layers": [layer] + last["layers"][1:]}]}
+
+
+def _edit_bump(d, i, key, text):
+    """d with entry key of bump i in the last family's first layer set to text."""
+    def change(ld):
+        bumps = list(ld["bumps"])
+        bumps[i] = bumps[i] | {key: text}
+        return ld | {"bumps": bumps}
+    return _edit_layer(d, change)
+
+
 class TestAssembleCmd:
     def test_report_and_triangle(self, saved_state, tmp_path):
         report_path = tmp_path / "report.json"
@@ -121,9 +137,24 @@ class TestAssembleCmd:
             lambda d: d | {"target": {"provenance": {"kind": "builtin"}}},
             lambda d: d | {"outer": [{"j": 0, "layers": [{"k": 2, "bumps": [{}]}]}]},
             lambda d: d | {"residual_norms": ["one"]},
+            lambda d: d | {"residual_norms": ["nan"] + d["residual_norms"][1:]},
+            lambda d: _edit_bump(d, 0, "xi", "inf"),
+            lambda d: _edit_bump(d, 1, "xi", "-1"),
+            lambda d: d | {"outer": d["outer"][1::-1] + d["outer"][2:]},
+            lambda d: d | {"outer": d["outer"][:-1]},
+            lambda d: _edit_layer(d, lambda ld: ld | {"bumps": ld["bumps"][:-1]}),
+            lambda d: d | {"r": 2},
+            lambda d: d | {"k_warnings": []},
+            lambda d: d | {"residual_norms": d["residual_norms"][:1]},
+            lambda d: d | {"k_list": [d["k_list"][0] + 1]},
+            lambda d: _edit_layer(d, lambda ld: ld | {"k": ld["k"] + 1}),
+            lambda d: _edit_bump(d, 0, "slope", "1"),
         ],
         ids=["list", "no-params", "r-string", "warning-int", "seed-float",
-             "no-builtin-name", "bump-keys", "norm-text"],
+             "no-builtin-name", "bump-keys", "norm-text", "norm-nan", "xi-inf",
+             "xi-decreases", "families-swapped", "family-missing", "bump-missing",
+             "r-count", "warnings-count", "norms-count", "k-list-depth",
+             "layer-depth", "slope"],
     )
     def test_malformed_state_exit_2(self, saved_state, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"

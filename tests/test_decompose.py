@@ -105,6 +105,20 @@ class TestIterate:
         with pytest.raises(BudgetError):
             iterate(state, force_k=2)
 
+    @pytest.mark.parametrize(
+        "n, k, grid_budget", [(2, 4, 10**6), (2, 4, 10**7), (3, 3, 10**6)]
+    )
+    def test_float_cliff_refused(self, n, k, grid_budget):
+        # At these depths the ramp gamma**-beta_n(k+1) and the plateau lie
+        # below the float spacing at the top of the outer domain (7.5e-25
+        # and 3.5e-24 at n=2, k=4), so every bump would collapse and the
+        # residual would stay where it was. Refused before the grid budget
+        # is consulted, whatever that budget is.
+        caps = DecompositionCaps(grid_budget=grid_budget, audit_resolution=11, n_random=10)
+        state = init_state(builtin_target("gaussian", n), caps=caps)
+        with pytest.raises(ConstraintViolation, match=f"depth {k}"):
+            iterate(state, force_k=k)
+
     def test_layer_coefficients_scale(self, product_r1):
         p = product_r1.params
         norm0 = product_r1.residual_norms[0]

@@ -2,7 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kst.errors import BudgetError, DomainError
 from kst.inner import BaseGammaPoint, InnerEvaluator
@@ -159,3 +162,60 @@ class TestPlotData:
     def test_budget_guard(self, ev10):
         with pytest.raises(BudgetError):
             ev10.psi_plot_data(7)
+
+
+@st.composite
+def lattice_depths(draw):
+    """(n, gamma, k) with gamma from m + 2 at the default m = 2n up to 10
+    and at most 5000 points on the depth-k grid."""
+    n = draw(st.sampled_from([2, 3]))
+    gamma = draw(st.integers(2 * n + 2, 10))
+    k = draw(st.integers(1, max(k for k in range(1, 8) if gamma**k <= 5000)))
+    return n, gamma, k
+
+
+class TestLattice:
+    @settings(derandomize=True, deadline=None)
+    @given(lattice_depths())
+    def test_every_entry_matches_oracle(self, depth):
+        n, gamma, k = depth
+        ev = InnerEvaluator(make_params(n, gamma=gamma))
+        nums, den = ev.lattice(k)
+        assert den == 2 ** (k - 1) * gamma ** beta(n, k)
+        assert len(nums) == gamma**k + 1
+        exact = [oracle_psi(i, k, n, gamma) for i in range(gamma**k + 1)]
+        assert [Fraction(v, den) for v in nums] == exact
+        # one rounding of the exact value, bit for bit
+        expected = np.asarray([float(v) for v in exact[:-1]])
+        assert ev.psi_table(k).tobytes() == expected.tobytes()
+
+    @settings(derandomize=True, deadline=None)
+    @given(lattice_depths(), st.integers(0, 2), st.data())
+    def test_trunc_float_matches_exact_psi(self, depth, extra, data):
+        # q on a grid up to two levels finer than the truncation depth k;
+        # the sampled values are q = 1, the rest of [1, 2), and the
+        # carries just below 1 and 2 and out of a full lowest digit
+        n, gamma, k = depth
+        scale = gamma ** (k + extra)
+        cell = gamma**extra
+        special = [0, scale, scale + 1, scale - 1, scale - cell, 2 * scale - 1,
+                   2 * scale - cell, gamma * cell - 1, scale + gamma * cell - 1]
+        idx = data.draw(st.one_of(
+            st.sampled_from([i for i in special if 0 <= i < 2 * scale]),
+            st.integers(0, 2 * scale - 1),
+        ))
+        q = Fraction(idx, scale)
+        ev = InnerEvaluator(make_params(n, gamma=gamma))
+        assert ev.psi_trunc_float(q, k) == float(ev.psi(q, k).value_exact)
+
+    def test_trunc_float_edges(self, ev6):
+        for k in (1, 3, 5):
+            assert ev6.psi_trunc_float(Fraction(1), k) == 1.0
+            below_one = ev6.psi(1 - Fraction(1, 6**k), k).value_exact
+            assert ev6.psi_trunc_float(1 - Fraction(1, 6**k), k) == float(below_one) < 1.0
+            assert ev6.psi_trunc_float(2 - Fraction(1, 6**k), k) == float(1 + below_one)
+        # 1 + psi is rounded once: adding 1.0 to the rounded psi(5/6)
+        # would give 1.8333333333333335
+        assert ev6.psi_trunc_float(Fraction(11, 6), 1) == 1.8333333333333333
+        with pytest.raises(DomainError):
+            ev6.psi_trunc_float(Fraction(2), 3)
