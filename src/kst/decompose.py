@@ -19,7 +19,6 @@ observationally invisible.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .bumps import b_k, disjoint_support_audit
 from .errors import BudgetError, ConstraintViolation, DomainError
 from .inner import InnerEvaluator
 from .params import KstParams, LambdaCoeffs, beta, lambda_coeffs, make_params
-from .target import TargetFunction, target_from_provenance
+from .target import TargetFunction, mesh_points, target_from_provenance
 
 STATE_SCHEMA = "kst-decomposition/1"
 
@@ -224,9 +223,7 @@ def f_r_at_points(state, pts: np.ndarray) -> np.ndarray:
 
 
 def target_on_mesh(state, axes_floats: list[np.ndarray]) -> np.ndarray:
-    grids = np.meshgrid(*axes_floats, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    vals = state.target.eval_batch(pts)
+    vals = state.target.eval_batch(mesh_points(axes_floats))
     return vals.reshape(tuple(len(ax) for ax in axes_floats))
 
 
@@ -552,11 +549,16 @@ _STATE_LAYOUT = {
 }
 
 
-def _is_decimal(text: str) -> bool:
+def _all_decimal(texts) -> bool:
+    """True when every item is a finite decimal string; each text is parsed once."""
     try:
-        return math.isfinite(float(text))
-    except ValueError:
+        distinct = set(texts)  # TypeError: a list or object among them
+        if not set(map(type, distinct)) <= {str}:
+            return False
+        values = np.fromiter(map(float, distinct), dtype=float, count=len(distinct))
+    except (TypeError, ValueError):  # ValueError: a text that is not a number
         return False
+    return bool(np.all(np.isfinite(values)))
 
 
 def _check_layout(value, layout, where: str) -> None:
@@ -571,10 +573,16 @@ def _check_layout(value, layout, where: str) -> None:
     elif isinstance(layout, list):
         if not isinstance(value, list):
             raise DomainError(f"{where} is not a JSON list")
+        # a layer's bumps are checked whole; the walk names the first bad place
+        rec = layout[0]
+        if isinstance(rec, dict) and all(v is float for v in rec.values()) and _all_decimal(
+            row.get(key) if isinstance(row, dict) else None for row in value for key in rec
+        ):
+            return
         for i, item in enumerate(value):
             _check_layout(item, layout[0], f"{where}[{i}]")
     elif layout is float:
-        if not (isinstance(value, str) and _is_decimal(value)):
+        if not _all_decimal([value]):
             raise DomainError(f"{where} is not a finite decimal string")
     elif not isinstance(value, layout) or isinstance(value, bool) != (layout is bool):
         raise DomainError(f"{where} is not of JSON type {layout.__name__}")

@@ -15,19 +15,29 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstraintViolation
 
-# Exact weights at n >= 3 carry denominators with thousands of digits
-# (gamma**((n-1)*beta_n(depth+1))); serialization needs to print them.
-if sys.get_int_max_str_digits() < 10**6:
-    sys.set_int_max_str_digits(10**6)
-
 DEFAULT_DELTA = 0.05
 DEFAULT_ETA = 0.9
 DEFAULT_LAMBDA_DEPTH = 8
+
+
+@contextmanager
+def big_int_digits():
+    """Let ints of up to a million digits convert to and from text inside
+    the block. Exact weights at n >= 3 carry denominators with thousands
+    of digits (gamma**((n-1)*beta_n(depth+1))), past the default limit."""
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < 10**6:
+        sys.set_int_max_str_digits(10**6)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def beta(n: int, ell: int) -> int:
@@ -120,16 +130,12 @@ class LambdaCoeffs:
         return sum(self.values, Fraction(0))
 
     def to_json_dict(self) -> dict:
-        return {
-            "values": [
-                {"num": str(v.numerator), "den": str(v.denominator)}
-                for v in self.values
-            ],
-            "tail_bound": {
-                "num": str(self.tail_bound.numerator),
-                "den": str(self.tail_bound.denominator),
-            },
-        }
+        text = lambda v: {"num": str(v.numerator), "den": str(v.denominator)}
+        with big_int_digits():
+            return {
+                "values": [text(v) for v in self.values],
+                "tail_bound": text(self.tail_bound),
+            }
 
 
 def make_params(

@@ -32,7 +32,7 @@ from .decompose import (
 from .errors import DomainError
 from .params import KstParams, make_params
 from .relunet import AssembledKst, UnivariateNet, assemble_kst, build_univariate
-from .target import TargetFunction
+from .target import TargetFunction, mesh_points
 
 
 @dataclass(frozen=True)
@@ -280,9 +280,7 @@ def assemble_from_state(
     axis = state.audit_axis()
     f_mesh = target_on_mesh(state, [axis] * p.n).ravel()
     fr_mesh = f_r_on_mesh(state, [axis] * p.n).ravel()
-    grids = np.meshgrid(*([axis] * p.n), indexing="ij")
-    mesh_pts = np.stack([gg.ravel() for gg in grids], axis=1)
-    net_mesh = asm.eval_batch(mesh_pts)
+    net_mesh = asm.eval_batch(mesh_points([axis] * p.n))
 
     rng = np.random.Generator(np.random.PCG64(caps.seed))
     rand_pts = rng.random((caps.n_random, p.n))

@@ -237,7 +237,6 @@ class UnivariateNet:
     knots: np.ndarray
     values: np.ndarray
     domain: float
-    reference: Callable[[np.ndarray], np.ndarray]
     eps_measured: float
     _network: ReluNetwork | None = field(default=None, repr=False)
 
@@ -295,6 +294,7 @@ def build_univariate(
 ) -> UnivariateNet:
     """Interpolate g on [0, M] with N uniform segments (or given knots).
 
+    g maps an array to its values and is called once, on the audit grid.
     The measured error is the max deviation from g on a grid refining
     every cell at least ``audit_factor`` times; coarse builds get extra
     refinement so the sup estimate is not limited by the audit density.
@@ -313,45 +313,31 @@ def build_univariate(
             raise DomainError("knots must be strictly increasing")
         if knots[0] != 0.0 or abs(knots[-1] - M) > 1e-12:
             raise DomainError("knots must span [0, M]")
-    gv = _as_batch(g)
-    if values is None:
-        values = gv(knots)
-    else:
+    if values is not None:
         values = np.asarray(values, dtype=float)
         if values.shape != knots.shape:
             raise DomainError("knot values do not match the knot set")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("reference function is not finite on the knot set")
     factor = max(audit_factor, -(-1024 // (len(knots) - 1)))
     left = knots[:-1, None]
     right = knots[1:, None]
     frac = np.arange(factor)[None, :] / factor
+    # frac[0] is 0.0, so every factor-th audit point is a knot exactly
     audit = np.append((left + (right - left) * frac).ravel(), knots[-1])
-    g_audit = gv(audit)
+    g_audit = np.asarray(g(audit), dtype=float)
+    if g_audit.shape != audit.shape:
+        raise DomainError("reference function is not vectorized")
+    if values is None:
+        values = g_audit[::factor].copy()
+    if not np.all(np.isfinite(values)):
+        raise DomainError("reference function is not finite on the knot set")
     interp = np.interp(audit, knots, values)
     eps = float(np.max(np.abs(g_audit - interp)))
     return UnivariateNet(
         knots=knots,
-        values=np.asarray(values, dtype=float),
+        values=values,
         domain=float(M),
-        reference=gv,
         eps_measured=eps,
     )
-
-
-def _as_batch(g: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    def batched(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        try:
-            out = g(x)
-            out = np.asarray(out, dtype=float)
-            if out.shape == x.shape:
-                return out
-        except (TypeError, ValueError, DomainError):
-            pass
-        return np.asarray([g(float(v)) for v in x.ravel()]).reshape(x.shape)
-
-    return batched
 
 
 @dataclass

@@ -13,11 +13,16 @@ Grammar (EBNF):
 Precedence is ^ above unary minus above * and /, with ^ right
 associative. NUMBER is a plain decimal literal. The only functions are
 sin, cos, exp, abs and sqrt.
+
+Targets are evaluated on whole (N, dim) arrays of points; an expression
+is compiled once into a closure over numpy ufuncs. A division by zero,
+an invalid argument, an overflow or a non-finite value in a batch is a
+DomainError; underflow to zero is not.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,13 +32,10 @@ from .errors import BudgetError, DomainError, ExpressionError
 
 MODULUS_POINT_BUDGET = 10**6
 
-FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "abs": abs,
-    "sqrt": math.sqrt,
-}
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sqrt": np.sqrt}
+# float_power calls the C library's pow like Python's ``**``; power
+# takes a vectorized path that differs from it in the last bit.
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.float_power}
 
 
 # -- abstract syntax ---------------------------------------------------------
@@ -211,41 +213,27 @@ def parse(text: str, n: int) -> Expr:
     return _Parser(_tokenize(text), n).parse()
 
 
-def eval_expr(e: Expr, p: Sequence[float]) -> float:
-    """Standard recursive evaluation with domain guards."""
+def _compile(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """Closure mapping an (N, dim) array to the expression's N values."""
     if isinstance(e, Num):
-        return e.value
+        return lambda X: np.full(len(X), e.value)
     if isinstance(e, Var):
-        return float(p[e.index - 1])
+        return lambda X: X[:, e.index - 1]
     if isinstance(e, Neg):
-        return -eval_expr(e.operand, p)
+        operand = _compile(e.operand)
+        return lambda X: np.negative(operand(X))
     if isinstance(e, Call):
-        arg = eval_expr(e.arg, p)
-        try:
-            return FUNCTIONS[e.func](arg)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{e.func}({arg}) is undefined") from exc
+        func, arg = FUNCTIONS[e.func], _compile(e.arg)
+        return lambda X: func(arg(X))
     if isinstance(e, BinOp):
-        a = eval_expr(e.left, p)
-        b = eval_expr(e.right, p)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
-        try:
-            r = a**b
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"{a} ^ {b} is undefined") from exc
-        if isinstance(r, complex):
-            raise DomainError(f"{a} ^ {b} is not real")
-        return r
+        op, left, right = _BINARY[e.op], _compile(e.left), _compile(e.right)
+        return lambda X: op(left(X), right(X))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def eval_expr(e: Expr, p: Sequence[float]) -> float:
+    """Value at one point, through the compiled form."""
+    return float(_evaluate(_compile(e), np.asarray(p, dtype=float)[None, :])[0])
 
 
 def pretty(e: Expr) -> str:
@@ -264,30 +252,49 @@ def pretty(e: Expr) -> str:
 # -- target functions --------------------------------------------------------
 
 
+def _evaluate(fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """fn on an (N, dim) array, refusing floating-point faults and
+    non-finite values with DomainError."""
+    pts = np.asarray(pts, dtype=float)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            out = np.array(fn(pts), dtype=float)  # a copy, never a view of pts
+    except FloatingPointError as exc:
+        raise DomainError(f"target is undefined on the sample: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise DomainError(f"target is not finite at {pts[bad[0]].tolist()}")
+    return out
+
+
 @dataclass(frozen=True)
 class TargetFunction:
-    """A function on [0,1]^dim with a known or estimated sup-norm bound."""
+    """A function on [0,1]^dim with a known or estimated sup-norm bound;
+    ``fn`` maps an (N, dim) array of points to their N values."""
 
     dim: int
-    fn: Callable[[Sequence[float]], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     sup_norm_bound: float
     provenance: dict
 
     def __call__(self, p: Sequence[float]) -> float:
-        return self.fn(p)
+        return float(self.eval_batch(np.asarray(p, dtype=float)[None, :])[0])
 
     def eval_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation of an (N, dim) array of points."""
-        return np.asarray([self.fn(row) for row in pts], dtype=float)
+        """Values at the rows of an (N, dim) array of points."""
+        return _evaluate(self.fn, pts)
 
 
 def _builtin_specs(n: int) -> dict[str, tuple[Callable, float]]:
+    # columns are summed and multiplied left to right, as sum and
+    # math.prod accumulate, so results do not depend on numpy's order
+    add = lambda X: functools.reduce(np.add, X.T)
     return {
-        "zero": (lambda p: 0.0, 0.0),
-        "one": (lambda p: 1.0, 1.0),
-        "product": (lambda p: math.prod(p), 1.0),
-        "gaussian": (lambda p: math.exp(-sum(v * v for v in p)), 1.0),
-        "ridge": (lambda p: math.sin(math.pi * sum(p)) / n, 1.0 / n),
+        "zero": (lambda X: np.zeros(len(X)), 0.0),
+        "one": (lambda X: np.ones(len(X)), 1.0),
+        "product": (lambda X: functools.reduce(np.multiply, X.T), 1.0),
+        "gaussian": (lambda X: np.exp(-add(X * X)), 1.0),
+        "ridge": (lambda X: np.sin(np.pi * add(X)) / n, 1.0 / n),
     }
 
 
@@ -316,14 +323,11 @@ def expression_target(text: str, n: int, bound_resolution: int | None = None) ->
     The sup-norm bound is the sampled maximum on a grid matching the
     default audit resolution; exact bounds are only known for built-ins.
     """
-    ast = parse(text, n)
-    fn = lambda p: eval_expr(ast, p)
+    fn = _compile(parse(text, n))
     if bound_resolution is None:
         bound_resolution = 101 if n <= 2 else 31
-    axes = np.linspace(0.0, 1.0, bound_resolution)
-    grids = np.meshgrid(*([axes] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    observed = max(abs(fn(tuple(row))) for row in pts)
+    pts = mesh_points([np.linspace(0.0, 1.0, bound_resolution)] * n)
+    observed = float(np.max(np.abs(_evaluate(fn, pts))))
     return TargetFunction(
         dim=n,
         fn=fn,
@@ -338,11 +342,14 @@ def target_from_provenance(prov: dict, n: int) -> TargetFunction:
     return expression_target(prov["text"], n)
 
 
+def mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The points of the product mesh of the axes, in row-major order."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def modulus_estimate(
-    f,
-    resolution: int,
-    steps: Sequence[float],
-    dim: int | None = None,
+    f: TargetFunction, resolution: int, steps: Sequence[float]
 ) -> dict[float, float]:
     """Empirical modulus: max |f(x) - f(x')| over axis-aligned pairs.
 
@@ -350,28 +357,23 @@ def modulus_estimate(
     x' = x + h*e_i, keeping pairs inside the cube. The returned table is
     made nondecreasing in h by a cumulative maximum.
     """
-    n = dim if dim is not None else f.dim
+    n = f.dim
     if resolution**n > MODULUS_POINT_BUDGET:
         raise BudgetError(
             f"resolution**n = {resolution**n} exceeds {MODULUS_POINT_BUDGET}"
         )
-    fn = f.fn if isinstance(f, TargetFunction) else f
-    axes = np.linspace(0.0, 1.0, resolution)
-    grids = np.meshgrid(*([axes] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    base = np.asarray([fn(tuple(row)) for row in pts])
+    pts = mesh_points([np.linspace(0.0, 1.0, resolution)] * n)
+    base = f.eval_batch(pts)
     table: dict[float, float] = {}
     running = 0.0
     for h in sorted(float(s) for s in steps):
-        worst = 0.0
         for axis in range(n):
             keep = pts[:, axis] + h <= 1.0 + 1e-12
             if not np.any(keep):
                 continue
-            shifted = pts[keep].copy()
+            shifted = pts[keep]
             shifted[:, axis] = np.minimum(shifted[:, axis] + h, 1.0)
-            vals = np.asarray([fn(tuple(row)) for row in shifted])
-            worst = max(worst, float(np.max(np.abs(vals - base[keep]))))
-        running = max(running, worst)
+            vals = f.eval_batch(shifted)
+            running = max(running, float(np.max(np.abs(vals - base[keep]))))
         table[h] = running
     return table

@@ -4,16 +4,21 @@ These are written directly from the defining recursions, with no
 memoization tricks shared with the library code, so they can serve as
 oracles for exact comparisons. The single trapezoidal bump
 (``BumpSpec``, ``theta``, ``theta_exact``) lives here too: the library
-stores bumps as whole layers and never builds one alone.
+stores bumps as whole layers and never builds one alone. So does the
+point-by-point expression walker (``oracle_eval_expr``) that the
+compiled whole-array targets are checked against.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
+from kst.errors import DomainError
 from kst.params import beta
+from kst.target import BinOp, Call, Neg, Num, Var
 
 
 def oracle_psi(i: int, k: int, n: int, gamma: int) -> Fraction:
@@ -162,3 +167,50 @@ def theta_exact(spec: BumpSpec, x: Fraction) -> Fraction:
     return clamp(s * (x - spec.center_left) + 1) - clamp(
         s * (x - spec.center_left - spec.plateau)
     )
+
+
+SCALAR_FUNCTIONS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "abs": abs,
+    "sqrt": math.sqrt,
+}
+
+
+def oracle_eval_expr(e, p, functions=SCALAR_FUNCTIONS) -> float:
+    """Expression value at one point by recursive scalar evaluation,
+    raising DomainError where Python's float arithmetic refuses."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return float(p[e.index - 1])
+    if isinstance(e, Neg):
+        return -oracle_eval_expr(e.operand, p, functions)
+    if isinstance(e, Call):
+        arg = oracle_eval_expr(e.arg, p, functions)
+        try:
+            return functions[e.func](arg)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"{e.func}({arg}) is undefined") from exc
+    if isinstance(e, BinOp):
+        a = oracle_eval_expr(e.left, p, functions)
+        b = oracle_eval_expr(e.right, p, functions)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0.0:
+                raise DomainError("division by zero")
+            return a / b
+        try:
+            r = a**b
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"{a} ^ {b} is undefined") from exc
+        if isinstance(r, complex):
+            raise DomainError(f"{a} ^ {b} is not real")
+        return r
+    raise TypeError(f"not an expression node: {e!r}")

@@ -299,7 +299,7 @@ def test_08_size_accounting_exact():
 def test_09_interpolation_error_decreases():
     p = make_params(2)
     ev = InnerEvaluator(p)
-    g = lambda x: ev.psi(Fraction(repr(float(x))), 10).value
+    g = np.vectorize(lambda x: ev.psi(Fraction(repr(float(x))), 10).value, otypes=[float])
     errs, sizes = [], []
     for N in (16, 32, 64, 128):
         uni = build_univariate(g, 2.0 - 1e-9, N)

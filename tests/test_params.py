@@ -1,12 +1,18 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kst.decompose import init_state, state_from_json_dict, state_to_json_dict
 from kst.errors import ConstraintViolation
-from kst.params import KstParams, beta, lambda_coeffs, make_params
+from kst.params import KstParams, beta, big_int_digits, lambda_coeffs, make_params
+from kst.target import builtin_target
 
 
 class TestBeta:
@@ -78,6 +84,34 @@ class TestMakeParams:
         p = make_params(2, gamma=10)
         q = KstParams.from_json_dict(p.to_json_dict())
         assert q == p
+
+
+def test_import_keeps_int_digit_limit():
+    code = (
+        "import sys; sys.set_int_max_str_digits(5000); "
+        "import kst, kst.cli; print(sys.get_int_max_str_digits())"
+    )
+    env = os.environ | {"PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "5000"
+
+
+def test_n3_json_round_trip():
+    p = make_params(3)
+    limit = sys.get_int_max_str_digits()
+    text = json.dumps({"params": p.to_json_dict(), "lambdas": lambda_coeffs(p).to_json_dict()})
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(text)
+    assert KstParams.from_json_dict(doc["params"]) == p
+    lam = lambda_coeffs(p)
+    assert len(doc["lambdas"]["values"][2]["den"]) > 4300
+    with big_int_digits():
+        values = [Fraction(int(v["num"]), int(v["den"])) for v in doc["lambdas"]["values"]]
+    assert tuple(values) == lam.values
+    state = init_state(builtin_target("product", 3))
+    again = state_from_json_dict(json.loads(json.dumps(state_to_json_dict(state))))
+    assert state_to_json_dict(again) == state_to_json_dict(state)
 
 
 class TestLambdaCoeffs:

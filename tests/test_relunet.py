@@ -141,7 +141,7 @@ class TestBuildUnivariate:
     def test_psi_error_within_holder_bound(self):
         p = make_params(2)
         ev = InnerEvaluator(p)
-        g = lambda x: ev.psi(Fraction(repr(float(x))), 9).value
+        g = np.vectorize(lambda x: ev.psi(Fraction(repr(float(x))), 9).value, otypes=[float])
         N = 36
         uni = build_univariate(g, 2.0 - 1e-9, N)
         assert uni.eps_measured <= p.nu * (2.0 / N) ** p.alpha
@@ -152,13 +152,14 @@ class TestBuildUnivariate:
         M = float(state.params.phi_domain_sup)
         eps_phi = 1.0
         N = math.ceil(nu * M / (2 * eps_phi))
-        uni = build_univariate(lambda y: evaluate_phi(state, 0, float(y)), M - 1e-12, N)
+        g = np.vectorize(lambda y: evaluate_phi(state, 0, float(y)), otypes=[float])
+        uni = build_univariate(g, M - 1e-12, N)
         assert uni.eps_measured <= eps_phi
 
     def test_monotone_error_in_n(self):
         p = make_params(2)
         ev = InnerEvaluator(p)
-        g = lambda x: ev.psi(Fraction(repr(float(x))), 9).value
+        g = np.vectorize(lambda x: ev.psi(Fraction(repr(float(x))), 9).value, otypes=[float])
         errs = [build_univariate(g, 2.0 - 1e-9, N).eps_measured for N in (8, 16, 32, 64)]
         assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
 
@@ -191,6 +192,19 @@ class TestBuildUnivariate:
             assert N + 2 <= uni.W <= 3 * N + 4
             assert uni.W == uni.network.W
 
+    @pytest.mark.parametrize("knots", [None, np.array([0.0, 0.1, 0.35, 0.36, 1.3, 2.0])])
+    def test_one_reference_pass(self, knots):
+        calls = []
+
+        def g(x):
+            calls.append(len(x))
+            return np.sin(3 * x) + x * x
+
+        uni = build_univariate(g, 2.0, 37, knots=knots)
+        assert len(calls) == 1 and calls[0] > len(uni.knots)
+        assert uni.values.tolist() == g(uni.knots).tolist()
+        assert uni.values.base is None
+
     def test_custom_knots(self):
         knots = np.array([0.0, 0.25, 0.3, 1.0])
         uni = build_univariate(lambda x: x**2, 1.0, 0, knots=knots)
@@ -206,11 +220,17 @@ def small_assembly():
     lam = lambda_coeffs(p)
     ev = InnerEvaluator(p)
     psi = build_univariate(
-        lambda x: ev.psi(Fraction(repr(float(x))), 7).value, 1.0 + p.m * float(p.a), 64
+        np.vectorize(lambda x: ev.psi(Fraction(repr(float(x))), 7).value, otypes=[float]),
+        1.0 + p.m * float(p.a),
+        64,
     )
     M_phi = float(p.phi_domain_sup)
     phis = [
-        build_univariate(lambda y, j=j: evaluate_phi(state, j, float(y)), M_phi - 1e-12, 128)
+        build_univariate(
+            np.vectorize(lambda y, j=j: evaluate_phi(state, j, float(y)), otypes=[float]),
+            M_phi - 1e-12,
+            128,
+        )
         for j in range(p.m + 1)
     ]
     return state, assemble_kst(psi, phis, p, lam)

@@ -1,17 +1,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kst.cli import main
 from kst.errors import BudgetError, DomainError, ExpressionError
 from kst.target import (
     BinOp,
     Call,
     Neg,
     Num,
+    TargetFunction,
     Var,
+    _compile,
     builtin_target,
     eval_expr,
     expression_target,
@@ -19,27 +23,106 @@ from kst.target import (
     parse,
     pretty,
 )
+from oracles import SCALAR_FUNCTIONS, oracle_eval_expr
 
 
-def _ast_strategy(n=2, depth=3):
+def _ast_strategy(n=2, depth=3, ops="+-*", funcs=("sin", "cos", "abs"), low=0.1):
     leaf = st.one_of(
-        st.builds(Num, st.floats(0.1, 4.0, allow_nan=False).map(lambda v: round(v, 3))),
+        st.builds(Num, st.floats(low, 4.0, allow_nan=False).map(lambda v: round(v, 3))),
         st.builds(Var, st.integers(1, n)),
     )
 
     def extend(children):
         return st.one_of(
             st.builds(Neg, children),
-            st.builds(
-                BinOp,
-                st.sampled_from(["+", "-", "*"]),
-                children,
-                children,
-            ),
-            st.builds(Call, st.sampled_from(["sin", "cos", "abs"]), children),
+            st.builds(BinOp, st.sampled_from(list(ops)), children, children),
+            st.builds(Call, st.sampled_from(list(funcs)), children),
         )
 
     return st.recursive(leaf, extend, max_leaves=depth * 4)
+
+
+def _has_exp(e) -> bool:
+    if isinstance(e, Call):
+        return e.func == "exp" or _has_exp(e.arg)
+    if isinstance(e, Neg):
+        return _has_exp(e.operand)
+    if isinstance(e, BinOp):
+        return _has_exp(e.left) or _has_exp(e.right)
+    return False
+
+
+def _oracle_or_none(tree, p, functions=SCALAR_FUNCTIONS):
+    """Walker value at p, or None where it is undefined or not finite."""
+    try:
+        v = oracle_eval_expr(tree, p, functions)
+    except DomainError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+_unit = st.floats(0.0, 1.0)
+# the walker with exp taken from numpy: np.exp may differ from math.exp
+# in the last bit, while the other ufuncs match their scalar forms
+_NUMPY_EXP = SCALAR_FUNCTIONS | {"exp": lambda v: float(np.exp(v))}
+
+
+class TestCompiled:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        _ast_strategy(3, ops="+-*/^", funcs=sorted(SCALAR_FUNCTIONS), low=0.0),
+        st.lists(st.tuples(_unit, _unit, _unit), min_size=1, max_size=6),
+    )
+    def test_batch_matches_walker(self, tree, rows):
+        reparsed = parse(pretty(tree), 3)
+        assert reparsed == tree
+        target = TargetFunction(dim=3, fn=_compile(reparsed), sup_norm_bound=0.0, provenance={})
+        pts = np.asarray(rows, dtype=float)
+        want = [_oracle_or_none(tree, p) for p in rows]
+        if any(v is None for v in want):
+            with pytest.raises(DomainError):
+                target.eval_batch(pts)
+            return
+        got = target.eval_batch(pts)
+        if not _has_exp(tree):
+            assert got.tolist() == want
+            return
+        assert got.tolist() == [_oracle_or_none(tree, p, _NUMPY_EXP) for p in rows]
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "text, x",
+        [("1/x1", 0.0), ("sqrt(x1-1)", 0.0), ("(-x1)^0.5", 0.5), ("0^-1", 0.5),
+         ("exp(1000*x1)", 1.0)],
+    )
+    def test_domain_errors(self, text, x):
+        with pytest.raises(DomainError):
+            eval_expr(parse(text, 1), (x,))
+        target = TargetFunction(dim=1, fn=_compile(parse(text, 1)), sup_norm_bound=0.0,
+                                provenance={})
+        with pytest.raises(DomainError):
+            target.eval_batch(np.array([[0.25], [x]]))
+
+    def test_underflow_is_zero(self):
+        assert eval_expr(parse("exp(-1000*x1)", 1), (1.0,)) == 0.0
+        t = expression_target("exp(-1000*x1)", 1)
+        assert t.eval_batch(np.array([[1.0], [0.0]])).tolist() == [0.0, 1.0]
+
+    def test_cli_refuses_undefined_target(self, capsys):
+        assert main(["decompose", "--n", "2", "--f", "1/x1", "--iters", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_builtins_match_scalar_lambdas(self, n):
+        scalar = {
+            "product": lambda p: math.prod(p),
+            "ridge": lambda p: math.sin(math.pi * sum(p)) / n,
+        }
+        pts = np.random.default_rng(2024).random((10**4, n))
+        for name, fn in scalar.items():
+            want = [fn(p) for p in pts.tolist()]
+            assert builtin_target(name, n).eval_batch(pts).tolist() == want
 
 
 class TestParse:
