@@ -18,7 +18,6 @@ from .decompose import (
     DecompositionState,
     choose_k_r,
     evaluate_f_r,
-    evaluate_phi,
     init_state,
     iterate,
     lipschitz_report,
@@ -62,7 +61,6 @@ __all__ = [
     "epsilon_split",
     "eval_expr",
     "evaluate_f_r",
-    "evaluate_phi",
     "expression_target",
     "init_state",
     "iterate",

@@ -18,9 +18,10 @@ observationally invisible.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,10 +33,14 @@ from .target import TargetFunction, mesh_points, target_from_provenance
 
 STATE_SCHEMA = "kst-decomposition/1"
 
+# Points per phi_batch block, whose temporaries then stay in cache
+PHI_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Layer:
-    """One iteration's bumps for one family, sorted by image position."""
+    """One iteration's bumps for one family, sorted by image position;
+    bump i's support is the open interval (lo[i], hi[i])."""
 
     k: int
     slope: float
@@ -43,6 +48,25 @@ class Layer:
     ramp: float
     xi: np.ndarray
     coeff: np.ndarray
+
+    @cached_property
+    def lo(self) -> np.ndarray:
+        return self.xi - self.ramp
+
+    @cached_property
+    def hi(self) -> np.ndarray:
+        return self.xi + self.plateau + self.ramp
+
+    @cached_property
+    def shared(self) -> np.ndarray:
+        """True at slot i when bump i-1's support reaches past lo[i]."""
+        return np.concatenate(([False], self.hi[:-1] > self.lo[1:]))
+
+    def overreach(self) -> int | None:
+        """The first bump with a nonzero coefficient whose support reaches
+        past its next neighbour (hi[i] > lo[i+2]), or None."""
+        bad = np.flatnonzero((self.hi[:-2] > self.lo[2:]) & (self.coeff[:-2] != 0.0))
+        return int(bad[0]) if bad.size else None
 
 
 @dataclass(frozen=True)
@@ -167,30 +191,34 @@ def _mesh_sum(lams: np.ndarray, per_axis: list[np.ndarray]) -> np.ndarray:
 
 
 def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
-    """Vectorized outer-approximant values at a flat array of points."""
-    out = np.zeros_like(y, dtype=float)
-    for layer in state.outer[j].layers:
-        if layer.xi.size == 0:
-            continue
-        lo = layer.xi - layer.ramp
-        idx = np.searchsorted(lo, y, side="right") - 1
-        # Interior supports of built layers are disjoint, and a
-        # top-column bump may graze at most one neighbour, so no point
-        # lies in more than two supports and two candidates suffice.
-        for off in (0, -1):
-            c = idx + off
-            inb = (c >= 0) & (c < layer.xi.size)
-            cc = np.where(inb, c, 0)
-            xi_c = layer.xi[cc]
-            inside = inb & (y > xi_c - layer.ramp) & (
-                y < xi_c + layer.plateau + layer.ramp
-            )
-            if not np.any(inside):
-                continue
-            t1 = np.clip(layer.slope * (y - xi_c) + 1.0, 0.0, 1.0)
-            t2 = np.clip(layer.slope * (y - xi_c - layer.plateau), 0.0, 1.0)
-            out += np.where(inside, layer.coeff[cc] * (t1 - t2), 0.0)
+    """Outer approximant phi_j at a flat array of points, in blocks of
+    PHI_BLOCK. Per layer a point takes the bump whose support starts
+    last at or below it and, in the slots of Layer.shared, that bump's
+    predecessor: every support containing the point, provided no bump
+    with a nonzero coefficient reaches past its next neighbour
+    (Layer.overreach is None), which iterate and the state loader check."""
+    out = np.zeros(len(y))
+    layers = state.outer[j].layers
+    for start in range(0, len(y), PHI_BLOCK):
+        yb = y[start : start + PHI_BLOCK]
+        ob = out[start : start + PHI_BLOCK]
+        for layer in layers:
+            slot = np.searchsorted(layer.lo, yb, side="right") - 1
+            np.maximum(slot, 0, out=slot)
+            ob += _bump_terms(layer, yb, slot)
+            two = np.flatnonzero(layer.shared[slot])
+            if two.size:
+                ob[two] += _bump_terms(layer, yb[two], slot[two] - 1)
     return out
+
+
+def _bump_terms(layer: Layer, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """coeff[c] times bump c's value at y, and +0.0 outside its support."""
+    d = y - layer.xi[c]
+    t1 = np.clip(layer.slope * d + 1.0, 0.0, 1.0)
+    t2 = np.clip(layer.slope * (d - layer.plateau), 0.0, 1.0)
+    inside = (y > layer.lo[c]) & (y < layer.hi[c])
+    return np.where(inside, layer.coeff[c] * (t1 - t2), 0.0)
 
 
 def f_r_on_mesh(state, axes_values) -> np.ndarray:
@@ -220,6 +248,12 @@ def f_r_at_points(state, pts: np.ndarray) -> np.ndarray:
             y += lams[i] * ev.psi_trunc_vector(pts[:, i] + j * a_f, k)
         total += phi_batch(state, j, y)
     return total
+
+
+def evaluate_f_r(state, x) -> float:
+    """Approximant value at one point of the unit cube."""
+    pts = np.asarray([list(map(float, x))])
+    return float(f_r_at_points(state, pts)[0])
 
 
 def target_on_mesh(state, axes_floats: list[np.ndarray]) -> np.ndarray:
@@ -386,6 +420,12 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
             xi=xi_flat[order],
             coeff=coeff_flat[order],
         )
+        i = layer.overreach()
+        if i is not None:
+            raise ConstraintViolation(
+                "bump supports reach no further than the next bump",
+                f"family {j}, bump {i} of depth {k_r} reaches past bump {i + 1}",
+            )
         new_outer.append(OuterApprox(j, state.outer[j].layers + (layer,)))
 
     nxt = replace(
@@ -404,51 +444,6 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
     )
     nxt.residual_norms = state.residual_norms + (measure_residual_norm(nxt),)
     return nxt
-
-
-# -- pointwise API -------------------------------------------------------------
-
-
-def evaluate_phi(state, j: int, y: float) -> float:
-    """Outer approximant phi_j at a single point, by interval search.
-
-    Two candidates per layer suffice: interior supports of built layers
-    are disjoint, and a top-column bump may graze at most one neighbour.
-    """
-    sup = float(state.params.phi_domain_sup)
-    if not (0.0 <= y < sup):
-        raise DomainError(f"outer-function domain is [0, {sup}), got {y}")
-    total = 0.0
-    for layer in state.outer[j].layers:
-        lo = layer.xi - layer.ramp
-        i = bisect.bisect_right(lo, y) - 1
-        for c in (i, i - 1):
-            if 0 <= c < layer.xi.size:
-                xi_c = layer.xi[c]
-                if xi_c - layer.ramp < y < xi_c + layer.plateau + layer.ramp:
-                    t1 = min(max(layer.slope * (y - xi_c) + 1.0, 0.0), 1.0)
-                    t2 = min(max(layer.slope * (y - xi_c - layer.plateau), 0.0), 1.0)
-                    total += layer.coeff[c] * (t1 - t2)
-    return total
-
-
-def evaluate_f_r(state, x) -> float:
-    """Approximant value at one point of the unit cube."""
-    pts = np.asarray([list(map(float, x))])
-    return float(f_r_at_points(state, pts)[0])
-
-
-def active_bump_counts(state, j: int, y: float) -> list[int]:
-    """Number of bumps with positive value at y, per layer; used by the
-    locality check. Interior supports of built layers are disjoint and a
-    top-column bump may graze at most one neighbour, so each count is at
-    most two, and two only next to a top-column anchor."""
-    counts = []
-    for layer in state.outer[j].layers:
-        lo = layer.xi - layer.ramp
-        hi = layer.xi + layer.plateau + layer.ramp
-        counts.append(int(np.sum((y > lo) & (y < hi))))
-    return counts
 
 
 def lipschitz_report(state) -> dict:
@@ -614,7 +609,8 @@ def _check_rounds(d: dict, m: int) -> None:
 def _load_layer(ld: dict, params: KstParams, where: str) -> Layer:
     """A stored layer, refused with DomainError unless it has the
     (gamma**k + 1)**n bumps of its depth k, all with slope
-    gamma**beta_n(k+1), in ascending order of xi."""
+    gamma**beta_n(k+1), in ascending order of xi, and no bump with a
+    nonzero coefficient reaches past its next neighbour."""
     g, n, k, bumps = params.gamma, params.n, ld["k"], ld["bumps"]
     # gamma**k exceeds the bump count once k exceeds the count's bit
     # length, so no grid size is computed for an absurd depth
@@ -622,22 +618,26 @@ def _load_layer(ld: dict, params: KstParams, where: str) -> Layer:
         raise DomainError(f"{where} has {len(bumps)} bumps, not (gamma**k + 1)**n at k = {k}")
     slope_int = g ** beta(n, k + 1)
     slope = float(slope_int)
-    text = format(slope, ".17g")  # as state_to_json_dict writes it
-    for i, b in enumerate(bumps):
-        if b["slope"] != text and float(b["slope"]) != slope:
-            raise DomainError(f"{where}.bumps[{i}].slope is not gamma**beta_n(k+1) at k = {k}")
-    xi = np.asarray([float(b["xi"]) for b in bumps])
+    bad = {t for t in set(map(itemgetter("slope"), bumps)) if float(t) != slope}
+    if bad:
+        i = next(i for i, b in enumerate(bumps) if b["slope"] in bad)
+        raise DomainError(f"{where}.bumps[{i}].slope is not gamma**beta_n(k+1) at k = {k}")
+    xi = np.fromiter(map(float, map(itemgetter("xi"), bumps)), float, len(bumps))
     drops = np.flatnonzero(np.diff(xi) < 0)
     if drops.size:
         raise DomainError(f"{where}.bumps[{drops[0] + 1}].xi decreases")
-    return Layer(
+    layer = Layer(
         k=k,
         slope=slope,
         plateau=float(bumps[0]["plateau"]),
         ramp=float(Fraction(1, slope_int)),
         xi=xi,
-        coeff=np.asarray([float(b["coeff"]) for b in bumps]),
+        coeff=np.fromiter(map(float, map(itemgetter("coeff"), bumps)), float, len(bumps)),
     )
+    i = layer.overreach()
+    if i is not None:
+        raise DomainError(f"{where}.bumps[{i}] reaches past bumps[{i + 1}]")
+    return layer
 
 
 def state_from_json_dict(d: dict) -> DecompositionState:

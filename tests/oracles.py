@@ -62,6 +62,37 @@ def dense_phi_sum(state, j: int, y: float) -> float:
     return total
 
 
+def two_candidate_phi(state, j: int, y: np.ndarray) -> np.ndarray:
+    """Outer-approximant values by the earlier unblocked evaluator: per
+    layer, the bump whose support starts last at or below each point
+    and its predecessor, over the whole array at once. Sums in the same
+    order as ``phi_batch``, so the two agree bit for bit."""
+    out = np.zeros_like(y, dtype=float)
+    for layer in state.outer[j].layers:
+        lo = layer.xi - layer.ramp
+        idx = np.searchsorted(lo, y, side="right") - 1
+        for off in (0, -1):
+            c = idx + off
+            inb = (c >= 0) & (c < layer.xi.size)
+            cc = np.where(inb, c, 0)
+            xi_c = layer.xi[cc]
+            inside = inb & (y > xi_c - layer.ramp) & (y < xi_c + layer.plateau + layer.ramp)
+            t1 = np.clip(layer.slope * (y - xi_c) + 1.0, 0.0, 1.0)
+            t2 = np.clip(layer.slope * (y - xi_c - layer.plateau), 0.0, 1.0)
+            out += np.where(inside, layer.coeff[cc] * (t1 - t2), 0.0)
+    return out
+
+
+def active_bump_counts(state, j: int, y: float) -> list[int]:
+    """Number of bumps with positive value at y, per layer."""
+    counts = []
+    for layer in state.outer[j].layers:
+        lo = layer.xi - layer.ramp
+        hi = layer.xi + layer.plateau + layer.ramp
+        counts.append(int(np.sum((y > lo) & (y < hi))))
+    return counts
+
+
 def dag_forward(net, X) -> np.ndarray:
     """Network outputs at the rows of X, by a loop over the units in
     (layer, id) order that sums each unit's incoming edges in turn.

@@ -109,6 +109,15 @@ def _edit_bump(d, i, key, text):
     return _edit_layer(d, change)
 
 
+def _crowd(d, i):
+    """d with bumps i+1 and i+2 of the edited layer moved 1e-9 and 2e-9
+    above bump i: still ascending, but bump i then reaches past i+1."""
+    x = float(d["outer"][-1]["layers"][0]["bumps"][i]["xi"])
+    for step in (1, 2):
+        d = _edit_bump(d, i + step, "xi", repr(x + step * 1e-9))
+    return d
+
+
 class TestAssembleCmd:
     def test_report_and_triangle(self, saved_state, tmp_path):
         report_path = tmp_path / "report.json"
@@ -149,12 +158,13 @@ class TestAssembleCmd:
             lambda d: d | {"k_list": [d["k_list"][0] + 1]},
             lambda d: _edit_layer(d, lambda ld: ld | {"k": ld["k"] + 1}),
             lambda d: _edit_bump(d, 0, "slope", "1"),
+            lambda d: _crowd(d, 499),
         ],
         ids=["list", "no-params", "r-string", "warning-int", "seed-float",
              "no-builtin-name", "bump-keys", "norm-text", "norm-nan", "xi-inf",
              "xi-decreases", "families-swapped", "family-missing", "bump-missing",
              "r-count", "warnings-count", "norms-count", "k-list-depth",
-             "layer-depth", "slope"],
+             "layer-depth", "slope", "xi-crowded"],
     )
     def test_malformed_state_exit_2(self, saved_state, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"

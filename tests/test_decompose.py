@@ -2,17 +2,20 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from kst import decompose
 from kst.bumps import b_k, grid_shift
 from kst.decompose import (
     DecompositionCaps,
-    active_bump_counts,
+    Layer,
     choose_k_r,
     evaluate_f_r,
-    evaluate_phi,
     init_state,
     iterate,
     lipschitz_report,
@@ -23,7 +26,7 @@ from kst.decompose import (
 from kst.errors import BudgetError, ConstraintViolation, DomainError
 from kst.params import beta, make_params
 from kst.target import builtin_target
-from oracles import dense_phi_sum
+from oracles import active_bump_counts, dense_phi_sum, two_candidate_phi
 
 
 @pytest.fixture(scope="module")
@@ -126,30 +129,45 @@ class TestIterate:
             assert np.max(np.abs(oa.layers[0].coeff)) <= norm0 / (p.m + 1) + 1e-12
 
 
+def phi_at(state, j: int, y: float) -> float:
+    return float(phi_batch(state, j, np.asarray([y]))[0])
+
+
+@st.composite
+def bump_layers(draw):
+    """A layer of a few bumps spaced at 0.5 to 2 support widths, so that
+    neighbours may overlap or touch but none reaches past its next one;
+    coefficients include zero."""
+    slope = float(draw(st.integers(2, 64)))
+    ramp = 1.0 / slope
+    plateau = draw(st.floats(1e-3, 0.5))
+    width = plateau + 2 * ramp
+    size = draw(st.integers(3, 12))
+    gaps = draw(st.lists(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.5, 2.0)),
+                         min_size=size - 1, max_size=size - 1))
+    xi = draw(st.floats(0.0, 1.0)) + np.concatenate(([0.0], np.cumsum(np.multiply(gaps, width))))
+    coeff = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                          min_size=size, max_size=size))
+    return Layer(k=1, slope=slope, plateau=plateau, ramp=ramp, xi=xi, coeff=np.asarray(coeff))
+
+
 class TestEvaluatePhi:
     def test_empty_state_is_zero(self, zero_state):
-        assert evaluate_phi(zero_state, 0, 0.5) == 0.0
+        assert phi_at(zero_state, 0, 0.5) == 0.0
 
     def test_outside_supports_is_zero(self, product_r1):
         layer = product_r1.outer[0].layers[0]
         y = float(layer.xi[0] + layer.plateau + 2 * layer.ramp)
         between = 0.5 * (y + float(layer.xi[1] - layer.ramp))
-        assert evaluate_phi(product_r1, 0, between) == 0.0
+        assert phi_at(product_r1, 0, between) == 0.0
 
     def test_plateau_midpoint_returns_coefficient(self, product_r1):
         layer = product_r1.outer[2].layers[0]
         idx = 100
         y = float(layer.xi[idx]) + layer.plateau / 2
-        assert evaluate_phi(product_r1, 2, y) == pytest.approx(
+        assert phi_at(product_r1, 2, y) == pytest.approx(
             float(layer.coeff[idx]), abs=1e-15
         )
-
-    def test_domain_guard(self, product_r1):
-        sup = float(product_r1.params.phi_domain_sup)
-        with pytest.raises(DomainError):
-            evaluate_phi(product_r1, 0, sup)
-        with pytest.raises(DomainError):
-            evaluate_phi(product_r1, 0, -0.1)
 
     def test_sparse_equals_dense(self, product_r1):
         rng = random.Random(31)
@@ -157,7 +175,7 @@ class TestEvaluatePhi:
         for _ in range(1000):
             j = rng.randrange(5)
             y = rng.uniform(0.0, sup * 0.999)
-            sparse = evaluate_phi(product_r1, j, y)
+            sparse = phi_at(product_r1, j, y)
             dense = dense_phi_sum(product_r1, j, y)
             assert sparse == pytest.approx(dense, abs=1e-12)
 
@@ -182,7 +200,7 @@ class TestEvaluatePhi:
         ys = np.asarray([rng.uniform(0.0, 2.0) for _ in range(500)])
         batch = phi_batch(product_r1, 1, ys)
         for y, got in zip(ys, batch):
-            assert got == pytest.approx(evaluate_phi(product_r1, 1, float(y)), abs=1e-13)
+            assert got == pytest.approx(phi_at(product_r1, 1, float(y)), abs=1e-13)
 
     def test_layer_locality(self, product_r1):
         # interior supports are disjoint; a top-column bump may graze
@@ -205,7 +223,44 @@ class TestEvaluatePhi:
         sup = float(p.phi_domain_sup)
         for _ in range(500):
             y = rng.uniform(0.0, sup * 0.999)
-            assert abs(evaluate_phi(product_r1, 0, y)) <= cap + 1e-12
+            assert abs(phi_at(product_r1, 0, y)) <= cap + 1e-12
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(bump_layers(), min_size=1, max_size=3), st.data())
+    def test_batch_equals_dense_random_layers(self, layers, data):
+        # points on every support's ends, ramps and plateau, and
+        # between supports, checked against the sum over all bumps
+        state = SimpleNamespace(outer=[SimpleNamespace(layers=tuple(layers))])
+        # two gaps of half a width may round to an overreach
+        assume(all(layer.overreach() is None for layer in layers))
+        ys = np.concatenate([
+            np.concatenate([layer.lo, layer.lo + layer.ramp / 3, layer.xi,
+                            layer.xi + layer.plateau / 2, layer.hi - layer.ramp,
+                            layer.hi - layer.ramp / 3, layer.hi])
+            for layer in layers
+        ] + [data.draw(st.lists(st.floats(-0.5, 30.0), max_size=20))])
+        for y, got in zip(ys, phi_batch(state, 0, ys)):
+            assert got == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["product", "gaussian", "one"])
+    def test_blocks_match_two_candidates_bitwise(self, name, monkeypatch):
+        # an odd block size puts block boundaries between the points of
+        # every kind, including those that take the predecessor bump
+        state = init_state(builtin_target(name, 2))
+        for _ in range(3):
+            state = iterate(state)
+        monkeypatch.setattr(decompose, "PHI_BLOCK", 97)
+        rng = np.random.default_rng(61)
+        sup = float(state.params.phi_domain_sup)
+        for j, oa in enumerate(state.outer):
+            pieces = [np.linspace(0.0, sup, 4001), rng.uniform(0.0, sup, 2000)]
+            for layer in oa.layers:
+                two = np.flatnonzero(layer.shared)
+                pieces += [layer.lo[two], layer.hi[two - 1],
+                           0.5 * (layer.lo[two] + layer.hi[two - 1]), layer.lo[:50]]
+            ys = np.concatenate(pieces)
+            for y in (ys, np.sort(ys)):
+                assert phi_batch(state, j, y).tobytes() == two_candidate_phi(state, j, y).tobytes()
 
 
 class TestEvaluateFr:

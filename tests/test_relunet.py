@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kst.decompose import evaluate_phi, init_state, iterate, lipschitz_report
+from kst.decompose import init_state, iterate, lipschitz_report, phi_batch
 from kst.errors import DomainError, InternalCheckError
 from kst.inner import InnerEvaluator
 from kst.params import lambda_coeffs, make_params
@@ -152,7 +152,7 @@ class TestBuildUnivariate:
         M = float(state.params.phi_domain_sup)
         eps_phi = 1.0
         N = math.ceil(nu * M / (2 * eps_phi))
-        g = np.vectorize(lambda y: evaluate_phi(state, 0, float(y)), otypes=[float])
+        g = lambda y: phi_batch(state, 0, np.asarray(y, dtype=float))
         uni = build_univariate(g, M - 1e-12, N)
         assert uni.eps_measured <= eps_phi
 
@@ -169,7 +169,6 @@ class TestBuildUnivariate:
         # is not monotone in N; it stays bounded by the tallest tooth,
         # and collapses once the knots are the exact breakpoints.
         import numpy as np
-        from kst.decompose import phi_batch
 
         state = iterate(init_state(builtin_target("product", 2)))
         M = float(state.params.phi_domain_sup)
@@ -227,7 +226,7 @@ def small_assembly():
     M_phi = float(p.phi_domain_sup)
     phis = [
         build_univariate(
-            np.vectorize(lambda y, j=j: evaluate_phi(state, j, float(y)), otypes=[float]),
+            lambda y, j=j: phi_batch(state, j, np.asarray(y, dtype=float)),
             M_phi - 1e-12,
             128,
         )
