@@ -206,6 +206,7 @@ def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
             slot = np.searchsorted(layer.lo, yb, side="right") - 1
             np.maximum(slot, 0, out=slot)
             ob += _bump_terms(layer, yb, slot)
+            # a skipped term is +0.0 and out never -0.0: no value changes
             two = np.flatnonzero(layer.shared[slot])
             if two.size:
                 ob[two] += _bump_terms(layer, yb[two], slot[two] - 1)
