@@ -173,6 +173,13 @@ class TestAssembleCmd:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_crowded_layer_names_bump(self, saved_state, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_crowd(json.loads(saved_state.read_text()), 499)))
+        code = run(["assemble", "--decomp", str(bad), "--eps", "0.5"])
+        assert code == 2
+        assert "bumps[499] reaches past bumps[500]" in capsys.readouterr().err
+
     def test_net_file_matches_network(self, saved_state, tmp_path, monkeypatch):
         built = {}
         original = kst.cli.assemble_from_state

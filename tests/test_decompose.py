@@ -195,12 +195,24 @@ class TestEvaluatePhi:
         for y, got in zip(ys, batch):
             assert got == pytest.approx(dense_phi_sum(s1, 0, float(y)), abs=1e-12)
 
-    def test_batch_matches_single(self, product_r1):
+    def test_batch_matches_single(self, product_r1, monkeypatch):
+        # random points, checked against the sum over every bump, and
+        # with them the ends and middle of every overlap of two supports,
+        # checked bit for bit against the earlier two-candidate
+        # evaluator; a small odd block size spreads them over many blocks
+        monkeypatch.setattr(decompose, "PHI_BLOCK", 37)
         rng = random.Random(37)
         ys = np.asarray([rng.uniform(0.0, 2.0) for _ in range(500)])
         batch = phi_batch(product_r1, 1, ys)
         for y, got in zip(ys, batch):
-            assert got == pytest.approx(phi_at(product_r1, 1, float(y)), abs=1e-13)
+            assert got == pytest.approx(dense_phi_sum(product_r1, 1, float(y)), abs=1e-13)
+        layer = product_r1.outer[1].layers[0]
+        two = np.flatnonzero(layer.shared)
+        ys = np.concatenate([ys, layer.lo[two], layer.hi[two - 1],
+                             0.5 * (layer.lo[two] + layer.hi[two - 1])])
+        rng.shuffle(ys)
+        assert np.array_equal(phi_batch(product_r1, 1, ys),
+                              two_candidate_phi(product_r1, 1, ys))
 
     def test_layer_locality(self, product_r1):
         # interior supports are disjoint; a top-column bump may graze

@@ -1,15 +1,17 @@
 """Alternated parent/change runs of one benchmark workload, kept on disk.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
-        --seeds 301,302,... --seconds 40 --out BENCH_<NAME>.json
+        --seeds 301,302,...
 
 Each DIR is a checkout of one commit. Pair i uses the i-th seed and runs
 the parent first when i is even, the change first when i is odd, each as
 ``python3 perfbench/run.py --workload NAME --seed S --seconds T --trace 0``
-from its checkout. The output file keeps, per pair, the seed, the side
-that ran first, both commit ids and the last stdout line of each run
-verbatim; and, per end-to-end metric of BENCHMARK.json, each side's
-median and quartiles and how many pairs the change won. It is rewritten
+from its checkout, with T the run_seconds of the change's BENCHMARK.json.
+The output file, BENCH_<NAME>.json in the current directory, keeps, per
+pair, the seed, the side that ran first, both commit ids and the last
+stdout line of each run verbatim; and, per end-to-end metric of
+BENCHMARK.json, each side's median and quartiles and how many pairs the
+change won. It is rewritten
 after every pair, so an interrupted series keeps the pairs it finished.
 """
 
@@ -65,25 +67,25 @@ def main() -> int:
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="comma-separated, one per pair")
-    ap.add_argument("--seconds", type=int, default=40)
-    ap.add_argument("--out", required=True)
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        end_to_end = json.load(fh)["end_to_end"]
-    doc = {"workload": args.workload, "seconds": args.seconds,
+        bench = json.load(fh)
+    end_to_end, seconds = bench["end_to_end"], bench["run_seconds"]
+    out = f"BENCH_{args.workload}.json"
+    doc = {"workload": args.workload, "seconds": seconds,
            "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
            "pairs": []}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            commit, last = run_side(getattr(args, side), args.workload, seed, args.seconds)
+            commit, last = run_side(getattr(args, side), args.workload, seed, seconds)
             pair[side] = {"commit": commit, "last_line": last}
         doc["pairs"].append(pair)
         if len(doc["pairs"]) >= 2:
             doc["summary"] = summarize(doc["pairs"], end_to_end)
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
         print(f"pair {i}: seed {seed}, {order[0]} first, done", flush=True)
