@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -196,14 +196,25 @@ def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
     last at or below it and, in the slots of Layer.shared, that bump's
     predecessor: every support containing the point, provided no bump
     with a nonzero coefficient reaches past its next neighbour
-    (Layer.overreach is None), which iterate and the state loader check."""
+    (Layer.overreach is None), which iterate and the state loader check.
+
+    A block whose points ascend (the audit grids of build_univariate)
+    takes its slots from _ascending_slots, which merges the few bump
+    starts inside the block into it. Other blocks search every point;
+    a NaN fails the comparison, so no block of two or more points with
+    one ascends. Both give the same slots, so the values are the same
+    bit for bit."""
     out = np.zeros(len(y))
     layers = state.outer[j].layers
     for start in range(0, len(y), PHI_BLOCK):
         yb = y[start : start + PHI_BLOCK]
         ob = out[start : start + PHI_BLOCK]
+        ascending = bool(np.all(yb[1:] >= yb[:-1]))
         for layer in layers:
-            slot = np.searchsorted(layer.lo, yb, side="right") - 1
+            if ascending:
+                slot = _ascending_slots(layer.lo, yb)
+            else:
+                slot = np.searchsorted(layer.lo, yb, side="right") - 1
             np.maximum(slot, 0, out=slot)
             ob += _bump_terms(layer, yb, slot)
             # a skipped term is +0.0 and out never -0.0: no value changes
@@ -211,6 +222,15 @@ def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
             if two.size:
                 ob[two] += _bump_terms(layer, yb[two], slot[two] - 1)
     return out
+
+
+def _ascending_slots(lo: np.ndarray, yb: np.ndarray) -> np.ndarray:
+    """searchsorted(lo, yb, side="right") - 1 for ascending yb, found by
+    placing the starts that lie in (yb[0], yb[-1]] among the points: a
+    point's slot rises by one at each start at or below it."""
+    a, b = np.searchsorted(lo, yb[[0, -1]], side="right")
+    at = np.searchsorted(yb, lo[a:b], side="left")
+    return np.repeat(np.arange(a - 1, b), np.diff(at, prepend=0, append=len(yb)))
 
 
 def _bump_terms(layer: Layer, y: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -354,6 +374,11 @@ def choose_k_r(state) -> tuple[int, bool]:
     return state.caps.k_max, True
 
 
+def _plateau(params: KstParams, lambdas: LambdaCoeffs, k: int) -> float:
+    """Plateau width (gamma - 2) * b_k of a depth-k bump, as a float."""
+    return float((params.gamma - 2) * b_k(params, lambdas, k).value)
+
+
 def iterate(state: DecompositionState, force_k: int | None = None) -> DecompositionState:
     """Append one bump layer to every family and remeasure the residual.
 
@@ -369,9 +394,8 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
         k_r, warned = choose_k_r(state)
     else:
         k_r, warned = force_k, False
-    bk = b_k(p, state.lambdas, k_r)
     slope_int = g ** beta(n, k_r + 1)
-    plateau_f = float((g - 2) * bk.value)
+    plateau_f = _plateau(p, state.lambdas, k_r)
     ramp_f = float(Fraction(1, slope_int))
     slope_f = float(slope_int)
     spacing = float(np.spacing(float(p.phi_domain_sup)))
@@ -405,12 +429,12 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
 
     # Family j's shift j * sum_{l=2..k} gamma**-l, in steps of gamma**-k
     shift_step = sum(g ** (k_r - ell) for ell in range(2, k_r + 1))
+    lams = _lambda_floats(state)
     new_outer = []
     for j in range(m + 1):
         psi_ax = np.asarray(
             [state.ev.psi_lattice_float(i + j * shift_step, k_r) for i in range(g**k_r + 1)]
         )
-        lams = _lambda_floats(state)
         xi_flat = _mesh_sum(lams, [psi_ax] * n).ravel()
         order = np.argsort(xi_flat, kind="stable")
         layer = Layer(
@@ -607,22 +631,25 @@ def _check_rounds(d: dict, m: int) -> None:
                 raise DomainError(f"state.outer[{j}].layers[{l}].k is {ld['k']}, k_list[{l}] is {k}")
 
 
-def _load_layer(ld: dict, params: KstParams, where: str) -> Layer:
+def _load_layer(ld: dict, params: KstParams, plateau_at, where: str) -> Layer:
     """A stored layer, refused with DomainError unless it has the
     (gamma**k + 1)**n bumps of its depth k, all with slope
-    gamma**beta_n(k+1), in ascending order of xi, and no bump with a
-    nonzero coefficient reaches past its next neighbour."""
+    gamma**beta_n(k+1) and plateau plateau_at(k), in ascending order of
+    xi, and no bump with a nonzero coefficient reaches past its next
+    neighbour."""
     g, n, k, bumps = params.gamma, params.n, ld["k"], ld["bumps"]
     # gamma**k exceeds the bump count once k exceeds the count's bit
     # length, so no grid size is computed for an absurd depth
     if k > len(bumps).bit_length() or len(bumps) != (g**k + 1) ** n:
         raise DomainError(f"{where} has {len(bumps)} bumps, not (gamma**k + 1)**n at k = {k}")
     slope_int = g ** beta(n, k + 1)
-    slope = float(slope_int)
-    bad = {t for t in set(map(itemgetter("slope"), bumps)) if float(t) != slope}
-    if bad:
-        i = next(i for i, b in enumerate(bumps) if b["slope"] in bad)
-        raise DomainError(f"{where}.bumps[{i}].slope is not gamma**beta_n(k+1) at k = {k}")
+    slope, plateau = float(slope_int), plateau_at(k)
+    for key, value, rule in (("slope", slope, "gamma**beta_n(k+1)"),
+                             ("plateau", plateau, "(gamma-2)*b_k")):
+        bad = {t for t in set(map(itemgetter(key), bumps)) if float(t) != value}
+        if bad:
+            i = next(i for i, b in enumerate(bumps) if b[key] in bad)
+            raise DomainError(f"{where}.bumps[{i}].{key} is not {rule} at k = {k}")
     xi = np.fromiter(map(float, map(itemgetter("xi"), bumps)), float, len(bumps))
     drops = np.flatnonzero(np.diff(xi) < 0)
     if drops.size:
@@ -630,7 +657,7 @@ def _load_layer(ld: dict, params: KstParams, where: str) -> Layer:
     layer = Layer(
         k=k,
         slope=slope,
-        plateau=float(bumps[0]["plateau"]),
+        plateau=plateau,
         ramp=float(Fraction(1, slope_int)),
         xi=xi,
         coeff=np.fromiter(map(float, map(itemgetter("coeff"), bumps)), float, len(bumps)),
@@ -653,9 +680,11 @@ def state_from_json_dict(d: dict) -> DecompositionState:
     _check_rounds(d, params.m)
     caps = DecompositionCaps(**{key: d["caps"][key] for key in _STATE_LAYOUT["caps"]})
     target = target_from_provenance(provenance, params.n)
+    lambdas = lambda_coeffs(params)
+    plateau_at = cache(lambda k: _plateau(params, lambdas, k))
     return DecompositionState(
         params=params,
-        lambdas=lambda_coeffs(params),
+        lambdas=lambdas,
         ev=InnerEvaluator(params),
         target=target,
         caps=caps,
@@ -664,7 +693,7 @@ def state_from_json_dict(d: dict) -> DecompositionState:
         k_warnings=tuple(d["k_warnings"]),
         outer=tuple(
             OuterApprox(j, tuple(
-                _load_layer(ld, params, f"state.outer[{j}].layers[{l}]")
+                _load_layer(ld, params, plateau_at, f"state.outer[{j}].layers[{l}]")
                 for l, ld in enumerate(oa["layers"])
             ))
             for j, oa in enumerate(d["outer"])

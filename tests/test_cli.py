@@ -159,12 +159,13 @@ class TestAssembleCmd:
             lambda d: _edit_layer(d, lambda ld: ld | {"k": ld["k"] + 1}),
             lambda d: _edit_bump(d, 0, "slope", "1"),
             lambda d: _crowd(d, 499),
+            lambda d: _edit_bump(d, 7, "plateau", "0.5"),
         ],
         ids=["list", "no-params", "r-string", "warning-int", "seed-float",
              "no-builtin-name", "bump-keys", "norm-text", "norm-nan", "xi-inf",
              "xi-decreases", "families-swapped", "family-missing", "bump-missing",
              "r-count", "warnings-count", "norms-count", "k-list-depth",
-             "layer-depth", "slope", "xi-crowded"],
+             "layer-depth", "slope", "xi-crowded", "plateau-differs"],
     )
     def test_malformed_state_exit_2(self, saved_state, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
@@ -179,6 +180,13 @@ class TestAssembleCmd:
         code = run(["assemble", "--decomp", str(bad), "--eps", "0.5"])
         assert code == 2
         assert "bumps[499] reaches past bumps[500]" in capsys.readouterr().err
+
+    def test_plateau_names_bump(self, saved_state, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_edit_bump(json.loads(saved_state.read_text()), 7, "plateau", "0.5")))
+        code = run(["assemble", "--decomp", str(bad), "--eps", "0.5"])
+        assert code == 2
+        assert "bumps[7].plateau is not (gamma-2)*b_k" in capsys.readouterr().err
 
     def test_net_file_matches_network(self, saved_state, tmp_path, monkeypatch):
         built = {}

@@ -7,12 +7,14 @@ Each DIR is a checkout of one commit. Pair i uses the i-th seed and runs
 the parent first when i is even, the change first when i is odd, each as
 ``python3 perfbench/run.py --workload NAME --seed S --seconds T --trace 0``
 from its checkout, with T the run_seconds of the change's BENCHMARK.json.
-The output file, BENCH_<NAME>.json in the current directory, keeps, per
-pair, the seed, the side that ran first, both commit ids and the last
-stdout line of each run verbatim; and, per end-to-end metric of
-BENCHMARK.json, each side's median and quartiles and how many pairs the
-change won. It is rewritten
-after every pair, so an interrupted series keeps the pairs it finished.
+The output file, BENCH_<NAME>.json in the current directory, keeps one
+series per invocation, appended after the series already in it. A series
+names its change and parent commits and T, and keeps, per pair, the
+seed, the side that ran first, both commit ids and the last stdout line
+of each run verbatim; and, per end-to-end metric of BENCHMARK.json, each
+side's median and quartiles and how many pairs the change won. The file
+is rewritten after every pair, so an interrupted series keeps the pairs
+it finished.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0"
 
 
 def run_side(checkout: str, workload: str, seed: int, seconds: int) -> tuple[str, str]:
@@ -61,6 +65,31 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def open_series(path: str, workload: str, seconds: int) -> tuple[dict, dict]:
+    """The document at path, or a new one, with an empty series appended."""
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc["workload"] != workload:
+            raise SystemExit(f"{path} holds workload {doc['workload']!r}, not {workload!r}")
+    else:
+        doc = {"workload": workload, "command": COMMAND, "series": []}
+    series = {"change": None, "parent": None, "seconds": seconds, "pairs": []}
+    doc["series"].append(series)
+    return doc, series
+
+
+def add_pair(path: str, doc: dict, series: dict, pair: dict, end_to_end: list[dict]) -> None:
+    """Append pair to series, summarize the series and rewrite path."""
+    series["pairs"].append(pair)
+    series["change"], series["parent"] = pair["change"]["commit"], pair["parent"]["commit"]
+    if len(series["pairs"]) >= 2:
+        series["summary"] = summarize(series["pairs"], end_to_end)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
@@ -73,21 +102,14 @@ def main() -> int:
         bench = json.load(fh)
     end_to_end, seconds = bench["end_to_end"], bench["run_seconds"]
     out = f"BENCH_{args.workload}.json"
-    doc = {"workload": args.workload, "seconds": seconds,
-           "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
-           "pairs": []}
+    doc, series = open_series(out, args.workload, seconds)
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             commit, last = run_side(getattr(args, side), args.workload, seed, seconds)
             pair[side] = {"commit": commit, "last_line": last}
-        doc["pairs"].append(pair)
-        if len(doc["pairs"]) >= 2:
-            doc["summary"] = summarize(doc["pairs"], end_to_end)
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        add_pair(out, doc, series, pair, end_to_end)
         print(f"pair {i}: seed {seed}, {order[0]} first, done", flush=True)
     return 0
 
