@@ -18,6 +18,7 @@ observationally invisible.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
@@ -631,7 +632,9 @@ def _check_rounds(d: dict, m: int) -> None:
                 raise DomainError(f"state.outer[{j}].layers[{l}].k is {ld['k']}, k_list[{l}] is {k}")
 
 
-def _load_layer(ld: dict, params: KstParams, plateau_at, where: str) -> Layer:
+def _load_layer(
+    ld: dict, params: KstParams, plateau_at: Callable[[int], float], where: str
+) -> Layer:
     """A stored layer, refused with DomainError unless it has the
     (gamma**k + 1)**n bumps of its depth k, all with slope
     gamma**beta_n(k+1) and plateau plateau_at(k), in ascending order of

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kst import decompose
+from kst import decompose, pipeline
 from kst.bumps import b_k, grid_shift
 from kst.decompose import (
     DecompositionCaps,
@@ -273,6 +273,76 @@ class TestEvaluatePhi:
             ys = np.concatenate(pieces)
             for y in (ys, np.sort(ys)):
                 assert phi_batch(state, j, y).tobytes() == two_candidate_phi(state, j, y).tobytes()
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(bump_layers(), min_size=1, max_size=3), st.data())
+    def test_ascending_blocks_match_two_candidates(self, layers, data):
+        # sorted points with repeats, on every support end, below the
+        # first and above the last; blocks of 1 to 7 points, the last of
+        # one point, the second block reversed so that an ascending
+        # block follows a descending one, and NaNs among the points
+        state = SimpleNamespace(outer=[SimpleNamespace(layers=tuple(layers))])
+        assume(all(layer.overreach() is None for layer in layers))
+        ends = np.concatenate([np.concatenate([layer.lo, layer.hi]) for layer in layers])
+        marks = np.concatenate([ends, [ends.min() - 1.0, ends.max() + 1.0]])
+        block = data.draw(st.integers(1, 7))
+        picks = data.draw(st.lists(st.one_of(st.sampled_from(marks.tolist()),
+                                             st.floats(-0.5, 30.0)),
+                                   min_size=2 * block + 1, max_size=8 * block + 1))
+        picks += picks[: data.draw(st.integers(0, len(picks)))]
+        ys = np.sort(picks)[: len(picks) - (len(picks) - 1) % block]
+        ys[block : 2 * block] = ys[block : 2 * block][::-1].copy()
+        at = data.draw(st.lists(st.integers(0, len(ys)), max_size=3))
+        ys = np.insert(ys, sorted(at), np.nan)
+        merged = []
+
+        def checked(lo, yb, merge=decompose._ascending_slots):
+            slot = merge(lo, yb)
+            assert np.array_equal(slot, np.searchsorted(lo, yb, side="right") - 1)
+            merged.append(yb.size)
+            return slot
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose, "PHI_BLOCK", block)
+            mp.setattr(decompose, "_ascending_slots", checked)
+            got = phi_batch(state, 0, ys)
+        assert merged
+        assert got.tobytes() == two_candidate_phi(state, 0, ys).tobytes()
+        for y, value in zip(ys, got):
+            if not math.isnan(y):
+                assert value == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.integers(0, 20), min_size=1, max_size=30),
+           st.lists(st.integers(-2, 22), min_size=1, max_size=40))
+    def test_ascending_slots_equal_search(self, starts, points):
+        # repeated starts, and points on them, below and above them: a
+        # point on a start takes the last of the equal starts
+        lo = np.sort(np.asarray(starts, dtype=float) / 4)
+        yb = np.sort(np.asarray(points, dtype=float) / 4)
+        assert np.array_equal(decompose._ascending_slots(lo, yb),
+                              np.searchsorted(lo, yb, side="right") - 1)
+
+    def test_outer_audit_grids_match_two_candidates(self, monkeypatch):
+        # the ascending audit grids build_outer_nets hands to phi_batch
+        # for the breakpoint-knot nets of an r=3 product state
+        state = init_state(builtin_target("product", 2))
+        for _ in range(3):
+            state = iterate(state)
+        grids = []
+
+        def keep(state, j, y):
+            grids.append((j, y))
+            return phi_batch(state, j, y)
+
+        monkeypatch.setattr(pipeline, "phi_batch", keep)
+        nu = lipschitz_report(state)["nu_r"]
+        eps_phi = pipeline.epsilon_split(state.params, nu, 0.25)["eps_phi"]
+        pipeline.build_outer_nets(state, eps_phi, pipeline.PipelineCaps())
+        assert [j for j, _ in grids] == list(range(state.params.m + 1))
+        for j, y in grids:
+            assert y.size > 500_000 and np.all(y[1:] >= y[:-1])
+            assert phi_batch(state, j, y).tobytes() == two_candidate_phi(state, j, y).tobytes()
 
 
 class TestEvaluateFr:
