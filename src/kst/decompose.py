@@ -38,17 +38,18 @@ STATE_SCHEMA = "kst-decomposition/1"
 PHI_BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class Layer:
-    """One iteration's bumps for one family, sorted by image position;
-    bump i's support is the open interval (lo[i], hi[i])."""
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """The bump supports of one family at one depth, sorted by image
+    position: bump i's support is the open interval (lo[i], hi[i]).
+    Every layer of a family at that depth holds the same Grid, which
+    compares and hashes by identity."""
 
     k: int
     slope: float
     plateau: float
     ramp: float
     xi: np.ndarray
-    coeff: np.ndarray
 
     @cached_property
     def lo(self) -> np.ndarray:
@@ -63,10 +64,19 @@ class Layer:
         """True at slot i when bump i-1's support reaches past lo[i]."""
         return np.concatenate(([False], self.hi[:-1] > self.lo[1:]))
 
+
+@dataclass(frozen=True)
+class Layer:
+    """One iteration's bump coefficients for one family, on its grid."""
+
+    grid: Grid
+    coeff: np.ndarray
+
     def overreach(self) -> int | None:
         """The first bump with a nonzero coefficient whose support reaches
         past its next neighbour (hi[i] > lo[i+2]), or None."""
-        bad = np.flatnonzero((self.hi[:-2] > self.lo[2:]) & (self.coeff[:-2] != 0.0))
+        g = self.grid
+        bad = np.flatnonzero((g.hi[:-2] > g.lo[2:]) & (self.coeff[:-2] != 0.0))
         return int(bad[0]) if bad.size else None
 
 
@@ -109,20 +119,22 @@ class DecompositionState:
     def k_trunc(self) -> int:
         return self.caps.k_max + 2
 
-    def audit_axis(self) -> np.ndarray:
-        got = self._caches.get("audit_axis")
+    def cached(self, key: str, make: Callable[[], np.ndarray]) -> np.ndarray:
+        """self._caches[key], made by make() on first use."""
+        got = self._caches.get(key)
         if got is None:
-            got = np.linspace(0.0, 1.0, self.caps.audit_resolution)
-            self._caches["audit_axis"] = got
+            got = self._caches[key] = make()
         return got
 
+    def audit_axis(self) -> np.ndarray:
+        return self.cached("audit_axis", lambda: np.linspace(0.0, 1.0, self.caps.audit_resolution))
+
     def audit_random(self) -> np.ndarray:
-        got = self._caches.get("audit_random")
-        if got is None:
+        def draw():
             rng = np.random.Generator(np.random.PCG64(self.caps.seed))
-            got = rng.random((self.caps.n_random, self.params.n))
-            self._caches["audit_random"] = got
-        return got
+            return rng.random((self.caps.n_random, self.params.n))
+
+        return self.cached("audit_random", draw)
 
 
 def init_state(
@@ -193,11 +205,16 @@ def _mesh_sum(lams: np.ndarray, per_axis: list[np.ndarray]) -> np.ndarray:
 
 def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
     """Outer approximant phi_j at a flat array of points, in blocks of
-    PHI_BLOCK. Per layer a point takes the bump whose support starts
-    last at or below it and, in the slots of Layer.shared, that bump's
+    PHI_BLOCK. In each grid a point takes the bump whose support starts
+    last at or below it and, in the slots of Grid.shared, that bump's
     predecessor: every support containing the point, provided no bump
     with a nonzero coefficient reaches past its next neighbour
     (Layer.overreach is None), which iterate and the state loader check.
+
+    Per block, _locate finds the slots and bump shapes once for each
+    grid, so the layers of one depth, which share their grid, each add
+    only their coefficients times those shapes, in layer order: the same
+    sums, bit for bit, as evaluating every layer on its own.
 
     A block whose points ascend (the audit grids of build_univariate)
     takes its slots from _ascending_slots, which merges the few bump
@@ -207,22 +224,33 @@ def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
     bit for bit."""
     out = np.zeros(len(y))
     layers = state.outer[j].layers
+    grids = dict.fromkeys(layer.grid for layer in layers)
     for start in range(0, len(y), PHI_BLOCK):
         yb = y[start : start + PHI_BLOCK]
         ob = out[start : start + PHI_BLOCK]
         ascending = bool(np.all(yb[1:] >= yb[:-1]))
+        found = {grid: _locate(grid, yb, ascending) for grid in grids}
         for layer in layers:
-            if ascending:
-                slot = _ascending_slots(layer.lo, yb)
-            else:
-                slot = np.searchsorted(layer.lo, yb, side="right") - 1
-            np.maximum(slot, 0, out=slot)
-            ob += _bump_terms(layer, yb, slot)
-            # a skipped term is +0.0 and out never -0.0: no value changes
-            two = np.flatnonzero(layer.shared[slot])
+            slot, shape, two, prev, prev_shape = found[layer.grid]
+            # outside its support a term is -0.0 where coeff < 0; added to
+            # out, which is never -0.0, it changes nothing, as +0.0 would not
+            ob += layer.coeff[slot] * shape
             if two.size:
-                ob[two] += _bump_terms(layer, yb[two], slot[two] - 1)
+                ob[two] += layer.coeff[prev] * prev_shape
     return out
+
+
+def _locate(grid: Grid, yb: np.ndarray, ascending: bool) -> tuple[np.ndarray, ...]:
+    """Each point's slot and that bump's shape there; the points in
+    shared slots, their predecessor bumps and those bumps' shapes."""
+    if ascending:
+        slot = _ascending_slots(grid.lo, yb)
+    else:
+        slot = np.searchsorted(grid.lo, yb, side="right") - 1
+    np.maximum(slot, 0, out=slot)
+    two = np.flatnonzero(grid.shared[slot])
+    prev = slot[two] - 1
+    return slot, _shape(grid, yb, slot), two, prev, _shape(grid, yb[two], prev)
 
 
 def _ascending_slots(lo: np.ndarray, yb: np.ndarray) -> np.ndarray:
@@ -234,24 +262,26 @@ def _ascending_slots(lo: np.ndarray, yb: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(a - 1, b), np.diff(at, prepend=0, append=len(yb)))
 
 
-def _bump_terms(layer: Layer, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """coeff[c] times bump c's value at y, and +0.0 outside its support."""
-    d = y - layer.xi[c]
-    t1 = np.clip(layer.slope * d + 1.0, 0.0, 1.0)
-    t2 = np.clip(layer.slope * (d - layer.plateau), 0.0, 1.0)
-    inside = (y > layer.lo[c]) & (y < layer.hi[c])
-    return np.where(inside, layer.coeff[c] * (t1 - t2), 0.0)
+def _shape(grid: Grid, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Bump c's unit-height trapezoid at y, and +0.0 outside its support."""
+    d = y - grid.xi[c]
+    t1 = np.clip(grid.slope * d + 1.0, 0.0, 1.0)
+    t2 = np.clip(grid.slope * (d - grid.plateau), 0.0, 1.0)
+    inside = (y > grid.lo[c]) & (y < grid.hi[c])
+    return np.where(inside, t1 - t2, 0.0)
 
 
 def f_r_on_mesh(state, axes_values) -> np.ndarray:
     """Approximant values over a product mesh given per-axis values
-    (exact Fractions or floats, see _psi_axis)."""
+    (exact Fractions or floats, see _psi_axis); inner values are
+    computed once per distinct axis object."""
     lams = _lambda_floats(state)
     shape = tuple(len(ax) for ax in axes_values)
+    distinct = {id(ax): ax for ax in axes_values}
     total = np.zeros(shape)
     for j in range(state.params.m + 1):
-        per_axis = [_psi_axis(state, ax, j) for ax in axes_values]
-        y = _mesh_sum(lams, per_axis)
+        psi = {key: _psi_axis(state, ax, j) for key, ax in distinct.items()}
+        y = _mesh_sum(lams, [psi[id(ax)] for ax in axes_values])
         total += phi_batch(state, j, y.ravel()).reshape(shape)
     return total
 
@@ -283,21 +313,21 @@ def target_on_mesh(state, axes_floats: list[np.ndarray]) -> np.ndarray:
     return vals.reshape(tuple(len(ax) for ax in axes_floats))
 
 
+def audit_mesh_values(state) -> tuple[np.ndarray, np.ndarray]:
+    """f and f_r on the audit mesh, each computed once per state; iterate
+    hands f on to the next state."""
+    mesh = [state.audit_axis()] * state.params.n
+    return (state.cached("audit_target_mesh", lambda: target_on_mesh(state, mesh)),
+            state.cached("audit_fr_mesh", lambda: f_r_on_mesh(state, mesh)))
+
+
 def measure_residual_norm(state) -> float:
     """Sup of |f - f_r| over the audit mesh and the seeded random batch."""
-    axis = state.audit_axis()
-    f_mesh = state._caches.get("audit_target_mesh")
-    if f_mesh is None:
-        f_mesh = target_on_mesh(state, [axis] * state.params.n)
-        state._caches["audit_target_mesh"] = f_mesh
-    fr_mesh = f_r_on_mesh(state, [axis] * state.params.n)
+    f_mesh, fr_mesh = audit_mesh_values(state)
     sup = float(np.max(np.abs(f_mesh - fr_mesh)))
     rand = state.audit_random()
-    f_rand = state._caches.get("audit_target_rand")
-    if f_rand is None:
-        f_rand = state.target.eval_batch(rand)
-        state._caches["audit_target_rand"] = f_rand
-    fr_rand = f_r_at_points(state, rand)
+    f_rand = state.cached("audit_target_rand", lambda: state.target.eval_batch(rand))
+    fr_rand = state.cached("audit_fr_rand", lambda: f_r_at_points(state, rand))
     return max(sup, float(np.max(np.abs(f_rand - fr_rand))) if len(rand) else 0.0)
 
 
@@ -307,11 +337,8 @@ def measure_residual_norm(state) -> float:
 def residual_modulus(state, h: float) -> float:
     """Empirical oscillation of the residual over axis step h."""
     axis = state.audit_axis()
-    base = state._caches.get("residual_mesh")
-    if base is None:
-        f_mesh = state._caches["audit_target_mesh"]
-        base = f_mesh - f_r_on_mesh(state, [axis] * state.params.n)
-        state._caches["residual_mesh"] = base
+    f_audit, fr_audit = audit_mesh_values(state)
+    base = f_audit - fr_audit
     n = state.params.n
     worst = 0.0
     keep = axis + h <= 1.0 + 1e-12
@@ -325,7 +352,7 @@ def residual_modulus(state, h: float) -> float:
         e_mesh = f_mesh - f_r_on_mesh(state, axes)
         sel = [slice(None)] * n
         sel[ax_i] = keep
-        diff = np.abs(e_mesh - state._caches["residual_mesh"][tuple(sel)])
+        diff = np.abs(e_mesh - base[tuple(sel)])
         worst = max(worst, float(np.max(diff)))
     return worst
 
@@ -367,7 +394,6 @@ def choose_k_r(state) -> tuple[int, bool]:
     if norm == 0.0:
         return 1, False
     p = state.params
-    measure_residual_norm(state)  # ensure caches exist
     for k in range(1, state.caps.k_max + 1):
         w = residual_modulus(state, float(p.gamma) ** -k)
         if w <= p.delta * norm and _overlap_gap(state, k) is None:
@@ -438,14 +464,11 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
         )
         xi_flat = _mesh_sum(lams, [psi_ax] * n).ravel()
         order = np.argsort(xi_flat, kind="stable")
-        layer = Layer(
-            k=k_r,
-            slope=slope_f,
-            plateau=plateau_f,
-            ramp=ramp_f,
-            xi=xi_flat[order],
-            coeff=coeff_flat[order],
-        )
+        # an earlier round at this depth built the same xi: share its grid
+        grid = next((old.grid for old in state.outer[j].layers if old.grid.k == k_r), None)
+        if grid is None:
+            grid = Grid(k=k_r, slope=slope_f, plateau=plateau_f, ramp=ramp_f, xi=xi_flat[order])
+        layer = Layer(grid, coeff_flat[order])
         i = layer.overreach()
         if i is not None:
             raise ConstraintViolation(
@@ -508,17 +531,18 @@ def state_to_json_dict(state) -> dict:
     for oa in state.outer:
         layers = []
         for layer in oa.layers:
+            g = layer.grid
             layers.append(
                 {
-                    "k": layer.k,
+                    "k": g.k,
                     "bumps": [
                         {
                             "xi": f17(x),
-                            "plateau": f17(layer.plateau),
-                            "slope": f17(layer.slope),
+                            "plateau": f17(g.plateau),
+                            "slope": f17(g.slope),
                             "coeff": f17(c),
                         }
-                        for x, c in zip(layer.xi, layer.coeff)
+                        for x, c in zip(g.xi, layer.coeff)
                     ],
                 }
             )
@@ -633,13 +657,19 @@ def _check_rounds(d: dict, m: int) -> None:
 
 
 def _load_layer(
-    ld: dict, params: KstParams, plateau_at: Callable[[int], float], where: str
+    ld: dict,
+    params: KstParams,
+    plateau_at: Callable[[int], float],
+    grids: dict[int, tuple[Grid, str]],
+    where: str,
 ) -> Layer:
     """A stored layer, refused with DomainError unless it has the
     (gamma**k + 1)**n bumps of its depth k, all with slope
     gamma**beta_n(k+1) and plateau plateau_at(k), in ascending order of
     xi, and no bump with a nonzero coefficient reaches past its next
-    neighbour."""
+    neighbour. grids maps each depth its family has loaded to the grid
+    and place of the first layer there; a later layer of that depth
+    must have the same xi, and shares the grid."""
     g, n, k, bumps = params.gamma, params.n, ld["k"], ld["bumps"]
     # gamma**k exceeds the bump count once k exceeds the count's bit
     # length, so no grid size is computed for an absurd depth
@@ -657,14 +687,16 @@ def _load_layer(
     drops = np.flatnonzero(np.diff(xi) < 0)
     if drops.size:
         raise DomainError(f"{where}.bumps[{drops[0] + 1}].xi decreases")
-    layer = Layer(
-        k=k,
-        slope=slope,
-        plateau=plateau,
-        ramp=float(Fraction(1, slope_int)),
-        xi=xi,
-        coeff=np.fromiter(map(float, map(itemgetter("coeff"), bumps)), float, len(bumps)),
-    )
+    if k in grids:
+        grid, first = grids[k]
+        differ = np.flatnonzero(grid.xi != xi)
+        if differ.size:
+            raise DomainError(
+                f"{where}.bumps[{differ[0]}].xi differs from {first}, a layer of the same depth")
+    else:
+        grid = Grid(k=k, slope=slope, plateau=plateau, ramp=float(Fraction(1, slope_int)), xi=xi)
+        grids[k] = grid, where
+    layer = Layer(grid, np.fromiter(map(float, map(itemgetter("coeff"), bumps)), float, len(bumps)))
     i = layer.overreach()
     if i is not None:
         raise DomainError(f"{where}.bumps[{i}] reaches past bumps[{i + 1}]")
@@ -685,6 +717,12 @@ def state_from_json_dict(d: dict) -> DecompositionState:
     target = target_from_provenance(provenance, params.n)
     lambdas = lambda_coeffs(params)
     plateau_at = cache(lambda k: _plateau(params, lambdas, k))
+    outer = []
+    for j, oa in enumerate(d["outer"]):
+        grids: dict[int, tuple[Grid, str]] = {}  # a family's layers of one depth share one grid
+        outer.append(OuterApprox(j, tuple(
+            _load_layer(ld, params, plateau_at, grids, f"state.outer[{j}].layers[{l}]")
+            for l, ld in enumerate(oa["layers"]))))
     return DecompositionState(
         params=params,
         lambdas=lambdas,
@@ -694,12 +732,6 @@ def state_from_json_dict(d: dict) -> DecompositionState:
         r=d["r"],
         k_list=tuple(d["k_list"]),
         k_warnings=tuple(d["k_warnings"]),
-        outer=tuple(
-            OuterApprox(j, tuple(
-                _load_layer(ld, params, plateau_at, f"state.outer[{j}].layers[{l}]")
-                for l, ld in enumerate(oa["layers"])
-            ))
-            for j, oa in enumerate(d["outer"])
-        ),
+        outer=tuple(outer),
         residual_norms=tuple(float(v) for v in d["residual_norms"]),
     )

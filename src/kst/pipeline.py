@@ -21,13 +21,12 @@ import numpy as np
 from .decompose import (
     DecompositionCaps,
     DecompositionState,
+    audit_mesh_values,
     f_r_at_points,
-    f_r_on_mesh,
     init_state,
     iterate,
     lipschitz_report,
     phi_batch,
-    target_on_mesh,
 )
 from .errors import DomainError
 from .params import KstParams, make_params
@@ -209,9 +208,9 @@ def build_inner_net(
 
 def _corner_knots(state: DecompositionState, j: int, M: float) -> np.ndarray:
     pieces = [np.asarray([0.0, M])]
-    for layer in state.outer[j].layers:
-        for off in (-layer.ramp, 0.0, layer.plateau, layer.plateau + layer.ramp):
-            pieces.append(layer.xi + off)
+    for grid in dict.fromkeys(layer.grid for layer in state.outer[j].layers):
+        for off in (-grid.ramp, 0.0, grid.plateau, grid.plateau + grid.ramp):
+            pieces.append(grid.xi + off)
     knots = np.unique(np.concatenate(pieces))
     return knots[(knots >= 0.0) & (knots <= M)]
 
@@ -277,10 +276,8 @@ def assemble_from_state(
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    axis = state.audit_axis()
-    f_mesh = target_on_mesh(state, [axis] * p.n).ravel()
-    fr_mesh = f_r_on_mesh(state, [axis] * p.n).ravel()
-    net_mesh = asm.eval_batch(mesh_points([axis] * p.n))
+    f_mesh, fr_mesh = audit_mesh_values(state)
+    net_mesh = asm.eval_batch(mesh_points([state.audit_axis()] * p.n))
 
     rng = np.random.Generator(np.random.PCG64(caps.seed))
     rand_pts = rng.random((caps.n_random, p.n))
@@ -295,7 +292,7 @@ def assemble_from_state(
             "f_minus_net": float(np.max(np.abs(f - net))),
         }
 
-    errors_grid = sups(f_mesh, fr_mesh, net_mesh)
+    errors_grid = sups(f_mesh.ravel(), fr_mesh.ravel(), net_mesh)
     errors_random = sups(f_rand, fr_rand, net_rand)
     errors_overall = {
         k: max(errors_grid[k], errors_random[k]) for k in errors_grid

@@ -55,9 +55,10 @@ def dense_phi_sum(state, j: int, y: float) -> float:
     """Outer-function value by brute summation over every stored bump."""
     total = 0.0
     for layer in state.outer[j].layers:
-        for xi, coeff in zip(layer.xi, layer.coeff):
-            t1 = min(max(layer.slope * (y - xi) + 1.0, 0.0), 1.0)
-            t2 = min(max(layer.slope * (y - xi - layer.plateau), 0.0), 1.0)
+        g = layer.grid
+        for xi, coeff in zip(g.xi, layer.coeff):
+            t1 = min(max(g.slope * (y - xi) + 1.0, 0.0), 1.0)
+            t2 = min(max(g.slope * (y - xi - g.plateau), 0.0), 1.0)
             total += coeff * (t1 - t2)
     return total
 
@@ -69,16 +70,17 @@ def two_candidate_phi(state, j: int, y: np.ndarray) -> np.ndarray:
     order as ``phi_batch``, so the two agree bit for bit."""
     out = np.zeros_like(y, dtype=float)
     for layer in state.outer[j].layers:
-        lo = layer.xi - layer.ramp
+        g = layer.grid
+        lo = g.xi - g.ramp
         idx = np.searchsorted(lo, y, side="right") - 1
         for off in (0, -1):
             c = idx + off
-            inb = (c >= 0) & (c < layer.xi.size)
+            inb = (c >= 0) & (c < g.xi.size)
             cc = np.where(inb, c, 0)
-            xi_c = layer.xi[cc]
-            inside = inb & (y > xi_c - layer.ramp) & (y < xi_c + layer.plateau + layer.ramp)
-            t1 = np.clip(layer.slope * (y - xi_c) + 1.0, 0.0, 1.0)
-            t2 = np.clip(layer.slope * (y - xi_c - layer.plateau), 0.0, 1.0)
+            xi_c = g.xi[cc]
+            inside = inb & (y > xi_c - g.ramp) & (y < xi_c + g.plateau + g.ramp)
+            t1 = np.clip(g.slope * (y - xi_c) + 1.0, 0.0, 1.0)
+            t2 = np.clip(g.slope * (y - xi_c - g.plateau), 0.0, 1.0)
             out += np.where(inside, layer.coeff[cc] * (t1 - t2), 0.0)
     return out
 
@@ -87,8 +89,9 @@ def active_bump_counts(state, j: int, y: float) -> list[int]:
     """Number of bumps with positive value at y, per layer."""
     counts = []
     for layer in state.outer[j].layers:
-        lo = layer.xi - layer.ramp
-        hi = layer.xi + layer.plateau + layer.ramp
+        g = layer.grid
+        lo = g.xi - g.ramp
+        hi = g.xi + g.plateau + g.ramp
         counts.append(int(np.sum((y > lo) & (y < hi))))
     return counts
 

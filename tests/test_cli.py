@@ -1,4 +1,7 @@
+import functools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -118,6 +121,27 @@ def _crowd(d, i):
     return d
 
 
+@functools.cache
+def _zero_two_rounds() -> str:
+    """The state file of ``kst decompose --f zero --iters 2``, whose
+    families hold two depth-1 layers each."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "state.json")
+        assert run(["decompose", "--n", "2", "--f", "zero", "--iters", "2",
+                    "--out-state", path, "--out-csv", os.path.join(d, "decay.csv")]) == 0
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def _xi_differs(d, i=10):
+    """d with bump i of the last family's first layer moved halfway to
+    bump i+1: still ascending, but no longer the xi of the family's
+    other layer of that depth."""
+    bumps = d["outer"][-1]["layers"][0]["bumps"]
+    mid = 0.5 * (float(bumps[i]["xi"]) + float(bumps[i + 1]["xi"]))
+    return _edit_bump(d, i, "xi", repr(mid))
+
+
 class TestAssembleCmd:
     def test_report_and_triangle(self, saved_state, tmp_path):
         report_path = tmp_path / "report.json"
@@ -160,12 +184,14 @@ class TestAssembleCmd:
             lambda d: _edit_bump(d, 0, "slope", "1"),
             lambda d: _crowd(d, 499),
             lambda d: _edit_bump(d, 7, "plateau", "0.5"),
+            lambda d: _xi_differs(json.loads(_zero_two_rounds())),
         ],
         ids=["list", "no-params", "r-string", "warning-int", "seed-float",
              "no-builtin-name", "bump-keys", "norm-text", "norm-nan", "xi-inf",
              "xi-decreases", "families-swapped", "family-missing", "bump-missing",
              "r-count", "warnings-count", "norms-count", "k-list-depth",
-             "layer-depth", "slope", "xi-crowded", "plateau-differs"],
+             "layer-depth", "slope", "xi-crowded", "plateau-differs",
+             "xi-differs-same-depth"],
     )
     def test_malformed_state_exit_2(self, saved_state, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
@@ -187,6 +213,16 @@ class TestAssembleCmd:
         code = run(["assemble", "--decomp", str(bad), "--eps", "0.5"])
         assert code == 2
         assert "bumps[7].plateau is not (gamma-2)*b_k" in capsys.readouterr().err
+
+    def test_same_depth_xi_names_layer(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(_zero_two_rounds())
+        assert run(["assemble", "--decomp", str(good), "--eps", "0.5"]) == 0
+        bad.write_text(json.dumps(_xi_differs(json.loads(_zero_two_rounds()))))
+        capsys.readouterr()
+        assert run(["assemble", "--decomp", str(bad), "--eps", "0.5"]) == 2
+        assert ("state.outer[4].layers[1].bumps[10].xi differs from state.outer[4].layers[0]"
+                in capsys.readouterr().err)
 
     def test_net_file_matches_network(self, saved_state, tmp_path, monkeypatch):
         built = {}

@@ -13,6 +13,7 @@ from kst import decompose, pipeline
 from kst.bumps import b_k, grid_shift
 from kst.decompose import (
     DecompositionCaps,
+    Grid,
     Layer,
     choose_k_r,
     evaluate_f_r,
@@ -33,6 +34,14 @@ from oracles import active_bump_counts, dense_phi_sum, two_candidate_phi
 def product_r1():
     state = init_state(builtin_target("product", 2))
     return iterate(state)
+
+
+@pytest.fixture(scope="module")
+def product_r3():
+    state = init_state(builtin_target("product", 2))
+    for _ in range(3):
+        state = iterate(state)
+    return state
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +96,8 @@ class TestIterate:
         expected = (p.gamma**k + 1) ** p.n
         for oa in product_r1.outer:
             layer = oa.layers[0]
-            assert layer.xi.size == expected
-            assert np.all(np.diff(layer.xi) >= 0)
+            assert layer.grid.xi.size == expected
+            assert np.all(np.diff(layer.grid.xi) >= 0)
 
     def test_first_contraction(self, product_r1):
         p = product_r1.params
@@ -134,10 +143,9 @@ def phi_at(state, j: int, y: float) -> float:
 
 
 @st.composite
-def bump_layers(draw):
-    """A layer of a few bumps spaced at 0.5 to 2 support widths, so that
-    neighbours may overlap or touch but none reaches past its next one;
-    coefficients include zero."""
+def bump_grids(draw):
+    """A grid of a few bumps spaced at 0.5 to 2 support widths, so that
+    neighbours may overlap or touch."""
     slope = float(draw(st.integers(2, 64)))
     ramp = 1.0 / slope
     plateau = draw(st.floats(1e-3, 0.5))
@@ -146,9 +154,21 @@ def bump_layers(draw):
     gaps = draw(st.lists(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.5, 2.0)),
                          min_size=size - 1, max_size=size - 1))
     xi = draw(st.floats(0.0, 1.0)) + np.concatenate(([0.0], np.cumsum(np.multiply(gaps, width))))
-    coeff = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
-                          min_size=size, max_size=size))
-    return Layer(k=1, slope=slope, plateau=plateau, ramp=ramp, xi=xi, coeff=np.asarray(coeff))
+    return Grid(k=1, slope=slope, plateau=plateau, ramp=ramp, xi=xi)
+
+
+def bump_coeffs(draw, grid):
+    """Coefficients for grid, zero among them."""
+    return np.asarray(draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                                    min_size=grid.xi.size, max_size=grid.xi.size)))
+
+
+@st.composite
+def bump_layers(draw):
+    """A layer on a grid of bump_grids; none of its bumps may reach past
+    its next one (the tests assume that)."""
+    grid = draw(bump_grids())
+    return Layer(grid, bump_coeffs(draw, grid))
 
 
 class TestEvaluatePhi:
@@ -157,14 +177,14 @@ class TestEvaluatePhi:
 
     def test_outside_supports_is_zero(self, product_r1):
         layer = product_r1.outer[0].layers[0]
-        y = float(layer.xi[0] + layer.plateau + 2 * layer.ramp)
-        between = 0.5 * (y + float(layer.xi[1] - layer.ramp))
+        y = float(layer.grid.xi[0] + layer.grid.plateau + 2 * layer.grid.ramp)
+        between = 0.5 * (y + float(layer.grid.xi[1] - layer.grid.ramp))
         assert phi_at(product_r1, 0, between) == 0.0
 
     def test_plateau_midpoint_returns_coefficient(self, product_r1):
         layer = product_r1.outer[2].layers[0]
         idx = 100
-        y = float(layer.xi[idx]) + layer.plateau / 2
+        y = float(layer.grid.xi[idx]) + layer.grid.plateau / 2
         assert phi_at(product_r1, 2, y) == pytest.approx(
             float(layer.coeff[idx]), abs=1e-15
         )
@@ -186,10 +206,10 @@ class TestEvaluatePhi:
         s1 = iterate(one_state)
         layer = s1.outer[0].layers[0]
         rng = np.random.default_rng(59)
-        xi = layer.xi[rng.choice(layer.xi.size, 150, replace=False)]
+        xi = layer.grid.xi[rng.choice(layer.grid.xi.size, 150, replace=False)]
         ys = np.concatenate(
-            [xi - layer.ramp / 2, xi + layer.plateau / 2,
-             xi + layer.plateau + layer.ramp / 2]
+            [xi - layer.grid.ramp / 2, xi + layer.grid.plateau / 2,
+             xi + layer.grid.plateau + layer.grid.ramp / 2]
         )
         batch = phi_batch(s1, 0, ys)
         for y, got in zip(ys, batch):
@@ -207,9 +227,9 @@ class TestEvaluatePhi:
         for y, got in zip(ys, batch):
             assert got == pytest.approx(dense_phi_sum(product_r1, 1, float(y)), abs=1e-13)
         layer = product_r1.outer[1].layers[0]
-        two = np.flatnonzero(layer.shared)
-        ys = np.concatenate([ys, layer.lo[two], layer.hi[two - 1],
-                             0.5 * (layer.lo[two] + layer.hi[two - 1])])
+        two = np.flatnonzero(layer.grid.shared)
+        ys = np.concatenate([ys, layer.grid.lo[two], layer.grid.hi[two - 1],
+                             0.5 * (layer.grid.lo[two] + layer.grid.hi[two - 1])])
         rng.shuffle(ys)
         assert np.array_equal(phi_batch(product_r1, 1, ys),
                               two_candidate_phi(product_r1, 1, ys))
@@ -246,9 +266,9 @@ class TestEvaluatePhi:
         # two gaps of half a width may round to an overreach
         assume(all(layer.overreach() is None for layer in layers))
         ys = np.concatenate([
-            np.concatenate([layer.lo, layer.lo + layer.ramp / 3, layer.xi,
-                            layer.xi + layer.plateau / 2, layer.hi - layer.ramp,
-                            layer.hi - layer.ramp / 3, layer.hi])
+            np.concatenate([layer.grid.lo, layer.grid.lo + layer.grid.ramp / 3, layer.grid.xi,
+                            layer.grid.xi + layer.grid.plateau / 2, layer.grid.hi - layer.grid.ramp,
+                            layer.grid.hi - layer.grid.ramp / 3, layer.grid.hi])
             for layer in layers
         ] + [data.draw(st.lists(st.floats(-0.5, 30.0), max_size=20))])
         for y, got in zip(ys, phi_batch(state, 0, ys)):
@@ -267,9 +287,9 @@ class TestEvaluatePhi:
         for j, oa in enumerate(state.outer):
             pieces = [np.linspace(0.0, sup, 4001), rng.uniform(0.0, sup, 2000)]
             for layer in oa.layers:
-                two = np.flatnonzero(layer.shared)
-                pieces += [layer.lo[two], layer.hi[two - 1],
-                           0.5 * (layer.lo[two] + layer.hi[two - 1]), layer.lo[:50]]
+                two = np.flatnonzero(layer.grid.shared)
+                pieces += [layer.grid.lo[two], layer.grid.hi[two - 1],
+                           0.5 * (layer.grid.lo[two] + layer.grid.hi[two - 1]), layer.grid.lo[:50]]
             ys = np.concatenate(pieces)
             for y in (ys, np.sort(ys)):
                 assert phi_batch(state, j, y).tobytes() == two_candidate_phi(state, j, y).tobytes()
@@ -283,7 +303,7 @@ class TestEvaluatePhi:
         # block follows a descending one, and NaNs among the points
         state = SimpleNamespace(outer=[SimpleNamespace(layers=tuple(layers))])
         assume(all(layer.overreach() is None for layer in layers))
-        ends = np.concatenate([np.concatenate([layer.lo, layer.hi]) for layer in layers])
+        ends = np.concatenate([np.concatenate([layer.grid.lo, layer.grid.hi]) for layer in layers])
         marks = np.concatenate([ends, [ends.min() - 1.0, ends.max() + 1.0]])
         block = data.draw(st.integers(1, 7))
         picks = data.draw(st.lists(st.one_of(st.sampled_from(marks.tolist()),
@@ -323,12 +343,51 @@ class TestEvaluatePhi:
         assert np.array_equal(decompose._ascending_slots(lo, yb),
                               np.searchsorted(lo, yb, side="right") - 1)
 
-    def test_outer_audit_grids_match_two_candidates(self, monkeypatch):
+    @settings(derandomize=True, deadline=None)
+    @given(st.sampled_from([(2, 2), (2, 3, 3), (3, 2, 3), (3, 3, 3)]), st.data())
+    def test_shared_grids_match_two_candidates(self, depths, data):
+        # layers of one depth share one grid object, as iterate builds
+        # them: each block locates its points once per grid, and the sums
+        # are those of every layer on its own. Points on every support
+        # end and shared slot, first ascending, then shuffled with NaNs.
+        grids = {k: data.draw(bump_grids()) for k in sorted(set(depths))}
+        layers = tuple(Layer(grids[k], bump_coeffs(data.draw, grids[k])) for k in depths)
+        assume(all(layer.overreach() is None for layer in layers))
+        state = SimpleNamespace(outer=[SimpleNamespace(layers=layers)])
+        marks = []
+        for g in grids.values():
+            two = np.flatnonzero(g.shared)
+            marks += [g.lo, g.hi, g.xi + g.plateau / 2, g.lo + g.ramp / 3,
+                      0.5 * (g.lo[two] + g.hi[two - 1])]
+        marks = np.sort(np.concatenate(marks))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shuffled = rng.permutation(np.concatenate([marks, np.full(3, np.nan)]))
+        ys = np.concatenate([marks, shuffled])
+        # blocks of two or more points: one with a NaN does not ascend
+        block = data.draw(st.integers(2, 7))
+        located = []
+
+        def counted(grid, yb, ascending, locate=decompose._locate):
+            located.append((grid, ascending))
+            return locate(grid, yb, ascending)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose, "PHI_BLOCK", block)
+            mp.setattr(decompose, "_locate", counted)
+            got = phi_batch(state, 0, ys)
+        blocks = -(-ys.size // block)
+        assert len(located) == blocks * len(grids)
+        assert {grid for grid, _ in located} == set(grids.values())
+        assert located[0][1] and not all(ascending for _, ascending in located)
+        assert got.tobytes() == two_candidate_phi(state, 0, ys).tobytes()
+        for y, value in zip(ys, got):
+            if not math.isnan(y):
+                assert value == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
+
+    def test_outer_audit_grids_match_two_candidates(self, product_r3, monkeypatch):
         # the ascending audit grids build_outer_nets hands to phi_batch
         # for the breakpoint-knot nets of an r=3 product state
-        state = init_state(builtin_target("product", 2))
-        for _ in range(3):
-            state = iterate(state)
+        state = product_r3
         grids = []
 
         def keep(state, j, y):
@@ -343,6 +402,54 @@ class TestEvaluatePhi:
         for j, y in grids:
             assert y.size > 500_000 and np.all(y[1:] >= y[:-1])
             assert phi_batch(state, j, y).tobytes() == two_candidate_phi(state, j, y).tobytes()
+
+
+class TestSharedGrid:
+    def test_same_depth_layers_hold_one_grid(self, product_r3):
+        assert product_r3.k_list == (2, 3, 3)
+        for oa in product_r3.outer:
+            first, second, third = (layer.grid for layer in oa.layers)
+            assert second is third and first is not second
+        # the families' images differ, so each family has its own grids
+        assert len({layer.grid for oa in product_r3.outer for layer in oa.layers}) == 10
+
+    def test_reload_keeps_sharing_and_values(self, product_r3):
+        blob = json.dumps(state_to_json_dict(product_r3))
+        loaded = state_from_json_dict(json.loads(blob))
+        rng = np.random.default_rng(67)
+        sup = float(product_r3.params.phi_domain_sup)
+        ys = np.concatenate([np.linspace(0.0, sup, 4001), rng.uniform(0.0, sup, 4000)])
+        for oa, back in zip(product_r3.outer, loaded.outer):
+            first, second, third = (layer.grid for layer in back.layers)
+            assert second is third and first is not second
+            for layer, again in zip(oa.layers, back.layers):
+                assert layer.grid.xi.tobytes() == again.grid.xi.tobytes()
+                assert layer.coeff.tobytes() == again.coeff.tobytes()
+            assert phi_batch(loaded, oa.j, ys).tobytes() == phi_batch(product_r3, oa.j, ys).tobytes()
+
+    def test_audit_mesh_approximant_once_per_state(self, monkeypatch):
+        # f_r on the audit mesh is computed once per state, whichever of
+        # the norm, the depth choice, the oscillation and the assembly
+        # asks first, and also for a state read from a file
+        counts = {}
+        original = decompose.f_r_on_mesh
+
+        def counted(state, axes):
+            if all(ax is state.audit_axis() for ax in axes):
+                counts[id(state)] = counts.get(id(state), 0) + 1
+            return original(state, axes)
+
+        monkeypatch.setattr(decompose, "f_r_on_mesh", counted)
+        s0 = init_state(builtin_target("product", 2))
+        s1 = iterate(s0)
+        loaded = state_from_json_dict(state_to_json_dict(s1))
+        for state in (s0, s1, loaded):
+            decompose.residual_modulus(state, 1 / 36)
+            choose_k_r(state)
+            decompose.measure_residual_norm(state)
+        for state in (s1, loaded):
+            pipeline.assemble_from_state(state, 0.25)
+        assert counts == {id(s0): 1, id(s1): 1, id(loaded): 1}
 
 
 class TestEvaluateFr:
