@@ -145,7 +145,7 @@ def phi_at(state, j: int, y: float) -> float:
 @st.composite
 def bump_grids(draw):
     """A grid of a few bumps spaced at 0.5 to 2 support widths, so that
-    neighbours may overlap or touch."""
+    neighbours may overlap or touch but none reaches past its next one."""
     slope = float(draw(st.integers(2, 64)))
     ramp = 1.0 / slope
     plateau = draw(st.floats(1e-3, 0.5))
@@ -165,8 +165,7 @@ def bump_coeffs(draw, grid):
 
 @st.composite
 def bump_layers(draw):
-    """A layer on a grid of bump_grids; none of its bumps may reach past
-    its next one (the tests assume that)."""
+    """A layer on a grid of bump_grids, with coefficients of bump_coeffs."""
     grid = draw(bump_grids())
     return Layer(grid, bump_coeffs(draw, grid))
 

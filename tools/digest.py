@@ -26,9 +26,12 @@ from kst.pipeline import PipelineCaps, run_pipeline
 from kst.target import builtin_target, expression_target
 
 EPS = 0.25
-TARGETS = [(name, lambda name=name: builtin_target(name, 2))
-           for name in ("product", "gaussian", "ridge")]
-TARGETS.append(("expression", lambda: expression_target("exp(-(x1^2+x2^2))", 2)))
+TARGETS = [
+    ("product", lambda: builtin_target("product", 2)),
+    ("gaussian", lambda: builtin_target("gaussian", 2)),
+    ("ridge", lambda: builtin_target("ridge", 2)),
+    ("expression", lambda: expression_target("exp(-(x1^2+x2^2))", 2)),
+]
 
 
 def sha256_json(doc: dict) -> str:
