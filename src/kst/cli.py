@@ -100,6 +100,8 @@ def cmd_inner(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.iters < 0:
+        raise DomainError(f"--iters must be at least 0, got {args.iters}")
     params = _params_from_args(args)
     target = _resolve_target(args.f, args.n)
     caps = DecompositionCaps(

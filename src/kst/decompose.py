@@ -19,10 +19,9 @@ observationally invisible.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cached_property
-from operator import itemgetter
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .inner import InnerEvaluator
 from .params import KstParams, LambdaCoeffs, beta, lambda_coeffs, make_params
 from .target import TargetFunction, mesh_points, target_from_provenance
 
-STATE_SCHEMA = "kst-decomposition/1"
+STATE_SCHEMA = "kst-decomposition/2"
 
 # Points per phi_batch block, whose temporaries then stay in cache
 PHI_BLOCK = 1 << 14
@@ -92,6 +91,8 @@ class DecompositionCaps:
 
     ``audit_resolution`` is the points per axis of the audit mesh; None
     takes the default for the dimension when the state is created.
+    DomainError refuses an audit resolution below 1 and a negative
+    ``n_random``.
     """
 
     k_max: int = 3
@@ -99,6 +100,12 @@ class DecompositionCaps:
     audit_resolution: int | None = None
     n_random: int = 1000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.audit_resolution is not None and self.audit_resolution < 1:
+            raise DomainError(f"audit_resolution must be at least 1, got {self.audit_resolution}")
+        if self.n_random < 0:
+            raise DomainError(f"n_random must be at least 0, got {self.n_random}")
 
 
 @dataclass
@@ -401,9 +408,36 @@ def choose_k_r(state) -> tuple[int, bool]:
     return state.caps.k_max, True
 
 
-def _plateau(params: KstParams, lambdas: LambdaCoeffs, k: int) -> float:
-    """Plateau width (gamma - 2) * b_k of a depth-k bump, as a float."""
-    return float((params.gamma - 2) * b_k(params, lambdas, k).value)
+def _bump_shape(params: KstParams, lambdas: LambdaCoeffs, k: int) -> tuple[float, float, float]:
+    """Slope gamma**beta_n(k+1), plateau width (gamma - 2) * b_k and ramp
+    width 1/slope of a depth-k bump, as floats."""
+    slope_int = params.gamma ** beta(params.n, k + 1)
+    plateau = float((params.gamma - 2) * b_k(params, lambdas, k).value)
+    return float(slope_int), plateau, float(Fraction(1, slope_int))
+
+
+def family_grid(state, j: int, k: int, earlier: tuple[Layer, ...]) -> tuple[Grid, np.ndarray]:
+    """Family j's depth-k bump grid, and the order that sorts the
+    depth-k grid vectors d, taken in row-major order, by their images
+    sum_i lambda_i * psi(d_i + j*a): slot i of the grid holds the bump
+    of vector order[i]. When one of the family's earlier layers has
+    depth k, its Grid holds the same images and is returned, so the
+    layers of a family at one depth share one Grid.
+    """
+    p = state.params
+    g = p.gamma
+    # Family j's shift j * sum_{l=2..k} gamma**-l, in steps of gamma**-k
+    shift_step = sum(g ** (k - ell) for ell in range(2, k + 1))
+    psi_ax = np.asarray(
+        [state.ev.psi_lattice_float(i + j * shift_step, k) for i in range(g**k + 1)]
+    )
+    xi_flat = _mesh_sum(_lambda_floats(state), [psi_ax] * p.n).ravel()
+    order = np.argsort(xi_flat, kind="stable")
+    grid = next((old.grid for old in earlier if old.grid.k == k), None)
+    if grid is None:
+        slope, plateau, ramp = _bump_shape(p, state.lambdas, k)
+        grid = Grid(k=k, slope=slope, plateau=plateau, ramp=ramp, xi=xi_flat[order])
+    return grid, order
 
 
 def iterate(state: DecompositionState, force_k: int | None = None) -> DecompositionState:
@@ -421,10 +455,7 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
         k_r, warned = choose_k_r(state)
     else:
         k_r, warned = force_k, False
-    slope_int = g ** beta(n, k_r + 1)
-    plateau_f = _plateau(p, state.lambdas, k_r)
-    ramp_f = float(Fraction(1, slope_int))
-    slope_f = float(slope_int)
+    _, plateau_f, ramp_f = _bump_shape(p, state.lambdas, k_r)
     spacing = float(np.spacing(float(p.phi_domain_sup)))
     if min(ramp_f, plateau_f) <= spacing:
         raise ConstraintViolation(
@@ -454,20 +485,9 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
                 f"exact audit min_gap = {float(gap):.6e} at depth {k_r}",
             )
 
-    # Family j's shift j * sum_{l=2..k} gamma**-l, in steps of gamma**-k
-    shift_step = sum(g ** (k_r - ell) for ell in range(2, k_r + 1))
-    lams = _lambda_floats(state)
     new_outer = []
     for j in range(m + 1):
-        psi_ax = np.asarray(
-            [state.ev.psi_lattice_float(i + j * shift_step, k_r) for i in range(g**k_r + 1)]
-        )
-        xi_flat = _mesh_sum(lams, [psi_ax] * n).ravel()
-        order = np.argsort(xi_flat, kind="stable")
-        # an earlier round at this depth built the same xi: share its grid
-        grid = next((old.grid for old in state.outer[j].layers if old.grid.k == k_r), None)
-        if grid is None:
-            grid = Grid(k=k_r, slope=slope_f, plateau=plateau_f, ramp=ramp_f, xi=xi_flat[order])
+        grid, order = family_grid(state, j, k_r, state.outer[j].layers)
         layer = Layer(grid, coeff_flat[order])
         i = layer.overreach()
         if i is not None:
@@ -526,47 +546,26 @@ def lipschitz_report(state) -> dict:
 
 
 def state_to_json_dict(state) -> dict:
+    """The state as JSON: everything but the bump grids, which are pure
+    functions of the parameters, a family and a depth (family_grid).
+    Each layer keeps its depth and its coefficients in grid order."""
     f17 = lambda v: format(float(v), ".17g")
-    outer = []
-    for oa in state.outer:
-        layers = []
-        for layer in oa.layers:
-            g = layer.grid
-            layers.append(
-                {
-                    "k": g.k,
-                    "bumps": [
-                        {
-                            "xi": f17(x),
-                            "plateau": f17(g.plateau),
-                            "slope": f17(g.slope),
-                            "coeff": f17(c),
-                        }
-                        for x, c in zip(g.xi, layer.coeff)
-                    ],
-                }
-            )
-        outer.append({"j": oa.j, "layers": layers})
     return {
         "schema": STATE_SCHEMA,
         "params": state.params.to_json_dict(),
-        "target": {
-            "provenance": state.target.provenance,
-            "dim": state.target.dim,
-            "sup_norm_bound": f17(state.target.sup_norm_bound),
-        },
-        "caps": {
-            "k_max": state.caps.k_max,
-            "grid_budget": state.caps.grid_budget,
-            "audit_resolution": state.caps.audit_resolution,
-            "n_random": state.caps.n_random,
-            "seed": state.caps.seed,
-        },
+        "target": {"provenance": state.target.provenance},
+        "caps": asdict(state.caps),
         "r": state.r,
         "k_list": list(state.k_list),
         "k_warnings": list(state.k_warnings),
         "residual_norms": [f17(v) for v in state.residual_norms],
-    } | {"outer": outer}
+        "outer": [
+            {"j": oa.j,
+             "layers": [{"k": layer.grid.k, "coeff": [f17(c) for c in layer.coeff]}
+                        for layer in oa.layers]}
+            for oa in state.outer
+        ],
+    }
 
 
 # JSON layout of a state file: a dict maps keys to layouts, a one-item
@@ -587,11 +586,11 @@ _STATE_LAYOUT = {
     "k_list": [int],
     "k_warnings": [bool],
     "residual_norms": [float],
-    "outer": [
-        {"j": int, "layers": [{"k": int, "bumps": [
-            {"xi": float, "plateau": float, "slope": float, "coeff": float}]}]}
-    ],
+    "outer": [{"j": int, "layers": [{"k": int, "coeff": [float]}]}],
 }
+
+# The entry that names a target of each provenance kind
+_PROVENANCE_KEY = {"builtin": "name", "expression": "text"}
 
 
 def _all_decimal(texts) -> bool:
@@ -618,11 +617,8 @@ def _check_layout(value, layout, where: str) -> None:
     elif isinstance(layout, list):
         if not isinstance(value, list):
             raise DomainError(f"{where} is not a JSON list")
-        # a layer's bumps are checked whole; the walk names the first bad place
-        rec = layout[0]
-        if isinstance(rec, dict) and all(v is float for v in rec.values()) and _all_decimal(
-            row.get(key) if isinstance(row, dict) else None for row in value for key in rec
-        ):
+        # a list of decimals is checked whole; the walk names the first bad place
+        if layout[0] is float and _all_decimal(value):
             return
         for i, item in enumerate(value):
             _check_layout(item, layout[0], f"{where}[{i}]")
@@ -656,50 +652,21 @@ def _check_rounds(d: dict, m: int) -> None:
                 raise DomainError(f"state.outer[{j}].layers[{l}].k is {ld['k']}, k_list[{l}] is {k}")
 
 
-def _load_layer(
-    ld: dict,
-    params: KstParams,
-    plateau_at: Callable[[int], float],
-    grids: dict[int, tuple[Grid, str]],
-    where: str,
-) -> Layer:
-    """A stored layer, refused with DomainError unless it has the
-    (gamma**k + 1)**n bumps of its depth k, all with slope
-    gamma**beta_n(k+1) and plateau plateau_at(k), in ascending order of
-    xi, and no bump with a nonzero coefficient reaches past its next
-    neighbour. grids maps each depth its family has loaded to the grid
-    and place of the first layer there; a later layer of that depth
-    must have the same xi, and shares the grid."""
-    g, n, k, bumps = params.gamma, params.n, ld["k"], ld["bumps"]
-    # gamma**k exceeds the bump count once k exceeds the count's bit
-    # length, so no grid size is computed for an absurd depth
-    if k > len(bumps).bit_length() or len(bumps) != (g**k + 1) ** n:
-        raise DomainError(f"{where} has {len(bumps)} bumps, not (gamma**k + 1)**n at k = {k}")
-    slope_int = g ** beta(n, k + 1)
-    slope, plateau = float(slope_int), plateau_at(k)
-    for key, value, rule in (("slope", slope, "gamma**beta_n(k+1)"),
-                             ("plateau", plateau, "(gamma-2)*b_k")):
-        bad = {t for t in set(map(itemgetter(key), bumps)) if float(t) != value}
-        if bad:
-            i = next(i for i, b in enumerate(bumps) if b[key] in bad)
-            raise DomainError(f"{where}.bumps[{i}].{key} is not {rule} at k = {k}")
-    xi = np.fromiter(map(float, map(itemgetter("xi"), bumps)), float, len(bumps))
-    drops = np.flatnonzero(np.diff(xi) < 0)
-    if drops.size:
-        raise DomainError(f"{where}.bumps[{drops[0] + 1}].xi decreases")
-    if k in grids:
-        grid, first = grids[k]
-        differ = np.flatnonzero(grid.xi != xi)
-        if differ.size:
-            raise DomainError(
-                f"{where}.bumps[{differ[0]}].xi differs from {first}, a layer of the same depth")
-    else:
-        grid = Grid(k=k, slope=slope, plateau=plateau, ramp=float(Fraction(1, slope_int)), xi=xi)
-        grids[k] = grid, where
-    layer = Layer(grid, np.fromiter(map(float, map(itemgetter("coeff"), bumps)), float, len(bumps)))
+def _load_layer(state, j: int, ld: dict, earlier: tuple[Layer, ...], where: str) -> Layer:
+    """A stored layer of family j on the grid family_grid builds, refused
+    with DomainError unless it has the (gamma**k + 1)**n coefficients of
+    its depth k and no bump with a nonzero coefficient reaches past its
+    next neighbour."""
+    g, n, k, coeff = state.params.gamma, state.params.n, ld["k"], ld["coeff"]
+    # gamma**k exceeds the coefficient count once k exceeds the count's
+    # bit length, so no grid size is computed for an absurd depth
+    if k > len(coeff).bit_length() or len(coeff) != (g**k + 1) ** n:
+        raise DomainError(f"{where} has {len(coeff)} coefficients, not (gamma**k + 1)**n at k = {k}")
+    grid, _ = family_grid(state, j, k, earlier)
+    layer = Layer(grid, np.fromiter(map(float, coeff), float, len(coeff)))
     i = layer.overreach()
     if i is not None:
-        raise DomainError(f"{where}.bumps[{i}] reaches past bumps[{i + 1}]")
+        raise DomainError(f"{where}.coeff[{i}] is nonzero on a bump that reaches past bump {i + 1}")
     return layer
 
 
@@ -709,29 +676,29 @@ def state_from_json_dict(d: dict) -> DecompositionState:
         raise DomainError(f"unrecognized decomposition schema {d['schema']!r}")
     _check_layout(d, _STATE_LAYOUT, "state")
     provenance = d["target"]["provenance"]
-    text_key = "name" if provenance["kind"] == "builtin" else "text"
-    _check_layout(provenance, {text_key: str}, "state.target.provenance")
+    if provenance["kind"] not in _PROVENANCE_KEY:
+        raise DomainError(f"state.target.provenance.kind {provenance['kind']!r} "
+                          f"is not one of {sorted(_PROVENANCE_KEY)}")
+    _check_layout(provenance, {_PROVENANCE_KEY[provenance["kind"]]: str}, "state.target.provenance")
     params = KstParams.from_json_dict(d["params"])
     _check_rounds(d, params.m)
-    caps = DecompositionCaps(**{key: d["caps"][key] for key in _STATE_LAYOUT["caps"]})
-    target = target_from_provenance(provenance, params.n)
-    lambdas = lambda_coeffs(params)
-    plateau_at = cache(lambda k: _plateau(params, lambdas, k))
-    outer = []
-    for j, oa in enumerate(d["outer"]):
-        grids: dict[int, tuple[Grid, str]] = {}  # a family's layers of one depth share one grid
-        outer.append(OuterApprox(j, tuple(
-            _load_layer(ld, params, plateau_at, grids, f"state.outer[{j}].layers[{l}]")
-            for l, ld in enumerate(oa["layers"]))))
-    return DecompositionState(
+    state = DecompositionState(
         params=params,
-        lambdas=lambdas,
+        lambdas=lambda_coeffs(params),
         ev=InnerEvaluator(params),
-        target=target,
-        caps=caps,
+        target=target_from_provenance(provenance, params.n),
+        caps=DecompositionCaps(**{key: d["caps"][key] for key in _STATE_LAYOUT["caps"]}),
         r=d["r"],
         k_list=tuple(d["k_list"]),
         k_warnings=tuple(d["k_warnings"]),
-        outer=tuple(outer),
+        outer=(),
         residual_norms=tuple(float(v) for v in d["residual_norms"]),
     )
+    outer = []
+    for j, oa in enumerate(d["outer"]):
+        layers: tuple[Layer, ...] = ()
+        for l, ld in enumerate(oa["layers"]):
+            layers += (_load_layer(state, j, ld, layers, f"state.outer[{j}].layers[{l}]"),)
+        outer.append(OuterApprox(j, layers))
+    state.outer = tuple(outer)
+    return state

@@ -250,6 +250,8 @@ def assemble_from_state(
 ) -> tuple[AssembledKst, PipelineReport]:
     """Build and audit the network for an existing decomposition."""
     caps = PipelineCaps() if caps is None else caps
+    if caps.n_random < 1:
+        raise DomainError(f"the assembly's random batch needs n_random >= 1, got {caps.n_random}")
     p = state.params
     timings: dict[str, float] = {}
 

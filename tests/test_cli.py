@@ -8,6 +8,7 @@ import pytest
 
 import kst.cli
 from kst.cli import main
+from kst.decompose import state_from_json_dict
 from oracles import dag_forward, json_network
 
 
@@ -84,6 +85,16 @@ class TestDecomposeCmd:
                     "--out-csv", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--audit-res", "0"], ["--audit-res", "-3"], ["--n-random", "-1"], ["--iters", "-1"]],
+    )
+    def test_bad_option_exit_2(self, tmp_path, capsys, flags):
+        args = ["decompose", "--n", "2", "--f", "zero", "--iters", "1",
+                "--out-csv", str(tmp_path / "x.csv")]
+        assert run(args + flags) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def saved_state(tmp_path_factory):
@@ -103,22 +114,9 @@ def _edit_layer(d, change):
     return d | {"outer": d["outer"][:-1] + [last | {"layers": [layer] + last["layers"][1:]}]}
 
 
-def _edit_bump(d, i, key, text):
-    """d with entry key of bump i in the last family's first layer set to text."""
-    def change(ld):
-        bumps = list(ld["bumps"])
-        bumps[i] = bumps[i] | {key: text}
-        return ld | {"bumps": bumps}
-    return _edit_layer(d, change)
-
-
-def _crowd(d, i):
-    """d with bumps i+1 and i+2 of the edited layer moved 1e-9 and 2e-9
-    above bump i: still ascending, but bump i then reaches past i+1."""
-    x = float(d["outer"][-1]["layers"][0]["bumps"][i]["xi"])
-    for step in (1, 2):
-        d = _edit_bump(d, i + step, "xi", repr(x + step * 1e-9))
-    return d
+def _edit_coeff(d, i, text):
+    """d with coefficient i of the last family's first layer set to text."""
+    return _edit_layer(d, lambda ld: ld | {"coeff": ld["coeff"][:i] + [text] + ld["coeff"][i + 1:]})
 
 
 @functools.cache
@@ -131,15 +129,6 @@ def _zero_two_rounds() -> str:
                     "--out-state", path, "--out-csv", os.path.join(d, "decay.csv")]) == 0
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-
-
-def _xi_differs(d, i=10):
-    """d with bump i of the last family's first layer moved halfway to
-    bump i+1: still ascending, but no longer the xi of the family's
-    other layer of that depth."""
-    bumps = d["outer"][-1]["layers"][0]["bumps"]
-    mid = 0.5 * (float(bumps[i]["xi"]) + float(bumps[i + 1]["xi"]))
-    return _edit_bump(d, i, "xi", repr(mid))
 
 
 class TestAssembleCmd:
@@ -168,30 +157,29 @@ class TestAssembleCmd:
             lambda d: d | {"k_warnings": [0]},
             lambda d: d | {"caps": d["caps"] | {"seed": 1.5}},
             lambda d: d | {"target": {"provenance": {"kind": "builtin"}}},
-            lambda d: d | {"outer": [{"j": 0, "layers": [{"k": 2, "bumps": [{}]}]}]},
+            lambda d: d | {"outer": [{"j": 0, "layers": [{"k": 2, "coeff": [{}]}]}]},
             lambda d: d | {"residual_norms": ["one"]},
             lambda d: d | {"residual_norms": ["nan"] + d["residual_norms"][1:]},
-            lambda d: _edit_bump(d, 0, "xi", "inf"),
-            lambda d: _edit_bump(d, 1, "xi", "-1"),
             lambda d: d | {"outer": d["outer"][1::-1] + d["outer"][2:]},
             lambda d: d | {"outer": d["outer"][:-1]},
-            lambda d: _edit_layer(d, lambda ld: ld | {"bumps": ld["bumps"][:-1]}),
+            lambda d: _edit_layer(d, lambda ld: ld | {"coeff": ld["coeff"][:-1]}),
             lambda d: d | {"r": 2},
             lambda d: d | {"k_warnings": []},
             lambda d: d | {"residual_norms": d["residual_norms"][:1]},
             lambda d: d | {"k_list": [d["k_list"][0] + 1]},
             lambda d: _edit_layer(d, lambda ld: ld | {"k": ld["k"] + 1}),
-            lambda d: _edit_bump(d, 0, "slope", "1"),
-            lambda d: _crowd(d, 499),
-            lambda d: _edit_bump(d, 7, "plateau", "0.5"),
-            lambda d: _xi_differs(json.loads(_zero_two_rounds())),
+            lambda d: _edit_coeff(d, 0, "inf"),
+            lambda d: d | {"schema": "kst-decomposition/1"},
+            lambda d: d | {"target": {"provenance": {"kind": "zzz", "text": "x1"}}},
+            lambda d: d | {"caps": d["caps"] | {"audit_resolution": 0}},
+            lambda d: d | {"caps": d["caps"] | {"audit_resolution": -3}},
         ],
         ids=["list", "no-params", "r-string", "warning-int", "seed-float",
-             "no-builtin-name", "bump-keys", "norm-text", "norm-nan", "xi-inf",
-             "xi-decreases", "families-swapped", "family-missing", "bump-missing",
+             "no-builtin-name", "bump-keys", "norm-text", "norm-nan",
+             "families-swapped", "family-missing", "bump-missing",
              "r-count", "warnings-count", "norms-count", "k-list-depth",
-             "layer-depth", "slope", "xi-crowded", "plateau-differs",
-             "xi-differs-same-depth"],
+             "layer-depth", "coeff-inf", "schema-v1", "provenance-kind",
+             "audit-res-zero", "audit-res-negative"],
     )
     def test_malformed_state_exit_2(self, saved_state, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
@@ -200,28 +188,26 @@ class TestAssembleCmd:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_crowded_layer_names_bump(self, saved_state, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(_crowd(json.loads(saved_state.read_text()), 499)))
-        code = run(["assemble", "--decomp", str(bad), "--eps", "0.5"])
+    @pytest.mark.parametrize("flags", [["--n-random", "0"], ["--n-random", "-1"]])
+    def test_bad_option_exit_2(self, saved_state, capsys, flags):
+        code = run(["assemble", "--decomp", str(saved_state), "--eps", "0.5"] + flags)
         assert code == 2
-        assert "bumps[499] reaches past bumps[500]" in capsys.readouterr().err
+        assert "Traceback" not in capsys.readouterr().err
 
-    def test_plateau_names_bump(self, saved_state, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(_edit_bump(json.loads(saved_state.read_text()), 7, "plateau", "0.5")))
-        code = run(["assemble", "--decomp", str(bad), "--eps", "0.5"])
-        assert code == 2
-        assert "bumps[7].plateau is not (gamma-2)*b_k" in capsys.readouterr().err
-
-    def test_same_depth_xi_names_layer(self, tmp_path, capsys):
+    def test_overreach_names_bump(self, tmp_path, capsys):
+        # depth-1 supports overlap: some bumps reach past their next
+        # neighbour, and a nonzero coefficient on one of them is refused
+        d = json.loads(_zero_two_rounds())
+        grid = state_from_json_dict(d).outer[4].layers[0].grid
+        reach = grid.hi[:-2] > grid.lo[2:]
+        i, ok = int(np.flatnonzero(reach)[0]), int(np.flatnonzero(~reach)[0])
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-        good.write_text(_zero_two_rounds())
+        good.write_text(json.dumps(_edit_coeff(d, ok, "0.25")))
         assert run(["assemble", "--decomp", str(good), "--eps", "0.5"]) == 0
-        bad.write_text(json.dumps(_xi_differs(json.loads(_zero_two_rounds()))))
+        bad.write_text(json.dumps(_edit_coeff(d, i, "0.25")))
         capsys.readouterr()
         assert run(["assemble", "--decomp", str(bad), "--eps", "0.5"]) == 2
-        assert ("state.outer[4].layers[1].bumps[10].xi differs from state.outer[4].layers[0]"
+        assert (f"state.outer[4].layers[0].coeff[{i}] is nonzero on a bump that reaches past bump {i + 1}"
                 in capsys.readouterr().err)
 
     def test_net_file_matches_network(self, saved_state, tmp_path, monkeypatch):

@@ -560,15 +560,23 @@ class TestLipschitzReport:
 
 
 class TestSerialization:
-    def test_round_trip_evaluates_identically(self, product_r1):
-        blob = json.dumps(state_to_json_dict(product_r1), sort_keys=True)
-        loaded = state_from_json_dict(json.loads(blob))
-        rng = random.Random(53)
-        for _ in range(200):
-            x = (rng.random(), rng.random())
-            a = evaluate_f_r(product_r1, x)
-            b = evaluate_f_r(loaded, x)
-            assert math.isclose(a, b, rel_tol=0, abs_tol=1e-12)
+    def test_round_trip_evaluates_identically(self, product_r1, zero_state):
+        # the loader rebuilds every grid, bit for bit, from the parameters;
+        # the zero state's families hold two depth-1 layers each
+        pts = np.random.default_rng(53).random((2000, 2))
+        for state in (product_r1, iterate(iterate(zero_state))):
+            blob = json.dumps(state_to_json_dict(state), sort_keys=True)
+            loaded = state_from_json_dict(json.loads(blob))
+            for oa, back in zip(state.outer, loaded.outer, strict=True):
+                for layer, again in zip(oa.layers, back.layers, strict=True):
+                    g, h = layer.grid, again.grid
+                    assert (h.k, h.slope, h.plateau, h.ramp) == (g.k, g.slope, g.plateau, g.ramp)
+                    assert h.xi.tobytes() == g.xi.tobytes()
+                    assert again.coeff.tobytes() == layer.coeff.tobytes()
+                    assert h is next(x.grid for x in back.layers if x.grid.k == h.k)
+            assert (decompose.f_r_at_points(loaded, pts).tobytes()
+                    == decompose.f_r_at_points(state, pts).tobytes())
+            assert json.dumps(state_to_json_dict(loaded), sort_keys=True) == blob
 
     def test_round_trip_metadata(self, product_r1):
         d = state_to_json_dict(product_r1)

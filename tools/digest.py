@@ -11,6 +11,12 @@ workload does and prints two lines, ``S TARGET report SHA256`` and
 ``S TARGET state SHA256``: the sha256 of the report's and the state's
 JSON text as ``kst`` writes them (sorted keys, indent 2). ``kst`` is
 imported from PYTHONPATH, so the same tool digests any checkout.
+
+State lines differ by design between checkouts that write different
+state schemas: a ``kst-decomposition/2`` state holds each layer's depth
+and coefficients but no bump positions, plateaus or slopes, and no
+target dimension or sup-norm bound, which ``kst-decomposition/1`` states
+held. Report lines do not depend on the schema.
 """
 
 from __future__ import annotations
