@@ -419,14 +419,15 @@ def _bump_shape(params: KstParams, lambdas: LambdaCoeffs, k: int) -> tuple[float
 def family_grid(state, j: int, k: int, earlier: tuple[Layer, ...]) -> tuple[Grid, np.ndarray]:
     """Family j's depth-k bump grid, and the order that sorts the
     depth-k grid vectors d, taken in row-major order, by their images
-    sum_i lambda_i * psi(d_i + j*a): slot i of the grid holds the bump
-    of vector order[i]. When one of the family's earlier layers has
-    depth k, its Grid holds the same images and is returned, so the
-    layers of a family at one depth share one Grid.
+    sum_i lambda_i * psi(d_i + j * a_k), where a_k = sum_{l=2..k}
+    gamma**-l is the shift a cut at depth k: slot i of the grid holds
+    the bump of vector order[i]. When one of the family's earlier
+    layers has depth k, its Grid holds the same images and is returned,
+    so the layers of a family at one depth share one Grid.
     """
     p = state.params
     g = p.gamma
-    # Family j's shift j * sum_{l=2..k} gamma**-l, in steps of gamma**-k
+    # j * a_k in steps of gamma**-k
     shift_step = sum(g ** (k - ell) for ell in range(2, k + 1))
     psi_ax = np.asarray(
         [state.ev.psi_lattice_float(i + j * shift_step, k) for i in range(g**k + 1)]

@@ -158,6 +158,16 @@ class TestRunPipeline:
         with pytest.raises(DomainError):
             run_pipeline(big, 0.5)
 
+    @pytest.mark.parametrize(
+        "caps",
+        [PipelineCaps(audit_resolution=0), PipelineCaps(audit_resolution=-3),
+         PipelineCaps(r_cap=0, n_random=0)],
+        ids=["audit-res-zero", "audit-res-negative", "n-random-zero"],
+    )
+    def test_caps_guard(self, caps):
+        with pytest.raises(DomainError):
+            run_pipeline(builtin_target("zero", 2), 0.5, caps)
+
 
 class TestSizeBoundReport:
     def test_structure_and_margin(self, product_run):
