@@ -4,7 +4,7 @@ arithmetic at desk scale."""
 
 from .params import KstParams, LambdaCoeffs, beta, lambda_coeffs, make_params
 from .inner import BaseGammaPoint, InnerEvaluator
-from .bumps import ShiftedGrid, b_k, disjoint_support_audit, xi
+from .bumps import b_k, disjoint_support_audit
 from .target import (
     TargetFunction,
     builtin_target,
@@ -47,7 +47,6 @@ __all__ = [
     "PipelineCaps",
     "PipelineReport",
     "ReluNetwork",
-    "ShiftedGrid",
     "TargetFunction",
     "UnivariateNet",
     "assemble_from_state",
@@ -75,5 +74,4 @@ __all__ = [
     "size_report",
     "state_from_json_dict",
     "state_to_json_dict",
-    "xi",
 ]

@@ -1,8 +1,15 @@
-"""Geometric machinery of the outer construction: shifted grids, image
-points of grid vectors, the plateau tail constant, and the exact
-disjointness audit of a bump family.
+"""Geometric machinery of the outer construction: the lattice indices of
+a bump family, the plateau tail constant, and the exact disjointness
+audit of a bump family.
 
-Everything here is exact. At n=2, gamma=6, k=2 the ramp slope is
+Family j at depth k places its bumps at the images
+sum_i lambda_i * psi(d_i + j * a_k) of the depth-k grid vectors d, where
+a_k = sum_{l=2..k} gamma**-l is the shift a cut at depth k. Every such
+argument is a point of the depth-k lattice, so one family axis of
+lattice indices (family_axis) serves the float bump grids and the exact
+audit alike.
+
+The audit is exact. At n=2, gamma=6, k=2 the ramp slope is
 6**7 = 279936 while the plateau is about 4e-6; gap checks in doubles
 would be tolerance-dependent, so disjointness is audited in rational
 arithmetic with no tolerance at all.
@@ -13,7 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+
+import numpy as np
 
 from .errors import BudgetError, DomainError
 from .inner import InnerEvaluator
@@ -22,58 +30,16 @@ from .params import KstParams, LambdaCoeffs, beta
 AUDIT_BUMP_BUDGET = 10**4
 
 
-def grid_shift(params: KstParams, k: int, j: int) -> Fraction:
-    """Shift j * sum_{l=2..k} gamma**(-l) of the level-k family j."""
+def family_axis(params: KstParams, k: int, j: int) -> np.ndarray:
+    """Lattice indices i + j * sum_{l=2..k} gamma**(k-l), i = 0..gamma**k,
+    of the arguments i * gamma**-k + j * a_k of family j at depth k: the
+    gamma**k regular anchors and the top column i = gamma**k. All lie in
+    [0, 2 * gamma**k)."""
+    if not (0 <= j <= params.m):
+        raise DomainError(f"shift index must lie in [0, {params.m}]")
     g = params.gamma
-    return j * sum((Fraction(1, g**ell) for ell in range(2, k + 1)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class ShiftedGrid:
-    """The level-k grid shifted by family index j, one axis replicated n times."""
-
-    params: KstParams
-    k: int
-    j: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise DomainError("grid depth must be >= 1")
-        if not (0 <= self.j <= self.params.m):
-            raise DomainError(f"shift index must lie in [0, {self.params.m}]")
-
-    @property
-    def shift(self) -> Fraction:
-        return grid_shift(self.params, self.k, self.j)
-
-    @property
-    def size(self) -> int:
-        return self.params.gamma ** (self.params.n * self.k)
-
-    def axis_values(self) -> list[Fraction]:
-        g, k = self.params.gamma, self.k
-        s = self.shift
-        return [Fraction(i, g**k) + s for i in range(g**k)]
-
-    def points(self) -> Iterator[tuple[Fraction, ...]]:
-        return itertools.product(self.axis_values(), repeat=self.params.n)
-
-
-def xi(
-    params: KstParams,
-    lambdas: LambdaCoeffs,
-    ev: InnerEvaluator,
-    d: tuple[Fraction, ...],
-) -> Fraction:
-    """Image sum_i lambda_i * psi(d_i) of a grid vector, exact."""
-    if len(d) != params.n:
-        raise DomainError(f"expected {params.n} coordinates, got {len(d)}")
-    acc = Fraction(0)
-    for lam, coord in zip(lambdas.values, d):
-        if not (0 <= coord < 2):
-            raise DomainError(f"coordinate {coord} outside [0, 2)")
-        acc += lam * ev.psi_exact_extended(coord)
-    return acc
+    shift_step = sum(g ** (k - ell) for ell in range(2, k + 1))
+    return np.arange(g**k + 1, dtype=np.int64) + j * shift_step
 
 
 @dataclass(frozen=True)
@@ -138,21 +104,28 @@ def disjoint_support_audit(
 ) -> DisjointnessAudit:
     """Exact disjointness check of one (k, j) bump family.
 
-    All gamma**(nk) images are sorted and the smallest distance between
-    consecutive support intervals is computed in rational arithmetic.
+    The images of the gamma**(nk) regular anchors, exact sums of the
+    lattice values N_k / D_k at the first gamma**k indices of the family
+    axis, are sorted, and the smallest distance between consecutive
+    support intervals is computed in rational arithmetic.
     Support radii use the upper end of the tail-constant interval, so a
     positive min_gap certifies disjointness of the actual bumps, whose
     plateau uses the lower partial sum.
     """
-    grid = ShiftedGrid(params, k, j)
-    if grid.size > AUDIT_BUMP_BUDGET:
+    g, n = params.gamma, params.n
+    if g ** (n * k) > AUDIT_BUMP_BUDGET:
         raise BudgetError(
-            f"family size {grid.size} exceeds the audit budget {AUDIT_BUMP_BUDGET}"
+            f"family size {g ** (n * k)} exceeds the audit budget {AUDIT_BUMP_BUDGET}"
         )
+    nums, den = ev.lattice(k)
+    scale = g**k
+    psi = [Fraction(i // scale * den + nums[i % scale], den)
+           for i in family_axis(params, k, j)[:-1].tolist()]
+    terms = [[lam * v for v in psi] for lam in lambdas.values]
     bk = b_k(params, lambdas, k)
-    ramp = Fraction(1, params.gamma ** beta(params.n, k + 1))
-    plateau_hi = (params.gamma - 2) * bk.hi
-    images = sorted(xi(params, lambdas, ev, d) for d in grid.points())
+    ramp = Fraction(1, g ** beta(n, k + 1))
+    plateau_hi = (g - 2) * bk.hi
+    images = sorted(sum(t) for t in itertools.product(*terms))
     min_gap: Fraction | None = None
     for prev, nxt in zip(images, images[1:]):
         gap = (nxt - ramp) - (prev + plateau_hi + ramp)

@@ -134,12 +134,8 @@ def cmd_assemble(args) -> int:
     with open(args.decomp, encoding="utf-8") as fh:
         state = state_from_json_dict(json.load(fh))
     caps = PipelineCaps(
-        r_cap=max(state.r, 1),
-        k_max=state.caps.k_max,
-        grid_budget=state.caps.grid_budget,
         knot_budget=args.knot_budget,
         align_inner_knots=not args.uniform_inner,
-        audit_resolution=state.caps.audit_resolution,
         n_random=args.n_random,
         seed=args.seed,
     )
@@ -157,7 +153,10 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    eps_list = [float(tok) for tok in args.eps_list.split(",") if tok.strip()]
+    try:
+        eps_list = [float(tok) for tok in args.eps_list.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ExpressionError(f"eps list {args.eps_list!r} is not a list of numbers") from exc
     if not eps_list:
         raise ExpressionError("empty eps list")
     params = _params_from_args(args)

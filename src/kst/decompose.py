@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bumps import b_k, disjoint_support_audit
+from .bumps import b_k, disjoint_support_audit, family_axis
 from .errors import BudgetError, ConstraintViolation, DomainError
 from .inner import InnerEvaluator
 from .params import KstParams, LambdaCoeffs, beta, lambda_coeffs, make_params
@@ -91,8 +91,8 @@ class DecompositionCaps:
 
     ``audit_resolution`` is the points per axis of the audit mesh; None
     takes the default for the dimension when the state is created.
-    DomainError refuses an audit resolution below 1 and a negative
-    ``n_random``.
+    DomainError refuses an audit resolution below 1, a negative
+    ``n_random`` and a negative ``seed``.
     """
 
     k_max: int = 3
@@ -106,6 +106,8 @@ class DecompositionCaps:
             raise DomainError(f"audit_resolution must be at least 1, got {self.audit_resolution}")
         if self.n_random < 0:
             raise DomainError(f"n_random must be at least 0, got {self.n_random}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass
@@ -181,21 +183,11 @@ def _lambda_floats(state) -> np.ndarray:
 
 
 def _psi_axis(state, axis_values, j: int) -> np.ndarray:
-    """Truncated inner values at axis value + j*a, as floats.
-
-    Exact Fractions take the exact shifted argument (the construction
-    path, where plateau landings are arranged in exact arithmetic).
-    Floats take the float-rounded sum x + j*float(a) through the shared
-    nudged-floor rule, so measurements evaluate the approximant at
-    exactly the argument a network sees.
-    """
-    k = state.k_trunc
-    ev = state.ev
-    if len(axis_values) and isinstance(axis_values[0], Fraction):
-        ja = j * state.params.a
-        return np.asarray([ev.psi_trunc_float(q + ja, k) for q in axis_values])
+    """Truncated inner values at the float-rounded sums x + j*float(a),
+    through the shared nudged-floor rule, so the approximant is evaluated
+    at exactly the argument a network sees."""
     ja_f = j * float(state.params.a)
-    return ev.psi_trunc_vector(np.asarray(axis_values, dtype=float) + ja_f, k)
+    return state.ev.psi_trunc_vector(np.asarray(axis_values, dtype=float) + ja_f, state.k_trunc)
 
 
 def _mesh_sum(lams: np.ndarray, per_axis: list[np.ndarray]) -> np.ndarray:
@@ -279,9 +271,8 @@ def _shape(grid: Grid, y: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def f_r_on_mesh(state, axes_values) -> np.ndarray:
-    """Approximant values over a product mesh given per-axis values
-    (exact Fractions or floats, see _psi_axis); inner values are
-    computed once per distinct axis object."""
+    """Approximant values over a product mesh given per-axis float
+    values; inner values are computed once per distinct axis object."""
     lams = _lambda_floats(state)
     shape = tuple(len(ax) for ax in axes_values)
     distinct = {id(ax): ax for ax in axes_values}
@@ -426,12 +417,7 @@ def family_grid(state, j: int, k: int, earlier: tuple[Layer, ...]) -> tuple[Grid
     so the layers of a family at one depth share one Grid.
     """
     p = state.params
-    g = p.gamma
-    # j * a_k in steps of gamma**-k
-    shift_step = sum(g ** (k - ell) for ell in range(2, k + 1))
-    psi_ax = np.asarray(
-        [state.ev.psi_lattice_float(i + j * shift_step, k) for i in range(g**k + 1)]
-    )
+    psi_ax = state.ev.float_table(k)[family_axis(p, k, j)]
     xi_flat = _mesh_sum(_lambda_floats(state), [psi_ax] * p.n).ravel()
     order = np.argsort(xi_flat, kind="stable")
     grid = next((old.grid for old in earlier if old.grid.k == k), None)
@@ -471,12 +457,13 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
     # The level-k axis includes the right endpoint 1. Without it the
     # strip (1 - gamma**-k/(gamma-1), 1] of the cube belongs to no
     # family's plateau region (the families shift towns toward 0), and
-    # the residual would never contract there.
-    axis_fracs = [Fraction(i, g**k_r) for i in range(g**k_r + 1)]
-    axis_floats = np.asarray([float(q) for q in axis_fracs])
+    # the residual would never contract there. Each float
+    # i/gamma**k + j*float(a) reads the cell of its exact argument, whose
+    # position in the cell is 0 (j = 0, kept by the nudge) or j/(gamma-1).
+    axis = np.arange(g**k_r + 1) / g**k_r
 
-    f_mesh = target_on_mesh(state, [axis_floats] * n)
-    fr_mesh = f_r_on_mesh(state, [axis_fracs] * n)
+    f_mesh = target_on_mesh(state, [axis] * n)
+    fr_mesh = f_r_on_mesh(state, [axis] * n)
     coeff_flat = ((f_mesh - fr_mesh) / (m + 1)).ravel()
     if np.any(coeff_flat != 0.0):
         gap = _overlap_gap(state, k_r)

@@ -1,5 +1,5 @@
-"""The inner function: exact values on base-gamma grids, plus a
-certified continuum evaluation.
+"""The inner function: exact values on base-gamma grids, one once-rounded
+float table per depth, and a certified continuum evaluation.
 
 Grid values are defined by a three-case recursion on the digits of a
 point d = sum_l i_l * gamma**(-l). Level-1 points map to themselves,
@@ -14,15 +14,20 @@ numerators N_k[0..gamma**k], with the carry N_k[gamma**k] = D_k pinned
 to psi = 1. With s = 2 * gamma**(beta_n(k) - beta_n(k-1)), entry
 i*gamma + d is s * N_{k-1}[i] + d * 2**(k-1) for d < gamma-1, and the
 last digit averages its left neighbour with s * N_{k-1}[i+1]; that sum
-is always even, so nothing is ever rounded. Float tables and truncated
-values are N / D by integer true division, rounded once. Single points,
-which may be deeper than any table budget, go through a memoized exact
-recursion on their digits instead.
+is always even, so nothing is ever rounded.
+
+Every float value of psi is read from one table per depth, indexed by
+the lattice index i of i * gamma**-k over [0, 2): entry i is
+(i // gamma**k * D_k + N_k[i % gamma**k]) / D_k, one integer true
+division, so psi(x) = 1 + psi(x - 1) on [1, 2) is rounded once too. The
+vector reader takes the nudged floor of u * gamma**k as the index, the
+exact reader the exact floor. Single points, which may be deeper than
+any table budget, go through a memoized exact recursion on their digits
+instead.
 
 Continuum evaluation truncates the base-gamma expansion of x at a
 requested depth and certifies the truncation with the Hoelder bound
-nu * gamma**(-alpha * k). The function extends to [1, 2) by
-psi(x) = psi(x - 1) + 1.
+nu * gamma**(-alpha * k).
 """
 
 from __future__ import annotations
@@ -263,46 +268,42 @@ class InnerEvaluator:
             self._lattices[k] = got
         return got
 
-    def psi_lattice_float(self, idx: int, k: int) -> float:
-        """Float of psi at idx * gamma**(-k) for an integer idx in
-        [0, 2 * gamma**k), with psi(x) = 1 + psi(x - 1) on [1, 2)."""
-        nums, den = self.lattice(k)
-        shift, i = divmod(idx, len(nums) - 1)
-        return (shift * den + nums[i]) / den
+    def float_table(self, k: int) -> np.ndarray:
+        """Float of psi at i * gamma**(-k) for every lattice index i in
+        [0, 2 * gamma**k), with psi(x) = 1 + psi(x - 1) on [1, 2): entry
+        i is (i // gamma**k * D_k + N_k[i % gamma**k]) / D_k, rounded once."""
+        got = self._tables.get(k)
+        if got is None:
+            nums, den = self.lattice(k)
+            body = nums[:-1]
+            got = np.asarray([v / den for v in body] + [(den + v) / den for v in body])
+            self._tables[k] = got
+        return got
 
     def psi_trunc_float(self, q: Fraction, k_trunc: int) -> float:
         """Float of the depth-k truncated value at an exact q in [0, 2)."""
         if not (0 <= q < 2):
             raise DomainError(f"psi domain is [0, 2), got {q}")
         idx = q.numerator * self.params.gamma**k_trunc // q.denominator
-        return self.psi_lattice_float(idx, k_trunc)
+        return float(self.float_table(k_trunc)[idx])
 
     def psi_table(self, k: int) -> np.ndarray:
         """Float values of psi on all of D_k, indexed by i of i*gamma**-k."""
-        got = self._tables.get(k)
-        if got is None:
-            nums, den = self.lattice(k)
-            got = np.asarray([v / den for v in nums[:-1]])
-            self._tables[k] = got
-        return got
+        return self.float_table(k)[: self.params.gamma**k]
 
     def psi_trunc_vector(self, u: np.ndarray, k_trunc: int) -> np.ndarray:
         """Vectorized depth-k truncated values for u in [0, 2).
 
-        The cell index is floor(u * gamma**k + 1e-6): the small upward
+        The table index is floor(u * gamma**k + 1e-6): the small upward
         nudge makes grid-aligned floats land in their own cell, and the
-        index rule carries across the integer boundary, where the value
-        continues as 1 + psi(u - 1). All floating-point evaluation paths
-        (audits, measurements, network knots) share this exact rule so
-        they can never straddle a cell boundary differently.
+        index runs on across the integer boundary into the table's
+        [1, 2) half. All floating-point evaluation paths (sweeps, audits,
+        measurements, network knots) share this exact rule so they can
+        never straddle a cell boundary differently.
         """
-        g = self.params.gamma
-        u = np.asarray(u, dtype=float)
-        scale = g**k_trunc
-        idx = np.floor(u * scale + 1e-6).astype(np.int64)
-        idx = np.clip(idx, 0, 2 * scale - 1)
-        table = self.psi_table(k_trunc)
-        return (idx // scale) + table[idx % scale]
+        scale = self.params.gamma**k_trunc
+        idx = np.floor(np.asarray(u, dtype=float) * scale + 1e-6).astype(np.int64)
+        return self.float_table(k_trunc)[np.clip(idx, 0, 2 * scale - 1)]
 
     # -- audits and sweeps --------------------------------------------------
 
@@ -318,10 +319,8 @@ class InnerEvaluator:
             raise BudgetError(
                 f"gamma**k = {p.gamma**k} exceeds the pair budget {HOLDER_PAIR_BUDGET}"
             )
-        x = np.arange(p.gamma**k) / p.gamma**k
-        y = self.psi_table(k)
-        x = np.concatenate([x, x + 1.0])
-        y = np.concatenate([y, y + 1.0])
+        x = np.arange(2 * p.gamma**k) / p.gamma**k
+        y = self.float_table(k)
         dx = np.abs(x[:, None] - x[None, :])
         dy = np.abs(y[:, None] - y[None, :])
         np.fill_diagonal(dx, 1.0)  # excluded pairs; dy diagonal is 0

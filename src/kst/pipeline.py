@@ -152,30 +152,23 @@ def _staircase_inner_knots(
     land inside a ramp and the network reproduces the evaluated inner
     function pointwise.
     """
-    p = state.params
-    depth = state.k_trunc
-    scale = p.gamma**depth
-    table = state.ev.psi_table(depth)
+    scale = state.params.gamma**state.k_trunc
+    table = state.ev.float_table(state.k_trunc)
     idx_top = math.floor(M * scale + 1e-6)
-    cell_value = lambda i: float(i // scale) + table[i % scale]
-    knots = [0.0]
-    vals = [cell_value(0)]
-    i = 1
-    while True:
-        jump = (i - 1e-6) / scale
-        if jump >= M:
-            break
-        left = jump - STAIR_RAMP_WIDTH
-        if left > knots[-1]:
-            knots.append(left)
-            vals.append(cell_value(i - 1))
-        knots.append(jump)
-        vals.append(cell_value(i))
-        i += 1
+    # jump i sits at (i - 1e-6)/scale; idx_top + 2 is past M
+    i = np.arange(1, idx_top + 3)
+    i = i[(i - 1e-6) / scale < M]
+    jumps = (i - 1e-6) / scale
+    # a ramp start left of jump i, where it clears the knot before it
+    lefts = jumps - STAIR_RAMP_WIDTH
+    has_left = lefts > np.concatenate(([0.0], jumps[:-1]))
+    keep = np.stack([has_left, np.ones_like(has_left)], axis=1).ravel()
+    knots = np.concatenate(([0.0], np.stack([lefts, jumps], axis=1).ravel()[keep]))
+    vals = table[np.concatenate(([0], np.stack([i - 1, i], axis=1).ravel()[keep]))]
     if knots[-1] < M:
-        knots.append(M)
-        vals.append(cell_value(idx_top))
-    return np.asarray(knots), np.asarray(vals)
+        knots = np.append(knots, M)
+        vals = np.append(vals, table[idx_top])
+    return knots, vals
 
 
 def build_inner_net(
@@ -252,6 +245,8 @@ def assemble_from_state(
     caps = PipelineCaps() if caps is None else caps
     if caps.n_random < 1:
         raise DomainError(f"the assembly's random batch needs n_random >= 1, got {caps.n_random}")
+    if caps.seed < 0:
+        raise DomainError(f"the assembly's random batch needs seed >= 0, got {caps.seed}")
     p = state.params
     timings: dict[str, float] = {}
 
@@ -345,6 +340,8 @@ def run_pipeline(
     params = make_params(f.dim) if params is None else params
     if f.sup_norm_bound > 1.0 + 1e-12:
         raise DomainError("target sup-norm bound must be at most 1")
+    if caps.r_cap < 0:
+        raise DomainError(f"r_cap must be at least 0, got {caps.r_cap}")
     r_target = r_of_epsilon(params.eta, eps)
     r_used = min(r_target, caps.r_cap)
     state = init_state(

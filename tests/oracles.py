@@ -6,9 +6,13 @@ oracles for exact comparisons. The single trapezoidal bump
 (``BumpSpec``, ``theta``, ``theta_exact``) lives here too: the library
 stores bumps as whole layers and never builds one alone. So does the
 point-by-point expression walker (``oracle_eval_expr``) that the
-compiled whole-array targets are checked against.
+compiled whole-array targets are checked against, and the shifted grids
+of ``Fraction`` coordinates (``grid_shift``, ``ShiftedGrid``) with their
+images through the digit recursion (``xi``), the reference for the
+lattice images of the exact audit.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +52,56 @@ def oracle_closed_form(digits, n: int, gamma: int) -> Fraction:
     acc = Fraction(0)
     for pos, d in enumerate(digits, start=1):
         acc += d * Fraction(1, gamma ** beta(n, pos))
+    return acc
+
+
+def grid_shift(params, k: int, j: int) -> Fraction:
+    """Shift j * sum_{l=2..k} gamma**(-l) of the level-k family j."""
+    g = params.gamma
+    return j * sum((Fraction(1, g**ell) for ell in range(2, k + 1)), Fraction(0))
+
+
+@dataclass(frozen=True)
+class ShiftedGrid:
+    """The level-k grid shifted by family index j, one axis replicated n times."""
+
+    params: object
+    k: int
+    j: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise DomainError("grid depth must be >= 1")
+        if not (0 <= self.j <= self.params.m):
+            raise DomainError(f"shift index must lie in [0, {self.params.m}]")
+
+    @property
+    def shift(self) -> Fraction:
+        return grid_shift(self.params, self.k, self.j)
+
+    @property
+    def size(self) -> int:
+        return self.params.gamma ** (self.params.n * self.k)
+
+    def axis_values(self) -> list[Fraction]:
+        g, k = self.params.gamma, self.k
+        s = self.shift
+        return [Fraction(i, g**k) + s for i in range(g**k)]
+
+    def points(self):
+        return itertools.product(self.axis_values(), repeat=self.params.n)
+
+
+def xi(params, lambdas, ev, d: tuple[Fraction, ...]) -> Fraction:
+    """Image sum_i lambda_i * psi(d_i) of a grid vector, exact, through
+    the memoized digit recursion of ``psi_exact_extended``."""
+    if len(d) != params.n:
+        raise DomainError(f"expected {params.n} coordinates, got {len(d)}")
+    acc = Fraction(0)
+    for lam, coord in zip(lambdas.values, d):
+        if not (0 <= coord < 2):
+            raise DomainError(f"coordinate {coord} outside [0, 2)")
+        acc += lam * ev.psi_exact_extended(coord)
     return acc
 
 

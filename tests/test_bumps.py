@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from kst.bumps import ShiftedGrid, b_k, disjoint_support_audit, grid_shift, xi
+from kst.bumps import b_k, disjoint_support_audit
 from kst.errors import BudgetError, DomainError
 from kst.inner import InnerEvaluator
 from kst.params import beta, lambda_coeffs, make_params
-from oracles import make_bump, sigma, theta, theta_exact
+from oracles import ShiftedGrid, grid_shift, make_bump, sigma, theta, theta_exact, xi
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +187,20 @@ class TestDisjointness:
         p, lam, ev = setup6
         with pytest.raises(BudgetError):
             disjoint_support_audit(p, lam, ev, 3, 0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_min_gap_matches_shifted_grid_oracle(self, k):
+        # the lattice images against xi over the Fraction grid, whose
+        # values come from the digit recursion
+        p = make_params(2)
+        lam, ev = lambda_coeffs(p), InnerEvaluator(p)
+        ramp = Fraction(1, p.gamma ** beta(p.n, k + 1))
+        plateau_hi = (p.gamma - 2) * b_k(p, lam, k).hi
+        for j in range(p.m + 1):
+            images = sorted(xi(p, lam, ev, d) for d in ShiftedGrid(p, k, j).points())
+            gap = min((b - ramp) - (a + plateau_hi + ramp) for a, b in zip(images, images[1:]))
+            audit = disjoint_support_audit(p, lam, InnerEvaluator(p), k, j)
+            assert (audit.min_gap, audit.count) == (gap, len(images)), j
 
     def test_json_shape(self, setup6):
         p, lam, ev = setup6

@@ -87,7 +87,8 @@ class TestDecomposeCmd:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--audit-res", "0"], ["--audit-res", "-3"], ["--n-random", "-1"], ["--iters", "-1"]],
+        [["--audit-res", "0"], ["--audit-res", "-3"], ["--n-random", "-1"], ["--iters", "-1"],
+         ["--seed", "-1"]],
     )
     def test_bad_option_exit_2(self, tmp_path, capsys, flags):
         args = ["decompose", "--n", "2", "--f", "zero", "--iters", "1",
@@ -173,13 +174,14 @@ class TestAssembleCmd:
             lambda d: d | {"target": {"provenance": {"kind": "zzz", "text": "x1"}}},
             lambda d: d | {"caps": d["caps"] | {"audit_resolution": 0}},
             lambda d: d | {"caps": d["caps"] | {"audit_resolution": -3}},
+            lambda d: d | {"caps": d["caps"] | {"seed": -1}},
         ],
         ids=["list", "no-params", "r-string", "warning-int", "seed-float",
              "no-builtin-name", "bump-keys", "norm-text", "norm-nan",
              "families-swapped", "family-missing", "bump-missing",
              "r-count", "warnings-count", "norms-count", "k-list-depth",
              "layer-depth", "coeff-inf", "schema-v1", "provenance-kind",
-             "audit-res-zero", "audit-res-negative"],
+             "audit-res-zero", "audit-res-negative", "seed-negative"],
     )
     def test_malformed_state_exit_2(self, saved_state, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
@@ -188,7 +190,9 @@ class TestAssembleCmd:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--n-random", "0"], ["--n-random", "-1"]])
+    @pytest.mark.parametrize(
+        "flags", [["--n-random", "0"], ["--n-random", "-1"], ["--seed", "-1"]]
+    )
     def test_bad_option_exit_2(self, saved_state, capsys, flags):
         code = run(["assemble", "--decomp", str(saved_state), "--eps", "0.5"] + flags)
         assert code == 2
@@ -259,10 +263,16 @@ class TestExperimentCmd:
             eps = float(r.split(",")[0])
             assert float(r.split(",")[6]) <= eps / 2
 
-    def test_empty_eps_list_exit_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--eps-list", " "], ["--eps-list", "abc"], ["--eps-list", "0.5", "--r-cap", "-1"]],
+        ids=["empty", "not-a-number", "r-cap-negative"],
+    )
+    def test_empty_eps_list_exit_2(self, tmp_path, capsys, flags):
         code = run(["experiment", "--n", "2", "--f", "zero",
-                    "--eps-list", " ", "--out", str(tmp_path / "x.csv")])
+                    "--out", str(tmp_path / "x.csv")] + flags)
         assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kst import decompose, pipeline
-from kst.bumps import b_k, grid_shift
+from kst.bumps import b_k
 from kst.decompose import (
     DecompositionCaps,
     Grid,
@@ -25,9 +25,10 @@ from kst.decompose import (
     state_to_json_dict,
 )
 from kst.errors import BudgetError, ConstraintViolation, DomainError
+from kst.inner import InnerEvaluator
 from kst.params import beta, make_params
 from kst.target import builtin_target
-from oracles import active_bump_counts, dense_phi_sum, two_candidate_phi
+from oracles import active_bump_counts, dense_phi_sum, grid_shift, two_candidate_phi
 
 
 @pytest.fixture(scope="module")
@@ -467,13 +468,44 @@ class TestEvaluateFr:
 
     def test_grid_point_structure(self, product_r1):
         # at an interior grid point every family contributes the same
-        # coefficient, so f_1(d) equals e_0(d); exact coordinates matter
+        # coefficient, so f_1(d) equals e_0(d); the float coordinates of
+        # the grid point read the cells of their exact arguments
         from kst.decompose import f_r_on_mesh
 
-        q = [Fraction(3, 36), Fraction(7, 36)]
+        q = [3 / 36, 7 / 36]
         got = f_r_on_mesh(product_r1, [[q[0]], [q[1]]])[0, 0]
-        expected = float(q[0] * q[1])
+        expected = float(Fraction(3, 36) * Fraction(7, 36))
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+class _IndexTable(InnerEvaluator):
+    """An evaluator whose float table holds each entry's lattice index,
+    so every float reader returns the index it looked up."""
+
+    def float_table(self, k):
+        return np.arange(2 * self.params.gamma**k, dtype=float)
+
+
+class TestSweepIndex:
+    @pytest.mark.parametrize(
+        "params",
+        [make_params(2), make_params(3), make_params(2, m=8, gamma=10)],
+        ids=["n2-default", "n3-default", "m8-gamma10"],
+    )
+    def test_sweep_floats_take_the_exact_cell(self, params):
+        # iterate sweeps the floats i/gamma**k + j*float(a) through the
+        # nudged floor; each must read the cell of the exact floor of
+        # i/gamma**k + j*a at the truncation depth
+        caps = DecompositionCaps()
+        ev = _IndexTable(params)
+        g, depth = params.gamma, caps.k_max + 2
+        for k in range(1, caps.k_max + 1):
+            axis = np.arange(g**k + 1) / g**k
+            for j in range(params.m + 1):
+                got = ev.psi_trunc_vector(axis + j * float(params.a), depth)
+                want = [ev.psi_trunc_float(Fraction(i, g**k) + j * params.a, depth)
+                        for i in range(g**k + 1)]
+                assert got.tolist() == want, (k, j)
 
 
 class TestExtendedFamilyDisjointness:

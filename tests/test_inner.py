@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
+from kst.bumps import family_axis
+from kst.decompose import family_grid
 from kst.errors import BudgetError, DomainError
 from kst.inner import BaseGammaPoint, InnerEvaluator
-from kst.params import beta, make_params
+from kst.params import beta, lambda_coeffs, make_params
 from oracles import oracle_closed_form, oracle_psi
 
 
@@ -207,6 +211,30 @@ class TestLattice:
         q = Fraction(idx, scale)
         ev = InnerEvaluator(make_params(n, gamma=gamma))
         assert ev.psi_trunc_float(q, k) == float(ev.psi(q, k).value_exact)
+
+    @pytest.mark.parametrize("gamma,k", [(g, k) for g in (6, 10) for k in (1, 2, 3, 4)])
+    def test_every_reader_rounds_once(self, gamma, k):
+        # psi at every cell-aligned float of [0, 2), rounded once from the
+        # exact digit recursion, whichever reader is asked; on [1, 2) that
+        # is float(1 + psi), not 1.0 + float(psi)
+        p = make_params(2, gamma=gamma)
+        ev = InnerEvaluator(p)
+        scale = gamma**k
+        exact = InnerEvaluator(p)
+        want = np.asarray([float(exact.psi_exact_extended(Fraction(i, scale)))
+                           for i in range(2 * scale)])
+        assert ev.psi_trunc_vector(np.arange(2 * scale) / scale, k).tobytes() == want.tobytes()
+        assert [ev.psi_trunc_float(Fraction(i, scale), k) for i in range(2 * scale)] == list(want)
+        assert ev.psi_table(k).tobytes() == want[:scale].tobytes()
+        if (scale + 1) ** 2 > 10**5:
+            return
+        lams = np.asarray([float(v) for v in lambda_coeffs(p).values])
+        state = SimpleNamespace(params=p, ev=ev, lambdas=lambda_coeffs(p))
+        for j in range(p.m + 1):
+            psi = want[family_axis(p, k, j)]
+            images = (lams[0] * psi)[:, None] + (lams[1] * psi)[None, :]
+            grid, _ = family_grid(state, j, k, ())
+            assert grid.xi.tobytes() == np.sort(images.ravel()).tobytes()
 
     def test_trunc_float_edges(self, ev6):
         for k in (1, 3, 5):

@@ -161,8 +161,10 @@ class TestRunPipeline:
     @pytest.mark.parametrize(
         "caps",
         [PipelineCaps(audit_resolution=0), PipelineCaps(audit_resolution=-3),
-         PipelineCaps(r_cap=0, n_random=0)],
-        ids=["audit-res-zero", "audit-res-negative", "n-random-zero"],
+         PipelineCaps(r_cap=0, n_random=0), PipelineCaps(r_cap=0, seed=-1),
+         PipelineCaps(r_cap=-1)],
+        ids=["audit-res-zero", "audit-res-negative", "n-random-zero", "seed-negative",
+             "r-cap-negative"],
     )
     def test_caps_guard(self, caps):
         with pytest.raises(DomainError):
