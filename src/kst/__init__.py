@@ -24,7 +24,7 @@ from .decompose import (
     state_from_json_dict,
     state_to_json_dict,
 )
-from .relunet import ReluNetwork, UnivariateNet, assemble_kst, build_univariate, size_report
+from .relunet import ReluNetwork, UnivariateNet, assemble_kst, build_univariate
 from .pipeline import (
     PipelineCaps,
     PipelineReport,
@@ -71,7 +71,6 @@ __all__ = [
     "r_of_epsilon",
     "run_pipeline",
     "size_bound_report",
-    "size_report",
     "state_from_json_dict",
     "state_to_json_dict",
 ]

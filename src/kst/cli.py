@@ -35,6 +35,7 @@ from .errors import (
 from .inner import InnerEvaluator
 from .params import lambda_coeffs, make_params
 from .pipeline import PipelineCaps, assemble_from_state, run_pipeline
+from .relunet import json_bytes
 from .target import builtin_names, builtin_target, expression_target
 
 
@@ -42,12 +43,12 @@ def _f17(v) -> str:
     return format(float(v), ".17g")
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, text: str | bytes) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(text if isinstance(text, str) else text.decode("utf-8"))
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8") if isinstance(text, str) else text)
 
 
 def _json_text(obj) -> str:
@@ -140,13 +141,11 @@ def cmd_assemble(args) -> int:
         seed=args.seed,
     )
     asm, report = assemble_from_state(state, args.eps, caps)
+    if args.out_net is not None:
+        net_text = json_bytes(asm.network.to_json_dict()) + b"\n"
     _write_text(args.out_report, _json_text(report.to_json_dict()))
     if args.out_net is not None:
-        # compact separators keep json on its C encoder (indent=2 does not)
-        net_text = json.dumps(
-            asm.network.to_json_dict(), sort_keys=True, separators=(",", ":")
-        )
-        _write_text(args.out_net, net_text + "\n")
+        _write_text(args.out_net, net_text)
     timings = ", ".join(f"{k}={v:.2f}s" for k, v in report.timings.items())
     print(f"assembled: W={report.W} L={report.L} ({timings})", file=sys.stderr)
     return 0
@@ -257,7 +256,7 @@ def main(argv=None) -> int:
     except (ConstraintViolation, ExpressionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

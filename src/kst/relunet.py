@@ -15,7 +15,8 @@ in the knot count. The assembled network replicates the inner net once
 per (coordinate, family) pair with the family shift applied through
 hinge biases, wires the weighted sums into one outer-net copy per
 family, and sums the copies. Both builders fill the columns with
-whole-array operations, never one Python object per unit.
+whole-array operations, never one Python object per unit, and
+``json_bytes`` writes a network's JSON text from the same columns.
 
 Network size W counts edges plus nonzero biases; depth L is the largest
 layer index with inputs at 0. Bulk evaluation of assembled networks
@@ -25,6 +26,7 @@ forward pass.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -65,13 +67,88 @@ class _Rows:
             yield from map(self._make, *chunk)
 
 
-def _f17_list(values: np.ndarray) -> list[str]:
-    """17-digit decimal strings of a float array. Weights and biases
-    repeat across the copies of the inner net, so each distinct bit
-    pattern (signed zeros apart) is formatted once and shared."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = [format(v, ".17g") for v in bits.view(np.float64).tolist()]
-    return np.asarray(text, dtype=object)[inverse].tolist()
+def _int_cells(values: np.ndarray) -> np.ndarray:
+    """Decimal text of an int column as bytes, each number followed by
+    a comma. Digits are peeled in numpy into a fixed-width matrix, right
+    aligned after a sign cell, and the used cells of each row are kept."""
+    mag = np.abs(values).astype(np.uint64)
+    width = len(str(int(mag.max())))
+    mag = mag.astype(np.uint32 if width <= 9 else np.uint64)
+    cells = np.empty((len(mag), width + 2), dtype=np.uint8)
+    cells[:, 0] = ord("-")
+    cells[:, -1] = ord(",")
+    rest = mag
+    for col in range(width, 0, -1):
+        quotient = rest // 10
+        cells[:, col] = (rest - quotient * 10).astype(np.uint8) + ord("0")
+        rest = quotient
+    digits = 1 + np.searchsorted(10 ** np.arange(1, width, dtype=mag.dtype), mag, side="right")
+    # row d of patterns keeps the last d digit cells and the comma
+    patterns = np.arange(width + 2) >= np.arange(width + 1, -1, -1)[:, None]
+    keep = patterns[digits]
+    keep[:, 0] = values < 0
+    return cells[keep]
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)``, sorting one key per run
+    of equal neighbours: the columns of a network come in long runs."""
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    distinct, inverse = np.unique(keys[starts], return_inverse=True)
+    return distinct, np.repeat(inverse, np.diff(np.append(starts, len(keys))))
+
+
+def _table_cells(texts: list[str], inverse: np.ndarray) -> np.ndarray:
+    """The bytes of texts[inverse[0]], texts[inverse[1]], ... laid end
+    to end, gathered through a fixed-width table of the distinct texts."""
+    table = np.array(texts, dtype="S")
+    rows = table.view(np.uint8).reshape(len(table), table.dtype.itemsize)
+    keep = np.arange(rows.shape[1]) < np.char.str_len(table)[:, None]
+    return rows[inverse][keep[inverse]]
+
+
+def _column_parts(values: np.ndarray) -> list:
+    """A numpy column as the byte parts of a JSON array: ints as
+    decimals, floats as quoted 17-digit decimals, strings quoted.
+    Weights and biases repeat across the copies of the inner net, so
+    each distinct float bit pattern (signed zeros apart) is formatted
+    once and shared, and each distinct string is quoted once."""
+    if values.size == 0:
+        return [b"[]"]
+    if values.dtype.kind in "iu":
+        cells = _int_cells(values)
+    elif values.dtype.kind == "f":
+        bits, inverse = _distinct(np.asarray(values, dtype=np.float64).view(np.int64))
+        cells = _table_cells(
+            ['"%.17g",' % v for v in bits.view(np.float64).tolist()], inverse)
+    elif values.dtype.kind == "U":
+        distinct, inverse = _distinct(values)
+        cells = _table_cells([json.dumps(v) + "," for v in distinct.tolist()], inverse)
+    else:
+        raise InternalCheckError(f"no JSON text for a column of dtype {values.dtype}")
+    return [b"[", cells[:-1], b"]"]
+
+
+def _json_parts(doc) -> list:
+    """The byte parts of a document, keys sorted at every level."""
+    if isinstance(doc, np.ndarray):
+        return _column_parts(doc)
+    if isinstance(doc, dict):
+        parts = [b"{"]
+        for i, key in enumerate(sorted(doc)):
+            parts.append(b"," * (i > 0) + json.dumps(str(key)).encode() + b":")
+            parts.extend(_json_parts(doc[key]))
+        return parts + [b"}"]
+    return [json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()]
+
+
+def json_bytes(doc) -> bytes:
+    """Compact JSON of a document whose leaves may be numpy columns:
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` with each
+    int column spelled as its list, each float column as the list of
+    its ``%.17g`` strings and each string column as its list. Every part
+    is encoded before the one join, so a failure leaves no partial text."""
+    return b"".join(_json_parts(doc))
 
 
 def _layer_columns(kinds: Sequence[str], counts) -> tuple[np.ndarray, np.ndarray]:
@@ -206,27 +283,16 @@ class ReluNetwork:
         return vals[:, self.output_ids]
 
     def to_json_dict(self) -> dict:
+        """The network document, its columns left as arrays; render it
+        with ``json_bytes``."""
         meta = {"W": self.W, "L": self.L, "outputs": self.output_ids}
         if self.domain is not None:
-            meta["domain"] = _f17_list(np.asarray(self.domain, dtype=float))
+            meta["domain"] = np.asarray(self.domain, dtype=float)
         return {
-            "units": {
-                "kind": self.kind.tolist(),
-                "layer": self.layer.tolist(),
-                "bias": _f17_list(self.bias),
-            },
-            "edges": {
-                "from": self.src.tolist(),
-                "to": self.dst.tolist(),
-                "w": _f17_list(self.w),
-            },
+            "units": {"kind": self.kind, "layer": self.layer, "bias": self.bias},
+            "edges": {"from": self.src, "to": self.dst, "w": self.w},
             "meta": meta,
         }
-
-
-def size_report(net) -> dict:
-    """Size and depth of a network or network-like object."""
-    return {"W": net.W, "L": net.L}
 
 
 @dataclass

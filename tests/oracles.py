@@ -9,10 +9,13 @@ point-by-point expression walker (``oracle_eval_expr``) that the
 compiled whole-array targets are checked against, and the shifted grids
 of ``Fraction`` coordinates (``grid_shift``, ``ShiftedGrid``) with their
 images through the digit recursion (``xi``), the reference for the
-lattice images of the exact audit.
+lattice images of the exact audit. So is the ``--out-net`` text built
+as a dict of Python lists and rendered by ``json.dumps``
+(``net_json_text``), the byte reference for the column encoder.
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,6 +186,44 @@ def json_network(doc: dict) -> SimpleNamespace:
     ]
     edges = [(s, d, float(w)) for s, d, w in zip(e["from"], e["to"], e["w"])]
     return SimpleNamespace(units=units, edges=edges, output_ids=doc["meta"]["outputs"])
+
+
+def f17_list(values: np.ndarray) -> list[str]:
+    """17-digit decimal strings of a float array, each distinct bit
+    pattern (signed zeros apart) formatted once and shared."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = [format(v, ".17g") for v in bits.view(np.float64).tolist()]
+    return np.asarray(text, dtype=object)[inverse].tolist()
+
+
+def net_json_text(net) -> str:
+    """The ``--out-net`` text of a network as a dict of Python lists,
+    floats as ``f17_list`` strings, rendered by ``json.dumps``: the byte
+    reference for the column encoder ``relunet.json_bytes``."""
+    meta = {"W": net.W, "L": net.L, "outputs": net.output_ids}
+    if net.domain is not None:
+        meta["domain"] = f17_list(np.asarray(net.domain, dtype=float))
+    doc = {
+        "units": {"kind": net.kind.tolist(), "layer": net.layer.tolist(),
+                  "bias": f17_list(net.bias)},
+        "edges": {"from": net.src.tolist(), "to": net.dst.tolist(), "w": f17_list(net.w)},
+        "meta": meta,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def columns_json_text(doc) -> str:
+    """``json.dumps`` (compact, sorted keys) of a document whose numpy
+    columns are replaced by lists, float columns by ``f17_list``."""
+
+    def plain(node):
+        if isinstance(node, dict):
+            return {key: plain(value) for key, value in node.items()}
+        if isinstance(node, np.ndarray):
+            return f17_list(node) if node.dtype.kind == "f" else node.tolist()
+        return node
+
+    return json.dumps(plain(doc), sort_keys=True, separators=(",", ":"))
 
 
 def sigma(x: float) -> float:

@@ -9,7 +9,7 @@ import pytest
 import kst.cli
 from kst.cli import main
 from kst.decompose import state_from_json_dict
-from oracles import dag_forward, json_network
+from oracles import dag_forward, json_network, net_json_text
 
 
 def run(args):
@@ -96,6 +96,23 @@ class TestDecomposeCmd:
         assert run(args + flags) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["directory", "under-file"])
+    @pytest.mark.parametrize("flag", ["--out-state", "--out-csv"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, flag, where):
+        code = run(["decompose", "--n", "2", "--f", "zero", "--iters", "0",
+                    flag, str(_unwritable(tmp_path, where))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+
+
+def _unwritable(tmp_path, where):
+    """A directory, or a path under a regular file."""
+    if where == "directory":
+        return tmp_path
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file" / "out"
+
 
 @pytest.fixture(scope="module")
 def saved_state(tmp_path_factory):
@@ -148,6 +165,26 @@ class TestAssembleCmd:
     def test_missing_file_exit_2(self, tmp_path):
         code = run(["assemble", "--decomp", str(tmp_path / "nope.json"), "--eps", "0.5"])
         assert code == 2
+
+    @pytest.mark.parametrize("what", ["directory", "not-utf8"])
+    def test_unreadable_state_exit_2(self, tmp_path, capsys, what):
+        decomp = tmp_path
+        if what == "not-utf8":
+            decomp = tmp_path / "latin1.json"
+            decomp.write_bytes('{"schema": "é"}'.encode("latin-1"))
+        assert run(["assemble", "--decomp", str(decomp), "--eps", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["directory", "under-file"])
+    @pytest.mark.parametrize("flag", ["--out-report", "--out-net"])
+    def test_unwritable_output_exit_2(self, saved_state, tmp_path, capsys, flag, where):
+        code = run(["assemble", "--decomp", str(saved_state), "--eps", "0.5",
+                    "--n-random", "200", "--knot-budget", "6000", "--uniform-inner",
+                    flag, str(_unwritable(tmp_path, where))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "edit",
@@ -239,6 +276,7 @@ class TestAssembleCmd:
         pts = np.random.default_rng(3).random((100, 2))
         from_file = dag_forward(json_network(doc), pts)
         asm = built["asm"]
+        assert net.read_bytes() == net_json_text(asm.network).encode()
         # .17g strings round-trip every float, so the file is the network
         assert np.array_equal(from_file, dag_forward(asm.network, pts))
         # outer hinge weights reach 5.6e4, and sums of thousands of such

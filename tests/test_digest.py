@@ -1,11 +1,12 @@
 """tools/digest.py prints one sha256 per run_pipeline report and state,
-of the JSON text kst writes. Checked on the cheap zero target."""
+of the JSON text kst writes, and one per file the cli-net-n2 commands
+write. Checked on the cheap zero target."""
 
 import hashlib
 import importlib.util
 from pathlib import Path
 
-from kst.cli import _json_text
+from kst.cli import _json_text, main
 from kst.decompose import state_to_json_dict
 from kst.params import make_params
 from kst.pipeline import PipelineCaps, run_pipeline
@@ -27,18 +28,46 @@ def test_targets_are_the_pipeline_workloads():
     assert [make().dim for _, make in tool.TARGETS] == [2, 2, 2, 2]
 
 
-def test_one_line_per_report_and_state(monkeypatch, capsys):
+def test_cli_commands_are_the_cli_net_workload():
+    decompose, assemble = _load_tool().CLI_NET_N2
+    assert decompose == [
+        "decompose", "--n", "2", "--f", "x1*x2", "--iters", "1", "--seed", "{seed}",
+        "--out-state", "{state}", "--out-csv", "{csv}"]
+    assert assemble == [
+        "assemble", "--decomp", "{state}", "--eps", "0.5", "--seed", "{seed}",
+        "--n-random", "500", "--knot-budget", "20000", "--uniform-inner",
+        "--out-report", "{report}", "--out-net", "{net}"]
+
+
+def _cheap_cli(tool):
+    """cli-net-n2's commands on the zero target with a small outer net."""
+    decompose, assemble = tool.CLI_NET_N2
+    return [[arg.replace("x1*x2", "zero") for arg in decompose],
+            [arg.replace("20000", "2000") for arg in assemble]]
+
+
+def test_one_line_per_report_and_state(monkeypatch, capsys, tmp_path):
     tool = _load_tool()
     monkeypatch.setattr(tool, "TARGETS", [("zero", lambda: builtin_target("zero", 2))])
+    monkeypatch.setattr(tool, "CLI_NET_N2", _cheap_cli(tool))
     assert tool.main(["--seeds", "5,6"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    files = ["state", "csv", "report", "net"]
     assert [line.rsplit(" ", 1)[0] for line in lines] == [
-        "5 zero report", "5 zero state", "6 zero report", "6 zero state"]
+        f"{seed} {what}" for seed in (5, 6)
+        for what in ["zero report", "zero state"] + [f"cli-net-n2 {f}" for f in files]]
+    # the digests of the files the commands write
+    for seed, cli_lines in zip((5, 6), (lines[2:6], lines[8:12])):
+        paths = {f: str(tmp_path / f"{seed}-{f}") for f in files}
+        for command in tool.CLI_NET_N2:
+            assert main([arg.format(seed=seed, **paths) for arg in command]) == 0
+        for f, line in zip(files, cli_lines):
+            assert line.endswith(" " + hashlib.sha256(Path(paths[f]).read_bytes()).hexdigest())
     # the digests of the texts kst writes, seed by seed
-    for seed, (report_line, state_line) in zip((5, 6), (lines[:2], lines[2:])):
+    for seed, (report_line, state_line) in zip((5, 6), (lines[:2], lines[6:8])):
         caps = PipelineCaps(r_cap=3, seed=seed)
         _, report, state = run_pipeline(builtin_target("zero", 2), 0.25, caps, make_params(2))
         sha = lambda doc: hashlib.sha256(_json_text(doc).encode()).hexdigest()
         assert report_line.endswith(" " + sha(report.to_json_dict()))
         assert state_line.endswith(" " + sha(state_to_json_dict(state)))
-    assert lines[1].split()[-1] != lines[3].split()[-1]  # the state records its seed
+    assert lines[1].split()[-1] != lines[7].split()[-1]  # the state records its seed

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kst.decompose import init_state, iterate, lipschitz_report, phi_batch
 from kst.errors import DomainError, InternalCheckError
@@ -15,10 +17,10 @@ from kst.relunet import (
     ReluNetwork,
     assemble_kst,
     build_univariate,
-    size_report,
+    json_bytes,
 )
 from kst.target import builtin_target
-from oracles import dag_forward
+from oracles import columns_json_text, dag_forward, net_json_text
 
 
 def one_row(net, x):
@@ -303,12 +305,69 @@ class TestAssembly:
         with pytest.raises(DomainError):
             assemble_kst(short_psi, phis, p, lam)
 
-    def test_size_report(self, small_assembly):
-        _, asm = small_assembly
-        rep = size_report(asm)
-        assert rep == {"W": asm.W, "L": 6}
-        passthrough = ReluNetwork(
-            kind=["input", "linear"], layer=[0, 1], bias=[0.0, 0.0],
-            src=[0], dst=[1], w=[1.0], output_ids=[1],
-        )
-        assert size_report(passthrough) == {"W": 1, "L": 1}
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
+
+
+def ids():
+    """Ints of 1 to 7 digits, exact powers of ten and their neighbours
+    drawn often."""
+    edges = [sign * (10**k + d) for k in range(7) for d in (-1, 0, 1) for sign in (1, -1)]
+    return st.one_of(st.sampled_from(edges), st.integers(-9_999_999, 9_999_999))
+
+
+def floats():
+    return st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+
+@st.composite
+def networks(draw):
+    """Small valid networks: random layer sizes, kinds mixed within a
+    layer, 1-3 incoming edges per unit from lower layers, and biases,
+    weights and domain ends drawn from ``floats``."""
+    sizes = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    layer = np.repeat(np.arange(len(sizes)), sizes)
+    kinds = st.sampled_from(["relu", "linear"])
+    kind = ["input"] * sizes[0] + [draw(kinds) for _ in range(len(layer) - sizes[0])]
+    src, dst = [], []
+    for unit in range(sizes[0], len(layer)):
+        lower = st.sampled_from(np.flatnonzero(layer < layer[unit]).tolist())
+        for s in sorted(draw(st.sets(lower, min_size=1, max_size=3))):
+            src.append(s)
+            dst.append(unit)
+    return ReluNetwork(
+        kind, layer,
+        bias=draw(st.lists(floats(), min_size=len(layer), max_size=len(layer))),
+        src=src, dst=dst,
+        w=draw(st.lists(floats(), min_size=len(src), max_size=len(src))),
+        output_ids=[len(layer) - 1],
+        domain=draw(st.none() | st.tuples(floats(), floats())),
+    )
+
+
+class TestJsonBytes:
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(ids(), max_size=40), st.lists(floats(), max_size=40),
+           st.lists(st.sampled_from(relunet.KINDS), max_size=40))
+    def test_columns_match_reference(self, ints, values, kinds):
+        doc = {
+            "edges": {"from": np.array(ints, dtype=np.int64), "w": np.array(values, dtype=float)},
+            "units": {"kind": np.array(kinds, dtype=str)},
+            "meta": {"W": len(ints), "outputs": ints[:3]},
+        }
+        assert json_bytes(doc) == columns_json_text(doc).encode()
+
+    @settings(derandomize=True, deadline=None)
+    @given(networks())
+    def test_random_networks_match_reference(self, net):
+        assert json_bytes(net.to_json_dict()) + b"\n" == net_json_text(net).encode()
+
+    def test_univariate_network_keeps_its_domain(self):
+        net = build_univariate(lambda x: x * x, 1.5, 5).network
+        text = json_bytes(net.to_json_dict()) + b"\n"
+        assert text == net_json_text(net).encode()
+        assert json.loads(text)["meta"]["domain"] == ["0", "1.5"]
+
+    def test_unknown_column_dtype_refused(self):
+        with pytest.raises(InternalCheckError, match="dtype bool"):
+            json_bytes({"flags": np.array([True, False])})

@@ -1,6 +1,6 @@
 """sha256 digests of the reports and states run_pipeline gives on the
-pipeline-n2 targets, so that two checkouts are compared bit for bit by
-one diff of two outputs.
+pipeline-n2 targets, and of the files the cli-net-n2 commands write, so
+that two checkouts are compared bit for bit by one diff of two outputs.
 
     PYTHONPATH=src python3 tools/digest.py --seeds 5,302
 
@@ -9,8 +9,12 @@ For each seed and each target of the benchmark workload pipeline-n2
 ``run_pipeline(target, 0.25, PipelineCaps(r_cap=3, seed=S))`` as that
 workload does and prints two lines, ``S TARGET report SHA256`` and
 ``S TARGET state SHA256``: the sha256 of the report's and the state's
-JSON text as ``kst`` writes them (sorted keys, indent 2). ``kst`` is
-imported from PYTHONPATH, so the same tool digests any checkout.
+JSON text as ``kst`` writes them (sorted keys, indent 2). Then it runs
+the ``kst decompose`` and ``kst assemble`` commands of the workload
+cli-net-n2 with ``--seed S`` in a temporary directory and prints
+``S cli-net-n2 FILE SHA256`` for each file they write: state, csv,
+report and net. ``kst`` is imported from PYTHONPATH, so the same tool
+digests any checkout.
 
 State lines differ by design between checkouts that write different
 state schemas: a ``kst-decomposition/2`` state holds each layer's depth
@@ -24,8 +28,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import tempfile
 
+from kst import cli
 from kst.decompose import state_to_json_dict
 from kst.params import make_params
 from kst.pipeline import PipelineCaps, run_pipeline
@@ -38,6 +45,17 @@ TARGETS = [
     ("ridge", lambda: builtin_target("ridge", 2)),
     ("expression", lambda: expression_target("exp(-(x1^2+x2^2))", 2)),
 ]
+
+# The arguments of cli-net-n2's two commands; {seed} and the file names
+# are filled in per run.
+CLI_NET_N2 = [
+    ["decompose", "--n", "2", "--f", "x1*x2", "--iters", "1", "--seed", "{seed}",
+     "--out-state", "{state}", "--out-csv", "{csv}"],
+    ["assemble", "--decomp", "{state}", "--eps", "0.5", "--seed", "{seed}",
+     "--n-random", "500", "--knot-budget", "20000", "--uniform-inner",
+     "--out-report", "{report}", "--out-net", "{net}"],
+]
+CLI_FILES = ("state", "csv", "report", "net")
 
 
 def sha256_json(doc: dict) -> str:
@@ -53,6 +71,21 @@ def digest_lines(seed: int, name: str, target) -> list[str]:
             f"{seed} {name} state {sha256_json(state_to_json_dict(state))}"]
 
 
+def cli_lines(seed: int) -> list[str]:
+    """The lines of the four files the cli-net-n2 commands write."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: os.path.join(tmp, key) for key in CLI_FILES}
+        for command in CLI_NET_N2:
+            argv = [arg.format(seed=seed, **paths) for arg in command]
+            if cli.main(argv) != 0:
+                raise SystemExit(f"kst {argv[0]} failed at seed {seed}")
+        lines = []
+        for key, path in paths.items():
+            with open(path, "rb") as fh:
+                lines.append(f"{seed} cli-net-n2 {key} {hashlib.sha256(fh.read()).hexdigest()}")
+        return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", required=True, help="comma-separated")
@@ -61,6 +94,8 @@ def main(argv: list[str] | None = None) -> int:
         for name, make in TARGETS:
             for line in digest_lines(seed, name, make()):
                 print(line, flush=True)
+        for line in cli_lines(seed):
+            print(line, flush=True)
     return 0
 
 
