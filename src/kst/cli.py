@@ -35,7 +35,7 @@ from .errors import (
 from .inner import InnerEvaluator
 from .params import lambda_coeffs, make_params
 from .pipeline import PipelineCaps, assemble_from_state, run_pipeline
-from .relunet import json_bytes
+from .relunet import json_parts
 from .target import builtin_names, builtin_target, expression_target
 
 
@@ -43,12 +43,12 @@ def _f17(v) -> str:
     return format(float(v), ".17g")
 
 
-def _write_text(path: str | None, text: str | bytes) -> None:
+def _write_text(path: str | None, text: str) -> None:
     if path is None:
-        sys.stdout.write(text if isinstance(text, str) else text.decode("utf-8"))
+        sys.stdout.write(text)
     else:
-        with open(path, "wb") as fh:
-            fh.write(text.encode("utf-8") if isinstance(text, str) else text)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _json_text(obj) -> str:
@@ -141,11 +141,14 @@ def cmd_assemble(args) -> int:
         seed=args.seed,
     )
     asm, report = assemble_from_state(state, args.eps, caps)
+    # the net is encoded before any output is opened, so that a failure
+    # leaves no partial file
     if args.out_net is not None:
-        net_text = json_bytes(asm.network.to_json_dict()) + b"\n"
+        net_parts = json_parts(asm.network.to_json_dict()) + [b"\n"]
     _write_text(args.out_report, _json_text(report.to_json_dict()))
     if args.out_net is not None:
-        _write_text(args.out_net, net_text)
+        with open(args.out_net, "wb") as fh:
+            fh.writelines(net_parts)
     timings = ", ".join(f"{k}={v:.2f}s" for k, v in report.timings.items())
     print(f"assembled: W={report.W} L={report.L} ({timings})", file=sys.stderr)
     return 0

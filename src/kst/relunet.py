@@ -16,7 +16,7 @@ per (coordinate, family) pair with the family shift applied through
 hinge biases, wires the weighted sums into one outer-net copy per
 family, and sums the copies. Both builders fill the columns with
 whole-array operations, never one Python object per unit, and
-``json_bytes`` writes a network's JSON text from the same columns.
+``json_parts`` writes a network's JSON text from the same columns.
 
 Network size W counts edges plus nonzero biases; depth L is the largest
 layer index with inputs at 0. Bulk evaluation of assembled networks
@@ -98,13 +98,13 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.repeat(inverse, np.diff(np.append(starts, len(keys))))
 
 
-def _table_cells(texts: list[str], inverse: np.ndarray) -> np.ndarray:
-    """The bytes of texts[inverse[0]], texts[inverse[1]], ... laid end
-    to end, gathered through a fixed-width table of the distinct texts."""
+def _text_cells(texts: list[str]) -> Callable:
+    """A function from indices into texts to the bytes of those texts
+    laid end to end, gathered through a fixed-width table of texts."""
     table = np.array(texts, dtype="S")
     rows = table.view(np.uint8).reshape(len(table), table.dtype.itemsize)
     keep = np.arange(rows.shape[1]) < np.char.str_len(table)[:, None]
-    return rows[inverse][keep[inverse]]
+    return lambda index: rows[index][keep[index]]
 
 
 def _column_parts(values: np.ndarray) -> list:
@@ -112,43 +112,41 @@ def _column_parts(values: np.ndarray) -> list:
     decimals, floats as quoted 17-digit decimals, strings quoted.
     Weights and biases repeat across the copies of the inner net, so
     each distinct float bit pattern (signed zeros apart) is formatted
-    once and shared, and each distinct string is quoted once."""
+    once and shared, and each distinct string is quoted once. Rows are
+    encoded in chunks, so the fixed-width temporaries stay small."""
     if values.size == 0:
         return [b"[]"]
     if values.dtype.kind in "iu":
-        cells = _int_cells(values)
+        source, encode = values, _int_cells
     elif values.dtype.kind == "f":
-        bits, inverse = _distinct(np.asarray(values, dtype=np.float64).view(np.int64))
-        cells = _table_cells(
-            ['"%.17g",' % v for v in bits.view(np.float64).tolist()], inverse)
+        bits, source = _distinct(np.asarray(values, dtype=np.float64).view(np.int64))
+        encode = _text_cells(['"%.17g",' % v for v in bits.view(np.float64).tolist()])
     elif values.dtype.kind == "U":
-        distinct, inverse = _distinct(values)
-        cells = _table_cells([json.dumps(v) + "," for v in distinct.tolist()], inverse)
+        distinct, source = _distinct(values)
+        encode = _text_cells([json.dumps(v) + "," for v in distinct.tolist()])
     else:
         raise InternalCheckError(f"no JSON text for a column of dtype {values.dtype}")
-    return [b"[", cells[:-1], b"]"]
+    cells = [encode(source[start : start + _ROW_CHUNK])
+             for start in range(0, len(source), _ROW_CHUNK)]
+    cells[-1] = cells[-1][:-1]
+    return [b"[", *cells, b"]"]
 
 
-def _json_parts(doc) -> list:
-    """The byte parts of a document, keys sorted at every level."""
+def json_parts(doc) -> list:
+    """Compact JSON of a document whose leaves may be numpy columns, as
+    byte parts to be written in order. Joined, they equal
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` with each
+    int column spelled as its list, each float column as the list of
+    its ``%.17g`` strings and each string column as its list."""
     if isinstance(doc, np.ndarray):
         return _column_parts(doc)
     if isinstance(doc, dict):
         parts = [b"{"]
         for i, key in enumerate(sorted(doc)):
             parts.append(b"," * (i > 0) + json.dumps(str(key)).encode() + b":")
-            parts.extend(_json_parts(doc[key]))
+            parts.extend(json_parts(doc[key]))
         return parts + [b"}"]
     return [json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()]
-
-
-def json_bytes(doc) -> bytes:
-    """Compact JSON of a document whose leaves may be numpy columns:
-    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` with each
-    int column spelled as its list, each float column as the list of
-    its ``%.17g`` strings and each string column as its list. Every part
-    is encoded before the one join, so a failure leaves no partial text."""
-    return b"".join(_json_parts(doc))
 
 
 def _layer_columns(kinds: Sequence[str], counts) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +282,7 @@ class ReluNetwork:
 
     def to_json_dict(self) -> dict:
         """The network document, its columns left as arrays; render it
-        with ``json_bytes``."""
+        with ``json_parts``."""
         meta = {"W": self.W, "L": self.L, "outputs": self.output_ids}
         if self.domain is not None:
             meta["domain"] = np.asarray(self.domain, dtype=float)

@@ -17,7 +17,7 @@ from kst.relunet import (
     ReluNetwork,
     assemble_kst,
     build_univariate,
-    json_bytes,
+    json_parts,
 )
 from kst.target import builtin_target
 from oracles import columns_json_text, dag_forward, net_json_text
@@ -345,7 +345,11 @@ def networks(draw):
     )
 
 
-class TestJsonBytes:
+def json_bytes(doc) -> bytes:
+    return b"".join(json_parts(doc))
+
+
+class TestJsonParts:
     @settings(derandomize=True, deadline=None)
     @given(st.lists(ids(), max_size=40), st.lists(floats(), max_size=40),
            st.lists(st.sampled_from(relunet.KINDS), max_size=40))
@@ -367,6 +371,11 @@ class TestJsonBytes:
         text = json_bytes(net.to_json_dict()) + b"\n"
         assert text == net_json_text(net).encode()
         assert json.loads(text)["meta"]["domain"] == ["0", "1.5"]
+
+    def test_chunked_columns_match_reference(self, monkeypatch):
+        monkeypatch.setattr(relunet, "_ROW_CHUNK", 3)
+        net = build_univariate(lambda x: x * x, 1.5, 5).network
+        assert json_bytes(net.to_json_dict()) + b"\n" == net_json_text(net).encode()
 
     def test_unknown_column_dtype_refused(self):
         with pytest.raises(InternalCheckError, match="dtype bool"):
