@@ -366,16 +366,13 @@ class TestJsonParts:
     def test_random_networks_match_reference(self, net):
         assert json_bytes(net.to_json_dict()) + b"\n" == net_json_text(net).encode()
 
-    def test_univariate_network_keeps_its_domain(self):
+    @pytest.mark.parametrize("chunk", [relunet._ROW_CHUNK, 3])
+    def test_univariate_network_keeps_its_domain(self, monkeypatch, chunk):
+        monkeypatch.setattr(relunet, "_ROW_CHUNK", chunk)
         net = build_univariate(lambda x: x * x, 1.5, 5).network
         text = json_bytes(net.to_json_dict()) + b"\n"
         assert text == net_json_text(net).encode()
         assert json.loads(text)["meta"]["domain"] == ["0", "1.5"]
-
-    def test_chunked_columns_match_reference(self, monkeypatch):
-        monkeypatch.setattr(relunet, "_ROW_CHUNK", 3)
-        net = build_univariate(lambda x: x * x, 1.5, 5).network
-        assert json_bytes(net.to_json_dict()) + b"\n" == net_json_text(net).encode()
 
     def test_unknown_column_dtype_refused(self):
         with pytest.raises(InternalCheckError, match="dtype bool"):
