@@ -5,9 +5,13 @@ network.
 A ``ReluNetwork`` keeps its units as kind/layer/bias arrays in
 layer-major order, so a unit's id is its position and each layer is a
 contiguous range, and its edges as src/dst/w arrays sorted by
-(dst, src). The forward pass runs layer by layer over blocks of points:
-gather the source values, weight them, sum them per destination, add
-the bias and apply ReLU on the relu units.
+(dst, src). The forward pass runs layer by layer over blocks of points,
+in one (points x units) value array and one term array allocated per
+call. A layer of one-edge, weight-1 units whose sources come in long
+runs of one unit adds each run's source column to the run's biases
+straight into the layer's values; any other layer reads its sources as
+a slice or by one gather, weights them, sums them per destination and
+adds the bias. Then ReLU is applied in place on the relu units.
 
 The builder realizes the interpolant of a sampled function as
 c_0 + sum_i a_i * ReLU(x - t_i), a depth-2 network whose size is linear
@@ -37,10 +41,15 @@ from .params import KstParams, LambdaCoeffs
 
 MATERIALIZE_UNIT_CAP = 2_000_000
 # Points per forward block are chosen so that one block's (points x
-# edges) temporaries stay under this many floats (8 MB each); blocks
-# that fit in cache run faster than larger ones.
+# units) values and (points x edges) terms stay under this many floats
+# (8 MB each); blocks that fit in cache run faster than larger ones. The
+# two arrays are allocated once per eval_batch call, for one block.
 FORWARD_BLOCK_ELEMENTS = 1 << 20
 KINDS = ("input", "relu", "linear")
+# A run of one source unit is read by one broadcast add, which costs
+# about as much as gathering this many values (points x edges) would, so
+# a layer whose runs are shorter than this on average is gathered.
+_RUN_VALUES = 2048
 _ROW_CHUNK = 1 << 16
 
 
@@ -193,6 +202,8 @@ class ReluNetwork:
             raise InternalCheckError(f"unit kinds must be among {KINDS}")
         if np.any(np.diff(self.layer) < 0):
             raise InternalCheckError("units are not in layer-major order")
+        if self.layer[0] < 0:
+            raise InternalCheckError(f"unit 0 has the negative layer index {self.layer[0]}")
         if not np.array_equal(self.kind == "input", self.layer == 0):
             raise InternalCheckError("layer 0 must hold exactly the input units")
         ids = np.concatenate([self.src, self.dst, self.output_ids])
@@ -210,22 +221,31 @@ class ReluNetwork:
             raise InternalCheckError(f"unit {orphans[0]} has no incoming edge")
         self.n_inputs = int(np.count_nonzero(self.layer == 0))
         self._plan = [self._layer_plan(lay) for lay in np.unique(self.layer[self.n_inputs :])]
+        self._widest = int(np.bincount(self.layer[self.dst], minlength=1).max())
 
     def _layer_plan(self, lay: int) -> tuple:
-        """Unit range, sources (a slice when contiguous), weights (None
-        when all are 1), per-unit edge heads (None when every unit has
-        one edge) and ReLU selector (a bool when uniform) of one layer."""
+        """Unit range, sources, weights (None when all are 1), per-unit
+        edge heads (None when every unit has one edge) and ReLU selector
+        (a bool when uniform) of one layer. The sources are a slice when
+        contiguous, a list of (source, first edge, end edge) runs when a
+        layer of one-edge, weight-1 units reads few distinct runs of one
+        source unit each, and an index array otherwise."""
         u0, u1 = np.searchsorted(self.layer, [lay, lay + 1])
         e0, e1 = np.searchsorted(self.dst, [u0, u1])
         sources = self.src[e0:e1]
-        if sources[-1] - sources[0] == e1 - e0 - 1 and np.all(np.diff(sources) == 1):
-            sources = slice(int(sources[0]), int(sources[-1]) + 1)
         weights = self.w[e0:e1]
         if np.all(weights == 1.0):
             weights = None
         heads = None
         if e1 - e0 > u1 - u0:
             heads = np.searchsorted(self.dst[e0:e1], np.arange(u0, u1))
+        starts = np.flatnonzero(np.diff(sources, prepend=-1)).tolist()
+        if sources[-1] - sources[0] == e1 - e0 - 1 and np.all(np.diff(sources) == 1):
+            sources = slice(int(sources[0]), int(sources[-1]) + 1)
+        elif weights is None and heads is None and (
+                len(starts) * _RUN_VALUES <= self._block_points() * len(sources)):
+            ends = starts[1:] + [len(sources)]
+            sources = [(int(sources[a]), a, b) for a, b in zip(starts, ends)]
         relu = self.kind[u0:u1] == "relu"
         relu = bool(relu[0]) if np.all(relu == relu[0]) else relu
         return slice(int(u0), int(u1)), sources, weights, heads, relu
@@ -249,31 +269,45 @@ class ReluNetwork:
         """The edges as (src, dst, w) tuples, built on access."""
         return _Rows(lambda s, d, w: (s, d, w), (self.src, self.dst, self.w))
 
+    def _block_points(self) -> int:
+        return max(1, FORWARD_BLOCK_ELEMENTS // max(len(self.w), len(self.layer)))
+
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Outputs at the rows of X, as a (points, outputs) array."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_inputs:
             raise DomainError(f"expected {self.n_inputs} inputs, got {X.shape[1]}")
         out = np.empty((X.shape[0], len(self.output_ids)))
-        step = max(1, FORWARD_BLOCK_ELEMENTS // max(len(self.w), len(self.layer)))
+        step = self._block_points()
+        rows = min(step, X.shape[0])
+        vals = np.empty((rows, len(self.layer)))
+        terms = np.empty(rows * self._widest)
         for start in range(0, X.shape[0], step):
-            out[start : start + step] = self._forward(X[start : start + step])
+            block = X[start : start + step]
+            out[start : start + step] = self._forward(block, vals[: len(block)], terms)
         return out
 
-    def _forward(self, X: np.ndarray) -> np.ndarray:
-        vals = np.empty((X.shape[0], len(self.layer)))
+    def _forward(self, X: np.ndarray, vals: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+        """Outputs at the rows of X, computed in vals, a (points, units)
+        buffer, with buffer holding each layer's (points x edges) terms."""
         vals[:, : self.n_inputs] = X
         for units, sources, weights, heads, relu in self._plan:
-            if isinstance(sources, slice):
-                terms = vals[:, sources]
+            out, bias = vals[:, units], self.bias[units]
+            if isinstance(sources, list):
+                for s, a, b in sources:
+                    np.add(vals[:, s, None], bias[a:b], out=out[:, a:b])
             else:
-                terms = np.take(vals, sources, axis=1)
-            if weights is not None:
-                terms = terms * weights
-            if heads is not None:
-                terms = np.add.reduceat(terms, heads, axis=1)
-            out = vals[:, units]
-            np.add(terms, self.bias[units], out=out)
+                if isinstance(sources, slice):
+                    terms = vals[:, sources]
+                else:
+                    terms = buffer[: len(vals) * len(sources)].reshape(len(vals), -1)
+                    np.take(vals, sources, axis=1, out=terms, mode="clip")
+                if weights is not None:
+                    terms = np.multiply(terms, weights,
+                                        out=buffer[: terms.size].reshape(terms.shape))
+                if heads is not None:
+                    terms = np.add.reduceat(terms, heads, axis=1)
+                np.add(terms, bias, out=out)
             if relu is True:
                 np.maximum(out, 0.0, out=out)
             elif relu is not False:

@@ -11,7 +11,9 @@ of ``Fraction`` coordinates (``grid_shift``, ``ShiftedGrid``) with their
 images through the digit recursion (``xi``), the reference for the
 lattice images of the exact audit. So is the ``--out-net`` text built
 as a dict of Python lists and rendered by ``json.dumps``
-(``net_json_text``), the byte reference for the column encoder.
+(``net_json_text``), the byte reference for the column encoder, and
+the gather-based forward pass (``take_forward``), the bit-for-bit
+reference for ``ReluNetwork.eval_batch``.
 """
 
 import itertools
@@ -174,6 +176,43 @@ def dag_forward(net, X) -> np.ndarray:
             acc = acc + w * vals[src]
         vals[unit.id] = np.maximum(acc, 0.0) if unit.kind == "relu" else acc
     return np.stack([vals[o] for o in net.output_ids], axis=1)
+
+
+def take_forward(net, X, block: int) -> np.ndarray:
+    """Network outputs at the rows of X, over blocks of ``block``
+    points, by the first layered forward pass: per block a fresh
+    (points, units) array; per layer the sources as a slice when they
+    are consecutive and through ``np.take`` otherwise, times the weights
+    unless all are 1, summed per unit by ``np.add.reduceat`` unless
+    every unit has one edge, plus the bias, and ReLU on the relu units.
+
+    Reads only the network's columns and ``output_ids``.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n_inputs = int(np.count_nonzero(net.layer == 0))
+    out = np.empty((len(X), len(net.output_ids)))
+    for start in range(0, len(X), block):
+        vals = np.empty((len(X[start : start + block]), len(net.layer)))
+        vals[:, :n_inputs] = X[start : start + block]
+        for lay in np.unique(net.layer[n_inputs:]):
+            u0, u1 = np.searchsorted(net.layer, [lay, lay + 1])
+            e0, e1 = np.searchsorted(net.dst, [u0, u1])
+            sources = net.src[e0:e1]
+            if np.array_equal(sources, np.arange(sources[0], sources[0] + len(sources))):
+                terms = vals[:, sources[0] : sources[-1] + 1]
+            else:
+                terms = np.take(vals, sources, axis=1)
+            if not np.all(net.w[e0:e1] == 1.0):
+                terms = terms * net.w[e0:e1]
+            if e1 - e0 > u1 - u0:
+                heads = np.searchsorted(net.dst[e0:e1], np.arange(u0, u1))
+                terms = np.add.reduceat(terms, heads, axis=1)
+            layer_vals = vals[:, u0:u1]
+            np.add(terms, net.bias[u0:u1], out=layer_vals)
+            relu = net.kind[u0:u1] == "relu"
+            layer_vals[:, relu] = np.maximum(layer_vals[:, relu], 0.0)
+        out[start : start + block] = vals[:, net.output_ids]
+    return out
 
 
 def json_network(doc: dict) -> SimpleNamespace:

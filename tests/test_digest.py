@@ -1,16 +1,22 @@
 """tools/digest.py prints one sha256 per run_pipeline report and state,
-of the JSON text kst writes, and one per file the cli-net-n2 commands
-write. Checked on the cheap zero target."""
+of the JSON text kst writes, one per file the cli-net-n2 commands
+write, and one of the net file's forward pass. Checked on the cheap
+zero target."""
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
+import numpy as np
+
+from kst import relunet
 from kst.cli import _json_text, main
 from kst.decompose import state_to_json_dict
 from kst.params import make_params
 from kst.pipeline import PipelineCaps, run_pipeline
 from kst.target import builtin_target
+from oracles import take_forward
 
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
 
@@ -55,19 +61,25 @@ def test_one_line_per_report_and_state(monkeypatch, capsys, tmp_path):
     files = ["state", "csv", "report", "net"]
     assert [line.rsplit(" ", 1)[0] for line in lines] == [
         f"{seed} {what}" for seed in (5, 6)
-        for what in ["zero report", "zero state"] + [f"cli-net-n2 {f}" for f in files]]
-    # the digests of the files the commands write
-    for seed, cli_lines in zip((5, 6), (lines[2:6], lines[8:12])):
+        for what in ["zero report", "zero state"]
+        + [f"cli-net-n2 {f}" for f in files + ["forward"]]]
+    # the digests of the files the commands write and of the forward pass
+    for seed, cli_lines in zip((5, 6), (lines[2:7], lines[9:14])):
         paths = {f: str(tmp_path / f"{seed}-{f}") for f in files}
         for command in tool.CLI_NET_N2:
             assert main([arg.format(seed=seed, **paths) for arg in command]) == 0
         for f, line in zip(files, cli_lines):
             assert line.endswith(" " + hashlib.sha256(Path(paths[f]).read_bytes()).hexdigest())
+        net = tool.net_from_file(paths["net"])
+        assert net.W == json.loads(Path(paths["net"]).read_text())["meta"]["W"]
+        block = relunet.FORWARD_BLOCK_ELEMENTS // max(len(net.w), len(net.layer))
+        out = take_forward(net, np.random.default_rng(seed).random((500, 2)), block)
+        assert cli_lines[4].endswith(" " + hashlib.sha256(out.tobytes()).hexdigest())
     # the digests of the texts kst writes, seed by seed
-    for seed, (report_line, state_line) in zip((5, 6), (lines[:2], lines[6:8])):
+    for seed, (report_line, state_line) in zip((5, 6), (lines[:2], lines[7:9])):
         caps = PipelineCaps(r_cap=3, seed=seed)
         _, report, state = run_pipeline(builtin_target("zero", 2), 0.25, caps, make_params(2))
         sha = lambda doc: hashlib.sha256(_json_text(doc).encode()).hexdigest()
         assert report_line.endswith(" " + sha(report.to_json_dict()))
         assert state_line.endswith(" " + sha(state_to_json_dict(state)))
-    assert lines[1].split()[-1] != lines[7].split()[-1]  # the state records its seed
+    assert lines[1].split()[-1] != lines[8].split()[-1]  # the state records its seed

@@ -20,7 +20,7 @@ from kst.relunet import (
     json_parts,
 )
 from kst.target import builtin_target
-from oracles import columns_json_text, dag_forward, net_json_text
+from oracles import columns_json_text, dag_forward, net_json_text, take_forward
 
 
 def one_row(net, x):
@@ -112,6 +112,85 @@ class TestEvalNet:
         cols = two_hinges(0.0) | {"w": [1.0, 1.0, 1.0, 1.0]} | change
         with pytest.raises(InternalCheckError, match=message):
             ReluNetwork(**cols, output_ids=[3])
+
+    def test_negative_layer_refused(self):
+        with pytest.raises(InternalCheckError, match="negative layer"):
+            ReluNetwork(kind=["relu"], layer=[-1], bias=[0.5], src=[], dst=[], w=[],
+                        output_ids=[0])
+
+
+def small_floats():
+    return st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                     st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def layered_columns(draw):
+    """Columns of a small layered network. Each layer draws how its
+    units read lower units (constant-source runs, a consecutive slice,
+    the same in shuffled order, or scattered sources, from any lower
+    layer, so skip edges occur), one or
+    several edges per unit, all-1 or general weights, and all-relu,
+    all-linear or mixed kinds."""
+    n_inputs = draw(st.integers(1, 3))
+    kind, layer, src, dst, w = ["input"] * n_inputs, [0] * n_inputs, [], [], []
+    for lay in range(1, draw(st.integers(1, 4)) + 1):
+        lower, first = len(layer), len(layer)
+        size = draw(st.integers(1, 6))
+        fan_in = [1] * size if draw(st.booleans()) else draw(
+            st.lists(st.integers(1, 3), min_size=size, max_size=size))
+        pattern = draw(st.sampled_from(["runs", "slice", "shuffled slice", "scattered"]))
+        total = sum(fan_in)
+        if pattern.endswith("slice") and total <= lower:
+            start = draw(st.integers(0, lower - total))
+            sources = list(range(start, start + total))
+            if pattern == "shuffled slice":
+                sources = draw(st.permutations(sources))
+        elif pattern == "runs":
+            cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=2))) if total > 1 else []
+            runs = draw(st.lists(st.integers(0, lower - 1), min_size=len(cuts) + 1,
+                                 max_size=len(cuts) + 1))
+            sources = np.repeat(runs, np.diff([0, *cuts, total])).tolist()
+        else:
+            sources = draw(st.lists(st.integers(0, lower - 1), min_size=total, max_size=total))
+        for unit, edges in enumerate(np.split(np.asarray(sources), np.cumsum(fan_in)[:-1])):
+            src += sorted(edges.tolist())
+            dst += [first + unit] * len(edges)
+        mode = draw(st.sampled_from(["relu", "linear", "mixed"]))
+        kinds = st.sampled_from(["relu", "linear"]) if mode == "mixed" else st.just(mode)
+        kind += draw(st.lists(kinds, min_size=size, max_size=size))
+        layer += [lay] * size
+        w += [1.0] * total if draw(st.booleans()) else draw(
+            st.lists(small_floats(), min_size=total, max_size=total))
+    outputs = draw(st.lists(st.integers(0, len(layer) - 1), min_size=1, max_size=3))
+    return dict(kind=kind, layer=layer, src=src, dst=dst, w=w, output_ids=outputs,
+                bias=draw(st.lists(small_floats(), min_size=len(layer), max_size=len(layer))))
+
+
+class TestForwardReference:
+    """``eval_batch`` against the gather-based reference, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(layered_columns(), st.integers(1, 7), st.data())
+    def test_matches_take_forward(self, cols, block, data):
+        n_inputs = cols["layer"].count(0)
+        batches = [np.asarray(data.draw(st.lists(
+            st.lists(small_floats(), min_size=n_inputs, max_size=n_inputs),
+            min_size=size, max_size=size))) for size in (block * 2 + 1, block + 3)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relunet, "_RUN_VALUES", 1)  # every eligible layer by runs
+            net = ReluNetwork(**cols)
+            # blocks of `block` points, the last one short
+            mp.setattr(relunet, "FORWARD_BLOCK_ELEMENTS", block * max(len(net.w), len(net.layer)))
+            for X in batches:
+                assert net.eval_batch(X).tobytes() == take_forward(net, X, block).tobytes()
+
+    def test_program_networks_read_runs(self, small_assembly):
+        _, asm = small_assembly
+        runs = [isinstance(plan[1], list) for plan in asm.network._plan]
+        assert runs == [True, False, False, True, False, False]
+        uni = build_univariate(lambda x: x * x, 1.0, 9).network
+        assert [isinstance(plan[1], list) for plan in uni._plan] == [True, False]
 
 
 class TestBuildUnivariate:

@@ -13,8 +13,12 @@ JSON text as ``kst`` writes them (sorted keys, indent 2). Then it runs
 the ``kst decompose`` and ``kst assemble`` commands of the workload
 cli-net-n2 with ``--seed S`` in a temporary directory and prints
 ``S cli-net-n2 FILE SHA256`` for each file they write: state, csv,
-report and net. ``kst`` is imported from PYTHONPATH, so the same tool
-digests any checkout.
+report and net. Last comes ``S cli-net-n2 forward SHA256``, the sha256
+of the outputs that the net file's network, rebuilt as a
+``ReluNetwork``, gives by ``eval_batch`` at the workload's 500 points
+``default_rng(S).random((500, 2))``. ``kst`` is imported from
+PYTHONPATH, so the same tool digests any checkout, its forward pass
+included.
 
 State lines differ by design between checkouts that write different
 state schemas: a ``kst-decomposition/2`` state holds each layer's depth
@@ -32,10 +36,13 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from kst import cli
 from kst.decompose import state_to_json_dict
 from kst.params import make_params
 from kst.pipeline import PipelineCaps, run_pipeline
+from kst.relunet import ReluNetwork
 from kst.target import builtin_target, expression_target
 
 EPS = 0.25
@@ -56,6 +63,7 @@ CLI_NET_N2 = [
      "--out-report", "{report}", "--out-net", "{net}"],
 ]
 CLI_FILES = ("state", "csv", "report", "net")
+FORWARD_POINTS = 500
 
 
 def sha256_json(doc: dict) -> str:
@@ -72,7 +80,8 @@ def digest_lines(seed: int, name: str, target) -> list[str]:
 
 
 def cli_lines(seed: int) -> list[str]:
-    """The lines of the four files the cli-net-n2 commands write."""
+    """The lines of the four files the cli-net-n2 commands write, and
+    of the forward pass of the net file's network."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {key: os.path.join(tmp, key) for key in CLI_FILES}
         for command in CLI_NET_N2:
@@ -83,7 +92,20 @@ def cli_lines(seed: int) -> list[str]:
         for key, path in paths.items():
             with open(path, "rb") as fh:
                 lines.append(f"{seed} cli-net-n2 {key} {hashlib.sha256(fh.read()).hexdigest()}")
-        return lines
+        out = net_from_file(paths["net"]).eval_batch(
+            np.random.default_rng(seed).random((FORWARD_POINTS, 2)))
+        return lines + [f"{seed} cli-net-n2 forward {hashlib.sha256(out.tobytes()).hexdigest()}"]
+
+
+def net_from_file(path: str) -> ReluNetwork:
+    """The network of an ``--out-net`` file; its float texts are
+    17-digit decimals, so each parses to the written value."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    units, edges = doc["units"], doc["edges"]
+    return ReluNetwork(units["kind"], units["layer"], np.array(units["bias"], dtype=float),
+                       edges["from"], edges["to"], np.array(edges["w"], dtype=float),
+                       doc["meta"]["outputs"])
 
 
 def main(argv: list[str] | None = None) -> int:
