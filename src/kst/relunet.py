@@ -228,8 +228,8 @@ class ReluNetwork:
         edge heads (None when every unit has one edge) and ReLU selector
         (a bool when uniform) of one layer. The sources are a slice when
         contiguous, a list of (source, first edge, end edge) runs when a
-        layer of one-edge, weight-1 units reads few distinct runs of one
-        source unit each, and an index array otherwise."""
+        layer of one-edge, weight-1 units reads its sources in long runs
+        of one unit, and an index array otherwise."""
         u0, u1 = np.searchsorted(self.layer, [lay, lay + 1])
         e0, e1 = np.searchsorted(self.dst, [u0, u1])
         sources = self.src[e0:e1]
@@ -270,6 +270,7 @@ class ReluNetwork:
         return _Rows(lambda s, d, w: (s, d, w), (self.src, self.dst, self.w))
 
     def _block_points(self) -> int:
+        """Points per forward block."""
         return max(1, FORWARD_BLOCK_ELEMENTS // max(len(self.w), len(self.layer)))
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
@@ -301,6 +302,8 @@ class ReluNetwork:
                     terms = vals[:, sources]
                 else:
                     terms = buffer[: len(vals) * len(sources)].reshape(len(vals), -1)
+                    # ids are range-checked; with mode="raise", np.take
+                    # would write through a temporary copy of out
                     np.take(vals, sources, axis=1, out=terms, mode="clip")
                 if weights is not None:
                     terms = np.multiply(terms, weights,

@@ -129,30 +129,29 @@ def layered_columns(draw):
     """Columns of a small layered network. Each layer draws how its
     units read lower units (constant-source runs, a consecutive slice,
     the same in shuffled order, or scattered sources, from any lower
-    layer, so skip edges occur), one or
-    several edges per unit, all-1 or general weights, and all-relu,
-    all-linear or mixed kinds."""
+    layer, so skip edges occur), one or several edges per unit, all-1
+    or general weights, and all-relu, all-linear or mixed kinds."""
     n_inputs = draw(st.integers(1, 3))
     kind, layer, src, dst, w = ["input"] * n_inputs, [0] * n_inputs, [], [], []
     for lay in range(1, draw(st.integers(1, 4)) + 1):
-        lower, first = len(layer), len(layer)
+        first = len(layer)
         size = draw(st.integers(1, 6))
         fan_in = [1] * size if draw(st.booleans()) else draw(
             st.lists(st.integers(1, 3), min_size=size, max_size=size))
         pattern = draw(st.sampled_from(["runs", "slice", "shuffled slice", "scattered"]))
         total = sum(fan_in)
-        if pattern.endswith("slice") and total <= lower:
-            start = draw(st.integers(0, lower - total))
+        if pattern.endswith("slice") and total <= first:
+            start = draw(st.integers(0, first - total))
             sources = list(range(start, start + total))
             if pattern == "shuffled slice":
                 sources = draw(st.permutations(sources))
         elif pattern == "runs":
             cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=2))) if total > 1 else []
-            runs = draw(st.lists(st.integers(0, lower - 1), min_size=len(cuts) + 1,
+            runs = draw(st.lists(st.integers(0, first - 1), min_size=len(cuts) + 1,
                                  max_size=len(cuts) + 1))
             sources = np.repeat(runs, np.diff([0, *cuts, total])).tolist()
         else:
-            sources = draw(st.lists(st.integers(0, lower - 1), min_size=total, max_size=total))
+            sources = draw(st.lists(st.integers(0, first - 1), min_size=total, max_size=total))
         for unit, edges in enumerate(np.split(np.asarray(sources), np.cumsum(fan_in)[:-1])):
             src += sorted(edges.tolist())
             dst += [first + unit] * len(edges)
@@ -176,7 +175,7 @@ class TestForwardReference:
         n_inputs = cols["layer"].count(0)
         batches = [np.asarray(data.draw(st.lists(
             st.lists(small_floats(), min_size=n_inputs, max_size=n_inputs),
-            min_size=size, max_size=size))) for size in (block * 2 + 1, block + 3)]
+            min_size=size, max_size=size))) for size in (2 * block + 1, block + 1)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(relunet, "_RUN_VALUES", 1)  # every eligible layer by runs
             net = ReluNetwork(**cols)
