@@ -7,11 +7,12 @@ layer-major order, so a unit's id is its position and each layer is a
 contiguous range, and its edges as src/dst/w arrays sorted by
 (dst, src). The forward pass runs layer by layer over blocks of points,
 in one (points x units) value array and one term array allocated per
-call. A layer of one-edge, weight-1 units whose sources come in long
-runs of one unit adds each run's source column to the run's biases
-straight into the layer's values; any other layer reads its sources as
-a slice or by one gather, weights them, sums them per destination and
-adds the bias. Then ReLU is applied in place on the relu units.
+call. A layer of one-edge, weight-1 units whose sources are not one
+slice reads them as runs of one source unit: each run's source column
+is added to the run's biases straight into the layer's values. Any
+other layer reads its sources as a slice or by one gather, weights
+them, sums them per destination and adds the bias. Then ReLU is applied
+in place on the relu units.
 
 The builder realizes the interpolant of a sampled function as
 c_0 + sum_i a_i * ReLU(x - t_i), a depth-2 network whose size is linear
@@ -46,10 +47,6 @@ MATERIALIZE_UNIT_CAP = 2_000_000
 # two arrays are allocated once per eval_batch call, for one block.
 FORWARD_BLOCK_ELEMENTS = 1 << 20
 KINDS = ("input", "relu", "linear")
-# A run of one source unit is read by one broadcast add, which costs
-# about as much as gathering this many values (points x edges) would, so
-# a layer whose runs are shorter than this on average is gathered.
-_RUN_VALUES = 2048
 _ROW_CHUNK = 1 << 16
 
 
@@ -227,9 +224,9 @@ class ReluNetwork:
         """Unit range, sources, weights (None when all are 1), per-unit
         edge heads (None when every unit has one edge) and ReLU selector
         (a bool when uniform) of one layer. The sources are a slice when
-        contiguous, a list of (source, first edge, end edge) runs when a
-        layer of one-edge, weight-1 units reads its sources in long runs
-        of one unit, and an index array otherwise."""
+        contiguous, otherwise a list of (source, first edge, end edge)
+        runs of one source unit when every unit has one edge of weight 1,
+        and an index array otherwise."""
         u0, u1 = np.searchsorted(self.layer, [lay, lay + 1])
         e0, e1 = np.searchsorted(self.dst, [u0, u1])
         sources = self.src[e0:e1]
@@ -239,11 +236,10 @@ class ReluNetwork:
         heads = None
         if e1 - e0 > u1 - u0:
             heads = np.searchsorted(self.dst[e0:e1], np.arange(u0, u1))
-        starts = np.flatnonzero(np.diff(sources, prepend=-1)).tolist()
         if sources[-1] - sources[0] == e1 - e0 - 1 and np.all(np.diff(sources) == 1):
             sources = slice(int(sources[0]), int(sources[-1]) + 1)
-        elif weights is None and heads is None and (
-                len(starts) * _RUN_VALUES <= self._block_points() * len(sources)):
+        elif weights is None and heads is None:
+            starts = np.flatnonzero(np.diff(sources, prepend=-1)).tolist()
             ends = starts[1:] + [len(sources)]
             sources = [(int(sources[a]), a, b) for a, b in zip(starts, ends)]
         relu = self.kind[u0:u1] == "relu"
@@ -269,17 +265,13 @@ class ReluNetwork:
         """The edges as (src, dst, w) tuples, built on access."""
         return _Rows(lambda s, d, w: (s, d, w), (self.src, self.dst, self.w))
 
-    def _block_points(self) -> int:
-        """Points per forward block."""
-        return max(1, FORWARD_BLOCK_ELEMENTS // max(len(self.w), len(self.layer)))
-
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Outputs at the rows of X, as a (points, outputs) array."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_inputs:
             raise DomainError(f"expected {self.n_inputs} inputs, got {X.shape[1]}")
         out = np.empty((X.shape[0], len(self.output_ids)))
-        step = self._block_points()
+        step = max(1, FORWARD_BLOCK_ELEMENTS // max(len(self.w), len(self.layer)))
         rows = min(step, X.shape[0])
         vals = np.empty((rows, len(self.layer)))
         terms = np.empty(rows * self._widest)
@@ -290,7 +282,8 @@ class ReluNetwork:
 
     def _forward(self, X: np.ndarray, vals: np.ndarray, buffer: np.ndarray) -> np.ndarray:
         """Outputs at the rows of X, computed in vals, a (points, units)
-        buffer, with buffer holding each layer's (points x edges) terms."""
+        buffer, with buffer holding a layer's weighted (points x edges)
+        terms."""
         vals[:, : self.n_inputs] = X
         for units, sources, weights, heads, relu in self._plan:
             out, bias = vals[:, units], self.bias[units]
@@ -301,10 +294,7 @@ class ReluNetwork:
                 if isinstance(sources, slice):
                     terms = vals[:, sources]
                 else:
-                    terms = buffer[: len(vals) * len(sources)].reshape(len(vals), -1)
-                    # ids are range-checked; with mode="raise", np.take
-                    # would write through a temporary copy of out
-                    np.take(vals, sources, axis=1, out=terms, mode="clip")
+                    terms = np.take(vals, sources, axis=1)
                 if weights is not None:
                     terms = np.multiply(terms, weights,
                                         out=buffer[: terms.size].reshape(terms.shape))

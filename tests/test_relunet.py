@@ -176,9 +176,8 @@ class TestForwardReference:
         batches = [np.asarray(data.draw(st.lists(
             st.lists(small_floats(), min_size=n_inputs, max_size=n_inputs),
             min_size=size, max_size=size))) for size in (2 * block + 1, block + 1)]
+        net = ReluNetwork(**cols)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(relunet, "_RUN_VALUES", 1)  # every eligible layer by runs
-            net = ReluNetwork(**cols)
             # blocks of `block` points, the last one short
             mp.setattr(relunet, "FORWARD_BLOCK_ELEMENTS", block * max(len(net.w), len(net.layer)))
             for X in batches:
