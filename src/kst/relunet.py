@@ -46,6 +46,10 @@ MATERIALIZE_UNIT_CAP = 2_000_000
 # (8 MB each); blocks that fit in cache run faster than larger ones. The
 # two arrays are allocated once per eval_batch call, for one block.
 FORWARD_BLOCK_ELEMENTS = 1 << 20
+# build_univariate audits its cells in blocks of this many, so one
+# block's interior audit points (cells times the audit factor less one)
+# take a few MB, whatever the knot count.
+AUDIT_BLOCK_CELLS = 1 << 14
 KINDS = ("input", "relu", "linear")
 _ROW_CHUNK = 1 << 16
 
@@ -348,8 +352,8 @@ class UnivariateNet:
 
     @property
     def W(self) -> int:
-        c0, t, a = self.hinge_coeffs()
-        return 2 * len(t) + int(np.count_nonzero(t)) + (1 if c0 != 0.0 else 0)
+        t = self.knots[:-1]
+        return 2 * len(t) + int(np.count_nonzero(t)) + int(self.values[0] != 0.0)
 
     @property
     def L(self) -> int:
@@ -375,6 +379,16 @@ class UnivariateNet:
         return self._network
 
 
+def _sample(g: Callable, x: np.ndarray) -> np.ndarray:
+    """g at the points x, refused unless it is finite and of x's shape."""
+    y = np.asarray(g(x), dtype=float)
+    if y.shape != x.shape:
+        raise DomainError("reference function is not vectorized")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("reference function is not finite on the audit grid")
+    return y
+
+
 def build_univariate(
     g: Callable,
     M: float,
@@ -385,12 +399,17 @@ def build_univariate(
 ) -> UnivariateNet:
     """Interpolate g on [0, M] with N uniform segments (or given knots).
 
-    g maps an array to its values and is called once, on the audit grid.
-    The measured error is the max deviation from g on a grid refining
-    every cell at least ``audit_factor`` times; coarse builds get extra
-    refinement so the sup estimate is not limited by the audit density.
-    ``values`` may supply exact knot samples when g itself is a cheaper
-    approximation of them.
+    g is pointwise: it maps an array to the array of its values at each
+    point. It is called once on the knots, which gives the knot values
+    unless ``values`` supplies them (exact samples, when g is a cheaper
+    approximation of them), and then on the interior audit points of
+    blocks of ``AUDIT_BLOCK_CELLS`` cells. The audit refines every cell
+    at least ``audit_factor`` times, more for coarse builds so the sup
+    estimate is not limited by the audit density, and each audit point
+    is evaluated once. The measured error is the max deviation of the
+    interpolant from g over the audit points, knots included. A
+    non-finite value of g anywhere on them is refused with DomainError.
+    Memory is O(knots): the audit grid is never held whole.
     """
     if knots is None:
         if N < 1:
@@ -404,25 +423,26 @@ def build_univariate(
             raise DomainError("knots must be strictly increasing")
         if knots[0] != 0.0 or abs(knots[-1] - M) > 1e-12:
             raise DomainError("knots must span [0, M]")
-    if values is not None:
-        values = np.asarray(values, dtype=float)
-        if values.shape != knots.shape:
-            raise DomainError("knot values do not match the knot set")
-    factor = max(audit_factor, -(-1024 // (len(knots) - 1)))
-    left = knots[:-1, None]
-    right = knots[1:, None]
-    frac = np.arange(factor)[None, :] / factor
-    # frac[0] is 0.0, so every factor-th audit point is a knot exactly
-    audit = np.append((left + (right - left) * frac).ravel(), knots[-1])
-    g_audit = np.asarray(g(audit), dtype=float)
-    if g_audit.shape != audit.shape:
-        raise DomainError("reference function is not vectorized")
+    # the knots are the audit points of fraction 0; the interpolant
+    # deviates from g there only when the values are supplied
+    g_knots = _sample(g, knots)
+    eps = 0.0
     if values is None:
-        values = g_audit[::factor].copy()
-    if not np.all(np.isfinite(values)):
-        raise DomainError("reference function is not finite on the knot set")
-    interp = np.interp(audit, knots, values)
-    eps = float(np.max(np.abs(g_audit - interp)))
+        values = g_knots if g_knots.base is None else g_knots.copy()
+    else:
+        values = np.asarray(values, dtype=float)
+        if values.shape != knots.shape or not np.all(np.isfinite(values)):
+            raise DomainError("knot values are not finite or do not match the knot set")
+        eps = float(np.max(np.abs(g_knots - values)))
+    factor = max(audit_factor, -(-1024 // (len(knots) - 1)))
+    frac = np.arange(1, factor) / factor
+    for s in range(0, len(knots) - 1, AUDIT_BLOCK_CELLS):
+        xp = knots[s : s + AUDIT_BLOCK_CELLS + 1]
+        fp = values[s : s + AUDIT_BLOCK_CELLS + 1]
+        left = xp[:-1, None]
+        x = (left + (xp[1:, None] - left) * frac).ravel()
+        deviation = np.abs(_sample(g, x) - np.interp(x, xp, fp))
+        eps = max(eps, float(np.max(deviation, initial=0.0)))
     return UnivariateNet(
         knots=knots,
         values=values,
@@ -507,7 +527,7 @@ def assemble_kst(
             raise DomainError("outer net domain does not cover the image interval")
     lam_floats = np.asarray([float(v) for v in lambdas.values])
 
-    _, t_psi, _ = psi_net.hinge_coeffs()
+    t_psi = psi_net.knots[:-1]
     W_psi = psi_net.W
     W_phis = [net.W for net in phi_nets]
 

@@ -13,7 +13,10 @@ lattice images of the exact audit. So is the ``--out-net`` text built
 as a dict of Python lists and rendered by ``json.dumps``
 (``net_json_text``), the byte reference for the column encoder, and
 the gather-based forward pass (``take_forward``), the bit-for-bit
-reference for ``ReluNetwork.eval_batch``.
+reference for ``ReluNetwork.eval_batch``, and the univariate build that
+samples its whole audit grid in one call (``whole_grid_univariate``,
+over ``audit_grid``), the bit-for-bit reference for the blocked audit
+of ``build_univariate``.
 """
 
 import itertools
@@ -27,6 +30,7 @@ import numpy as np
 
 from kst.errors import DomainError
 from kst.params import beta
+from kst.relunet import UnivariateNet
 from kst.target import BinOp, Call, Neg, Num, Var
 
 
@@ -213,6 +217,33 @@ def take_forward(net, X, block: int) -> np.ndarray:
             layer_vals[:, relu] = np.maximum(layer_vals[:, relu], 0.0)
         out[start : start + block] = vals[:, net.output_ids]
     return out
+
+
+def audit_grid(knots: np.ndarray, audit_factor: int) -> tuple[np.ndarray, int]:
+    """The whole audit grid of ``build_univariate`` over knots, in
+    ascending order, and its refinement factor: every cell cut into
+    factor parts, factor at least audit_factor and at least 1024 parts
+    in all, and the last knot. Every factor-th point is a knot."""
+    factor = max(audit_factor, -(-1024 // (len(knots) - 1)))
+    left = knots[:-1, None]
+    right = knots[1:, None]
+    frac = np.arange(factor)[None, :] / factor
+    return np.append((left + (right - left) * frac).ravel(), knots[-1]), factor
+
+
+def whole_grid_univariate(g, M: float, N: int, knots=None, audit_factor: int = 10,
+                          values=None) -> UnivariateNet:
+    """``build_univariate`` on valid input as it was before its audit
+    went by blocks: g called once on the whole audit grid, the knot
+    values read off that call unless supplied, and the error the max
+    deviation from one ``np.interp`` over the whole grid."""
+    knots = np.linspace(0.0, float(M), N + 1) if knots is None else np.asarray(knots, dtype=float)
+    audit, factor = audit_grid(knots, audit_factor)
+    g_audit = np.asarray(g(audit), dtype=float)
+    if values is None:
+        values = g_audit[::factor].copy()
+    eps = float(np.max(np.abs(g_audit - np.interp(audit, knots, values))))
+    return UnivariateNet(knots=knots, values=values, domain=float(M), eps_measured=eps)
 
 
 def json_network(doc: dict) -> SimpleNamespace:

@@ -28,7 +28,13 @@ from kst.errors import BudgetError, ConstraintViolation, DomainError
 from kst.inner import InnerEvaluator
 from kst.params import beta, make_params
 from kst.target import builtin_target
-from oracles import active_bump_counts, dense_phi_sum, grid_shift, two_candidate_phi
+from oracles import (
+    active_bump_counts,
+    audit_grid,
+    dense_phi_sum,
+    grid_shift,
+    two_candidate_phi,
+)
 
 
 @pytest.fixture(scope="module")
@@ -385,23 +391,31 @@ class TestEvaluatePhi:
                 assert value == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
 
     def test_outer_audit_grids_match_two_candidates(self, product_r3, monkeypatch):
-        # the ascending audit grids build_outer_nets hands to phi_batch
-        # for the breakpoint-knot nets of an r=3 product state
+        # the ascending blocks of audit points build_outer_nets hands to
+        # phi_batch for the breakpoint-knot nets of an r=3 product state:
+        # per family the knots, then the interior points block by block
         state = product_r3
-        grids = []
+        blocks = []
 
         def keep(state, j, y):
-            grids.append((j, y))
+            blocks.append((j, y))
             return phi_batch(state, j, y)
 
         monkeypatch.setattr(pipeline, "phi_batch", keep)
         nu = lipschitz_report(state)["nu_r"]
         eps_phi = pipeline.epsilon_split(state.params, nu, 0.25)["eps_phi"]
-        pipeline.build_outer_nets(state, eps_phi, pipeline.PipelineCaps())
-        assert [j for j, _ in grids] == list(range(state.params.m + 1))
-        for j, y in grids:
-            assert y.size > 500_000 and np.all(y[1:] >= y[:-1])
-            assert phi_batch(state, j, y).tobytes() == two_candidate_phi(state, j, y).tobytes()
+        nets, _ = pipeline.build_outer_nets(state, eps_phi, pipeline.PipelineCaps())
+        families = [j for j, _ in blocks]
+        assert families == sorted(families) and set(families) == set(range(state.params.m + 1))
+        for j, net in enumerate(nets):
+            ys = [y for jj, y in blocks if jj == j]
+            assert ys[0].tobytes() == net.knots.tobytes() and len(ys) > 2
+            grid, factor = audit_grid(net.knots, 4)
+            assert factor == 4 and grid.size > 500_000
+            assert np.sort(np.concatenate(ys)).tobytes() == grid.tobytes()
+            for y in ys:
+                assert np.all(y[1:] >= y[:-1])
+                assert phi_batch(state, j, y).tobytes() == two_candidate_phi(state, j, y).tobytes()
 
 
 class TestSharedGrid:

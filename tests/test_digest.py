@@ -83,3 +83,25 @@ def test_one_line_per_report_and_state(monkeypatch, capsys, tmp_path):
         assert report_line.endswith(" " + sha(report.to_json_dict()))
         assert state_line.endswith(" " + sha(state_to_json_dict(state)))
     assert lines[1].split()[-1] != lines[8].split()[-1]  # the state records its seed
+
+
+def test_n3_adds_one_report_line_per_seed(monkeypatch, capsys):
+    tool = _load_tool()
+    name, make, caps = tool.N3
+    assert name == "gaussian-n3" and make().dim == 3
+    assert make().provenance == {"kind": "builtin", "name": "gaussian"}
+    assert caps == dict(k_max=2, knot_budget=1_200_000, r_cap=1)
+    # the same line on the cheap zero target, after each seed's other lines
+    monkeypatch.setattr(tool, "TARGETS", [])
+    monkeypatch.setattr(tool, "cli_lines", lambda seed: [f"{seed} cli"])
+    monkeypatch.setattr(tool, "N3", ("zero-n3", lambda: builtin_target("zero", 3), caps))
+    assert tool.main(["--seeds", "5,6"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["5 cli", "6 cli"]
+    assert tool.main(["--seeds", "5,6", "--n3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0::2] == ["5 cli", "6 cli"]
+    for seed, line in zip((5, 6), lines[1::2]):
+        _, report, _ = run_pipeline(builtin_target("zero", 3), 0.25,
+                                    PipelineCaps(**caps, seed=seed), make_params(3))
+        sha = hashlib.sha256(_json_text(report.to_json_dict()).encode()).hexdigest()
+        assert line == f"{seed} zero-n3 report {sha}"

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,14 @@ from kst.relunet import (
     json_parts,
 )
 from kst.target import builtin_target
-from oracles import columns_json_text, dag_forward, net_json_text, take_forward
+from oracles import (
+    audit_grid,
+    columns_json_text,
+    dag_forward,
+    net_json_text,
+    take_forward,
+    whole_grid_univariate,
+)
 
 
 def one_row(net, x):
@@ -271,17 +279,123 @@ class TestBuildUnivariate:
             assert uni.W == uni.network.W
 
     @pytest.mark.parametrize("knots", [None, np.array([0.0, 0.1, 0.35, 0.36, 1.3, 2.0])])
-    def test_one_reference_pass(self, knots):
-        calls = []
-
+    def test_each_audit_point_once(self, knots, monkeypatch):
+        # the knots first, then one call per block of cells; together
+        # they are the whole audit grid, each point once
         def g(x):
-            calls.append(len(x))
+            calls.append(x.copy())
             return np.sin(3 * x) + x * x
 
-        uni = build_univariate(g, 2.0, 37, knots=knots)
-        assert len(calls) == 1 and calls[0] > len(uni.knots)
-        assert uni.values.tolist() == g(uni.knots).tolist()
+        for block in (1, 2, relunet.AUDIT_BLOCK_CELLS):
+            monkeypatch.setattr(relunet, "AUDIT_BLOCK_CELLS", block)
+            calls = []
+            uni = build_univariate(g, 2.0, 37, knots=knots)
+            cells = len(uni.knots) - 1
+            assert calls[0].tobytes() == uni.knots.tobytes()
+            assert len(calls) == 1 + -(-cells // block)
+            grid, _ = audit_grid(uni.knots, 10)
+            assert np.sort(np.concatenate(calls)).tobytes() == grid.tobytes()
+            assert uni.values.tobytes() == g(uni.knots).tobytes()
+            assert uni.values.base is None
+
+    def test_knot_values_own_their_buffer(self):
+        # g answers with a view; the kept values must not pin its base
+        uni = build_univariate(lambda x: np.stack([x * x, x])[0], 1.0, 8)
         assert uni.values.base is None
+        assert uni.values.tobytes() == (uni.knots * uni.knots).tobytes()
+
+    @pytest.mark.parametrize("cells", [relunet.AUDIT_BLOCK_CELLS + d for d in (-1, 0, 1)])
+    def test_matches_whole_grid_at_block_size(self, cells):
+        g = lambda x: np.sin(40 * x) + x * x
+        got = build_univariate(g, 1.5, cells)
+        want = whole_grid_univariate(g, 1.5, cells)
+        assert got.knots.tobytes() == want.knots.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.float64(got.eps_measured).tobytes() == np.float64(want.eps_measured).tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_matches_whole_grid(self, data):
+        block = data.draw(st.integers(1, 6), label="block")
+        cells = max(1, block + data.draw(st.sampled_from([-1, 0, 1, block + 1]), label="over"))
+        kind = data.draw(st.sampled_from(["uniform", "custom", "values"]), label="kind")
+        factor = data.draw(st.sampled_from([1, 4, 10]), label="audit_factor")
+        g = lambda x: np.sin(7 * x) + x * x
+        knots = values = None
+        M = data.draw(st.floats(0.5, 3.0), label="M")
+        if kind != "uniform":
+            # steps of ordinary gaps and of one ulp, where the interior
+            # audit points round onto a knot
+            knots = [0.0]
+            for _ in range(cells):
+                if len(knots) > 1 and data.draw(st.booleans(), label="ulp"):
+                    knots.append(float(np.nextafter(knots[-1], np.inf)))
+                else:
+                    knots.append(knots[-1] + data.draw(st.floats(1e-9, 0.5), label="gap"))
+            knots = np.asarray(knots)
+            M = knots[-1]
+        if kind == "values":
+            values = np.cos(3 * knots)
+        got = build_univariate(g, M, cells, knots=knots, audit_factor=factor, values=values)
+        want = whole_grid_univariate(g, M, cells, knots=knots, audit_factor=factor, values=values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relunet, "AUDIT_BLOCK_CELLS", block)
+            blocked = build_univariate(g, M, cells, knots=knots, audit_factor=factor, values=values)
+        for net in (got, blocked):
+            assert net.knots.tobytes() == want.knots.tobytes()
+            assert net.values.tobytes() == want.values.tobytes()
+            assert np.float64(net.eps_measured).tobytes() == np.float64(want.eps_measured).tobytes()
+
+    def test_ulp_cells_round_onto_their_right_knot(self):
+        # cells one ulp wide, as between the corner knots of pipeline-n2's
+        # outer nets: interior audit points land on the right knot
+        base = 1e-3
+        up = lambda x: np.nextafter(x, 1.0)
+        knots = np.array([0.0, base, up(base), up(up(base)), 1.0])
+        grid, factor = audit_grid(knots, 4)
+        assert np.any(grid[1:] == grid[:-1])
+        g = lambda x: np.where(x > base, 1.0, 0.0) + x
+        got = build_univariate(g, 1.0, 0, knots=knots, audit_factor=4)
+        want = whole_grid_univariate(g, 1.0, 0, knots=knots, audit_factor=4)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.float64(got.eps_measured).tobytes() == np.float64(want.eps_measured).tobytes()
+
+    @pytest.mark.parametrize("block", [1, relunet.AUDIT_BLOCK_CELLS])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reference_between_knots_refused(self, block, bad, monkeypatch):
+        # only audit points in (0.301, 0.309) are hit, no knot: the whole
+        # build used to report eps_measured = nan, which compares as clean
+        monkeypatch.setattr(relunet, "AUDIT_BLOCK_CELLS", block)
+        g = lambda x: np.where((x > 0.301) & (x < 0.309), bad, x * x)
+        assert np.all(np.isfinite(g(np.linspace(0.0, 1.0, 11))))
+        with pytest.raises(DomainError, match="not finite on the audit grid"):
+            build_univariate(g, 1.0, 10)
+        values = np.linspace(0.0, 1.0, 11) ** 2
+        with pytest.raises(DomainError, match="not finite on the audit grid"):
+            build_univariate(g, 1.0, 0, knots=np.linspace(0.0, 1.0, 11), values=values)
+
+    def test_non_finite_knot_values_refused(self):
+        with pytest.raises(DomainError, match="not finite"):
+            build_univariate(lambda x: np.where(x == 0.5, np.inf, x), 1.0, 2)
+        knots = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(DomainError, match="knot values"):
+            build_univariate(lambda x: x, 1.0, 0, knots=knots, values=np.array([0.0, np.nan, 1.0]))
+
+    def test_memory_linear_in_knots(self):
+        # numpy reports its buffers to tracemalloc, so the traced peak is
+        # deterministic; the whole audit grid (1M points here, about 8 MB
+        # per array) would not fit under this bound
+        n, factor = 100_000, 10
+        block_points = relunet.AUDIT_BLOCK_CELLS * (factor - 1)
+        bound = 4 * 8 * (n + 1) + 6 * 8 * block_points
+        tracemalloc.start()
+        try:
+            uni = build_univariate(lambda x: x * x, 1.0, n, audit_factor=factor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert uni.n_segments == n
+        assert peak < bound, (peak, bound)
 
     def test_custom_knots(self):
         knots = np.array([0.0, 0.25, 0.3, 1.0])

@@ -20,6 +20,11 @@ of the outputs that the net file's network, rebuilt as a
 PYTHONPATH, so the same tool digests any checkout, its forward pass
 included.
 
+With ``--n3`` each seed ends with one more line, ``S gaussian-n3 report
+SHA256``: the report of ``run_pipeline(gaussian n=3, 0.25,
+PipelineCaps(k_max=2, knot_budget=1_200_000, r_cap=1, seed=S))``, whose
+outer nets have 1,093,039 breakpoint knots each (about 4 s per seed).
+
 State lines differ by design between checkouts that write different
 state schemas: a ``kst-decomposition/2`` state holds each layer's depth
 and coefficients but no bump positions, plateaus or slopes, and no
@@ -63,6 +68,9 @@ CLI_NET_N2 = [
      "--out-report", "{report}", "--out-net", "{net}"],
 ]
 CLI_FILES = ("state", "csv", "report", "net")
+# The n=3 run of --n3: its name, target and caps but the seed.
+N3 = ("gaussian-n3", lambda: builtin_target("gaussian", 3),
+      dict(k_max=2, knot_budget=1_200_000, r_cap=1))
 FORWARD_POINTS = 500
 
 
@@ -77,6 +85,15 @@ def digest_lines(seed: int, name: str, target) -> list[str]:
     _, report, state = run_pipeline(target, EPS, caps, params=make_params(target.dim))
     return [f"{seed} {name} report {sha256_json(report.to_json_dict())}",
             f"{seed} {name} state {sha256_json(state_to_json_dict(state))}"]
+
+
+def n3_line(seed: int) -> str:
+    """The report line of the n=3 run."""
+    name, make, caps = N3
+    target = make()
+    _, report, _ = run_pipeline(target, EPS, PipelineCaps(**caps, seed=seed),
+                                params=make_params(target.dim))
+    return f"{seed} {name} report {sha256_json(report.to_json_dict())}"
 
 
 def cli_lines(seed: int) -> list[str]:
@@ -111,6 +128,7 @@ def net_from_file(path: str) -> ReluNetwork:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", required=True, help="comma-separated")
+    ap.add_argument("--n3", action="store_true", help="add the n=3 report line per seed")
     args = ap.parse_args(argv)
     for seed in (int(s) for s in args.seeds.split(",")):
         for name, make in TARGETS:
@@ -118,6 +136,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(line, flush=True)
         for line in cli_lines(seed):
             print(line, flush=True)
+        if args.n3:
+            print(n3_line(seed), flush=True)
     return 0
 
 
