@@ -352,7 +352,7 @@ class TestBuildUnivariate:
         base = 1e-3
         up = lambda x: np.nextafter(x, 1.0)
         knots = np.array([0.0, base, up(base), up(up(base)), 1.0])
-        grid, factor = audit_grid(knots, 4)
+        grid, _ = audit_grid(knots, 4)
         assert np.any(grid[1:] == grid[:-1])
         g = lambda x: np.where(x > base, 1.0, 0.0) + x
         got = build_univariate(g, 1.0, 0, knots=knots, audit_factor=4)
@@ -363,8 +363,8 @@ class TestBuildUnivariate:
     @pytest.mark.parametrize("block", [1, relunet.AUDIT_BLOCK_CELLS])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_reference_between_knots_refused(self, block, bad, monkeypatch):
-        # only audit points in (0.301, 0.309) are hit, no knot: the whole
-        # build used to report eps_measured = nan, which compares as clean
+        # only audit points in (0.301, 0.309) are hit, no knot; unchecked,
+        # the build reports eps_measured = nan, which compares as clean
         monkeypatch.setattr(relunet, "AUDIT_BLOCK_CELLS", block)
         g = lambda x: np.where((x > 0.301) & (x < 0.309), bad, x * x)
         assert np.all(np.isfinite(g(np.linspace(0.0, 1.0, 11))))
