@@ -3,21 +3,13 @@ and its realization as deep ReLU networks, with exact-rational grid
 arithmetic at desk scale."""
 
 from .params import KstParams, LambdaCoeffs, beta, lambda_coeffs, make_params
-from .inner import BaseGammaPoint, InnerEvaluator
+from .inner import InnerEvaluator
 from .bumps import b_k, disjoint_support_audit
-from .target import (
-    TargetFunction,
-    builtin_target,
-    eval_expr,
-    expression_target,
-    modulus_estimate,
-    parse,
-)
+from .target import TargetFunction, builtin_target, expression_target, parse
 from .decompose import (
     DecompositionCaps,
     DecompositionState,
     choose_k_r,
-    evaluate_f_r,
     init_state,
     iterate,
     lipschitz_report,
@@ -38,7 +30,6 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseGammaPoint",
     "DecompositionCaps",
     "DecompositionState",
     "InnerEvaluator",
@@ -58,15 +49,12 @@ __all__ = [
     "choose_k_r",
     "disjoint_support_audit",
     "epsilon_split",
-    "eval_expr",
-    "evaluate_f_r",
     "expression_target",
     "init_state",
     "iterate",
     "lambda_coeffs",
     "lipschitz_report",
     "make_params",
-    "modulus_estimate",
     "parse",
     "r_of_epsilon",
     "run_pipeline",

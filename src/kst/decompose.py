@@ -12,8 +12,8 @@ batch of random points; the true sup norm is unobservable and the same
 estimator is used both for choosing k_r and for reporting.
 
 States are immutable snapshots; iterate() returns a new one. The inner
-evaluator's memo tables are shared caches whose population is
-observationally invisible.
+evaluator's lattices and float tables are shared caches whose population
+is observationally invisible.
 """
 
 from __future__ import annotations
@@ -29,7 +29,12 @@ from .bumps import b_k, disjoint_support_audit, family_axis
 from .errors import BudgetError, ConstraintViolation, DomainError
 from .inner import InnerEvaluator
 from .params import KstParams, LambdaCoeffs, beta, lambda_coeffs, make_params
-from .target import TargetFunction, mesh_points, target_from_provenance
+from .target import (
+    TargetFunction,
+    default_audit_resolution,
+    mesh_points,
+    target_from_provenance,
+)
 
 STATE_SCHEMA = "kst-decomposition/2"
 
@@ -157,8 +162,7 @@ def init_state(
         raise DomainError("target dimension does not match params")
     caps = DecompositionCaps() if caps is None else caps
     if caps.audit_resolution is None:
-        # 101^2 mesh points at n = 2; 31^n keeps n >= 3 at desk scale
-        caps = replace(caps, audit_resolution=101 if params.n == 2 else 31)
+        caps = replace(caps, audit_resolution=default_audit_resolution(params.n))
     state = DecompositionState(
         params=params,
         lambdas=lambda_coeffs(params),
@@ -300,12 +304,6 @@ def f_r_at_points(state, pts: np.ndarray) -> np.ndarray:
     return total
 
 
-def evaluate_f_r(state, x) -> float:
-    """Approximant value at one point of the unit cube."""
-    pts = np.asarray([list(map(float, x))])
-    return float(f_r_at_points(state, pts)[0])
-
-
 def target_on_mesh(state, axes_floats: list[np.ndarray]) -> np.ndarray:
     vals = state.target.eval_batch(mesh_points(axes_floats))
     return vals.reshape(tuple(len(ax) for ax in axes_floats))
@@ -356,7 +354,7 @@ def residual_modulus(state, h: float) -> float:
 
 
 # Exact depth-1 min_gap per parameter record; a pure function of the
-# record, so, like the inner evaluator's memo, a cache only.
+# record, so, like the inner evaluator's lattices, a cache only.
 _depth_one_gaps: dict[KstParams, Fraction] = {}
 
 

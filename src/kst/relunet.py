@@ -409,8 +409,12 @@ def build_univariate(
     is evaluated once. The measured error is the max deviation of the
     interpolant from g over the audit points, knots included. A
     non-finite value of g anywhere on them is refused with DomainError.
-    Memory is O(knots): the audit grid is never held whole.
+    Memory is O(knots): the audit grid is never held whole. An
+    ``audit_factor`` below 2 would audit the knots alone, so DomainError
+    refuses it.
     """
+    if audit_factor < 2:
+        raise DomainError(f"audit_factor must be at least 2, got {audit_factor}")
     if knots is None:
         if N < 1:
             raise DomainError("N must be >= 1")

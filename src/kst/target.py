@@ -1,5 +1,5 @@
-"""Target functions on the unit cube: a registry of built-ins, a small
-expression language, and empirical modulus-of-continuity estimation.
+"""Target functions on the unit cube: a registry of built-ins and a small
+expression language.
 
 Grammar (EBNF):
 
@@ -28,9 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, ExpressionError
-
-MODULUS_POINT_BUDGET = 10**6
+from .errors import DomainError, ExpressionError
 
 FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sqrt": np.sqrt}
 # float_power calls the C library's pow like Python's ``**``; power
@@ -231,24 +229,6 @@ def _compile(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_expr(e: Expr, p: Sequence[float]) -> float:
-    """Value at one point, through the compiled form."""
-    return float(_evaluate(_compile(e), np.asarray(p, dtype=float)[None, :])[0])
-
-
-def pretty(e: Expr) -> str:
-    """Fully parenthesized rendering; parses back to the same function."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Neg):
-        return f"(-{pretty(e.operand)})"
-    if isinstance(e, Call):
-        return f"{e.func}({pretty(e.arg)})"
-    return f"({pretty(e.left)}{e.op}{pretty(e.right)})"
-
-
 # -- target functions --------------------------------------------------------
 
 
@@ -317,6 +297,12 @@ def builtin_target(name: str, n: int) -> TargetFunction:
     )
 
 
+def default_audit_resolution(n: int) -> int:
+    """Points per axis of the default audit mesh: 101**2 points at n = 2;
+    31**n keeps n >= 3 at desk scale."""
+    return 101 if n <= 2 else 31
+
+
 def expression_target(text: str, n: int, bound_resolution: int | None = None) -> TargetFunction:
     """Target from expression text.
 
@@ -325,7 +311,7 @@ def expression_target(text: str, n: int, bound_resolution: int | None = None) ->
     """
     fn = _compile(parse(text, n))
     if bound_resolution is None:
-        bound_resolution = 101 if n <= 2 else 31
+        bound_resolution = default_audit_resolution(n)
     pts = mesh_points([np.linspace(0.0, 1.0, bound_resolution)] * n)
     observed = float(np.max(np.abs(_evaluate(fn, pts))))
     return TargetFunction(
@@ -346,34 +332,3 @@ def mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     """The points of the product mesh of the axes, in row-major order."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def modulus_estimate(
-    f: TargetFunction, resolution: int, steps: Sequence[float]
-) -> dict[float, float]:
-    """Empirical modulus: max |f(x) - f(x')| over axis-aligned pairs.
-
-    For each step h the lattice has ``resolution`` points per axis and
-    x' = x + h*e_i, keeping pairs inside the cube. The returned table is
-    made nondecreasing in h by a cumulative maximum.
-    """
-    n = f.dim
-    if resolution**n > MODULUS_POINT_BUDGET:
-        raise BudgetError(
-            f"resolution**n = {resolution**n} exceeds {MODULUS_POINT_BUDGET}"
-        )
-    pts = mesh_points([np.linspace(0.0, 1.0, resolution)] * n)
-    base = f.eval_batch(pts)
-    table: dict[float, float] = {}
-    running = 0.0
-    for h in sorted(float(s) for s in steps):
-        for axis in range(n):
-            keep = pts[:, axis] + h <= 1.0 + 1e-12
-            if not np.any(keep):
-                continue
-            shifted = pts[keep]
-            shifted[:, axis] = np.minimum(shifted[:, axis] + h, 1.0)
-            vals = f.eval_batch(shifted)
-            running = max(running, float(np.max(np.abs(vals - base[keep]))))
-        table[h] = running
-    return table

@@ -2,11 +2,15 @@
 
 These are written directly from the defining recursions, with no
 memoization tricks shared with the library code, so they can serve as
-oracles for exact comparisons. The single trapezoidal bump
+oracles for exact comparisons. The digit recursion for the inner
+function (``DigitPsi`` over ``BaseGammaPoint``), with its certified
+continuum reader, is the reference for the lattice walk of
+``InnerEvaluator``. The single trapezoidal bump
 (``BumpSpec``, ``theta``, ``theta_exact``) lives here too: the library
 stores bumps as whole layers and never builds one alone. So does the
 point-by-point expression walker (``oracle_eval_expr``) that the
-compiled whole-array targets are checked against, and the shifted grids
+compiled whole-array targets are checked against, with the
+parenthesized rendering that parses back (``pretty``), and the shifted grids
 of ``Fraction`` coordinates (``grid_shift``, ``ShiftedGrid``) with their
 images through the digit recursion (``xi``), the reference for the
 lattice images of the exact audit. So is the ``--out-net`` text built
@@ -64,6 +68,181 @@ def oracle_closed_form(digits, n: int, gamma: int) -> Fraction:
     return acc
 
 
+@dataclass(frozen=True)
+class BaseGammaPoint:
+    """A grid point of D_k given by its base-gamma digits i_1..i_k.
+
+    Two points are equal iff their values agree after zero-padding to a
+    common depth, so equality and hashing go through the canonical form
+    with trailing zeros stripped.
+    """
+
+    digits: tuple[int, ...]
+    gamma: int
+
+    def __post_init__(self):
+        if len(self.digits) < 1:
+            raise DomainError("a grid point needs at least one digit")
+        if any(not (0 <= i < self.gamma) for i in self.digits):
+            raise DomainError(f"digits must lie in [0, {self.gamma - 1}]")
+
+    @property
+    def k(self) -> int:
+        return len(self.digits)
+
+    def canonical(self) -> tuple[int, ...]:
+        d = self.digits
+        end = len(d)
+        while end > 1 and d[end - 1] == 0:
+            end -= 1
+        return d[:end]
+
+    def value(self) -> Fraction:
+        g = self.gamma
+        acc = Fraction(0)
+        for pos, digit in enumerate(self.digits, start=1):
+            acc += Fraction(digit, g**pos)
+        return acc
+
+    def __eq__(self, other):
+        if not isinstance(other, BaseGammaPoint):
+            return NotImplemented
+        return self.gamma == other.gamma and self.canonical() == other.canonical()
+
+    def __hash__(self):
+        return hash((self.gamma, self.canonical()))
+
+    @staticmethod
+    def from_fraction(q: Fraction, gamma: int, max_depth: int = 64) -> "BaseGammaPoint":
+        """Digits of an exactly representable q in [0, 1)."""
+        if not (0 <= q < 1):
+            raise DomainError(f"grid points live in [0, 1), got {q}")
+        digits = []
+        rem = q
+        for _ in range(max_depth):
+            rem *= gamma
+            d = int(rem)  # floor; rem >= 0
+            digits.append(d)
+            rem -= d
+            if rem == 0:
+                return BaseGammaPoint(tuple(digits), gamma)
+        raise DomainError(f"{q} has no base-{gamma} expansion of depth <= {max_depth}")
+
+
+@dataclass(frozen=True)
+class PsiValue:
+    """Continuum evaluation result with its certified truncation bound."""
+
+    value_exact: Fraction
+    err_bound: float
+    k_trunc: int
+
+    @property
+    def value(self) -> float:
+        return float(self.value_exact)
+
+
+def _decimal_fraction(x) -> Fraction:
+    """Exact rational reading of an input coordinate: floats through
+    their shortest decimal representation, so 0.3 means 3/10; exact
+    types pass through unchanged."""
+    if isinstance(x, (Fraction, int, str)):
+        return Fraction(x)
+    return Fraction(repr(float(x)))
+
+
+def _add_ulp(prefix: tuple[int, ...], gamma: int) -> tuple[int, ...] | None:
+    """Digits of prefix + gamma**(-len(prefix)), or None on carry to 1."""
+    digits = list(prefix)
+    pos = len(digits) - 1
+    while pos >= 0:
+        if digits[pos] < gamma - 1:
+            digits[pos] += 1
+            return BaseGammaPoint(tuple(digits), gamma).canonical()
+        digits[pos] = 0
+        pos -= 1
+    return None
+
+
+class DigitPsi:
+    """psi by the memoized three-case recursion on canonical digit
+    tuples, in Fractions: the reference for the lattice walk of
+    ``InnerEvaluator``, with the certified continuum reader ``psi``."""
+
+    def __init__(self, params):
+        self.params = params
+        self._memo: dict[tuple[int, ...], Fraction] = {}
+
+    def psi_grid(self, d) -> Fraction:
+        """psi at a BaseGammaPoint, a digit tuple, or an exactly
+        representable Fraction in [0, 1)."""
+        g = self.params.gamma
+        if isinstance(d, BaseGammaPoint):
+            if d.gamma != g:
+                raise DomainError("grid point base does not match params")
+            key = d.canonical()
+        elif isinstance(d, tuple):
+            key = BaseGammaPoint(d, g).canonical()
+        else:
+            key = BaseGammaPoint.from_fraction(Fraction(d), g).canonical()
+        return self._psi(key)
+
+    def _psi(self, t: tuple[int, ...]) -> Fraction:
+        got = self._memo.get(t)
+        if got is not None:
+            return got
+        g, n = self.params.gamma, self.params.n
+        if len(t) == 1:
+            val = Fraction(t[0], g)
+        elif t[-1] < g - 1:
+            prefix = BaseGammaPoint(t[:-1], g).canonical()
+            val = self._psi(prefix) + t[-1] * Fraction(1, g ** beta(n, len(t)))
+        else:
+            # the right neighbour is the length k-1 prefix plus one ulp;
+            # the carry can reach 1, where psi is pinned to 1
+            left = self._psi(BaseGammaPoint(t[:-1] + (g - 2,), g).canonical())
+            carried = _add_ulp(t[:-1], g)
+            right = Fraction(1) if carried is None else self._psi(carried)
+            val = (left + right) / 2
+        self._memo[t] = val
+        return val
+
+    def psi_exact_extended(self, q: Fraction) -> Fraction:
+        """psi at a gamma-adic rational q in [0, 2)."""
+        if not (0 <= q < 2):
+            raise DomainError(f"psi domain is [0, 2), got {q}")
+        if q >= 1:
+            return 1 + self.psi_grid(q - 1)
+        return self.psi_grid(q)
+
+    def truncate_digits(self, q: Fraction, k_trunc: int) -> tuple[int, ...]:
+        """First k_trunc base-gamma digits of q in [0, 1)."""
+        g = self.params.gamma
+        digits = []
+        rem = q
+        for _ in range(k_trunc):
+            rem *= g
+            d = int(rem)
+            digits.append(d)
+            rem -= d
+        return tuple(digits)
+
+    def psi(self, x, k_trunc: int) -> PsiValue:
+        """psi at x in [0, 2) truncated to depth k_trunc, with the
+        Hoelder certificate nu * gamma**(-alpha * k_trunc) of the move."""
+        if k_trunc < 1:
+            raise DomainError("k_trunc must be >= 1")
+        q = _decimal_fraction(x)
+        if not (0 <= q < 2):
+            raise DomainError(f"psi domain is [0, 2), got {x}")
+        shift = 1 if q >= 1 else 0
+        digits = self.truncate_digits(q - shift, k_trunc)
+        exact = self._psi(BaseGammaPoint(digits, self.params.gamma).canonical()) + shift
+        p = self.params
+        err = p.nu * p.gamma ** (-p.alpha * k_trunc)
+        return PsiValue(value_exact=exact, err_bound=err, k_trunc=k_trunc)
+
+
 def grid_shift(params, k: int, j: int) -> Fraction:
     """Shift j * sum_{l=2..k} gamma**(-l) of the level-k family j."""
     g = params.gamma
@@ -103,7 +282,7 @@ class ShiftedGrid:
 
 def xi(params, lambdas, ev, d: tuple[Fraction, ...]) -> Fraction:
     """Image sum_i lambda_i * psi(d_i) of a grid vector, exact, through
-    the memoized digit recursion of ``psi_exact_extended``."""
+    ``ev.psi_exact_extended`` (a ``DigitPsi`` or an ``InnerEvaluator``)."""
     if len(d) != params.n:
         raise DomainError(f"expected {params.n} coordinates, got {len(d)}")
     acc = Fraction(0)
@@ -413,3 +592,17 @@ def oracle_eval_expr(e, p, functions=SCALAR_FUNCTIONS) -> float:
             raise DomainError(f"{a} ^ {b} is not real")
         return r
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def pretty(e) -> str:
+    """Fully parenthesized rendering of an expression tree; parses back
+    to the same tree."""
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return f"x{e.index}"
+    if isinstance(e, Neg):
+        return f"(-{pretty(e.operand)})"
+    if isinstance(e, Call):
+        return f"{e.func}({pretty(e.arg)})"
+    return f"({pretty(e.left)}{e.op}{pretty(e.right)})"

@@ -40,7 +40,7 @@ from kst.params import lambda_coeffs, make_params
 from kst.pipeline import PipelineCaps, run_pipeline
 from kst.relunet import assemble_kst, build_univariate
 from kst.target import builtin_target
-from oracles import oracle_closed_form, oracle_psi
+from oracles import DigitPsi, oracle_closed_form, oracle_psi
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -95,13 +95,18 @@ def test_02_holder_audit(n, gamma):
 
 
 def test_03_shift_identity_exact():
-    ev = InnerEvaluator(make_params(2))
+    # psi of x + 1 and of x, both truncated to depth k, by the lattice
+    # walk; psi of the truncated x agrees with the digit recursion
+    p = make_params(2)
+    ev, oracle = InnerEvaluator(p), DigitPsi(p)
     rng = random.Random(3)
     bad = 0
     for _ in range(1000):
         x = Fraction(repr(rng.random()))
         k = rng.randint(1, 8)
-        if ev.psi(x + 1, k).value_exact - ev.psi(x, k).value_exact != 1:
+        q = Fraction(math.floor(x * p.gamma**k), p.gamma**k)
+        lo = ev.psi_exact_extended(q)
+        if ev.psi_exact_extended(q + 1) - lo != 1 or lo != oracle.psi(x, k).value_exact:
             bad += 1
     report("3", bad == 0, f"{1000 - bad}/1000 exact identities")
     assert bad == 0
@@ -298,8 +303,8 @@ def test_08_size_accounting_exact():
 
 def test_09_interpolation_error_decreases():
     p = make_params(2)
-    ev = InnerEvaluator(p)
-    g = np.vectorize(lambda x: ev.psi(Fraction(repr(float(x))), 10).value, otypes=[float])
+    oracle = DigitPsi(p)
+    g = np.vectorize(lambda x: oracle.psi(Fraction(repr(float(x))), 10).value, otypes=[float])
     errs, sizes = [], []
     for N in (16, 32, 64, 128):
         uni = build_univariate(g, 2.0 - 1e-9, N)

@@ -33,3 +33,49 @@ def test_tracer_wraps_existing_entry_points():
         t.unpatch()
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, f"{attr} was not restored"
+
+
+def test_untraced_attributes_the_workloads_read():
+    # perfbench/workloads.py reads these in its describe functions,
+    # outside the tracer; a deletion in src/ that breaks them should fail
+    # here rather than end a benchmark run with a traceback
+    from fractions import Fraction
+
+    import numpy as np
+
+    import kst.cli
+    from kst.bumps import disjoint_support_audit
+    from kst.inner import InnerEvaluator
+    from kst.params import lambda_coeffs, make_params
+    from kst.pipeline import PipelineCaps, run_pipeline
+    from kst.target import builtin_target
+
+    assert callable(kst.cli.assemble_from_state)
+    caps = PipelineCaps(r_cap=1, knot_budget=6000, align_inner_knots=False,
+                        n_random=100, audit_resolution=21)
+    asm, rep, state = run_pipeline(builtin_target("product", 2), 0.5, caps)
+    assert list(rep.k_list) == list(state.k_list)
+    assert rep.psi_knots > 0 and rep.phi_knots > 0
+    assert len(state.residual_norms) == 2 and 0 < state.params.eta < 1
+    for value in (rep.errors_grid["fr_minus_net"], rep.errors_overall["f_minus_net"]):
+        assert np.isfinite(value)
+
+    net = asm.network
+    assert (net.W, net.L) == (rep.W, rep.L)
+    layer_of, weights = {}, 0
+    for unit in net.units:
+        assert 0 <= unit.layer <= net.L
+        layer_of[unit.id] = unit.layer
+        weights += unit.bias != 0.0
+    assert sorted(layer_of) == list(range(len(layer_of)))
+    for src, dst, _ in net.edges:
+        assert layer_of[src] < layer_of[dst]
+        weights += 1
+    assert weights == net.W
+    pts = np.random.default_rng(0).random((5, 2))
+    assert net.eval_batch(pts)[:, 0].shape == asm.eval_batch(pts).shape == (5,)
+
+    p = make_params(2)
+    audit = disjoint_support_audit(p, lambda_coeffs(p), InnerEvaluator(p), 1, 0)
+    assert (audit.k, audit.j, audit.count) == (1, 0, p.gamma**p.n)
+    assert isinstance(audit.min_gap, Fraction) and audit.ok == (audit.min_gap > 0)

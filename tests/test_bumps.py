@@ -7,7 +7,16 @@ from kst.bumps import b_k, disjoint_support_audit
 from kst.errors import BudgetError, DomainError
 from kst.inner import InnerEvaluator
 from kst.params import beta, lambda_coeffs, make_params
-from oracles import ShiftedGrid, grid_shift, make_bump, sigma, theta, theta_exact, xi
+from oracles import (
+    DigitPsi,
+    ShiftedGrid,
+    grid_shift,
+    make_bump,
+    sigma,
+    theta,
+    theta_exact,
+    xi,
+)
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +202,7 @@ class TestDisjointness:
         # the lattice images against xi over the Fraction grid, whose
         # values come from the digit recursion
         p = make_params(2)
-        lam, ev = lambda_coeffs(p), InnerEvaluator(p)
+        lam, ev = lambda_coeffs(p), DigitPsi(p)
         ramp = Fraction(1, p.gamma ** beta(p.n, k + 1))
         plateau_hi = (p.gamma - 2) * b_k(p, lam, k).hi
         for j in range(p.m + 1):

@@ -16,7 +16,7 @@ from kst.decompose import (
     Grid,
     Layer,
     choose_k_r,
-    evaluate_f_r,
+    f_r_at_points,
     init_state,
     iterate,
     lipschitz_report,
@@ -468,7 +468,7 @@ class TestSharedGrid:
 
 class TestEvaluateFr:
     def test_zero_state(self, zero_state):
-        assert evaluate_f_r(zero_state, (0.3, 0.7)) == 0.0
+        assert f_r_at_points(zero_state, np.asarray([[0.3, 0.7]])).tolist() == [0.0]
 
     def test_pointwise_error_after_one_iteration(self, product_r1):
         rng = random.Random(47)
@@ -476,8 +476,8 @@ class TestEvaluateFr:
         f = product_r1.target
         worst = 0.0
         for _ in range(2000):
-            x = (rng.random(), rng.random())
-            worst = max(worst, abs(f(x) - evaluate_f_r(product_r1, x)))
+            x = np.asarray([[rng.random(), rng.random()]])
+            worst = max(worst, abs(f(x[0]) - f_r_at_points(product_r1, x)[0]))
         assert worst <= eta
 
     def test_grid_point_structure(self, product_r1):

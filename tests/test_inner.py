@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,9 +13,9 @@ from types import SimpleNamespace
 from kst.bumps import family_axis
 from kst.decompose import family_grid
 from kst.errors import BudgetError, DomainError
-from kst.inner import BaseGammaPoint, InnerEvaluator
+from kst.inner import InnerEvaluator
 from kst.params import beta, lambda_coeffs, make_params
-from oracles import oracle_closed_form, oracle_psi
+from oracles import BaseGammaPoint, DigitPsi, oracle_closed_form, oracle_psi
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,13 @@ def ev6():
     return InnerEvaluator(make_params(2))
 
 
+def _truncate(x: Fraction, k: int, gamma: int) -> Fraction:
+    """x cut to its first k base-gamma digits."""
+    return Fraction(math.floor(x * gamma**k), gamma**k)
+
+
 class TestBaseGammaPoint:
+    # the digit points of the oracle recursion
     def test_value_and_depth(self):
         p = BaseGammaPoint((1, 2), 10)
         assert p.value() == Fraction(12, 100)
@@ -69,13 +76,15 @@ class TestPsiGrid:
     def test_matches_closed_form_when_digits_small(self, ev6):
         g, n = 6, 2
         for digits in itertools.product(range(g - 1), repeat=3):
-            point = BaseGammaPoint(digits, g)
+            point = BaseGammaPoint(digits, g).value()
             assert ev6.psi_grid(point) == oracle_closed_form(digits, n, g)
 
     def test_depth_consistency(self, ev10):
+        # trailing zero digits leave the value alone: index 100 * i at
+        # depth 4 is the point i / 100 of depth 2
         for i in range(100):
-            d = Fraction(i, 100)
-            assert ev10.psi_grid(BaseGammaPoint((i // 10, i % 10, 0, 0), 10)) == ev10.psi_grid(d)
+            num, _, den = ev10.lattice_pair(4, 100 * i)
+            assert Fraction(num, den) == ev10.psi_grid(Fraction(i, 100))
 
     @pytest.mark.parametrize("gamma", [6, 10])
     def test_range_up_to_depth_4(self, gamma):
@@ -87,44 +96,47 @@ class TestPsiGrid:
 
 
 class TestPsiContinuum:
+    # values at truncated points, read by the walk and by the oracle's
+    # certified continuum reader
     def test_zero(self, ev10):
-        r = ev10.psi(0, 3)
-        assert r.value_exact == 0
+        r = DigitPsi(ev10.params).psi(0, 3)
+        assert r.value_exact == ev10.psi_exact_extended(0) == 0
         assert r.value == 0.0
 
     def test_shift_rule_value(self, ev10):
-        r = ev10.psi(1.3, 1)
-        assert r.value_exact == Fraction(13, 10)
+        r = DigitPsi(ev10.params).psi(1.3, 1)
+        assert r.value_exact == ev10.psi_exact_extended(Fraction(13, 10)) == Fraction(13, 10)
 
     def test_truncated_grid_point(self, ev10):
         p = ev10.params
-        r = ev10.psi(0.12, 3)
-        assert r.value_exact == Fraction(102, 1000)
+        r = DigitPsi(p).psi(0.12, 3)
+        assert r.value_exact == ev10.psi_grid(Fraction(12, 100)) == Fraction(102, 1000)
         assert r.err_bound == pytest.approx(p.nu * p.gamma ** (-3 * p.alpha), rel=1e-14)
 
     def test_domain_errors(self, ev10):
+        oracle = DigitPsi(ev10.params)
         with pytest.raises(DomainError):
-            ev10.psi(2.0, 3)
+            oracle.psi(2.0, 3)
         with pytest.raises(DomainError):
-            ev10.psi(-0.1, 3)
+            oracle.psi(-0.1, 3)
 
     def test_shift_identity_exact(self, ev6):
         rng = random.Random(7)
         for _ in range(200):
-            x = rng.random()
+            x = Fraction(repr(rng.random()))
             k = rng.randint(1, 6)
-            lo = ev6.psi(Fraction(repr(x)), k).value_exact
-            hi = ev6.psi(Fraction(repr(x)) + 1, k).value_exact
-            assert hi - lo == 1
+            q = _truncate(x, k, 6)
+            assert ev6.psi_exact_extended(q + 1) - ev6.psi_exact_extended(q) == 1
 
     def test_truncation_certificate(self, ev6):
+        p = ev6.params
         rng = random.Random(11)
         for _ in range(300):
             x = Fraction(repr(rng.random()))
             k = rng.randint(1, 6)
-            a = ev6.psi(x, k)
-            b = ev6.psi(x, k + 1)
-            assert abs(b.value_exact - a.value_exact) <= Fraction(repr(a.err_bound))
+            a = ev6.psi_grid(_truncate(x, k, 6))
+            b = ev6.psi_grid(_truncate(x, k + 1, 6))
+            assert abs(b - a) <= Fraction(repr(p.nu * p.gamma ** (-p.alpha * k)))
 
 
 class TestHolderAudit:
@@ -209,8 +221,9 @@ class TestLattice:
             st.integers(0, 2 * scale - 1),
         ))
         q = Fraction(idx, scale)
-        ev = InnerEvaluator(make_params(n, gamma=gamma))
-        assert ev.psi_trunc_float(q, k) == float(ev.psi(q, k).value_exact)
+        p = make_params(n, gamma=gamma)
+        ev = InnerEvaluator(p)
+        assert ev.psi_trunc_float(q, k) == float(DigitPsi(p).psi(q, k).value_exact)
 
     @pytest.mark.parametrize("gamma,k", [(g, k) for g in (6, 10) for k in (1, 2, 3, 4)])
     def test_every_reader_rounds_once(self, gamma, k):
@@ -220,7 +233,7 @@ class TestLattice:
         p = make_params(2, gamma=gamma)
         ev = InnerEvaluator(p)
         scale = gamma**k
-        exact = InnerEvaluator(p)
+        exact = DigitPsi(p)
         want = np.asarray([float(exact.psi_exact_extended(Fraction(i, scale)))
                            for i in range(2 * scale)])
         assert ev.psi_trunc_vector(np.arange(2 * scale) / scale, k).tobytes() == want.tobytes()
@@ -239,7 +252,7 @@ class TestLattice:
     def test_trunc_float_edges(self, ev6):
         for k in (1, 3, 5):
             assert ev6.psi_trunc_float(Fraction(1), k) == 1.0
-            below_one = ev6.psi(1 - Fraction(1, 6**k), k).value_exact
+            below_one = ev6.psi_exact_extended(1 - Fraction(1, 6**k))
             assert ev6.psi_trunc_float(1 - Fraction(1, 6**k), k) == float(below_one) < 1.0
             assert ev6.psi_trunc_float(2 - Fraction(1, 6**k), k) == float(1 + below_one)
         # 1 + psi is rounded once: adding 1.0 to the rounded psi(5/6)
@@ -247,3 +260,51 @@ class TestLattice:
         assert ev6.psi_trunc_float(Fraction(11, 6), 1) == 1.8333333333333333
         with pytest.raises(DomainError):
             ev6.psi_trunc_float(Fraction(2), 3)
+
+
+@st.composite
+def walk_points(draw):
+    """(n, gamma, q) with q in [0, 2) on a grid of depth up to 12, gamma
+    from 6, 8 and 10 at least m + 2 at the default m = 2n."""
+    n = draw(st.sampled_from([2, 3]))
+    gamma = draw(st.sampled_from([g for g in (6, 8, 10) if g >= 2 * n + 2]))
+    k = draw(st.integers(1, 12))
+    return n, gamma, Fraction(draw(st.integers(0, 2 * gamma**k - 1)), gamma**k)
+
+
+class TestPairWalk:
+    @pytest.mark.parametrize("n,gamma", [(2, 6), (2, 10), (3, 8)])
+    def test_matches_lattice_at_every_index(self, n, gamma):
+        ev = InnerEvaluator(make_params(n, gamma=gamma))
+        k = 1
+        while gamma**k <= 10**5:
+            nums, den = ev.lattice(k)
+            for i in range(gamma**k):
+                assert ev.lattice_pair(k, i) == (nums[i], nums[i + 1], den), (k, i)
+            k += 1
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(walk_points())
+    def test_matches_digit_recursion(self, point):
+        n, gamma, q = point
+        p = make_params(n, gamma=gamma)
+        assert InnerEvaluator(p).psi_exact_extended(q) == DigitPsi(p).psi_exact_extended(q)
+
+    def test_top_cell_below_one_and_carry_to_one(self, ev6):
+        for k in range(1, 8):
+            below, carry, den = ev6.lattice_pair(k, 6**k - 1)
+            assert below < den and carry == den
+            assert ev6.psi_grid(1 - Fraction(1, 6**k)) == Fraction(below, den) < 1
+        assert ev6.psi_exact_extended(Fraction(1)) == 1
+
+    def test_domain_errors(self, ev6):
+        for q in (Fraction(-1, 6), Fraction(2), Fraction(13, 6), Fraction(1, 7),
+                  1 + Fraction(1, 7), Fraction(1, 6 * 7**3)):
+            with pytest.raises(DomainError):
+                ev6.psi_exact_extended(q)
+        for q in (Fraction(-1, 6), Fraction(1), Fraction(1, 7)):
+            with pytest.raises(DomainError):
+                ev6.psi_grid(q)
+        for k, i in ((0, 0), (2, -1), (2, 36)):
+            with pytest.raises(DomainError):
+                ev6.lattice_pair(k, i)

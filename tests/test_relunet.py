@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from kst.decompose import init_state, iterate, lipschitz_report, phi_batch
 from kst.errors import DomainError, InternalCheckError
-from kst.inner import InnerEvaluator
 from kst.params import lambda_coeffs, make_params
 from kst import relunet
 from kst.relunet import (
@@ -22,6 +21,7 @@ from kst.relunet import (
 )
 from kst.target import builtin_target
 from oracles import (
+    DigitPsi,
     audit_grid,
     columns_json_text,
     dag_forward,
@@ -227,7 +227,7 @@ class TestBuildUnivariate:
 
     def test_psi_error_within_holder_bound(self):
         p = make_params(2)
-        ev = InnerEvaluator(p)
+        ev = DigitPsi(p)
         g = np.vectorize(lambda x: ev.psi(Fraction(repr(float(x))), 9).value, otypes=[float])
         N = 36
         uni = build_univariate(g, 2.0 - 1e-9, N)
@@ -245,7 +245,7 @@ class TestBuildUnivariate:
 
     def test_monotone_error_in_n(self):
         p = make_params(2)
-        ev = InnerEvaluator(p)
+        ev = DigitPsi(p)
         g = np.vectorize(lambda x: ev.psi(Fraction(repr(float(x))), 9).value, otypes=[float])
         errs = [build_univariate(g, 2.0 - 1e-9, N).eps_measured for N in (8, 16, 32, 64)]
         assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
@@ -319,7 +319,7 @@ class TestBuildUnivariate:
         block = data.draw(st.integers(1, 6), label="block")
         cells = max(1, block + data.draw(st.sampled_from([-1, 0, 1, block + 1]), label="over"))
         kind = data.draw(st.sampled_from(["uniform", "custom", "values"]), label="kind")
-        factor = data.draw(st.sampled_from([1, 4, 10]), label="audit_factor")
+        factor = data.draw(st.sampled_from([2, 4, 10]), label="audit_factor")
         g = lambda x: np.sin(7 * x) + x * x
         knots = values = None
         M = data.draw(st.floats(0.5, 3.0), label="M")
@@ -381,6 +381,14 @@ class TestBuildUnivariate:
         with pytest.raises(DomainError, match="knot values"):
             build_univariate(lambda x: x, 1.0, 0, knots=knots, values=np.array([0.0, np.nan, 1.0]))
 
+    def test_audit_factor_below_two_refused(self):
+        # a factor of 1 or less would audit the knots alone and read 0.0
+        g = lambda x: np.sin(50 * x)
+        for factor in (0, 1):
+            with pytest.raises(DomainError):
+                build_univariate(g, 1.0, 2000, audit_factor=factor)
+        assert build_univariate(g, 1.0, 2000, audit_factor=2).eps_measured > 0
+
     def test_memory_linear_in_knots(self):
         # numpy reports its buffers to tracemalloc, so the traced peak is
         # deterministic; the whole audit grid (1M points here, about 8 MB
@@ -410,7 +418,7 @@ def small_assembly():
     state = iterate(init_state(builtin_target("product", 2)))
     p = state.params
     lam = lambda_coeffs(p)
-    ev = InnerEvaluator(p)
+    ev = DigitPsi(p)
     psi = build_univariate(
         np.vectorize(lambda x: ev.psi(Fraction(repr(float(x))), 7).value, otypes=[float]),
         1.0 + p.m * float(p.a),

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kst.cli import main
-from kst.errors import BudgetError, DomainError, ExpressionError
+from kst.decompose import DecompositionCaps, init_state, residual_modulus
+from kst.errors import DomainError, ExpressionError
 from kst.target import (
     BinOp,
     Call,
@@ -17,13 +18,22 @@ from kst.target import (
     Var,
     _compile,
     builtin_target,
-    eval_expr,
     expression_target,
-    modulus_estimate,
     parse,
-    pretty,
 )
-from oracles import SCALAR_FUNCTIONS, oracle_eval_expr
+from oracles import SCALAR_FUNCTIONS, oracle_eval_expr, pretty
+
+
+def eval_expr(e, p) -> float:
+    """Value of an expression tree at one point, through the compiled form."""
+    return TargetFunction(dim=len(p), fn=_compile(e), sup_norm_bound=0.0, provenance={})(p)
+
+
+def modulus(t: TargetFunction, resolution: int, steps) -> dict[float, float]:
+    """Axis-step oscillation of t on the audit mesh, per step: the
+    residual oscillation of a fresh state, whose approximant is zero."""
+    state = init_state(t, caps=DecompositionCaps(audit_resolution=resolution))
+    return {h: residual_modulus(state, h) for h in steps}
 
 
 def _ast_strategy(n=2, depth=3, ops="+-*", funcs=("sin", "cos", "abs"), low=0.1):
@@ -246,36 +256,31 @@ class TestBuiltins:
 class TestModulus:
     def test_zero_function(self):
         t = builtin_target("zero", 2)
-        table = modulus_estimate(t, 51, [1 / 6, 1 / 36])
+        table = modulus(t, 51, [1 / 6, 1 / 36])
         assert all(v == 0.0 for v in table.values())
 
     def test_coordinate_projection(self):
         t = expression_target("x1", 2)
         res = 101
-        table = modulus_estimate(t, res, [6**-1, 6**-2, 6**-3])
+        table = modulus(t, res, [6**-1, 6**-2, 6**-3])
         for h, w in table.items():
             assert abs(w - h) <= 2 / res
 
     def test_product_lipschitz(self):
         t = builtin_target("product", 2)
-        table = modulus_estimate(t, 101, [6**-1, 6**-2, 6**-3])
+        table = modulus(t, 101, [6**-1, 6**-2, 6**-3])
         for h, w in table.items():
             assert w <= 2 * h + 1e-12
 
     def test_monotone_in_h(self):
         t = builtin_target("gaussian", 2)
-        table = modulus_estimate(t, 51, [6**-3, 6**-1, 6**-2])
+        table = modulus(t, 51, [6**-3, 6**-1, 6**-2])
         hs = sorted(table)
         assert all(table[hs[i]] <= table[hs[i + 1]] for i in range(len(hs) - 1))
 
-    def test_budget(self):
-        t = builtin_target("zero", 2)
-        with pytest.raises(BudgetError):
-            modulus_estimate(t, 1001, [0.5])
-
     def test_vanishing_limit(self):
         t = builtin_target("gaussian", 2)
-        table = modulus_estimate(t, 51, [1e-3])
+        table = modulus(t, 51, [1e-3])
         assert table[1e-3] < 0.01
 
     def test_math_sanity(self):
