@@ -87,13 +87,6 @@ class DisjointnessAudit:
     k: int
     j: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "min_gap": format(float(self.min_gap), ".17g"),
-            "ok": self.ok,
-            "count": self.count,
-        }
-
 
 def disjoint_support_audit(
     params: KstParams,

@@ -33,14 +33,10 @@ from .errors import (
     InternalCheckError,
 )
 from .inner import InnerEvaluator
-from .params import lambda_coeffs, make_params
+from .params import f17, lambda_coeffs, make_params
 from .pipeline import PipelineCaps, assemble_from_state, run_pipeline
 from .relunet import json_parts
 from .target import builtin_names, builtin_target, expression_target
-
-
-def _f17(v) -> str:
-    return format(float(v), ".17g")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -91,11 +87,11 @@ def cmd_params(args) -> int:
 
 
 def cmd_inner(args) -> int:
-    p = make_params(args.n, gamma=args.gamma, m=args.m)
+    p = make_params(args.n, gamma=args.gamma)
     ev = InnerEvaluator(p)
     rows = ev.psi_plot_data(args.k)
     lines = ["d,psi"]
-    lines.extend(f"{_f17(d)},{_f17(v)}" for d, v in rows)
+    lines.extend(f"{f17(d)},{f17(v)}" for d, v in rows)
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -120,12 +116,12 @@ def cmd_decompose(args) -> int:
     lines = ["r,residual_norm,eta_power_bound"]
     for r in range(1, state.r + 1):
         lines.append(
-            f"{r},{_f17(state.residual_norms[r])},{_f17(params.eta**r)}"
+            f"{r},{f17(state.residual_norms[r])},{f17(params.eta**r)}"
         )
     _write_text(args.out_csv, "\n".join(lines) + "\n")
     print(
         f"decomposed {args.f!r} to r={state.r}: k={list(state.k_list)} "
-        f"norms={[float(_f17(v)) for v in state.residual_norms]}",
+        f"norms={[float(f17(v)) for v in state.residual_norms]}",
         file=sys.stderr,
     )
     return 0
@@ -178,14 +174,14 @@ def cmd_experiment(args) -> int:
         lines.append(
             ",".join(
                 [
-                    _f17(eps),
+                    f17(eps),
                     str(rep.r_target),
                     str(rep.r_used),
                     str(rep.W),
                     str(rep.L),
-                    _f17(rep.errors_grid["f_minus_fr"]),
-                    _f17(rep.errors_grid["fr_minus_net"]),
-                    _f17(rep.errors_grid["f_minus_net"]),
+                    f17(rep.errors_grid["f_minus_fr"]),
+                    f17(rep.errors_grid["fr_minus_net"]),
+                    f17(rep.errors_grid["f_minus_net"]),
                 ]
             )
         )
@@ -209,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inner", help="inner function on a grid, as CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_inner)

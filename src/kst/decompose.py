@@ -8,7 +8,8 @@ bump for grid vector d sits at the image of d shifted by the family
 index, with coefficient e_{r-1}(d)/(m+1).
 
 Residual sup norms are measured on a fixed audit mesh plus a seeded
-batch of random points; the true sup norm is unobservable and the same
+batch of random points, one AuditSample that every state of a
+decomposition shares; the true sup norm is unobservable and the same
 estimator is used both for choosing k_r and for reporting.
 
 States are immutable snapshots; iterate() returns a new one. The inner
@@ -18,17 +19,24 @@ is observationally invisible.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .bumps import b_k, disjoint_support_audit, family_axis
 from .errors import BudgetError, ConstraintViolation, DomainError
 from .inner import InnerEvaluator
-from .params import KstParams, LambdaCoeffs, beta, lambda_coeffs, make_params
+from .params import (
+    KstParams,
+    LambdaCoeffs,
+    beta,
+    lambda_coeffs,
+    make_params,
+    superpose,
+    to_json,
+)
 from .target import (
     TargetFunction,
     default_audit_resolution,
@@ -115,6 +123,33 @@ class DecompositionCaps:
             raise DomainError(f"seed must be at least 0, got {self.seed}")
 
 
+@dataclass(frozen=True, eq=False)
+class AuditSample:
+    """The fixed sample on which the states of one decomposition measure
+    their residuals: the audit mesh axis, the seeded random points, and
+    the target on the mesh and at the points, each evaluated on first
+    use."""
+
+    target: TargetFunction
+    axis: np.ndarray
+    points: np.ndarray
+
+    @classmethod
+    def draw(cls, target: TargetFunction, caps: DecompositionCaps) -> "AuditSample":
+        """The sample of caps' audit resolution, random batch size and seed."""
+        rng = np.random.Generator(np.random.PCG64(caps.seed))
+        return cls(target, np.linspace(0.0, 1.0, caps.audit_resolution),
+                   rng.random((caps.n_random, target.dim)))
+
+    @cached_property
+    def f_mesh(self) -> np.ndarray:
+        return target_on_mesh(self.target, [self.axis] * self.target.dim)
+
+    @cached_property
+    def f_points(self) -> np.ndarray:
+        return self.target.eval_batch(self.points)
+
+
 @dataclass
 class DecompositionState:
     params: KstParams
@@ -127,28 +162,21 @@ class DecompositionState:
     k_warnings: tuple[bool, ...]
     outer: tuple[OuterApprox, ...]
     residual_norms: tuple[float, ...]
-    _caches: dict = field(default_factory=dict, repr=False)
+    audit: AuditSample
 
     @property
     def k_trunc(self) -> int:
         return self.caps.k_max + 2
 
-    def cached(self, key: str, make: Callable[[], np.ndarray]) -> np.ndarray:
-        """self._caches[key], made by make() on first use."""
-        got = self._caches.get(key)
-        if got is None:
-            got = self._caches[key] = make()
-        return got
+    @cached_property
+    def fr_mesh(self) -> np.ndarray:
+        """f_r on the audit mesh, computed once per state."""
+        return f_r(self, np.ix_(*[self.audit.axis] * self.params.n))
 
-    def audit_axis(self) -> np.ndarray:
-        return self.cached("audit_axis", lambda: np.linspace(0.0, 1.0, self.caps.audit_resolution))
-
-    def audit_random(self) -> np.ndarray:
-        def draw():
-            rng = np.random.Generator(np.random.PCG64(self.caps.seed))
-            return rng.random((self.caps.n_random, self.params.n))
-
-        return self.cached("audit_random", draw)
+    @cached_property
+    def fr_points(self) -> np.ndarray:
+        """f_r at the audit sample's random points, computed once per state."""
+        return f_r(self, self.audit.points.T)
 
 
 def init_state(
@@ -174,36 +202,13 @@ def init_state(
         k_warnings=(),
         outer=tuple(OuterApprox(j, ()) for j in range(params.m + 1)),
         residual_norms=(),
+        audit=AuditSample.draw(target, caps),
     )
     state.residual_norms = (measure_residual_norm(state),)
     return state
 
 
 # -- vectorized evaluation ----------------------------------------------------
-
-
-def _lambda_floats(state) -> np.ndarray:
-    return np.asarray([float(v) for v in state.lambdas.values])
-
-
-def _psi_axis(state, axis_values, j: int) -> np.ndarray:
-    """Truncated inner values at the float-rounded sums x + j*float(a),
-    through the shared nudged-floor rule, so the approximant is evaluated
-    at exactly the argument a network sees."""
-    ja_f = j * float(state.params.a)
-    return state.ev.psi_trunc_vector(np.asarray(axis_values, dtype=float) + ja_f, state.k_trunc)
-
-
-def _mesh_sum(lams: np.ndarray, per_axis: list[np.ndarray]) -> np.ndarray:
-    """Broadcast sum_i lam_i * per_axis[i] over the product mesh."""
-    n = len(per_axis)
-    y = None
-    for i in range(n):
-        shape = [1] * n
-        shape[i] = -1
-        term = (lams[i] * per_axis[i]).reshape(shape)
-        y = term if y is None else y + term
-    return y
 
 
 def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
@@ -274,57 +279,30 @@ def _shape(grid: Grid, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.where(inside, t1 - t2, 0.0)
 
 
-def f_r_on_mesh(state, axes_values) -> np.ndarray:
-    """Approximant values over a product mesh given per-axis float
-    values; inner values are computed once per distinct axis object."""
-    lams = _lambda_floats(state)
-    shape = tuple(len(ax) for ax in axes_values)
-    distinct = {id(ax): ax for ax in axes_values}
-    total = np.zeros(shape)
-    for j in range(state.params.m + 1):
-        psi = {key: _psi_axis(state, ax, j) for key, ax in distinct.items()}
-        y = _mesh_sum(lams, [psi[id(ax)] for ax in axes_values])
-        total += phi_batch(state, j, y.ravel()).reshape(shape)
-    return total
-
-
-def f_r_at_points(state, pts: np.ndarray) -> np.ndarray:
-    """Approximant values at an (N, n) array of float points."""
-    lams = _lambda_floats(state)
-    ev = state.ev
-    a_f = float(state.params.a)
+def f_r(state, columns) -> np.ndarray:
+    """The approximant at coordinate columns, broadcast as superpose
+    does: ``pts.T`` of an (N, n) array of points gives the N values, and
+    ``np.ix_(*axes)`` the values on the product mesh of the axes. The
+    inner function is read at the float-rounded sums x + j*float(a)
+    through the shared nudged-floor rule, so the approximant is
+    evaluated at exactly the argument a network sees."""
     k = state.k_trunc
-    pts = np.asarray(pts, dtype=float)
-    total = np.zeros(len(pts))
-    for j in range(state.params.m + 1):
-        y = np.zeros(len(pts))
-        for i in range(state.params.n):
-            y += lams[i] * ev.psi_trunc_vector(pts[:, i] + j * a_f, k)
-        total += phi_batch(state, j, y)
-    return total
+    outers = [partial(phi_batch, state, j) for j in range(state.params.m + 1)]
+    return superpose(lambda u: state.ev.psi_trunc_vector(u, k), outers,
+                     state.lambdas.floats, float(state.params.a), columns)
 
 
-def target_on_mesh(state, axes_floats: list[np.ndarray]) -> np.ndarray:
-    vals = state.target.eval_batch(mesh_points(axes_floats))
-    return vals.reshape(tuple(len(ax) for ax in axes_floats))
-
-
-def audit_mesh_values(state) -> tuple[np.ndarray, np.ndarray]:
-    """f and f_r on the audit mesh, each computed once per state; iterate
-    hands f on to the next state."""
-    mesh = [state.audit_axis()] * state.params.n
-    return (state.cached("audit_target_mesh", lambda: target_on_mesh(state, mesh)),
-            state.cached("audit_fr_mesh", lambda: f_r_on_mesh(state, mesh)))
+def target_on_mesh(target: TargetFunction, axes: list[np.ndarray]) -> np.ndarray:
+    vals = target.eval_batch(mesh_points(axes))
+    return vals.reshape(tuple(len(ax) for ax in axes))
 
 
 def measure_residual_norm(state) -> float:
     """Sup of |f - f_r| over the audit mesh and the seeded random batch."""
-    f_mesh, fr_mesh = audit_mesh_values(state)
-    sup = float(np.max(np.abs(f_mesh - fr_mesh)))
-    rand = state.audit_random()
-    f_rand = state.cached("audit_target_rand", lambda: state.target.eval_batch(rand))
-    fr_rand = state.cached("audit_fr_rand", lambda: f_r_at_points(state, rand))
-    return max(sup, float(np.max(np.abs(f_rand - fr_rand))) if len(rand) else 0.0)
+    audit = state.audit
+    sup = float(np.max(np.abs(audit.f_mesh - state.fr_mesh)))
+    rand = np.abs(audit.f_points - state.fr_points)
+    return max(sup, float(np.max(rand, initial=0.0)))
 
 
 # -- the iteration ------------------------------------------------------------
@@ -332,9 +310,8 @@ def measure_residual_norm(state) -> float:
 
 def residual_modulus(state, h: float) -> float:
     """Empirical oscillation of the residual over axis step h."""
-    axis = state.audit_axis()
-    f_audit, fr_audit = audit_mesh_values(state)
-    base = f_audit - fr_audit
+    axis = state.audit.axis
+    base = state.audit.f_mesh - state.fr_mesh
     n = state.params.n
     worst = 0.0
     keep = axis + h <= 1.0 + 1e-12
@@ -344,8 +321,8 @@ def residual_modulus(state, h: float) -> float:
     for ax_i in range(n):
         axes = [axis] * n
         axes = axes[:ax_i] + [shifted] + axes[ax_i + 1 :]
-        f_mesh = target_on_mesh(state, axes)
-        e_mesh = f_mesh - f_r_on_mesh(state, axes)
+        f_mesh = target_on_mesh(state.target, axes)
+        e_mesh = f_mesh - f_r(state, np.ix_(*axes))
         sel = [slice(None)] * n
         sel[ax_i] = keep
         diff = np.abs(e_mesh - base[tuple(sel)])
@@ -415,8 +392,11 @@ def family_grid(state, j: int, k: int, earlier: tuple[Layer, ...]) -> tuple[Grid
     so the layers of a family at one depth share one Grid.
     """
     p = state.params
-    psi_ax = state.ev.float_table(k)[family_axis(p, k, j)]
-    xi_flat = _mesh_sum(_lambda_floats(state), [psi_ax] * p.n).ravel()
+    # the images are the superposition of one identity outer at the
+    # family's lattice indices, which carry its shift
+    axes = np.ix_(*[family_axis(p, k, j)] * p.n)
+    xi_flat = superpose(state.ev.float_table(k).take, [lambda y: y], state.lambdas.floats,
+                        0, axes).ravel()
     order = np.argsort(xi_flat, kind="stable")
     grid = next((old.grid for old in earlier if old.grid.k == k), None)
     if grid is None:
@@ -460,8 +440,8 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
     # position in the cell is 0 (j = 0, kept by the nudge) or j/(gamma-1).
     axis = np.arange(g**k_r + 1) / g**k_r
 
-    f_mesh = target_on_mesh(state, [axis] * n)
-    fr_mesh = f_r_on_mesh(state, [axis] * n)
+    f_mesh = target_on_mesh(state.target, [axis] * n)
+    fr_mesh = f_r(state, np.ix_(*[axis] * n))
     coeff_flat = ((f_mesh - fr_mesh) / (m + 1)).ravel()
     if np.any(coeff_flat != 0.0):
         gap = _overlap_gap(state, k_r)
@@ -490,12 +470,6 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
         k_warnings=state.k_warnings + (warned,),
         outer=tuple(new_outer),
         residual_norms=state.residual_norms,
-        _caches={
-            k: v
-            for k, v in state._caches.items()
-            if k in ("audit_axis", "audit_target_mesh",
-                     "audit_random", "audit_target_rand")
-        },
     )
     nxt.residual_norms = state.residual_norms + (measure_residual_norm(nxt),)
     return nxt
@@ -535,23 +509,22 @@ def state_to_json_dict(state) -> dict:
     """The state as JSON: everything but the bump grids, which are pure
     functions of the parameters, a family and a depth (family_grid).
     Each layer keeps its depth and its coefficients in grid order."""
-    f17 = lambda v: format(float(v), ".17g")
-    return {
+    return to_json({
         "schema": STATE_SCHEMA,
         "params": state.params.to_json_dict(),
         "target": {"provenance": state.target.provenance},
         "caps": asdict(state.caps),
         "r": state.r,
-        "k_list": list(state.k_list),
-        "k_warnings": list(state.k_warnings),
-        "residual_norms": [f17(v) for v in state.residual_norms],
+        "k_list": state.k_list,
+        "k_warnings": state.k_warnings,
+        "residual_norms": state.residual_norms,
         "outer": [
             {"j": oa.j,
-             "layers": [{"k": layer.grid.k, "coeff": [f17(c) for c in layer.coeff]}
+             "layers": [{"k": layer.grid.k, "coeff": layer.coeff.tolist()}
                         for layer in oa.layers]}
             for oa in state.outer
         ],
-    }
+    })
 
 
 # JSON layout of a state file: a dict maps keys to layouts, a one-item
@@ -668,17 +641,20 @@ def state_from_json_dict(d: dict) -> DecompositionState:
     _check_layout(provenance, {_PROVENANCE_KEY[provenance["kind"]]: str}, "state.target.provenance")
     params = KstParams.from_json_dict(d["params"])
     _check_rounds(d, params.m)
+    target = target_from_provenance(provenance, params.n)
+    caps = DecompositionCaps(**{key: d["caps"][key] for key in _STATE_LAYOUT["caps"]})
     state = DecompositionState(
         params=params,
         lambdas=lambda_coeffs(params),
         ev=InnerEvaluator(params),
-        target=target_from_provenance(provenance, params.n),
-        caps=DecompositionCaps(**{key: d["caps"][key] for key in _STATE_LAYOUT["caps"]}),
+        target=target,
+        caps=caps,
         r=d["r"],
         k_list=tuple(d["k_list"]),
         k_warnings=tuple(d["k_warnings"]),
         outer=(),
         residual_norms=tuple(float(v) for v in d["residual_norms"]),
+        audit=AuditSample.draw(target, caps),
     )
     outer = []
     for j, oa in enumerate(d["outer"]):

@@ -38,6 +38,7 @@ from .params import KstParams, beta
 
 HOLDER_PAIR_BUDGET = 10**4   # max gamma**k for pairwise audits
 PLOT_ROW_BUDGET = 10**6      # max gamma**k for grid sweeps
+TRUNC_NUDGE = 1e-6           # upward nudge of the truncation index
 
 
 class InnerEvaluator:
@@ -168,15 +169,15 @@ class InnerEvaluator:
     def psi_trunc_vector(self, u: np.ndarray, k_trunc: int) -> np.ndarray:
         """Vectorized depth-k truncated values for u in [0, 2).
 
-        The table index is floor(u * gamma**k + 1e-6): the small upward
-        nudge makes grid-aligned floats land in their own cell, and the
-        index runs on across the integer boundary into the table's
+        The table index is floor(u * gamma**k + TRUNC_NUDGE): the small
+        upward nudge makes grid-aligned floats land in their own cell, and
+        the index runs on across the integer boundary into the table's
         [1, 2) half. All floating-point evaluation paths (sweeps, audits,
         measurements, network knots) share this exact rule so they can
         never straddle a cell boundary differently.
         """
         scale = self.params.gamma**k_trunc
-        idx = np.floor(np.asarray(u, dtype=float) * scale + 1e-6).astype(np.int64)
+        idx = np.floor(np.asarray(u, dtype=float) * scale + TRUNC_NUDGE).astype(np.int64)
         return self.float_table(k_trunc)[np.clip(idx, 0, 2 * scale - 1)]
 
     # -- audits and sweeps --------------------------------------------------

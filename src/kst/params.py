@@ -9,6 +9,10 @@ Grid-level constants are kept as exact rationals with big-integer
 numerators and denominators; gamma**(-beta_n(l)) underflows double
 precision already at n=2, l=4, so floating conversion happens only at
 evaluation boundaries.
+
+The module also holds the superposition formula itself (``superpose``),
+which the approximant, the assembled network and the bump images all
+evaluate, and the one text format of floats in JSON output (``f17``).
 """
 
 from __future__ import annotations
@@ -16,8 +20,11 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConstraintViolation
 
@@ -38,6 +45,41 @@ def big_int_digits():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def f17(v) -> str:
+    """A float as 17 significant digits, text that parses back to it."""
+    return format(float(v), ".17g")
+
+
+def to_json(value):
+    """value with every float as f17 text and every Fraction as its
+    numerator and denominator texts, through dicts, lists and tuples."""
+    if isinstance(value, float):
+        return f17(value)
+    if isinstance(value, Fraction):
+        with big_int_digits():
+            return {"num": str(value.numerator), "den": str(value.denominator)}
+    if isinstance(value, dict):
+        return {key: to_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    return value
+
+
+def superpose(inner, outers, lams, shift: float, columns):
+    """sum_j outers[j](sum_i lams[i] * inner(columns[i] + j * shift)).
+
+    inner maps an array to its values elementwise, each outer a flat
+    array. The coordinate columns broadcast: 1-D columns of one length
+    give the values at those points, and columns laid along their own
+    axes (``np.ix_``) give the values on their product mesh, in the same
+    bits as at the mesh's points."""
+    total = 0.0
+    for j, outer in enumerate(outers):
+        y = sum(lam * inner(col + j * shift) for lam, col in zip(lams, columns))
+        total = total + outer(y.ravel()).reshape(y.shape)
+    return total
 
 
 def beta(n: int, ell: int) -> int:
@@ -87,18 +129,7 @@ class KstParams:
         return 2 * Fraction(self.gamma - 1, self.gamma - 2)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "gamma": self.gamma,
-            "a": {"num": str(self.a.numerator), "den": str(self.a.denominator)},
-            "alpha": format(self.alpha, ".17g"),
-            "nu": format(self.nu, ".17g"),
-            "delta": format(self.delta, ".17g"),
-            "eta": format(self.eta, ".17g"),
-            "lambda_depth": self.lambda_depth,
-            "delta_bound_exceeds_one": self.delta_bound_exceeds_one,
-        }
+        return to_json({**asdict(self), "delta_bound_exceeds_one": self.delta_bound_exceeds_one})
 
     @staticmethod
     def from_json_dict(d: dict) -> "KstParams":
@@ -129,13 +160,14 @@ class LambdaCoeffs:
     def total(self) -> Fraction:
         return sum(self.values, Fraction(0))
 
+    @cached_property
+    def floats(self) -> np.ndarray:
+        """The weights as floats, each rounded once: the lambda_i every
+        float evaluation of the superposition reads."""
+        return np.asarray([float(v) for v in self.values])
+
     def to_json_dict(self) -> dict:
-        text = lambda v: {"num": str(v.numerator), "den": str(v.denominator)}
-        with big_int_digits():
-            return {
-                "values": [text(v) for v in self.values],
-                "tail_bound": text(self.tail_bound),
-            }
+        return to_json(asdict(self))
 
 
 def make_params(

@@ -14,22 +14,22 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .decompose import (
     DecompositionCaps,
     DecompositionState,
-    audit_mesh_values,
-    f_r_at_points,
+    f_r,
     init_state,
     iterate,
     lipschitz_report,
     phi_batch,
 )
 from .errors import DomainError
-from .params import KstParams, make_params
+from .inner import TRUNC_NUDGE
+from .params import KstParams, make_params, to_json
 from .relunet import AssembledKst, UnivariateNet, assemble_kst, build_univariate
 from .target import TargetFunction, mesh_points
 
@@ -38,7 +38,6 @@ from .target import TargetFunction, mesh_points
 class PipelineCaps:
     r_cap: int = 3
     k_max: int = 3
-    grid_budget: int = 10**6
     knot_budget: int = 10**6
     align_inner_knots: bool = True
     audit_resolution: int | None = None  # None: init_state's default for n
@@ -78,35 +77,7 @@ class PipelineReport:
     def to_json_dict(self) -> dict:
         """Serializable form; wall-clock timings are deliberately left
         out so identical runs produce byte-identical files."""
-        f17 = lambda v: format(float(v), ".17g")
-        fmt_err = lambda d: {k: f17(v) for k, v in sorted(d.items())}
-        return {
-            "eps_target": f17(self.eps_target),
-            "r_target": self.r_target,
-            "r_used": self.r_used,
-            "partial_r": self.partial_r,
-            "partial_psi": self.partial_psi,
-            "partial_phi": self.partial_phi,
-            "nu_r": f17(self.nu_r),
-            "eps_psi": f17(self.eps_psi),
-            "eps_phi": f17(self.eps_phi),
-            "eps_psi_measured": f17(self.eps_psi_measured),
-            "eps_phi_measured": f17(self.eps_phi_measured),
-            "k_list": self.k_list,
-            "k_warnings": self.k_warnings,
-            "residual_norms": [f17(v) for v in self.residual_norms],
-            "errors_grid": fmt_err(self.errors_grid),
-            "errors_random": fmt_err(self.errors_random),
-            "errors_overall": fmt_err(self.errors_overall),
-            "W": self.W,
-            "L": self.L,
-            "fig3_W": self.fig3_W,
-            "fig3_depth": self.fig3_depth,
-            "aggregation_weights": self.aggregation_weights,
-            "psi_knots": self.psi_knots,
-            "phi_knots": self.phi_knots,
-            "seed": self.seed,
-        }
+        return to_json({f.name: getattr(self, f.name) for f in fields(self) if f.name != "timings"})
 
 
 def r_of_epsilon(eta: float, eps: float) -> int:
@@ -145,20 +116,20 @@ def _staircase_inner_knots(
 
     The decomposition evaluates the inner function truncated at depth
     k_max + 2, which under the shared nudged-floor rule is constant on
-    lattice cells and jumps at (i - 1e-6)/gamma**depth. The network is
-    flat on each cell with a steep ramp of width STAIR_RAMP_WIDTH just
-    below every jump. The 1e-6 index nudge keeps the jumps clear of all
+    lattice cells and jumps at (i - TRUNC_NUDGE)/gamma**depth. The network
+    is flat on each cell with a steep ramp of width STAIR_RAMP_WIDTH just
+    below every jump. The index nudge keeps the jumps clear of all
     rational coincidences of audit points, so evaluation points never
     land inside a ramp and the network reproduces the evaluated inner
     function pointwise.
     """
     scale = state.params.gamma**state.k_trunc
     table = state.ev.float_table(state.k_trunc)
-    idx_top = math.floor(M * scale + 1e-6)
-    # jump i sits at (i - 1e-6)/scale; idx_top + 2 is past M
+    idx_top = math.floor(M * scale + TRUNC_NUDGE)
+    # jump i sits at (i - TRUNC_NUDGE)/scale; idx_top + 2 is past M
     i = np.arange(1, idx_top + 3)
-    i = i[(i - 1e-6) / scale < M]
-    jumps = (i - 1e-6) / scale
+    i = i[(i - TRUNC_NUDGE) / scale < M]
+    jumps = (i - TRUNC_NUDGE) / scale
     # a ramp start left of jump i, where it clears the knot before it
     lefts = jumps - STAIR_RAMP_WIDTH
     has_left = lefts > np.concatenate(([0.0], jumps[:-1]))
@@ -200,8 +171,11 @@ def build_inner_net(
 
 
 def _corner_knots(state: DecompositionState, j: int, M: float) -> np.ndarray:
+    """0, M and the bump corners in [0, M] of family j's layers that have
+    a nonzero coefficient: the breakpoints of phi_j."""
     pieces = [np.asarray([0.0, M])]
-    for grid in dict.fromkeys(layer.grid for layer in state.outer[j].layers):
+    layers = (layer for layer in state.outer[j].layers if np.any(layer.coeff))
+    for grid in dict.fromkeys(layer.grid for layer in layers):
         for off in (-grid.ramp, 0.0, grid.plateau, grid.plateau + grid.ramp):
             pieces.append(grid.xi + off)
     knots = np.unique(np.concatenate(pieces))
@@ -211,28 +185,19 @@ def _corner_knots(state: DecompositionState, j: int, M: float) -> np.ndarray:
 def build_outer_nets(
     state: DecompositionState, eps_phi: float, caps: PipelineCaps
 ) -> tuple[list[UnivariateNet], bool]:
-    """One approximant per family, uniform knots when the Lipschitz
-    requirement fits the budget and exact breakpoint knots otherwise."""
+    """One approximant per family, interpolating phi_j at its
+    breakpoints: phi_j is a sum of trapezoids, so it is linear between
+    them and the net reproduces it up to rounding."""
     p = state.params
     M = float(p.phi_domain_sup)
-    nu = lipschitz_report(state)["nu_r"] if state.r >= 1 else 0.0
-    n_req = 1 if nu == 0.0 else math.ceil(nu * M / (2.0 * eps_phi))
     nets = []
-    partial = False
     for j in range(p.m + 1):
+        knots = _corner_knots(state, j, M)
+        if len(knots) - 1 > caps.knot_budget:
+            raise DomainError(f"breakpoint count {len(knots) - 1} exceeds the knot budget")
         ref = lambda y, jj=j: phi_batch(state, jj, np.asarray(y, dtype=float))
-        if n_req <= caps.knot_budget:
-            net = build_univariate(ref, M, max(int(n_req), 1))
-        else:
-            knots = _corner_knots(state, j, M)
-            if len(knots) - 1 > caps.knot_budget:
-                raise DomainError(
-                    f"breakpoint count {len(knots) - 1} exceeds the knot budget"
-                )
-            net = build_univariate(ref, M, 0, knots=knots, audit_factor=4)
-        partial = partial or net.eps_measured > eps_phi
-        nets.append(net)
-    return nets, partial
+        nets.append(build_univariate(ref, M, 0, knots=knots, audit_factor=4))
+    return nets, any(net.eps_measured > eps_phi for net in nets)
 
 
 # -- end-to-end runs -----------------------------------------------------------
@@ -273,13 +238,13 @@ def assemble_from_state(
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    f_mesh, fr_mesh = audit_mesh_values(state)
-    net_mesh = asm.eval_batch(mesh_points([state.audit_axis()] * p.n))
+    f_mesh, fr_mesh = state.audit.f_mesh, state.fr_mesh
+    net_mesh = asm.eval_batch(mesh_points([state.audit.axis] * p.n))
 
     rng = np.random.Generator(np.random.PCG64(caps.seed))
     rand_pts = rng.random((caps.n_random, p.n))
     f_rand = state.target.eval_batch(rand_pts)
-    fr_rand = f_r_at_points(state, rand_pts)
+    fr_rand = f_r(state, rand_pts.T)
     net_rand = asm.eval_batch(rand_pts)
 
     def sups(f, fr, net):
@@ -349,7 +314,6 @@ def run_pipeline(
         params,
         DecompositionCaps(
             k_max=caps.k_max,
-            grid_budget=caps.grid_budget,
             audit_resolution=caps.audit_resolution,
             n_random=1000,
             seed=caps.seed,

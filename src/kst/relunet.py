@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, InternalCheckError
-from .params import KstParams, LambdaCoeffs
+from .params import KstParams, LambdaCoeffs, superpose
 
 MATERIALIZE_UNIT_CAP = 2_000_000
 # Points per forward block are chosen so that one block's (points x
@@ -476,16 +476,10 @@ class AssembledKst:
     _network: ReluNetwork | None = field(default=None, repr=False)
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
+        """Outputs at the rows of X, through the interpolants."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        p = self.params
-        a_f = float(p.a)
-        total = np.zeros(X.shape[0])
-        for j in range(p.m + 1):
-            y = np.zeros(X.shape[0])
-            for i in range(p.n):
-                y = y + self.lam_floats[i] * self.psi_net.eval(X[:, i] + j * a_f)
-            total = total + self.phi_nets[j].eval(y)
-        return total
+        return superpose(self.psi_net.eval, [net.eval for net in self.phi_nets],
+                         self.lam_floats, float(self.params.a), X.T)
 
     @property
     def unit_count(self) -> int:
@@ -529,7 +523,6 @@ def assemble_kst(
     for net in phi_nets:
         if net.domain < phi_sup - 1e-9:
             raise DomainError("outer net domain does not cover the image interval")
-    lam_floats = np.asarray([float(v) for v in lambdas.values])
 
     t_psi = psi_net.knots[:-1]
     W_psi = psi_net.W
@@ -553,7 +546,7 @@ def assemble_kst(
         psi_net=psi_net,
         phi_nets=list(phi_nets),
         params=p,
-        lam_floats=lam_floats,
+        lam_floats=lambdas.floats,
         W=W_total,
         L=6,
         fig3_W=fig3,

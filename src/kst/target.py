@@ -303,16 +303,14 @@ def default_audit_resolution(n: int) -> int:
     return 101 if n <= 2 else 31
 
 
-def expression_target(text: str, n: int, bound_resolution: int | None = None) -> TargetFunction:
+def expression_target(text: str, n: int) -> TargetFunction:
     """Target from expression text.
 
     The sup-norm bound is the sampled maximum on a grid matching the
     default audit resolution; exact bounds are only known for built-ins.
     """
     fn = _compile(parse(text, n))
-    if bound_resolution is None:
-        bound_resolution = default_audit_resolution(n)
-    pts = mesh_points([np.linspace(0.0, 1.0, bound_resolution)] * n)
+    pts = mesh_points([np.linspace(0.0, 1.0, default_audit_resolution(n))] * n)
     observed = float(np.max(np.abs(_evaluate(fn, pts))))
     return TargetFunction(
         dim=n,

@@ -213,9 +213,10 @@ class TestDisjointness:
 
     def test_json_shape(self, setup6):
         p, lam, ev = setup6
+        # the fields the benchmark's audit records are made of
         audit = disjoint_support_audit(p, lam, ev, 2, 1)
-        d = audit.to_json_dict()
-        assert set(d) == {"min_gap", "ok", "count"}
+        assert (audit.k, audit.j, audit.count) == (2, 1, p.gamma ** (2 * p.n))
+        assert audit.ok == (audit.min_gap > 0) and isinstance(audit.min_gap, Fraction)
 
 
 class TestXiMonotone:

@@ -16,7 +16,7 @@ from kst.decompose import (
     Grid,
     Layer,
     choose_k_r,
-    f_r_at_points,
+    f_r,
     init_state,
     iterate,
     lipschitz_report,
@@ -27,7 +27,7 @@ from kst.decompose import (
 from kst.errors import BudgetError, ConstraintViolation, DomainError
 from kst.inner import InnerEvaluator
 from kst.params import beta, make_params
-from kst.target import builtin_target
+from kst.target import builtin_target, mesh_points
 from oracles import (
     active_bump_counts,
     audit_grid,
@@ -444,19 +444,22 @@ class TestSharedGrid:
     def test_audit_mesh_approximant_once_per_state(self, monkeypatch):
         # f_r on the audit mesh is computed once per state, whichever of
         # the norm, the depth choice, the oscillation and the assembly
-        # asks first, and also for a state read from a file
+        # asks first, and also for a state read from a file; the states
+        # of one decomposition hold one audit sample
         counts = {}
-        original = decompose.f_r_on_mesh
+        original = decompose.f_r
 
-        def counted(state, axes):
-            if all(ax is state.audit_axis() for ax in axes):
+        def counted(state, columns):
+            if all(np.array_equal(np.ravel(c), state.audit.axis) for c in columns):
                 counts[id(state)] = counts.get(id(state), 0) + 1
-            return original(state, axes)
+            return original(state, columns)
 
-        monkeypatch.setattr(decompose, "f_r_on_mesh", counted)
+        monkeypatch.setattr(decompose, "f_r", counted)
         s0 = init_state(builtin_target("product", 2))
         s1 = iterate(s0)
         loaded = state_from_json_dict(state_to_json_dict(s1))
+        assert s1.audit is s0.audit
+        assert loaded.audit.points.tobytes() == s0.audit.points.tobytes()
         for state in (s0, s1, loaded):
             decompose.residual_modulus(state, 1 / 36)
             choose_k_r(state)
@@ -468,7 +471,7 @@ class TestSharedGrid:
 
 class TestEvaluateFr:
     def test_zero_state(self, zero_state):
-        assert f_r_at_points(zero_state, np.asarray([[0.3, 0.7]])).tolist() == [0.0]
+        assert f_r(zero_state, np.asarray([[0.3, 0.7]]).T).tolist() == [0.0]
 
     def test_pointwise_error_after_one_iteration(self, product_r1):
         rng = random.Random(47)
@@ -477,19 +480,27 @@ class TestEvaluateFr:
         worst = 0.0
         for _ in range(2000):
             x = np.asarray([[rng.random(), rng.random()]])
-            worst = max(worst, abs(f(x[0]) - f_r_at_points(product_r1, x)[0]))
+            worst = max(worst, abs(f(x[0]) - f_r(product_r1, x.T)[0]))
         assert worst <= eta
 
     def test_grid_point_structure(self, product_r1):
         # at an interior grid point every family contributes the same
         # coefficient, so f_1(d) equals e_0(d); the float coordinates of
         # the grid point read the cells of their exact arguments
-        from kst.decompose import f_r_on_mesh
-
         q = [3 / 36, 7 / 36]
-        got = f_r_on_mesh(product_r1, [[q[0]], [q[1]]])[0, 0]
+        got = f_r(product_r1, np.ix_([q[0]], [q[1]]))[0, 0]
         expected = float(Fraction(3, 36) * Fraction(7, 36))
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_mesh_columns_match_mesh_points(self, product_r3):
+        # f_r on a product mesh and at the mesh's points, bit for bit,
+        # for two axes and for one axis object taken twice
+        a = np.sort(np.random.default_rng(71).random(37))
+        for axes in ([a, np.linspace(0.0, 1.0, 23)], [a, a]):
+            on_mesh = f_r(product_r3, np.ix_(*axes))
+            assert on_mesh.shape == tuple(len(ax) for ax in axes)
+            at_points = f_r(product_r3, mesh_points(axes).T)
+            assert on_mesh.ravel().tobytes() == at_points.tobytes()
 
 
 class _IndexTable(InnerEvaluator):
@@ -620,8 +631,7 @@ class TestSerialization:
                     assert h.xi.tobytes() == g.xi.tobytes()
                     assert again.coeff.tobytes() == layer.coeff.tobytes()
                     assert h is next(x.grid for x in back.layers if x.grid.k == h.k)
-            assert (decompose.f_r_at_points(loaded, pts).tobytes()
-                    == decompose.f_r_at_points(state, pts).tobytes())
+            assert f_r(loaded, pts.T).tobytes() == f_r(state, pts.T).tobytes()
             assert json.dumps(state_to_json_dict(loaded), sort_keys=True) == blob
 
     def test_round_trip_metadata(self, product_r1):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kst.decompose import f_r_at_points, init_state, iterate
+from kst.decompose import f_r, init_state, iterate
 from kst.params import beta
 from kst.target import builtin_target
 from oracles import oracle_psi
@@ -106,7 +106,7 @@ def test_first_round_matches_independent_reimplementation(name):
     worst = 0.0
     for row in numerators:
         x = (Fraction(int(row[0]), 97), Fraction(int(row[1]), 97))
-        mine = f_r_at_points(state, np.asarray([[float(x[0]), float(x[1])]]))[0]
+        mine = f_r(state, np.asarray([[float(x[0])], [float(x[1])]]))[0]
         theirs = oracle_f1(x, target, p, k1, p.lambda_depth, state.k_trunc)
         worst = max(worst, abs(mine - theirs))
     assert worst <= 1e-9, f"max deviation {worst}"

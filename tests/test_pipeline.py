@@ -16,7 +16,7 @@ from kst.pipeline import (
     size_bound_report,
 )
 from kst.decompose import init_state, iterate
-from kst.target import builtin_target
+from kst.target import builtin_target, expression_target
 
 
 class TestRofEpsilon:
@@ -169,6 +169,19 @@ class TestRunPipeline:
     def test_caps_guard(self, caps):
         with pytest.raises(DomainError):
             run_pipeline(builtin_target("zero", 2), 0.5, caps)
+
+
+def test_outer_nets_take_the_breakpoints():
+    # phi_j is linear between the corners of its bumps, so each outer net
+    # interpolates it there; sized from the Lipschitz count instead, the
+    # nets of this run took 706,910 uniform knots and missed f_r by 0.049
+    asm, rep, state = run_pipeline(expression_target("0.5*x1*x2", 2), 0.99,
+                                   PipelineCaps(r_cap=1, seed=5))
+    M = float(state.params.phi_domain_sup)
+    for j, net in enumerate(asm.phi_nets):
+        assert net.knots.tobytes() == pipeline._corner_knots(state, j, M).tobytes()
+    assert rep.phi_knots == 5475
+    assert rep.errors_overall["fr_minus_net"] <= 1e-9
 
 
 class TestSizeBoundReport:

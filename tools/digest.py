@@ -75,8 +75,8 @@ FORWARD_POINTS = 500
 
 
 def sha256_json(doc: dict) -> str:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    return hashlib.sha256(text.encode()).hexdigest()
+    """The sha256 of the JSON text ``kst`` writes for doc."""
+    return hashlib.sha256(cli._json_text(doc).encode()).hexdigest()
 
 
 def digest_lines(seed: int, name: str, target) -> list[str]:
