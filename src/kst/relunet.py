@@ -12,7 +12,10 @@ slice reads them as runs of one source unit: each run's source column
 is added to the run's biases straight into the layer's values. Any
 other layer reads its sources as a slice or by one gather, weights
 them, sums them per destination and adds the bias. Then ReLU is applied
-in place on the relu units.
+in place on the relu units. A relu layer of runs read only by the next
+layer, as its whole source slice, and holding no output (the hinges of
+a univariate net) is never stored: per cache-sized chunk of the next
+layer, it is filled, rectified, weighted and summed in the term array.
 
 The builder realizes the interpolant of a sampled function as
 c_0 + sum_i a_i * ReLU(x - t_i), a depth-2 network whose size is linear
@@ -43,9 +46,12 @@ from .params import KstParams, LambdaCoeffs, superpose
 MATERIALIZE_UNIT_CAP = 2_000_000
 # Points per forward block are chosen so that one block's (points x
 # units) values and (points x edges) terms stay under this many floats
-# (8 MB each); blocks that fit in cache run faster than larger ones. The
-# two arrays are allocated once per eval_batch call, for one block.
+# (8 MB each); blocks that fit in cache run faster. Each call allocates
+# both once, the terms as wide as the widest layer or chunk using them.
 FORWARD_BLOCK_ELEMENTS = 1 << 20
+# Hinges evaluated inside the sums that read them go in chunks of whole
+# sums whose terms per block stay under this many floats (512 KB, in L2).
+FUSED_CHUNK_ELEMENTS = 1 << 16
 # build_univariate audits its cells in blocks of this many, so one
 # block's interior audit points (cells times the audit factor less one)
 # take a few MB, whatever the knot count.
@@ -159,6 +165,12 @@ def json_parts(doc) -> list:
     return [json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()]
 
 
+def _fill_runs(vals: np.ndarray, runs: list, bias: np.ndarray, out: np.ndarray) -> None:
+    """out[:, a:b] = source column s of vals + bias[a:b] per run (s, a, b)."""
+    for s, a, b in runs:
+        np.add(vals[:, s, None], bias[a:b], out=out[:, a:b])
+
+
 def _layer_columns(kinds: Sequence[str], counts) -> tuple[np.ndarray, np.ndarray]:
     """Kind and layer columns of a network whose layer l holds counts[l]
     units, all of kind kinds[l]."""
@@ -222,24 +234,23 @@ class ReluNetwork:
             raise InternalCheckError(f"unit {orphans[0]} has no incoming edge")
         self.n_inputs = int(np.count_nonzero(self.layer == 0))
         self._plan = [self._layer_plan(lay) for lay in np.unique(self.layer[self.n_inputs :])]
-        self._widest = int(np.bincount(self.layer[self.dst], minlength=1).max())
+        for i in range(len(self._plan) - 1, 0, -1):
+            if fused := self._fused_plan(*self._plan[i - 1 : i + 1]):
+                self._plan[i - 1 : i + 1] = [fused]
+        self._widest = max(step[-1] for step in self._plan)
 
     def _layer_plan(self, lay: int) -> tuple:
         """Unit range, sources, weights (None when all are 1), per-unit
-        edge heads (None when every unit has one edge) and ReLU selector
-        (a bool when uniform) of one layer. The sources are a slice when
-        contiguous, otherwise a list of (source, first edge, end edge)
-        runs of one source unit when every unit has one edge of weight 1,
-        and an index array otherwise."""
+        edge heads (None when every unit has one edge), ReLU selector
+        (a bool when uniform) and edge count of one layer. The sources
+        are a slice when contiguous, otherwise a list of (source, first
+        edge, end edge) runs of one source unit when every unit has one
+        edge of weight 1, and an index array otherwise."""
         u0, u1 = np.searchsorted(self.layer, [lay, lay + 1])
         e0, e1 = np.searchsorted(self.dst, [u0, u1])
         sources = self.src[e0:e1]
-        weights = self.w[e0:e1]
-        if np.all(weights == 1.0):
-            weights = None
-        heads = None
-        if e1 - e0 > u1 - u0:
-            heads = np.searchsorted(self.dst[e0:e1], np.arange(u0, u1))
+        weights = None if np.all(self.w[e0:e1] == 1.0) else self.w[e0:e1]
+        heads = np.searchsorted(self.dst[e0:e1], np.arange(u0, u1)) if e1 - e0 > u1 - u0 else None
         if sources[-1] - sources[0] == e1 - e0 - 1 and np.all(np.diff(sources) == 1):
             sources = slice(int(sources[0]), int(sources[-1]) + 1)
         elif weights is None and heads is None:
@@ -248,7 +259,29 @@ class ReluNetwork:
             sources = [(int(sources[a]), a, b) for a, b in zip(starts, ends)]
         relu = self.kind[u0:u1] == "relu"
         relu = bool(relu[0]) if np.all(relu == relu[0]) else relu
-        return slice(int(u0), int(u1)), sources, weights, heads, relu
+        return slice(int(u0), int(u1)), sources, weights, heads, relu, int(e1 - e0)
+
+    def _fused_plan(self, hinges: tuple, sums: tuple) -> tuple | None:
+        """The step of the sums that evaluates the hinges inside them, or
+        None unless they qualify (see the module docstring): its sources
+        are (sum units, hinge runs, hinge biases, weights, heads) chunks."""
+        h, runs, _, _, h_relu, n = hinges
+        units, sources, weights, heads, relu, _ = sums
+        reads = np.concatenate([self.src, self.output_ids])
+        if not (isinstance(runs, list) and h_relu is True and isinstance(sources, slice)
+                and sources == h and np.count_nonzero((reads >= h.start) & (reads < h.stop)) == n):
+            return None
+        bounds = np.append(np.arange(n) if heads is None else heads, n)
+        limit = max(1, FUSED_CHUNK_ELEMENTS * len(self.w) // FORWARD_BLOCK_ELEMENTS)
+        chunks, u = [], 0
+        while u < len(bounds) - 1:
+            v = max(u + 1, int(np.searchsorted(bounds, bounds[u] + limit, side="right")) - 1)
+            a0, a1 = int(bounds[u]), int(bounds[v])
+            cut = [(s, max(a, a0) - a0, min(b, a1) - a0) for s, a, b in runs if a < a1 and b > a0]
+            chunks.append((slice(units.start + u, units.start + v), cut, self.bias[h][a0:a1],
+                           None if weights is None else weights[a0:a1], bounds[u:v] - a0))
+            u = v
+        return units, tuple(chunks), None, None, relu, max(len(c[2]) for c in chunks)
 
     @property
     def W(self) -> int:
@@ -286,19 +319,24 @@ class ReluNetwork:
 
     def _forward(self, X: np.ndarray, vals: np.ndarray, buffer: np.ndarray) -> np.ndarray:
         """Outputs at the rows of X, computed in vals, a (points, units)
-        buffer, with buffer holding a layer's weighted (points x edges)
-        terms."""
+        buffer, with buffer holding the (points x edges) terms of a layer
+        or chunk."""
         vals[:, : self.n_inputs] = X
-        for units, sources, weights, heads, relu in self._plan:
+        for units, sources, weights, heads, relu, _ in self._plan:
             out, bias = vals[:, units], self.bias[units]
-            if isinstance(sources, list):
-                for s, a, b in sources:
-                    np.add(vals[:, s, None], bias[a:b], out=out[:, a:b])
+            if isinstance(sources, tuple):
+                for sums, runs, h_bias, w, h in sources:
+                    terms = buffer[: len(X) * len(h_bias)].reshape(len(X), -1)
+                    _fill_runs(vals, runs, h_bias, terms)
+                    np.maximum(terms, 0.0, out=terms)
+                    if w is not None:
+                        np.multiply(terms, w, out=terms)
+                    np.add(np.add.reduceat(terms, h, axis=1), self.bias[sums], out=vals[:, sums])
+            elif isinstance(sources, list):
+                _fill_runs(vals, sources, bias, out)
             else:
-                if isinstance(sources, slice):
-                    terms = vals[:, sources]
-                else:
-                    terms = np.take(vals, sources, axis=1)
+                terms = (vals[:, sources] if isinstance(sources, slice)
+                         else np.take(vals, sources, axis=1))
                 if weights is not None:
                     terms = np.multiply(terms, weights,
                                         out=buffer[: terms.size].reshape(terms.shape))

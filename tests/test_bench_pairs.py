@@ -1,9 +1,11 @@
-"""tools/bench_pairs.py keeps every series it records and summarizes each
-from the last lines of its runs. Checked on synthetic last lines; no
-benchmark is run."""
+"""tools/bench_pairs.py keeps every series it records, summarizes each
+from the last lines of its runs and chains the series' ratios. Checked
+on synthetic last lines; no benchmark is run."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,8 @@ def test_summarize_medians_quartiles_and_wins():
     assert wall["change"] == {"median": 5.0, "q1": 4.0, "q3": 6.0, "iqr": 2.0}
     assert (wall["change_wins"], wall["pairs"], wall["median_gain"]) == (4, 5, 1.0)
     assert wall["gain_exceeds_parent_iqr"] is False
+    # change/parent per pair: 0.75, 1.2, 0.667, 0.714, 0.875
+    assert wall["median_ratio"] == 0.75
     # higher is better: the change wins where its rate exceeds the parent's
     rate = summary["rate"]
     assert (rate["parent"]["median"], rate["change"]["median"]) == (1.0, 2.0)
@@ -70,6 +74,8 @@ def test_new_series_keeps_earlier_ones(tmp_path):
     assert (new["change"], new["parent"], new["seconds"], new["pairs"]) == ("c1", "p1", 30, pairs)
     assert new["summary"] == tool.summarize(pairs, END_TO_END)
     assert new["summary"]["wall_s"]["change_wins"] == 2
+    assert [p["ratio"] for p in new["pairs"]] == [{"wall_s": 0.75, "rate": 2.0},
+                                                  {"wall_s": 0.9, "rate": 2.0}]
 
 
 def test_first_series_makes_the_file(tmp_path):
@@ -89,3 +95,32 @@ def test_other_workload_refused(tmp_path):
     with pytest.raises(SystemExit, match="holds workload 'w'"):
         tool.open_series(str(path), "other", 40)
     assert json.loads(path.read_text())["series"] == []
+
+
+def _series(parent, change, walls):
+    """A recorded series of pairs (parent wall, change wall), rate 1."""
+    pairs = [_pair(i, (p, 1.0), (c, 1.0)) for i, (p, c) in enumerate(walls)]
+    for pair in pairs:
+        pair["parent"]["commit"], pair["change"]["commit"] = parent, change
+    return {"change": change, "parent": parent, "seconds": 40, "pairs": pairs}
+
+
+def test_chain_keeps_the_last_series_per_parent(tmp_path):
+    tool = _load_tool()
+    doc = {"workload": "w", "command": tool.COMMAND, "series": [
+        _series("p1", "c1", [(4.0, 2.0), (4.0, 2.0), (4.0, 2.0)]),  # spanned by the next
+        _series("p1", "c2", [(4.0, 1.0), (4.0, 1.2), (4.0, 0.8)]),  # ratios 0.25, 0.3, 0.2
+        _series("c2", "c3", [(2.0, 1.0), (4.0, 3.0), (4.0, 2.0)]),  # ratios 0.5, 0.75, 0.5
+    ]}
+    chained = tool.chain(doc)
+    assert list(chained) == ["wall_s", "rate"]
+    count, product = chained["wall_s"]
+    assert count == 2 and product == pytest.approx(0.5 * 0.25)
+    assert chained["rate"] == (2, 1.0)
+    path = tmp_path / "BENCH_w.json"
+    path.write_text(json.dumps(doc))
+    before = path.read_bytes()
+    proc = subprocess.run([sys.executable, str(TOOL_PATH), "--chain", str(path)],
+                          stdout=subprocess.PIPE, text=True, check=True)
+    assert proc.stdout.splitlines() == ["wall_s 0.125 over 2 series", "rate 1.000 over 2 series"]
+    assert path.read_bytes() == before

@@ -174,6 +174,58 @@ def layered_columns(draw):
                 bias=draw(st.lists(small_floats(), min_size=len(layer), max_size=len(layer))))
 
 
+@st.composite
+def hinge_pairs(draw):
+    """Columns of a hinge layer (one weight-1 edge per relu unit, read
+    as runs of one input) and the weighted sums that read it whole, with
+    one or several units per sum and all-1 or general weights, and the
+    twin that breaks it: "plain" keeps the hinges evaluated inside the
+    sums; "read later" adds a unit that reads a hinge again, "output"
+    lists a hinge as an output, "mixed" makes one hinge linear."""
+    variant = draw(st.sampled_from(["plain", "read later", "output", "mixed"]))
+    n_inputs = draw(st.integers(1, 3))
+    # the first run has two hinges, so the sources are never one slice
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    lengths[0] += 1
+    runs = draw(st.lists(st.integers(0, n_inputs - 1), min_size=len(lengths),
+                         max_size=len(lengths)))
+    hinges = sum(lengths)
+    cuts = sorted(draw(st.sets(st.integers(1, hinges - 1), max_size=hinges - 1)))
+    fan_in = np.diff([0, *cuts, hinges])
+    sums = len(fan_in)
+    kind = ["input"] * n_inputs + ["relu"] * hinges
+    kind += [draw(st.sampled_from(["relu", "linear"]))] * sums
+    if variant == "mixed":
+        kind[n_inputs + draw(st.integers(0, hinges - 1))] = "linear"
+    layer = [0] * n_inputs + [1] * hinges + [2] * sums
+    src = np.repeat(runs, lengths).tolist() + list(range(n_inputs, n_inputs + hinges))
+    dst = list(range(n_inputs, n_inputs + hinges))
+    dst += np.repeat(np.arange(sums) + n_inputs + hinges, fan_in).tolist()
+    w = [1.0] * hinges + ([1.0] * hinges if draw(st.booleans()) else draw(
+        st.lists(small_floats(), min_size=hinges, max_size=hinges)))
+    outputs = list(range(n_inputs + hinges, len(layer)))
+    if variant == "read later":
+        # a layer-3 unit reads one hinge and the last sum
+        again = n_inputs + draw(st.integers(0, hinges - 1))
+        src += [again, len(layer) - 1]
+        dst += [len(layer)] * 2
+        w += [1.0, 1.0]
+        outputs.append(len(layer))
+        kind.append("linear")
+        layer.append(3)
+    if variant == "output":
+        outputs.append(n_inputs + draw(st.integers(0, hinges - 1)))
+    bias = draw(st.lists(small_floats(), min_size=len(layer), max_size=len(layer)))
+    return variant, dict(kind=kind, layer=layer, bias=bias, src=src, dst=dst, w=w,
+                         output_ids=outputs)
+
+
+def fused_steps(net) -> list:
+    """The chunks of each plan step that evaluates a hinge layer inside
+    the sums that read it."""
+    return [plan[1] for plan in net._plan if isinstance(plan[1], tuple)]
+
+
 class TestForwardReference:
     """``eval_batch`` against the gather-based reference, bit for bit."""
 
@@ -191,12 +243,39 @@ class TestForwardReference:
             for X in batches:
                 assert net.eval_batch(X).tobytes() == take_forward(net, X, block).tobytes()
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(hinge_pairs(), st.sampled_from([1, 1 << 40]), st.integers(1, 5), st.data())
+    def test_hinges_inside_sums_match_take_forward(self, pair, chunk, block, data):
+        variant, cols = pair
+        with pytest.MonkeyPatch.context() as mp:
+            # chunks of one sum unit each, or the whole layer in one
+            mp.setattr(relunet, "FUSED_CHUNK_ELEMENTS", chunk)
+            net = ReluNetwork(**cols)
+        sums = cols["layer"].count(2)
+        if variant == "plain":
+            assert [len(chunks) for chunks in fused_steps(net)] == [sums if chunk == 1 else 1]
+            assert [type(plan[1]) for plan in net._plan] == [tuple]
+        else:
+            assert fused_steps(net) == []
+        n_inputs = cols["layer"].count(0)
+        X = np.asarray(data.draw(st.lists(
+            st.lists(small_floats(), min_size=n_inputs, max_size=n_inputs),
+            min_size=2 * block + 1, max_size=2 * block + 1)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relunet, "FORWARD_BLOCK_ELEMENTS", block * max(len(net.w), len(net.layer)))
+            assert net.eval_batch(X).tobytes() == take_forward(net, X, block).tobytes()
+
     def test_program_networks_read_runs(self, small_assembly):
         _, asm = small_assembly
-        runs = [isinstance(plan[1], list) for plan in asm.network._plan]
-        assert runs == [True, False, False, True, False, False]
+        net = asm.network
+        steps = [(int(net.layer[plan[0].start]), type(plan[1])) for plan in net._plan]
+        assert steps == [(2, tuple), (3, slice), (5, tuple), (6, slice)]
+        # no step's terms are wider than its widest chunk or unfused layer
+        widths = np.bincount(net.layer[net.dst])
+        assert net._widest == max(len(chunk[2]) for chunks in fused_steps(net) for chunk in chunks)
+        assert net._widest < widths.max() and net._widest >= max(widths[3], widths[6])
         uni = build_univariate(lambda x: x * x, 1.0, 9).network
-        assert [isinstance(plan[1], list) for plan in uni._plan] == [True, False]
+        assert [type(plan[1]) for plan in uni._plan] == [tuple]
 
 
 class TestBuildUnivariate:
@@ -503,6 +582,24 @@ class TestAssembly:
         got = net.eval_batch(pts)
         assert got.shape == (40, 1)
         assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_each_stored_layer_matches_the_interpolants(self, small_assembly):
+        # networks on the same columns whose outputs are the units of
+        # layers 2, 3, 5 and 6, against the interpolant form of each
+        _, asm = small_assembly
+        net, p = asm.network, asm.params
+        X = np.random.default_rng(7).random((300, 2))
+        shifted = X[:, None, :] + np.arange(p.m + 1)[None, :, None] * float(p.a)
+        psi = asm.psi_net.eval(shifted)  # (points, families, coordinates)
+        sums = psi @ asm.lam_floats
+        phis = np.stack([phi.eval(sums[:, j]) for j, phi in enumerate(asm.phi_nets)], axis=1)
+        want = {2: psi.reshape(len(X), -1), 3: sums, 5: phis, 6: asm.eval_batch(X)[:, None]}
+        for lay, values in want.items():
+            ids = np.flatnonzero(net.layer == lay)
+            part = ReluNetwork(net.kind, net.layer, net.bias, net.src, net.dst, net.w,
+                               output_ids=ids)
+            assert len(fused_steps(part)) == 2
+            np.testing.assert_allclose(part.eval_batch(X), values, rtol=0, atol=1e-10)
 
     def test_domain_coverage_checks(self, small_assembly):
         state, _ = small_assembly

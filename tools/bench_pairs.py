@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
         --seeds 301,302,...
+    python3 tools/bench_pairs.py --chain BENCH_NAME.json
 
 Each DIR is a checkout of one commit. Pair i uses the i-th seed and runs
 the parent first when i is even, the change first when i is odd, each as
@@ -10,17 +11,24 @@ from its checkout, with T the run_seconds of the change's BENCHMARK.json.
 The output file, BENCH_<NAME>.json in the current directory, keeps one
 series per invocation, appended after the series already in it. A series
 names its change and parent commits and T, and keeps, per pair, the
-seed, the side that ran first, both commit ids and the last stdout line
-of each run verbatim; and, per end-to-end metric of BENCHMARK.json, each
-side's median and quartiles and how many pairs the change won. The file
+seed, the side that ran first, both commit ids, the last stdout line
+of each run verbatim and the change/parent ratio of each end-to-end
+metric of BENCHMARK.json; and, per metric, each side's median and
+quartiles, the median ratio and how many pairs the change won. The file
 is rewritten after every pair, so an interrupted series keeps the pairs
 it finished.
+
+``--chain`` only reads a file: per end-to-end metric it prints the
+product of the series' median ratios, taking for each parent commit
+only the last series recorded against it (a later series of the same
+parent spans the earlier one), so the product chains the changes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -45,12 +53,20 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def metric(pair: dict, side: str, name: str) -> float:
+    return json.loads(pair[side]["last_line"])["metrics"][name]["value"]
+
+
+def ratios(pair: dict, names: list[str]) -> dict:
+    """The change/parent ratio of each named metric in one pair."""
+    return {name: metric(pair, "change", name) / metric(pair, "parent", name) for name in names}
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     out = {}
     for m in end_to_end:
         name, sign = m["name"], (1 if m["better"] == "lower" else -1)
-        side = {s: [json.loads(p[s]["last_line"])["metrics"][name]["value"] for p in pairs]
-                for s in ("parent", "change")}
+        side = {s: [metric(p, s, name) for p in pairs] for s in ("parent", "change")}
         stats = {s: spread(v) for s, v in side.items()}
         gap = sign * (stats["parent"]["median"] - stats["change"]["median"])
         wins = sum(sign * (a - b) > 0 for a, b in zip(side["parent"], side["change"]))
@@ -60,6 +76,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "change_wins": wins,
             "pairs": len(pairs),
             "median_gain": gap,
+            "median_ratio": statistics.median(ratios(p, [name])[name] for p in pairs),
             "gain_exceeds_parent_iqr": gap > stats["parent"]["iqr"],
         }
     return out
@@ -81,6 +98,7 @@ def open_series(path: str, workload: str, seconds: int) -> tuple[dict, dict]:
 
 def add_pair(path: str, doc: dict, series: dict, pair: dict, end_to_end: list[dict]) -> None:
     """Append pair to series, summarize the series and rewrite path."""
+    pair["ratio"] = ratios(pair, [m["name"] for m in end_to_end])
     series["pairs"].append(pair)
     series["change"], series["parent"] = pair["change"]["commit"], pair["parent"]["commit"]
     if len(series["pairs"]) >= 2:
@@ -90,13 +108,33 @@ def add_pair(path: str, doc: dict, series: dict, pair: dict, end_to_end: list[di
         fh.write("\n")
 
 
+def chain(doc: dict) -> dict:
+    """Per metric of the first run, the number of series chained and
+    the product of their median change/parent ratios, over the last
+    series recorded per parent commit."""
+    last = list({s["parent"]: s for s in doc["series"] if s["pairs"]}.values())
+    out = {}
+    for name in json.loads(last[0]["pairs"][0]["parent"]["last_line"])["metrics"]:
+        medians = [statistics.median(ratios(p, [name])[name] for p in s["pairs"]) for s in last]
+        out[name] = (len(last), math.prod(medians))
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True)
-    ap.add_argument("--change", required=True)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help="comma-separated, one per pair")
+    ap.add_argument("--chain", metavar="FILE", help="print the chained ratios of FILE and stop")
+    ap.add_argument("--parent")
+    ap.add_argument("--change")
+    ap.add_argument("--workload")
+    ap.add_argument("--seeds", help="comma-separated, one per pair")
     args = ap.parse_args()
+    if args.chain:
+        with open(args.chain, encoding="utf-8") as fh:
+            for name, (count, product) in chain(json.load(fh)).items():
+                print(f"{name} {product:.3f} over {count} series")
+        return 0
+    if not (args.parent and args.change and args.workload and args.seeds):
+        ap.error("--parent, --change, --workload and --seeds are required without --chain")
     seeds = [int(s) for s in args.seeds.split(",")]
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
