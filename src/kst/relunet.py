@@ -263,13 +263,15 @@ class ReluNetwork:
 
     def _fused_plan(self, hinges: tuple, sums: tuple) -> tuple | None:
         """The step of the sums that evaluates the hinges inside them, or
-        None unless they qualify (see the module docstring): its sources
-        are (sum units, hinge runs, hinge biases, weights, heads) chunks."""
+        None unless they qualify (see the module docstring). Its sources
+        are (sum units, hinge runs, hinge biases, weights, heads) chunks,
+        edges counted from the chunk's first; its edge count, the widest's."""
         h, runs, _, _, h_relu, n = hinges
         units, sources, weights, heads, relu, _ = sums
-        reads = np.concatenate([self.src, self.output_ids])
+        # only the edges into later layers could read the hinges again
+        later = np.concatenate([self.src[np.searchsorted(self.dst, units.stop) :], self.output_ids])
         if not (isinstance(runs, list) and h_relu is True and isinstance(sources, slice)
-                and sources == h and np.count_nonzero((reads >= h.start) & (reads < h.stop)) == n):
+                and sources == h and not np.any((later >= h.start) & (later < h.stop))):
             return None
         bounds = np.append(np.arange(n) if heads is None else heads, n)
         limit = max(1, FUSED_CHUNK_ELEMENTS * len(self.w) // FORWARD_BLOCK_ELEMENTS)
