@@ -57,9 +57,9 @@ def metric(pair: dict, side: str, name: str) -> float:
     return json.loads(pair[side]["last_line"])["metrics"][name]["value"]
 
 
-def ratios(pair: dict, names: list[str]) -> dict:
-    """The change/parent ratio of each named metric in one pair."""
-    return {name: metric(pair, "change", name) / metric(pair, "parent", name) for name in names}
+def ratio(pair: dict, name: str) -> float:
+    """The change/parent ratio of one metric in one pair."""
+    return metric(pair, "change", name) / metric(pair, "parent", name)
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
@@ -76,7 +76,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "change_wins": wins,
             "pairs": len(pairs),
             "median_gain": gap,
-            "median_ratio": statistics.median(ratios(p, [name])[name] for p in pairs),
+            "median_ratio": statistics.median(ratio(p, name) for p in pairs),
             "gain_exceeds_parent_iqr": gap > stats["parent"]["iqr"],
         }
     return out
@@ -98,7 +98,7 @@ def open_series(path: str, workload: str, seconds: int) -> tuple[dict, dict]:
 
 def add_pair(path: str, doc: dict, series: dict, pair: dict, end_to_end: list[dict]) -> None:
     """Append pair to series, summarize the series and rewrite path."""
-    pair["ratio"] = ratios(pair, [m["name"] for m in end_to_end])
+    pair["ratio"] = {m["name"]: ratio(pair, m["name"]) for m in end_to_end}
     series["pairs"].append(pair)
     series["change"], series["parent"] = pair["change"]["commit"], pair["parent"]["commit"]
     if len(series["pairs"]) >= 2:
@@ -115,7 +115,7 @@ def chain(doc: dict) -> dict:
     last = list({s["parent"]: s for s in doc["series"] if s["pairs"]}.values())
     out = {}
     for name in json.loads(last[0]["pairs"][0]["parent"]["last_line"])["metrics"]:
-        medians = [statistics.median(ratios(p, [name])[name] for p in s["pairs"]) for s in last]
+        medians = [statistics.median(ratio(p, name) for p in s["pairs"]) for s in last]
         out[name] = (len(last), math.prod(medians))
     return out
 
