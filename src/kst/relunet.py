@@ -7,15 +7,14 @@ layer-major order, so a unit's id is its position and each layer is a
 contiguous range, and its edges as src/dst/w arrays sorted by
 (dst, src). The forward pass runs layer by layer over blocks of points,
 in one (points x units) value array and one term array allocated per
-call. A layer of one-edge, weight-1 units whose sources are not one
-slice reads them as runs of one source unit: each run's source column
-is added to the run's biases straight into the layer's values. Any
-other layer reads its sources as a slice or by one gather, weights
-them, sums them per destination and adds the bias. Then ReLU is applied
-in place on the relu units. A relu layer of runs read only by the next
-layer, as its whole source slice, and holding no output (the hinges of
-a univariate net) is never stored: per cache-sized chunk of the next
-layer, it is filled, rectified, weighted and summed in the term array.
+call. A layer reads its sources as a slice or by one gather, weights
+them, sums them per destination and adds the bias; then ReLU is applied
+in place on the relu units. A relu layer of one-edge, weight-1 units
+whose sources are not one slice, read only by the next layer as its
+whole source slice and holding no output (the hinges of a univariate
+net), is never stored: per cache-sized chunk of the next layer, each
+run of hinges reading one source unit is added to their biases in the
+term array, then rectified, weighted and summed per unit.
 
 The builder realizes the interpolant of a sampled function as
 c_0 + sum_i a_i * ReLU(x - t_i), a depth-2 network whose size is linear
@@ -165,12 +164,6 @@ def json_parts(doc) -> list:
     return [json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()]
 
 
-def _fill_runs(vals: np.ndarray, runs: list, bias: np.ndarray, out: np.ndarray) -> None:
-    """out[:, a:b] = source column s of vals + bias[a:b] per run (s, a, b)."""
-    for s, a, b in runs:
-        np.add(vals[:, s, None], bias[a:b], out=out[:, a:b])
-
-
 def _layer_columns(kinds: Sequence[str], counts) -> tuple[np.ndarray, np.ndarray]:
     """Kind and layer columns of a network whose layer l holds counts[l]
     units, all of kind kinds[l]."""
@@ -243,20 +236,18 @@ class ReluNetwork:
         """Unit range, sources, weights (None when all are 1), per-unit
         edge heads (None when every unit has one edge), ReLU selector
         (a bool when uniform) and edge count of one layer. The sources
-        are a slice when contiguous, otherwise a list of (source, first
-        edge, end edge) runs of one source unit when every unit has one
-        edge of weight 1, and an index array otherwise."""
+        are a slice when contiguous and an index array otherwise."""
         u0, u1 = np.searchsorted(self.layer, [lay, lay + 1])
         e0, e1 = np.searchsorted(self.dst, [u0, u1])
         sources = self.src[e0:e1]
-        weights = None if np.all(self.w[e0:e1] == 1.0) else self.w[e0:e1]
-        heads = np.searchsorted(self.dst[e0:e1], np.arange(u0, u1)) if e1 - e0 > u1 - u0 else None
+        weights = self.w[e0:e1]
+        if np.all(weights == 1.0):
+            weights = None
+        heads = None
+        if e1 - e0 > u1 - u0:
+            heads = np.searchsorted(self.dst[e0:e1], np.arange(u0, u1))
         if sources[-1] - sources[0] == e1 - e0 - 1 and np.all(np.diff(sources) == 1):
             sources = slice(int(sources[0]), int(sources[-1]) + 1)
-        elif weights is None and heads is None:
-            starts = np.flatnonzero(np.diff(sources, prepend=-1)).tolist()
-            ends = starts[1:] + [len(sources)]
-            sources = [(int(sources[a]), a, b) for a, b in zip(starts, ends)]
         relu = self.kind[u0:u1] == "relu"
         relu = bool(relu[0]) if np.all(relu == relu[0]) else relu
         return slice(int(u0), int(u1)), sources, weights, heads, relu, int(e1 - e0)
@@ -265,16 +256,20 @@ class ReluNetwork:
         """The step of the sums that evaluates the hinges inside them, or
         None unless they qualify (see the module docstring). Its sources
         are (sum units, hinge runs, hinge biases, weights, heads) chunks,
-        edges counted from the chunk's first; its edge count, the widest's."""
-        h, runs, _, _, h_relu, n = hinges
+        edges counted from the chunk's first, where a run (s, a, b) reads
+        source unit s into edges a:b; its edge count is the widest's."""
+        h, h_sources, h_weights, h_heads, h_relu, n = hinges
         units, sources, weights, heads, relu, _ = sums
         # only the edges into later layers could read the hinges again
         later = np.concatenate([self.src[np.searchsorted(self.dst, units.stop) :], self.output_ids])
-        if not (isinstance(runs, list) and h_relu is True and isinstance(sources, slice)
-                and sources == h and not np.any((later >= h.start) & (later < h.stop))):
+        if not (isinstance(h_sources, np.ndarray) and h_weights is None and h_heads is None
+                and h_relu is True and isinstance(sources, slice) and sources == h
+                and not np.any((later >= h.start) & (later < h.stop))):
             return None
+        starts = np.flatnonzero(np.diff(h_sources, prepend=-1)).tolist()
+        runs = [(int(h_sources[a]), a, b) for a, b in zip(starts, starts[1:] + [n])]
         bounds = np.append(np.arange(n) if heads is None else heads, n)
-        limit = max(1, FUSED_CHUNK_ELEMENTS * len(self.w) // FORWARD_BLOCK_ELEMENTS)
+        limit = max(1, FUSED_CHUNK_ELEMENTS // self._block_rows())
         chunks, u = [], 0
         while u < len(bounds) - 1:
             v = max(u + 1, int(np.searchsorted(bounds, bounds[u] + limit, side="right")) - 1)
@@ -284,6 +279,10 @@ class ReluNetwork:
                            None if weights is None else weights[a0:a1], bounds[u:v] - a0))
             u = v
         return units, tuple(chunks), None, None, relu, max(len(c[2]) for c in chunks)
+
+    def _block_rows(self) -> int:
+        """Points per forward block (see FORWARD_BLOCK_ELEMENTS)."""
+        return max(1, FORWARD_BLOCK_ELEMENTS // max(len(self.w), len(self.layer)))
 
     @property
     def W(self) -> int:
@@ -310,7 +309,7 @@ class ReluNetwork:
         if X.shape[1] != self.n_inputs:
             raise DomainError(f"expected {self.n_inputs} inputs, got {X.shape[1]}")
         out = np.empty((X.shape[0], len(self.output_ids)))
-        step = max(1, FORWARD_BLOCK_ELEMENTS // max(len(self.w), len(self.layer)))
+        step = self._block_rows()
         rows = min(step, X.shape[0])
         vals = np.empty((rows, len(self.layer)))
         terms = np.empty(rows * self._widest)
@@ -329,16 +328,17 @@ class ReluNetwork:
             if isinstance(sources, tuple):
                 for sums, runs, h_bias, w, h in sources:
                     terms = buffer[: len(X) * len(h_bias)].reshape(len(X), -1)
-                    _fill_runs(vals, runs, h_bias, terms)
+                    for s, a, b in runs:
+                        np.add(vals[:, s, None], h_bias[a:b], out=terms[:, a:b])
                     np.maximum(terms, 0.0, out=terms)
                     if w is not None:
                         np.multiply(terms, w, out=terms)
                     np.add(np.add.reduceat(terms, h, axis=1), self.bias[sums], out=vals[:, sums])
-            elif isinstance(sources, list):
-                _fill_runs(vals, sources, bias, out)
             else:
-                terms = (vals[:, sources] if isinstance(sources, slice)
-                         else np.take(vals, sources, axis=1))
+                if isinstance(sources, slice):
+                    terms = vals[:, sources]
+                else:
+                    terms = np.take(vals, sources, axis=1)
                 if weights is not None:
                     terms = np.multiply(terms, weights,
                                         out=buffer[: terms.size].reshape(terms.shape))

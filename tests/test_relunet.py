@@ -277,6 +277,25 @@ class TestForwardReference:
         uni = build_univariate(lambda x: x * x, 1.0, 9).network
         assert [type(plan[1]) for plan in uni._plan] == [tuple]
 
+    def test_chunks_fit_the_bound_at_one_point_per_block(self, small_assembly):
+        # one point per block, as for nets over FORWARD_BLOCK_ELEMENTS edges:
+        # a chunk takes the whole sums that fit 200 terms, or one wider sum
+        _, asm = small_assembly
+        cols = {name: getattr(asm.network, name) for name in
+                ("kind", "layer", "bias", "src", "dst", "w", "output_ids")}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relunet, "FORWARD_BLOCK_ELEMENTS", 1)
+            mp.setattr(relunet, "FUSED_CHUNK_ELEMENTS", 200)
+            net = ReluNetwork(**cols)
+            for chunks in fused_steps(net):
+                widths = [len(chunk[2]) for chunk in chunks]
+                units = [chunk[0].stop - chunk[0].start for chunk in chunks]
+                assert all(w <= 200 or u == 1 for w, u in zip(widths, units))
+            assert [[len(chunk[4]) for chunk in chunks] for chunks in fused_steps(net)] == [
+                [3, 3, 3, 1], [1] * 5]
+            X = np.random.default_rng(2).random((3, 2))
+            assert net.eval_batch(X).tobytes() == take_forward(net, X, 1).tobytes()
+
 
 class TestBuildUnivariate:
     def test_linear_target_is_exact(self):
