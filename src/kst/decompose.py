@@ -26,7 +26,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .bumps import b_k, disjoint_support_audit, family_axis
-from .errors import BudgetError, ConstraintViolation, DomainError
+from .errors import BudgetError, ConstraintViolation, DomainError, KstError
 from .inner import InnerEvaluator
 from .params import (
     KstParams,
@@ -104,8 +104,8 @@ class DecompositionCaps:
 
     ``audit_resolution`` is the points per axis of the audit mesh; None
     takes the default for the dimension when the state is created.
-    DomainError refuses an audit resolution below 1, a negative
-    ``n_random`` and a negative ``seed``.
+    DomainError refuses a ``k_max`` or an audit resolution below 1, a
+    negative ``n_random`` and a negative ``seed``.
     """
 
     k_max: int = 3
@@ -115,12 +115,10 @@ class DecompositionCaps:
     seed: int = 0
 
     def __post_init__(self):
-        if self.audit_resolution is not None and self.audit_resolution < 1:
-            raise DomainError(f"audit_resolution must be at least 1, got {self.audit_resolution}")
-        if self.n_random < 0:
-            raise DomainError(f"n_random must be at least 0, got {self.n_random}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be at least 0, got {self.seed}")
+        for name, least in (("k_max", 1), ("audit_resolution", 1), ("n_random", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise DomainError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,46 +328,68 @@ def residual_modulus(state, h: float) -> float:
     return worst
 
 
-# Exact depth-1 min_gap per parameter record; a pure function of the
-# record, so, like the inner evaluator's lattices, a cache only.
-_depth_one_gaps: dict[KstParams, Fraction] = {}
+# Per parameter record, each depth's float bump shape and the exact depth-1
+# min_gap ("gap"), computed on first use: pure functions of the record,
+# so, like the inner evaluator's lattices, a cache only.
+_geometry: dict[KstParams, dict] = {}
 
 
-def _overlap_gap(state, k: int) -> Fraction | None:
-    """Exact min_gap of the depth-k bump supports when the audit shows
-    them overlapping, else None.
+def _memo(state, key, compute):
+    known = _geometry.setdefault(state.params, {})
+    if key not in known:
+        known[key] = compute()
+    return known[key]
 
-    Only depth 1 is audited. Its family shift sum_{l=2..1} gamma**-l is
-    empty, so one audit of gamma**n images decides all m+1 families, and
-    its ramp gamma**-beta_n(2) is wider than the street between images
-    (min_gap -7.05e-3, -3.20e-3, -1.71e-3 at n=2 for gamma 6, 8, 10).
-    The verdict is computed at most once per parameter record. Deeper
-    families take m+1 audits of gamma**(nk) images each (disjoint at
-    k=2, n=2 by acceptance 4; beyond the audit budget at k=3) and are
-    not audited here.
+
+def depth_refusal(state, k: int, nonzero: bool = False) -> KstError | None:
+    """The error a round at depth k must raise, or None.
+
+    The cheap part refuses a depth outside 1..k_max; one whose float ramp
+    gamma**-beta_n(k+1), narrower than the plateau (gamma - 2) * b_k >= 4
+    ramps, is no wider than the float spacing at the top of the outer
+    domain, where every bump would collapse (n=2 from depth 4 on, n=3
+    from depth 3 on); and one whose (gamma**k + 1)**n grid exceeds the
+    budget. With ``nonzero``, for a layer with a nonzero coefficient, the
+    exact audit refuses overlapping supports. Only depth 1 is audited:
+    its family shift is empty, so one audit of gamma**n images decides
+    all m+1 families (min_gap -7.05e-3, -3.20e-3, -1.71e-3 at n=2 for
+    gamma 6, 8, 10). Deeper families take m+1 audits of gamma**(nk)
+    images each and are not audited here.
     """
-    if k != 1:
-        return None
-    p = state.params
-    gap = _depth_one_gaps.get(p)
-    if gap is None:
-        gap = disjoint_support_audit(p, state.lambdas, state.ev, 1, 0).min_gap
-        _depth_one_gaps[p] = gap
-    return gap if gap <= 0 else None
+    p, caps = state.params, state.caps
+    if not 1 <= k <= caps.k_max:
+        return ConstraintViolation("1 <= k <= k_max", f"depth {k}, k_max {caps.k_max}")
+    ramp = float(Fraction(1, p.gamma ** beta(p.n, k + 1)))
+    spacing = float(np.spacing(float(p.phi_domain_sup)))
+    if ramp <= spacing:
+        return ConstraintViolation(f"bump ramp wider than the float spacing {spacing:.3e}",
+                                   f"ramp {ramp:.3e} at depth {k}")
+    size = (p.gamma**k + 1) ** p.n
+    if size > caps.grid_budget:
+        return BudgetError(f"depth-{k} grid size (gamma**k + 1)**n = {size} exceeds "
+                           f"{caps.grid_budget}")
+    if nonzero and k == 1:
+        audit = lambda: disjoint_support_audit(p, state.lambdas, state.ev, 1, 0).min_gap
+        if (gap := _memo(state, "gap", audit)) <= 0:
+            return ConstraintViolation("disjoint depth-1 bump supports",
+                                       f"exact audit min_gap = {float(gap):.6e} at depth 1")
+    return None
 
 
 def choose_k_r(state) -> tuple[int, bool]:
     """Smallest depth whose empirical residual oscillation is within
-    delta times the residual norm and whose bump supports are not shown
-    overlapping by the exact audit; (k_max, True) when none qualifies.
+    delta times the residual norm and that depth_refusal lets a nonzero
+    layer take, (k_max, True) when none qualifies: depths its cheap part
+    refuses are not swept, and its audit is asked after a sweep passes.
     A zero residual gives depth 1, whose layer is null."""
     norm = state.residual_norms[-1]
     if norm == 0.0:
         return 1, False
     p = state.params
     for k in range(1, state.caps.k_max + 1):
-        w = residual_modulus(state, float(p.gamma) ** -k)
-        if w <= p.delta * norm and _overlap_gap(state, k) is None:
+        if (depth_refusal(state, k) is None
+                and residual_modulus(state, float(p.gamma) ** -k) <= p.delta * norm
+                and depth_refusal(state, k, nonzero=True) is None):
             return k, False
     return state.caps.k_max, True
 
@@ -400,38 +420,24 @@ def family_grid(state, j: int, k: int, earlier: tuple[Layer, ...]) -> tuple[Grid
     order = np.argsort(xi_flat, kind="stable")
     grid = next((old.grid for old in earlier if old.grid.k == k), None)
     if grid is None:
-        slope, plateau, ramp = _bump_shape(p, state.lambdas, k)
-        grid = Grid(k=k, slope=slope, plateau=plateau, ramp=ramp, xi=xi_flat[order])
+        shape = _memo(state, k, lambda: _bump_shape(p, state.lambdas, k))
+        grid = Grid(k, *shape, xi=xi_flat[order])
     return grid, order
 
 
-def iterate(state: DecompositionState, force_k: int | None = None) -> DecompositionState:
+def iterate(state: DecompositionState) -> DecompositionState:
     """Append one bump layer to every family and remeasure the residual.
 
-    Raises ConstraintViolation rather than place nonzero bumps at a
-    depth whose supports the exact audit shows overlapping (depth 1),
-    or build a depth whose float ramp or plateau is no wider than the
-    float spacing at the top of the outer domain (n=2 from depth 4 on,
-    n=3 from depth 3 on), where every bump would collapse.
+    Raises the error of depth_refusal for the chosen depth: that of its
+    cheap part before the residual sweep, so no grid above the budget is
+    allocated, and that of the exact audit after it, when a coefficient
+    is nonzero (the null layers of a zero residual are built at depth 1).
     """
     p = state.params
     g, n, m = p.gamma, p.n, p.m
-    if force_k is None:
-        k_r, warned = choose_k_r(state)
-    else:
-        k_r, warned = force_k, False
-    _, plateau_f, ramp_f = _bump_shape(p, state.lambdas, k_r)
-    spacing = float(np.spacing(float(p.phi_domain_sup)))
-    if min(ramp_f, plateau_f) <= spacing:
-        raise ConstraintViolation(
-            f"depth-{k_r} bump ramp and plateau wider than the float spacing {spacing:.3e}",
-            f"ramp {ramp_f:.3e}, plateau {plateau_f:.3e} at depth {k_r}",
-        )
-    if (g**k_r + 1) ** n > state.caps.grid_budget:
-        raise BudgetError(
-            f"grid size (gamma**k + 1)**n = {(g**k_r + 1)**n} exceeds "
-            f"{state.caps.grid_budget}"
-        )
+    k_r, warned = choose_k_r(state)
+    if (err := depth_refusal(state, k_r)) is not None:
+        raise err
     # The level-k axis includes the right endpoint 1. Without it the
     # strip (1 - gamma**-k/(gamma-1), 1] of the cube belongs to no
     # family's plateau region (the families shift towns toward 0), and
@@ -443,13 +449,8 @@ def iterate(state: DecompositionState, force_k: int | None = None) -> Decomposit
     f_mesh = target_on_mesh(state.target, [axis] * n)
     fr_mesh = f_r(state, np.ix_(*[axis] * n))
     coeff_flat = ((f_mesh - fr_mesh) / (m + 1)).ravel()
-    if np.any(coeff_flat != 0.0):
-        gap = _overlap_gap(state, k_r)
-        if gap is not None:
-            raise ConstraintViolation(
-                f"disjoint depth-{k_r} bump supports",
-                f"exact audit min_gap = {float(gap):.6e} at depth {k_r}",
-            )
+    if (err := depth_refusal(state, k_r, nonzero=bool(np.any(coeff_flat)))) is not None:
+        raise err
 
     new_outer = []
     for j in range(m + 1):
@@ -596,9 +597,6 @@ def _check_rounds(d: dict, m: int) -> None:
     for key, extra in (("k_list", 0), ("k_warnings", 0), ("residual_norms", 1)):
         if len(d[key]) != r + extra:
             raise DomainError(f"state.{key} has {len(d[key])} entries for r = {r}")
-    for i, k in enumerate(d["k_list"]):
-        if k < 1:
-            raise DomainError(f"state.k_list[{i}] = {k} is not a depth >= 1")
     if len(d["outer"]) != m + 1:
         raise DomainError(f"state.outer has {len(d['outer'])} families, expected m + 1 = {m + 1}")
     for j, oa in enumerate(d["outer"]):
@@ -614,13 +612,16 @@ def _check_rounds(d: dict, m: int) -> None:
 def _load_layer(state, j: int, ld: dict, earlier: tuple[Layer, ...], where: str) -> Layer:
     """A stored layer of family j on the grid family_grid builds, refused
     with DomainError unless it has the (gamma**k + 1)**n coefficients of
-    its depth k and no bump with a nonzero coefficient reaches past its
-    next neighbour."""
+    its depth k, the cheap part of depth_refusal lets the state's caps
+    build that depth, and no bump with a nonzero coefficient reaches past
+    its next neighbour. The exact overlap audit is left to the build."""
     g, n, k, coeff = state.params.gamma, state.params.n, ld["k"], ld["coeff"]
     # gamma**k exceeds the coefficient count once k exceeds the count's
-    # bit length, so no grid size is computed for an absurd depth
+    # bit length, so no grid size or ramp is computed for an absurd depth
     if k > len(coeff).bit_length() or len(coeff) != (g**k + 1) ** n:
         raise DomainError(f"{where} has {len(coeff)} coefficients, not (gamma**k + 1)**n at k = {k}")
+    if (err := depth_refusal(state, k)) is not None:
+        raise DomainError(f"{where} holds a depth the caps refuse: {err}")
     grid, _ = family_grid(state, j, k, earlier)
     layer = Layer(grid, np.fromiter(map(float, coeff), float, len(coeff)))
     i = layer.overreach()

@@ -27,7 +27,7 @@ from .decompose import (
     lipschitz_report,
     phi_batch,
 )
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .inner import TRUNC_NUDGE
 from .params import KstParams, make_params, to_json
 from .relunet import AssembledKst, UnivariateNet, assemble_kst, build_univariate
@@ -158,9 +158,7 @@ def build_inner_net(
     if caps.align_inner_knots:
         knots, values = _staircase_inner_knots(state, M)
         if len(knots) - 1 > caps.knot_budget:
-            raise DomainError(
-                f"staircase knot count {len(knots) - 1} exceeds the knot budget"
-            )
+            raise BudgetError(f"staircase knot count {len(knots) - 1} exceeds the knot budget")
         net = build_univariate(ref, M, 0, knots=knots, values=values, audit_factor=4)
     else:
         h = (eps_psi / p.nu) ** (1.0 / p.alpha) if eps_psi > 0 else 0.0
@@ -194,7 +192,7 @@ def build_outer_nets(
     for j in range(p.m + 1):
         knots = _corner_knots(state, j, M)
         if len(knots) - 1 > caps.knot_budget:
-            raise DomainError(f"breakpoint count {len(knots) - 1} exceeds the knot budget")
+            raise BudgetError(f"breakpoint count {len(knots) - 1} exceeds the knot budget")
         ref = lambda y, jj=j: phi_batch(state, jj, np.asarray(y, dtype=float))
         nets.append(build_univariate(ref, M, 0, knots=knots, audit_factor=4))
     return nets, any(net.eps_measured > eps_phi for net in nets)

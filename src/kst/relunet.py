@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InternalCheckError
+from .errors import BudgetError, DomainError, InternalCheckError
 from .params import KstParams, LambdaCoeffs, superpose
 
 MATERIALIZE_UNIT_CAP = 2_000_000
@@ -537,9 +537,7 @@ class AssembledKst:
     def network(self) -> ReluNetwork:
         if self._network is None:
             if self.unit_count > MATERIALIZE_UNIT_CAP:
-                raise DomainError(
-                    f"{self.unit_count} units exceeds the materialization cap"
-                )
+                raise BudgetError(f"{self.unit_count} units exceeds the materialization cap")
             self._network = _materialize(self)
             if self._network.W != self.W or self._network.L != self.L:
                 raise InternalCheckError("assembly accounting mismatch")

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kst import decompose
 from kst.bumps import disjoint_support_audit
 from kst.cli import main as cli_main
 from kst.decompose import (
@@ -122,11 +123,12 @@ def one_state():
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
-def test_04_disjoint_supports_exact(k, j, one_state):
+def test_04_disjoint_supports_exact(k, j, one_state, monkeypatch):
     # No family the decomposition builds may have overlapping supports:
     # either the exact audit shows (k, j) disjoint, or the decomposition
     # refuses depth k for a nonzero residual (the constant target `one`
-    # passes the oscillation test at every depth).
+    # passes the oscillation test at every depth): choose_k_r passes it
+    # over, and iterate raises when a round is made to build it.
     p = make_params(2)
     lam = lambda_coeffs(p)
     ev = InnerEvaluator(p)
@@ -141,11 +143,13 @@ def test_04_disjoint_supports_exact(k, j, one_state):
         report("4", True, f"{head}: disjoint")
         return
     chosen, _ = choose_k_r(one_state)
-    try:
-        iterate(one_state, force_k=k)
-        raised = False
-    except ConstraintViolation:
-        raised = True
+    with monkeypatch.context() as forced:
+        forced.setattr(decompose, "choose_k_r", lambda state: (k, False))
+        try:
+            iterate(one_state)
+            raised = False
+        except ConstraintViolation:
+            raised = True
     built = iterate(one_state)
     e1, eta = built.residual_norms[1], p.eta
     ok = chosen != k and raised and e1 <= eta
@@ -153,10 +157,10 @@ def test_04_disjoint_supports_exact(k, j, one_state):
         "4",
         ok,
         f"{head}: overlapping, refused (choose_k_r -> {chosen}, "
-        f"force_k={k} raises: {raised}, e_1={e1:.4f} <= {eta:.4f})",
+        f"forced depth {k} raises: {raised}, e_1={e1:.4f} <= {eta:.4f})",
     )
     assert chosen != k
-    assert raised, f"iterate(force_k={k}) built an overlapping family"
+    assert raised, f"iterate built an overlapping family at forced depth {k}"
     assert e1 <= eta
 
 

@@ -1,9 +1,11 @@
 """tools/bench_pairs.py keeps every series it records, summarizes each
-from the last lines of its runs and chains the series' ratios. Checked
-on synthetic last lines; no benchmark is run."""
+from the last lines of its runs, chains the series' ratios and compiles
+each checkout's source first. Checked on synthetic last lines and a
+temporary checkout; no benchmark is run."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -124,3 +126,27 @@ def test_chain_keeps_the_last_series_per_parent(tmp_path):
                           stdout=subprocess.PIPE, text=True, check=True)
     assert proc.stdout.splitlines() == ["wall_s 0.125 over 2 series", "rate 1.000 over 2 series"]
     assert path.read_bytes() == before
+
+
+def test_compile_sources_writes_bytecode_that_a_later_run_reads(tmp_path, monkeypatch):
+    tool = _load_tool()
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    mod = pkg / "mod.py"
+    mod.write_text("VALUE = 1\n")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # as PYTHONDONTWRITEBYTECODE=1
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)  # timestamp-checked bytecode
+    series = {"pairs": []}
+    tool.compile_sources(series, [str(tmp_path)])
+    assert series == {"pairs": [], "compiled_src": True}
+    assert Path(importlib.util.cache_from_source(str(mod))).is_file()
+    # a source of the same size and time but another value: a run that
+    # reads the bytecode sees the compiled value
+    stat = mod.stat()
+    mod.write_text("VALUE = 2\n")
+    os.utime(mod, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tmp_path / "src"))
+    proc = subprocess.run([sys.executable, "-c", "import pkg.mod; print(pkg.mod.VALUE)"],
+                          env=env, stdout=subprocess.PIPE, text=True, check=True)
+    assert proc.stdout.strip() == "1"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kst.cli
+import kst.relunet
 from kst.cli import main
 from kst.decompose import state_from_json_dict
 from oracles import dag_forward, json_network, net_json_text
@@ -88,7 +89,7 @@ class TestDecomposeCmd:
     @pytest.mark.parametrize(
         "flags",
         [["--audit-res", "0"], ["--audit-res", "-3"], ["--n-random", "-1"], ["--iters", "-1"],
-         ["--seed", "-1"]],
+         ["--seed", "-1"], ["--k-max", "0"], ["--k-max", "-1"]],
     )
     def test_bad_option_exit_2(self, tmp_path, capsys, flags):
         args = ["decompose", "--n", "2", "--f", "zero", "--iters", "1",
@@ -212,13 +213,14 @@ class TestAssembleCmd:
             lambda d: d | {"caps": d["caps"] | {"audit_resolution": 0}},
             lambda d: d | {"caps": d["caps"] | {"audit_resolution": -3}},
             lambda d: d | {"caps": d["caps"] | {"seed": -1}},
+            lambda d: d | {"caps": d["caps"] | {"k_max": 0}},
         ],
         ids=["list", "no-params", "r-string", "warning-int", "seed-float",
              "no-builtin-name", "bump-keys", "norm-text", "norm-nan",
              "families-swapped", "family-missing", "bump-missing",
              "r-count", "warnings-count", "norms-count", "k-list-depth",
              "layer-depth", "coeff-inf", "schema-v1", "provenance-kind",
-             "audit-res-zero", "audit-res-negative", "seed-negative"],
+             "audit-res-zero", "audit-res-negative", "seed-negative", "k-max-zero"],
     )
     def test_malformed_state_exit_2(self, saved_state, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
@@ -250,6 +252,39 @@ class TestAssembleCmd:
         assert run(["assemble", "--decomp", str(bad), "--eps", "0.5"]) == 2
         assert (f"state.outer[4].layers[0].coeff[{i}] is nonzero on a bump that reaches past bump {i + 1}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("caps, reason", [({"k_max": 1}, "k <= k_max (depth 2, k_max 1)"),
+                                              ({"grid_budget": 1000}, "depth-2 grid size")],
+                             ids=["above-k-max", "over-grid-budget"])
+    def test_refused_depth_names_layer(self, saved_state, tmp_path, capsys, caps, reason):
+        # the one round is at depth 2, on a grid of 37**2 points
+        d = json.loads(saved_state.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d | {"caps": d["caps"] | caps}))
+        assert run(["assemble", "--decomp", str(bad), "--eps", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "error: state.outer[0].layers[0] holds a depth the caps refuse" in err
+        assert reason in err
+
+    @pytest.mark.parametrize(
+        "flags, what",
+        [([], "staircase knot count 17625 exceeds the knot budget"),
+         (["--uniform-inner"], "breakpoint count 5475 exceeds the knot budget")],
+        ids=["staircase", "breakpoints"])
+    def test_knot_budget_exit_3(self, saved_state, capsys, flags, what):
+        code = run(["assemble", "--decomp", str(saved_state), "--eps", "0.5",
+                    "--knot-budget", "100"] + flags)
+        assert code == 3
+        assert f"budget guard: {what}" in capsys.readouterr().err
+
+    def test_materialization_cap_exit_3(self, saved_state, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(kst.relunet, "MATERIALIZE_UNIT_CAP", 1000)
+        net = tmp_path / "net.json"
+        code = run(["assemble", "--decomp", str(saved_state), "--eps", "0.5",
+                    "--n-random", "200", "--out-net", str(net)])
+        assert code == 3
+        assert "budget guard: " in capsys.readouterr().err
+        assert not net.exists()
 
     def test_net_file_matches_network(self, saved_state, tmp_path, monkeypatch):
         built = {}

@@ -61,6 +61,11 @@ def one_state():
     return init_state(builtin_target("one", 2))
 
 
+def force_depth(monkeypatch, k):
+    """Make iterate build depth k, as if choose_k_r had chosen it."""
+    monkeypatch.setattr(decompose, "choose_k_r", lambda state: (k, False))
+
+
 class TestChooseK:
     def test_zero_residual_gives_one(self, zero_state):
         assert choose_k_r(zero_state) == (1, False)
@@ -82,6 +87,20 @@ class TestChooseK:
         assert k == product_r1.caps.k_max
         assert warned
 
+    def test_refused_depths_not_swept(self, monkeypatch):
+        # depths 2 and 3 have grids of 37**2 and 217**2 points, above the
+        # budget: only depth 1 is swept, and nothing qualifies
+        caps = DecompositionCaps(grid_budget=1000, audit_resolution=21, n_random=10)
+        state = init_state(builtin_target("product", 2), caps=caps)
+        steps = []
+        original = decompose.residual_modulus
+        monkeypatch.setattr(decompose, "residual_modulus",
+                            lambda st, h: steps.append(h) or original(st, h))
+        assert choose_k_r(state) == (3, True)
+        assert steps == [1 / 6]
+        with pytest.raises(BudgetError, match="depth-3 grid size"):
+            iterate(state)
+
 
 class TestIterate:
     def test_zero_target_layers_are_null(self, zero_state):
@@ -92,9 +111,10 @@ class TestIterate:
             assert len(oa.layers) == 1
             assert np.all(oa.layers[0].coeff == 0.0)
 
-    def test_forced_overlapping_depth_refused(self, one_state):
+    def test_forced_overlapping_depth_refused(self, one_state, monkeypatch):
+        force_depth(monkeypatch, 1)
         with pytest.raises(ConstraintViolation, match="depth 1"):
-            iterate(one_state, force_k=1)
+            iterate(one_state)
 
     def test_layer_shapes(self, product_r1):
         p = product_r1.params
@@ -118,25 +138,46 @@ class TestIterate:
         assert s2.residual_norms[1] <= eta * 1.0
         assert s2.residual_norms[2] <= eta**2 * 1.0
 
-    def test_budget_guard(self, zero_state):
+    def test_budget_guard(self, zero_state, monkeypatch):
         small = DecompositionCaps(grid_budget=10)
         state = init_state(builtin_target("zero", 2), caps=small)
+        force_depth(monkeypatch, 2)
         with pytest.raises(BudgetError):
-            iterate(state, force_k=2)
+            iterate(state)
 
     @pytest.mark.parametrize(
-        "n, k, grid_budget", [(2, 4, 10**6), (2, 4, 10**7), (3, 3, 10**6)]
+        "n, k, grid_budget",
+        [(2, 4, 10**6), (2, 4, 10**7), (2, 4, 10**12), (3, 3, 10**6), (3, 3, 10**9)],
     )
-    def test_float_cliff_refused(self, n, k, grid_budget):
+    def test_float_cliff_refused(self, monkeypatch, n, k, grid_budget):
         # At these depths the ramp gamma**-beta_n(k+1) and the plateau lie
         # below the float spacing at the top of the outer domain (7.5e-25
         # and 3.5e-24 at n=2, k=4), so every bump would collapse and the
-        # residual would stay where it was. Refused before the grid budget
-        # is consulted, whatever that budget is.
-        caps = DecompositionCaps(grid_budget=grid_budget, audit_resolution=11, n_random=10)
+        # residual would stay where it was. k_max is the depth, so the
+        # rule refuses it on the spacing, before the grid budget is
+        # consulted, whatever that budget is; the depth below is built.
+        caps = DecompositionCaps(k_max=k, grid_budget=grid_budget, audit_resolution=11,
+                                 n_random=10)
         state = init_state(builtin_target("gaussian", n), caps=caps)
+        err = decompose.depth_refusal(state, k)
+        assert isinstance(err, ConstraintViolation)
+        assert "float spacing" in str(err) and f"depth {k}" in str(err)
+        assert decompose.depth_refusal(state, k - 1) is None
+        force_depth(monkeypatch, k)
         with pytest.raises(ConstraintViolation, match=f"depth {k}"):
-            iterate(state, force_k=k)
+            iterate(state)
+
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_caps_refuse_k_max_below_one(self, k_max):
+        with pytest.raises(DomainError, match=f"k_max must be at least 1, got {k_max}"):
+            DecompositionCaps(k_max=k_max)
+
+    def test_depth_above_k_max_refused(self, product_r1, monkeypatch):
+        k = product_r1.caps.k_max + 1
+        assert "k_max" in str(decompose.depth_refusal(product_r1, k))
+        force_depth(monkeypatch, k)
+        with pytest.raises(ConstraintViolation, match="k <= k_max"):
+            iterate(product_r1)
 
     def test_layer_coefficients_scale(self, product_r1):
         p = product_r1.params

@@ -1,7 +1,7 @@
 """tools/digest.py prints one sha256 per run_pipeline report and state,
 of the JSON text kst writes, one per file the cli-net-n2 commands
 write, and one of the net file's forward pass. Checked on the cheap
-zero target."""
+zero target; the n=3 run of --n3 is run once in full."""
 
 import hashlib
 import importlib.util
@@ -9,10 +9,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from kst import relunet
 from kst.cli import _json_text, main
 from kst.decompose import state_to_json_dict
+from kst.errors import BudgetError
 from kst.params import make_params
 from kst.pipeline import PipelineCaps, run_pipeline
 from kst.target import builtin_target
@@ -105,3 +107,25 @@ def test_n3_adds_one_report_line_per_seed(monkeypatch, capsys):
                                     PipelineCaps(**caps, seed=seed), make_params(3))
         sha = hashlib.sha256(_json_text(report.to_json_dict()).encode()).hexdigest()
         assert line == f"{seed} zero-n3 report {sha}"
+
+
+def test_n3_run_end_to_end():
+    # the gaussian at n = 3 with the caps of --n3 (depth 2 and a knot
+    # budget above its 1,093,039 breakpoints per outer net): one round
+    # that meets acceptance 5, 7a and 8, on a network too large to build
+    _, make, caps = _load_tool().N3
+    asm, rep, state = run_pipeline(make(), 0.25, PipelineCaps(**caps, seed=5))
+    p = state.params
+    assert (p.n, p.m) == (3, 6)
+    assert rep.k_list == [2]
+    assert rep.residual_norms[1] == pytest.approx(0.8404, abs=1e-4)
+    assert rep.residual_norms[1] <= p.eta == pytest.approx(0.9536, abs=1e-4)
+    assert rep.errors_grid["fr_minus_net"] <= 0.25
+    assert rep.errors_grid["fr_minus_net"] == pytest.approx(5.4e-8, rel=0.05)
+    psi_part = p.n * (p.m + 1) * asm.psi_net.W
+    phi_part = sum(net.W for net in asm.phi_nets)
+    assert (psi_part, phi_part, asm.aggregation_weights) == (571_326, 22_953_849, 46)
+    assert rep.W == asm.W == psi_part + phi_part + asm.aggregation_weights == 23_525_221
+    assert asm.unit_count == 7_841_773 > relunet.MATERIALIZE_UNIT_CAP
+    with pytest.raises(BudgetError, match="7841773 units exceeds the materialization cap"):
+        asm.network

@@ -162,9 +162,9 @@ class TestRunPipeline:
         "caps",
         [PipelineCaps(audit_resolution=0), PipelineCaps(audit_resolution=-3),
          PipelineCaps(r_cap=0, n_random=0), PipelineCaps(r_cap=0, seed=-1),
-         PipelineCaps(r_cap=-1)],
+         PipelineCaps(r_cap=-1), PipelineCaps(k_max=0), PipelineCaps(k_max=-1)],
         ids=["audit-res-zero", "audit-res-negative", "n-random-zero", "seed-negative",
-             "r-cap-negative"],
+             "r-cap-negative", "k-max-zero", "k-max-negative"],
     )
     def test_caps_guard(self, caps):
         with pytest.raises(DomainError):

@@ -8,6 +8,10 @@ Each DIR is a checkout of one commit. Pair i uses the i-th seed and runs
 the parent first when i is even, the change first when i is odd, each as
 ``python3 perfbench/run.py --workload NAME --seed S --seconds T --trace 0``
 from its checkout, with T the run_seconds of the change's BENCHMARK.json.
+Before the first pair, stdlib compileall writes the bytecode of each
+checkout's src/, so that no run compiles the package, even under
+PYTHONDONTWRITEBYTECODE=1, and set-up time and peak memory do not follow
+the size of the source; the series records this as ``compiled_src``.
 The output file, BENCH_<NAME>.json in the current directory, keeps one
 series per invocation, appended after the series already in it. A series
 names its change and parent commits and T, and keeps, per pair, the
@@ -27,6 +31,7 @@ parent spans the earlier one), so the product chains the changes.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import math
 import os
@@ -46,6 +51,14 @@ def run_side(checkout: str, workload: str, seed: int, seconds: int) -> tuple[str
     lines = proc.stdout.strip().splitlines()
     record = next(line for line in lines if line.startswith("run: seed="))
     return record.rsplit("commit=", 1)[1], lines[-1]
+
+
+def compile_sources(series: dict, checkouts: list[str]) -> None:
+    """Write the bytecode of each checkout's src/ and record it in series."""
+    for checkout in checkouts:
+        if not compileall.compile_dir(os.path.join(checkout, "src"), quiet=1):
+            raise SystemExit(f"compileall failed on {checkout}/src")
+    series["compiled_src"] = True
 
 
 def spread(values: list[float]) -> dict:
@@ -141,6 +154,7 @@ def main() -> int:
     end_to_end, seconds = bench["end_to_end"], bench["run_seconds"]
     out = f"BENCH_{args.workload}.json"
     doc, series = open_series(out, args.workload, seconds)
+    compile_sources(series, [args.parent, args.change])
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
