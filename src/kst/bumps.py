@@ -52,7 +52,6 @@ class BkResult:
     """
 
     value: Fraction
-    lo: Fraction
     hi: Fraction
 
 
@@ -72,11 +71,9 @@ def b_k(params: KstParams, lambdas: LambdaCoeffs, k: int) -> BkResult:
         Fraction(0),
     )
     total_lambda = lambdas.total
-    lo = partial * total_lambda
     tail_first = Fraction(1, g ** beta(n, k + depth + 1))
     tail = tail_first * Fraction(g, g - 1)
-    hi = (partial + tail) * total_lambda
-    return BkResult(value=lo, lo=lo, hi=hi)
+    return BkResult(value=partial * total_lambda, hi=(partial + tail) * total_lambda)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .decompose import (
     init_state,
     iterate,
     state_from_json_dict,
-    state_to_json_dict,
+    state_json_text,
 )
 from .errors import (
     BudgetError,
@@ -112,7 +112,7 @@ def cmd_decompose(args) -> int:
     for _ in range(args.iters):
         state = iterate(state)
     if args.out_state:
-        _write_text(args.out_state, _json_text(state_to_json_dict(state)))
+        _write_text(args.out_state, state_json_text(state))
     lines = ["r,residual_norm,eta_power_bound"]
     for r in range(1, state.r + 1):
         lines.append(

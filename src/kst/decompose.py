@@ -19,6 +19,7 @@ is observationally invisible.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -44,7 +45,7 @@ from .target import (
     target_from_provenance,
 )
 
-STATE_SCHEMA = "kst-decomposition/2"
+STATE_SCHEMA = "kst-decomposition/3"
 
 # Points per phi_batch block, whose temporaries then stay in cache
 PHI_BLOCK = 1 << 14
@@ -90,12 +91,6 @@ class Layer:
         g = self.grid
         bad = np.flatnonzero((g.hi[:-2] > g.lo[2:]) & (self.coeff[:-2] != 0.0))
         return int(bad[0]) if bad.size else None
-
-
-@dataclass(frozen=True)
-class OuterApprox:
-    j: int
-    layers: tuple[Layer, ...]
 
 
 @dataclass(frozen=True)
@@ -150,17 +145,26 @@ class AuditSample:
 
 @dataclass
 class DecompositionState:
+    """A decomposition after r rounds. Round l has depth k_list[l] and
+    coeff[l], one coefficient per depth-k grid vector in row-major
+    order; outer[j] is family j's layers, that vector in the order of
+    the family's grid (round_layers), which phi_batch evaluates."""
+
     params: KstParams
     lambdas: LambdaCoeffs
     ev: InnerEvaluator
     target: TargetFunction
     caps: DecompositionCaps
-    r: int
     k_list: tuple[int, ...]
     k_warnings: tuple[bool, ...]
-    outer: tuple[OuterApprox, ...]
+    coeff: tuple[np.ndarray, ...]
+    outer: tuple[tuple[Layer, ...], ...]
     residual_norms: tuple[float, ...]
     audit: AuditSample
+
+    @property
+    def r(self) -> int:
+        return len(self.k_list)
 
     @property
     def k_trunc(self) -> int:
@@ -195,10 +199,10 @@ def init_state(
         ev=InnerEvaluator(params),
         target=target,
         caps=caps,
-        r=0,
         k_list=(),
         k_warnings=(),
-        outer=tuple(OuterApprox(j, ()) for j in range(params.m + 1)),
+        coeff=(),
+        outer=((),) * (params.m + 1),
         residual_norms=(),
         audit=AuditSample.draw(target, caps),
     )
@@ -215,7 +219,7 @@ def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
     last at or below it and, in the slots of Grid.shared, that bump's
     predecessor: every support containing the point, provided no bump
     with a nonzero coefficient reaches past its next neighbour
-    (Layer.overreach is None), which iterate and the state loader check.
+    (Layer.overreach is None), which round_layers checks.
 
     Per block, _locate finds the slots and bump shapes once for each
     grid, so the layers of one depth, which share their grid, each add
@@ -229,7 +233,7 @@ def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
     one ascends. Both give the same slots, so the values are the same
     bit for bit."""
     out = np.zeros(len(y))
-    layers = state.outer[j].layers
+    layers = state.outer[j]
     grids = dict.fromkeys(layer.grid for layer in layers)
     for start in range(0, len(y), PHI_BLOCK):
         yb = y[start : start + PHI_BLOCK]
@@ -425,8 +429,33 @@ def family_grid(state, j: int, k: int, earlier: tuple[Layer, ...]) -> tuple[Grid
     return grid, order
 
 
+def round_layers(state, k: int, coeff: np.ndarray) -> tuple[tuple[Layer, ...], ...]:
+    """The families' layers with one more round, at depth k, appended:
+    family j's layer holds coeff, one coefficient per depth-k grid
+    vector in row-major order, in the order of its grid (family_grid).
+
+    Raises ConstraintViolation naming the round, the coefficient and
+    its grid vector when a nonzero coefficient sits on a bump whose
+    support reaches past its next neighbour (Layer.overreach)."""
+    p = state.params
+    outer = []
+    for j, earlier in enumerate(state.outer):
+        grid, order = family_grid(state, j, k, earlier)
+        layer = Layer(grid, coeff[order])
+        if (i := layer.overreach()) is not None:
+            c = int(order[i])
+            d = tuple(int(x) for x in np.unravel_index(c, (p.gamma**k + 1,) * p.n))
+            raise ConstraintViolation(
+                "bump supports reach no further than the next bump",
+                f"state.coeff[{len(earlier)}][{c}], grid vector {d}, is nonzero on a depth-{k} "
+                f"bump of family {j} that reaches past the next bump",
+            )
+        outer.append(earlier + (layer,))
+    return tuple(outer)
+
+
 def iterate(state: DecompositionState) -> DecompositionState:
-    """Append one bump layer to every family and remeasure the residual.
+    """Append one round to the state and remeasure the residual.
 
     Raises the error of depth_refusal for the chosen depth: that of its
     cheap part before the residual sweep, so no grid above the budget is
@@ -448,29 +477,16 @@ def iterate(state: DecompositionState) -> DecompositionState:
 
     f_mesh = target_on_mesh(state.target, [axis] * n)
     fr_mesh = f_r(state, np.ix_(*[axis] * n))
-    coeff_flat = ((f_mesh - fr_mesh) / (m + 1)).ravel()
-    if (err := depth_refusal(state, k_r, nonzero=bool(np.any(coeff_flat)))) is not None:
+    coeff = ((f_mesh - fr_mesh) / (m + 1)).ravel()
+    if (err := depth_refusal(state, k_r, nonzero=bool(np.any(coeff)))) is not None:
         raise err
-
-    new_outer = []
-    for j in range(m + 1):
-        grid, order = family_grid(state, j, k_r, state.outer[j].layers)
-        layer = Layer(grid, coeff_flat[order])
-        i = layer.overreach()
-        if i is not None:
-            raise ConstraintViolation(
-                "bump supports reach no further than the next bump",
-                f"family {j}, bump {i} of depth {k_r} reaches past bump {i + 1}",
-            )
-        new_outer.append(OuterApprox(j, state.outer[j].layers + (layer,)))
 
     nxt = replace(
         state,
-        r=state.r + 1,
         k_list=state.k_list + (k_r,),
         k_warnings=state.k_warnings + (warned,),
-        outer=tuple(new_outer),
-        residual_norms=state.residual_norms,
+        coeff=state.coeff + (coeff,),
+        outer=round_layers(state, k_r, coeff),
     )
     nxt.residual_norms = state.residual_norms + (measure_residual_norm(nxt),)
     return nxt
@@ -507,25 +523,24 @@ def lipschitz_report(state) -> dict:
 
 
 def state_to_json_dict(state) -> dict:
-    """The state as JSON: everything but the bump grids, which are pure
-    functions of the parameters, a family and a depth (family_grid).
-    Each layer keeps its depth and its coefficients in grid order."""
+    """The state as JSON: everything but the layers, which round_layers
+    builds from each round's depth and coefficients."""
     return to_json({
         "schema": STATE_SCHEMA,
         "params": state.params.to_json_dict(),
         "target": {"provenance": state.target.provenance},
         "caps": asdict(state.caps),
-        "r": state.r,
         "k_list": state.k_list,
         "k_warnings": state.k_warnings,
         "residual_norms": state.residual_norms,
-        "outer": [
-            {"j": oa.j,
-             "layers": [{"k": layer.grid.k, "coeff": layer.coeff.tolist()}
-                        for layer in oa.layers]}
-            for oa in state.outer
-        ],
+        "coeff": [c.tolist() for c in state.coeff],
     })
+
+
+def state_json_text(state) -> str:
+    """The text of a state file: state_to_json_dict as compact JSON
+    with sorted keys, and a final newline."""
+    return json.dumps(state_to_json_dict(state), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # JSON layout of a state file: a dict maps keys to layouts, a one-item
@@ -542,11 +557,10 @@ _STATE_LAYOUT = {
         "k_max": int, "grid_budget": int, "audit_resolution": int,
         "n_random": int, "seed": int,
     },
-    "r": int,
     "k_list": [int],
     "k_warnings": [bool],
     "residual_norms": [float],
-    "outer": [{"j": int, "layers": [{"k": int, "coeff": [float]}]}],
+    "coeff": [[float]],
 }
 
 # The entry that names a target of each provenance kind
@@ -589,45 +603,24 @@ def _check_layout(value, layout, where: str) -> None:
         raise DomainError(f"{where} is not of JSON type {layout.__name__}")
 
 
-def _check_rounds(d: dict, m: int) -> None:
-    """Raise DomainError naming the first place where the round count r,
-    the per-round lists, the families j = 0..m and their per-round
-    layer depths disagree."""
-    r = d["r"]
-    for key, extra in (("k_list", 0), ("k_warnings", 0), ("residual_norms", 1)):
-        if len(d[key]) != r + extra:
-            raise DomainError(f"state.{key} has {len(d[key])} entries for r = {r}")
-    if len(d["outer"]) != m + 1:
-        raise DomainError(f"state.outer has {len(d['outer'])} families, expected m + 1 = {m + 1}")
-    for j, oa in enumerate(d["outer"]):
-        if oa["j"] != j:
-            raise DomainError(f"state.outer[{j}].j is {oa['j']}, expected {j}")
-        if len(oa["layers"]) != r:
-            raise DomainError(f"state.outer[{j}] has {len(oa['layers'])} layers for r = {r}")
-        for l, (ld, k) in enumerate(zip(oa["layers"], d["k_list"])):
-            if ld["k"] != k:
-                raise DomainError(f"state.outer[{j}].layers[{l}].k is {ld['k']}, k_list[{l}] is {k}")
-
-
-def _load_layer(state, j: int, ld: dict, earlier: tuple[Layer, ...], where: str) -> Layer:
-    """A stored layer of family j on the grid family_grid builds, refused
-    with DomainError unless it has the (gamma**k + 1)**n coefficients of
-    its depth k, the cheap part of depth_refusal lets the state's caps
-    build that depth, and no bump with a nonzero coefficient reaches past
-    its next neighbour. The exact overlap audit is left to the build."""
-    g, n, k, coeff = state.params.gamma, state.params.n, ld["k"], ld["coeff"]
-    # gamma**k exceeds the coefficient count once k exceeds the count's
-    # bit length, so no grid size or ramp is computed for an absurd depth
-    if k > len(coeff).bit_length() or len(coeff) != (g**k + 1) ** n:
-        raise DomainError(f"{where} has {len(coeff)} coefficients, not (gamma**k + 1)**n at k = {k}")
-    if (err := depth_refusal(state, k)) is not None:
-        raise DomainError(f"{where} holds a depth the caps refuse: {err}")
-    grid, _ = family_grid(state, j, k, earlier)
-    layer = Layer(grid, np.fromiter(map(float, coeff), float, len(coeff)))
-    i = layer.overreach()
-    if i is not None:
-        raise DomainError(f"{where}.coeff[{i}] is nonzero on a bump that reaches past bump {i + 1}")
-    return layer
+def _check_rounds(state) -> None:
+    """Raise DomainError naming the first round whose lists disagree
+    with k_list, that lacks the (gamma**k + 1)**n coefficients of its
+    depth k, or whose depth the cheap part of depth_refusal refuses
+    under the state's caps. The exact overlap audit is left to the build."""
+    g, n, r = state.params.gamma, state.params.n, state.r
+    for key, extra in (("k_warnings", 0), ("coeff", 0), ("residual_norms", 1)):
+        if len(getattr(state, key)) != r + extra:
+            raise DomainError(f"state.{key} has {len(getattr(state, key))} entries "
+                              f"for the {r} rounds of state.k_list")
+    for l, (k, coeff) in enumerate(zip(state.k_list, state.coeff)):
+        # gamma**k exceeds the coefficient count once k exceeds the count's
+        # bit length, so no grid size or ramp is computed for an absurd depth
+        if k > len(coeff).bit_length() or len(coeff) != (g**k + 1) ** n:
+            raise DomainError(f"state.coeff[{l}] has {len(coeff)} coefficients, "
+                              f"not (gamma**k + 1)**n at k = state.k_list[{l}] = {k}")
+        if (err := depth_refusal(state, k)) is not None:
+            raise DomainError(f"state.k_list[{l}] holds a depth the caps refuse: {err}")
 
 
 def state_from_json_dict(d: dict) -> DecompositionState:
@@ -641,7 +634,6 @@ def state_from_json_dict(d: dict) -> DecompositionState:
                           f"is not one of {sorted(_PROVENANCE_KEY)}")
     _check_layout(provenance, {_PROVENANCE_KEY[provenance["kind"]]: str}, "state.target.provenance")
     params = KstParams.from_json_dict(d["params"])
-    _check_rounds(d, params.m)
     target = target_from_provenance(provenance, params.n)
     caps = DecompositionCaps(**{key: d["caps"][key] for key in _STATE_LAYOUT["caps"]})
     state = DecompositionState(
@@ -650,18 +642,14 @@ def state_from_json_dict(d: dict) -> DecompositionState:
         ev=InnerEvaluator(params),
         target=target,
         caps=caps,
-        r=d["r"],
         k_list=tuple(d["k_list"]),
         k_warnings=tuple(d["k_warnings"]),
-        outer=(),
+        coeff=tuple(np.fromiter(map(float, c), float, len(c)) for c in d["coeff"]),
+        outer=((),) * (params.m + 1),
         residual_norms=tuple(float(v) for v in d["residual_norms"]),
         audit=AuditSample.draw(target, caps),
     )
-    outer = []
-    for j, oa in enumerate(d["outer"]):
-        layers: tuple[Layer, ...] = ()
-        for l, ld in enumerate(oa["layers"]):
-            layers += (_load_layer(state, j, ld, layers, f"state.outer[{j}].layers[{l}]"),)
-        outer.append(OuterApprox(j, layers))
-    state.outer = tuple(outer)
+    _check_rounds(state)
+    for k, coeff in zip(state.k_list, state.coeff):
+        state.outer = round_layers(state, k, coeff)
     return state

@@ -172,7 +172,7 @@ def _corner_knots(state: DecompositionState, j: int, M: float) -> np.ndarray:
     """0, M and the bump corners in [0, M] of family j's layers that have
     a nonzero coefficient: the breakpoints of phi_j."""
     pieces = [np.asarray([0.0, M])]
-    layers = (layer for layer in state.outer[j].layers if np.any(layer.coeff))
+    layers = (layer for layer in state.outer[j] if np.any(layer.coeff))
     for grid in dict.fromkeys(layer.grid for layer in layers):
         for off in (-grid.ramp, 0.0, grid.plateau, grid.plateau + grid.ramp):
             pieces.append(grid.xi + off)

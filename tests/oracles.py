@@ -296,7 +296,7 @@ def xi(params, lambdas, ev, d: tuple[Fraction, ...]) -> Fraction:
 def dense_phi_sum(state, j: int, y: float) -> float:
     """Outer-function value by brute summation over every stored bump."""
     total = 0.0
-    for layer in state.outer[j].layers:
+    for layer in state.outer[j]:
         g = layer.grid
         for xi, coeff in zip(g.xi, layer.coeff):
             t1 = min(max(g.slope * (y - xi) + 1.0, 0.0), 1.0)
@@ -311,7 +311,7 @@ def two_candidate_phi(state, j: int, y: np.ndarray) -> np.ndarray:
     and its predecessor, over the whole array at once. Sums in the same
     order as ``phi_batch``, so the two agree bit for bit."""
     out = np.zeros_like(y, dtype=float)
-    for layer in state.outer[j].layers:
+    for layer in state.outer[j]:
         g = layer.grid
         lo = g.xi - g.ramp
         idx = np.searchsorted(lo, y, side="right") - 1
@@ -330,7 +330,7 @@ def two_candidate_phi(state, j: int, y: np.ndarray) -> np.ndarray:
 def active_bump_counts(state, j: int, y: float) -> list[int]:
     """Number of bumps with positive value at y, per layer."""
     counts = []
-    for layer in state.outer[j].layers:
+    for layer in state.outer[j]:
         g = layer.grid
         lo = g.xi - g.ramp
         hi = g.xi + g.plateau + g.ramp

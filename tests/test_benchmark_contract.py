@@ -79,3 +79,18 @@ def test_untraced_attributes_the_workloads_read():
     audit = disjoint_support_audit(p, lambda_coeffs(p), InnerEvaluator(p), 1, 0)
     assert (audit.k, audit.j, audit.count) == (1, 0, p.gamma**p.n)
     assert isinstance(audit.min_gap, Fraction) and audit.ok == (audit.min_gap > 0)
+
+
+def test_decompose_state_file_holds_k_list(tmp_path):
+    # the cli-net-n2 workload's describe_decompose reads the top-level
+    # k_list of the state file its decompose command writes
+    import json
+
+    import kst.cli
+
+    state = tmp_path / "state.json"
+    assert kst.cli.main(["decompose", "--n", "2", "--f", "x1*x2", "--iters", "1",
+                         "--seed", "5", "--out-state", str(state),
+                         "--out-csv", str(tmp_path / "decay.csv")]) == 0
+    k_list = json.loads(state.read_text())["k_list"]
+    assert k_list == [2] and all(type(k) is int for k in k_list)

@@ -9,7 +9,7 @@ import pytest
 import kst.cli
 import kst.relunet
 from kst.cli import main
-from kst.decompose import state_from_json_dict
+from kst.decompose import family_grid, state_from_json_dict
 from oracles import dag_forward, json_network, net_json_text
 
 
@@ -69,7 +69,9 @@ class TestDecomposeCmd:
         assert len(rows) == 3
         for row in rows[1:]:
             assert float(row.split(",")[1]) == 0.0
-        assert json.loads(state.read_text())["r"] == 2
+        d = json.loads(state.read_text())
+        assert d["k_list"] == [1, 1]
+        assert [set(c) for c in d["coeff"]] == [{"0"}, {"0"}]
 
     def test_product_one_iteration_bound(self, tmp_path):
         csv = tmp_path / "decay.csv"
@@ -126,16 +128,19 @@ def saved_state(tmp_path_factory):
     return path
 
 
-def _edit_layer(d, change):
-    """d with the last family's first layer replaced by change(layer)."""
-    last = d["outer"][-1]
-    layer = change(last["layers"][0])
-    return d | {"outer": d["outer"][:-1] + [last | {"layers": [layer] + last["layers"][1:]}]}
+def _edit_coeff(d, i, text, l=0):
+    """d with coefficient i of round l set to text."""
+    c = d["coeff"][l]
+    return d | {"coeff": d["coeff"][:l] + [c[:i] + [text] + c[i + 1:]] + d["coeff"][l + 1:]}
 
 
-def _edit_coeff(d, i, text):
-    """d with coefficient i of the last family's first layer set to text."""
-    return _edit_layer(d, lambda ld: ld | {"coeff": ld["coeff"][:i] + [text] + ld["coeff"][i + 1:]})
+def _schema_v2(d):
+    """d in the layout of the previous schema: the round count r, and per
+    family j its layers, each with its depth and coefficients."""
+    layers = [{"k": k, "coeff": c} for k, c in zip(d["k_list"], d["coeff"])]
+    return {key: v for key, v in d.items() if key != "coeff"} | {
+        "schema": "kst-decomposition/2", "r": len(layers),
+        "outer": [{"j": j, "layers": layers} for j in range(int(d["params"]["m"]) + 1)]}
 
 
 @functools.cache
@@ -192,21 +197,18 @@ class TestAssembleCmd:
         [
             lambda d: [d],
             lambda d: {k: v for k, v in d.items() if k != "params"},
-            lambda d: d | {"r": "1"},
+            lambda d: d | {"k_list": ["2"]},
             lambda d: d | {"k_warnings": [0]},
             lambda d: d | {"caps": d["caps"] | {"seed": 1.5}},
             lambda d: d | {"target": {"provenance": {"kind": "builtin"}}},
-            lambda d: d | {"outer": [{"j": 0, "layers": [{"k": 2, "coeff": [{}]}]}]},
+            lambda d: d | {"coeff": [[{}]]},
             lambda d: d | {"residual_norms": ["one"]},
             lambda d: d | {"residual_norms": ["nan"] + d["residual_norms"][1:]},
-            lambda d: d | {"outer": d["outer"][1::-1] + d["outer"][2:]},
-            lambda d: d | {"outer": d["outer"][:-1]},
-            lambda d: _edit_layer(d, lambda ld: ld | {"coeff": ld["coeff"][:-1]}),
-            lambda d: d | {"r": 2},
+            lambda d: d | {"coeff": [d["coeff"][0][:-1]]},
+            lambda d: d | {"k_list": d["k_list"] * 2},
             lambda d: d | {"k_warnings": []},
             lambda d: d | {"residual_norms": d["residual_norms"][:1]},
             lambda d: d | {"k_list": [d["k_list"][0] + 1]},
-            lambda d: _edit_layer(d, lambda ld: ld | {"k": ld["k"] + 1}),
             lambda d: _edit_coeff(d, 0, "inf"),
             lambda d: d | {"schema": "kst-decomposition/1"},
             lambda d: d | {"target": {"provenance": {"kind": "zzz", "text": "x1"}}},
@@ -215,11 +217,10 @@ class TestAssembleCmd:
             lambda d: d | {"caps": d["caps"] | {"seed": -1}},
             lambda d: d | {"caps": d["caps"] | {"k_max": 0}},
         ],
-        ids=["list", "no-params", "r-string", "warning-int", "seed-float",
+        ids=["list", "no-params", "k-list-string", "warning-int", "seed-float",
              "no-builtin-name", "bump-keys", "norm-text", "norm-nan",
-             "families-swapped", "family-missing", "bump-missing",
-             "r-count", "warnings-count", "norms-count", "k-list-depth",
-             "layer-depth", "coeff-inf", "schema-v1", "provenance-kind",
+             "bump-missing", "r-count", "warnings-count", "norms-count", "k-list-depth",
+             "coeff-inf", "schema-v1", "provenance-kind",
              "audit-res-zero", "audit-res-negative", "seed-negative", "k-max-zero"],
     )
     def test_malformed_state_exit_2(self, saved_state, tmp_path, capsys, edit):
@@ -239,19 +240,35 @@ class TestAssembleCmd:
 
     def test_overreach_names_bump(self, tmp_path, capsys):
         # depth-1 supports overlap: some bumps reach past their next
-        # neighbour, and a nonzero coefficient on one of them is refused
+        # neighbour, and a nonzero coefficient on one of them is refused,
+        # named by its round and grid vector; at depth 1 the family shift
+        # is empty, so every family sorts the 7**2 vectors alike
         d = json.loads(_zero_two_rounds())
-        grid = state_from_json_dict(d).outer[4].layers[0].grid
+        grid, order = family_grid(state_from_json_dict(d), 0, 1, ())
         reach = grid.hi[:-2] > grid.lo[2:]
-        i, ok = int(np.flatnonzero(reach)[0]), int(np.flatnonzero(~reach)[0])
+        c, ok = int(order[np.flatnonzero(reach)[0]]), int(order[np.flatnonzero(~reach)[0]])
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-        good.write_text(json.dumps(_edit_coeff(d, ok, "0.25")))
+        good.write_text(json.dumps(_edit_coeff(d, ok, "0.25", l=1)))
         assert run(["assemble", "--decomp", str(good), "--eps", "0.5"]) == 0
-        bad.write_text(json.dumps(_edit_coeff(d, i, "0.25")))
+        bad.write_text(json.dumps(_edit_coeff(d, c, "0.25", l=1)))
         capsys.readouterr()
         assert run(["assemble", "--decomp", str(bad), "--eps", "0.5"]) == 2
-        assert (f"state.outer[4].layers[0].coeff[{i}] is nonzero on a bump that reaches past bump {i + 1}"
-                in capsys.readouterr().err)
+        assert (f"state.coeff[1][{c}], grid vector {divmod(c, 7)}, is nonzero on a depth-1 "
+                f"bump of family 0 that reaches past the next bump" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "edit, place",
+        [(_schema_v2, "unrecognized decomposition schema 'kst-decomposition/2'"),
+         (lambda d: d | {"coeff": d["coeff"] * 2},
+          "state.coeff has 2 entries for the 1 rounds of state.k_list"),
+         (lambda d: d | {"coeff": [d["coeff"][0] + ["0"]]},
+          "state.coeff[0] has 1370 coefficients, not (gamma**k + 1)**n at k = state.k_list[0] = 2")],
+        ids=["schema-v2", "coeff-rounds", "coeff-count"])
+    def test_malformed_rounds_name_place(self, saved_state, tmp_path, capsys, edit, place):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(saved_state.read_text()))))
+        assert run(["assemble", "--decomp", str(bad), "--eps", "0.5"]) == 2
+        assert f"error: {place}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("caps, reason", [({"k_max": 1}, "k <= k_max (depth 2, k_max 1)"),
                                               ({"grid_budget": 1000}, "depth-2 grid size")],
@@ -263,7 +280,7 @@ class TestAssembleCmd:
         bad.write_text(json.dumps(d | {"caps": d["caps"] | caps}))
         assert run(["assemble", "--decomp", str(bad), "--eps", "0.5"]) == 2
         err = capsys.readouterr().err
-        assert "error: state.outer[0].layers[0] holds a depth the caps refuse" in err
+        assert "error: state.k_list[0] holds a depth the caps refuse" in err
         assert reason in err
 
     @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import pytest
 
 from kst import relunet
 from kst.cli import _json_text, main
-from kst.decompose import state_to_json_dict
+from kst.decompose import state_json_text
 from kst.errors import BudgetError
 from kst.params import make_params
 from kst.pipeline import PipelineCaps, run_pipeline
@@ -81,9 +81,9 @@ def test_one_line_per_report_and_state(monkeypatch, capsys, tmp_path):
     for seed, (report_line, state_line) in zip((5, 6), (lines[:2], lines[7:9])):
         caps = PipelineCaps(r_cap=3, seed=seed)
         _, report, state = run_pipeline(builtin_target("zero", 2), 0.25, caps, make_params(2))
-        sha = lambda doc: hashlib.sha256(_json_text(doc).encode()).hexdigest()
-        assert report_line.endswith(" " + sha(report.to_json_dict()))
-        assert state_line.endswith(" " + sha(state_to_json_dict(state)))
+        sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+        assert report_line.endswith(" " + sha(_json_text(report.to_json_dict())))
+        assert state_line.endswith(" " + sha(state_json_text(state)))
     assert lines[1].split()[-1] != lines[8].split()[-1]  # the state records its seed
 
 

@@ -359,7 +359,7 @@ class TestBuildUnivariate:
         M = float(state.params.phi_domain_sup)
         g = lambda y: phi_batch(state, 0, np.asarray(y, dtype=float))
         tallest = max(
-            float(np.max(np.abs(layer.coeff))) for layer in state.outer[0].layers
+            float(np.max(np.abs(layer.coeff))) for layer in state.outer[0]
         )
         for N in (8, 16, 32, 64):
             uni = build_univariate(g, M, N)

@@ -9,7 +9,9 @@ For each seed and each target of the benchmark workload pipeline-n2
 ``run_pipeline(target, 0.25, PipelineCaps(r_cap=3, seed=S))`` as that
 workload does and prints two lines, ``S TARGET report SHA256`` and
 ``S TARGET state SHA256``: the sha256 of the report's and the state's
-JSON text as ``kst`` writes them (sorted keys, indent 2). Then it runs
+JSON text as ``kst`` writes them (the report with sorted keys and
+indent 2, the state by ``state_json_text``: sorted keys, compact
+separators). Then it runs
 the ``kst decompose`` and ``kst assemble`` commands of the workload
 cli-net-n2 with ``--seed S`` in a temporary directory and prints
 ``S cli-net-n2 FILE SHA256`` for each file they write: state, csv,
@@ -26,10 +28,13 @@ PipelineCaps(k_max=2, knot_budget=1_200_000, r_cap=1, seed=S))``, whose
 outer nets have 1,093,039 breakpoint knots each (about 4 s per seed).
 
 State lines differ by design between checkouts that write different
-state schemas: a ``kst-decomposition/2`` state holds each layer's depth
-and coefficients but no bump positions, plateaus or slopes, and no
-target dimension or sup-norm bound, which ``kst-decomposition/1`` states
-held. Report lines do not depend on the schema.
+state schemas: a ``kst-decomposition/3`` state holds each round's depth
+and one coefficient vector over the depth's grid vectors, in compact
+JSON, where a ``kst-decomposition/2`` state held, indented, each
+family's layers with their coefficients in that family's bump order,
+and a ``kst-decomposition/1`` state also the bump positions, plateaus
+and slopes. Report lines and the cli-net-n2 csv, report, net and
+forward lines do not depend on the schema.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import tempfile
 import numpy as np
 
 from kst import cli
-from kst.decompose import state_to_json_dict
+from kst.decompose import state_json_text
 from kst.params import make_params
 from kst.pipeline import PipelineCaps, run_pipeline
 from kst.relunet import ReluNetwork
@@ -74,17 +79,16 @@ N3 = ("gaussian-n3", lambda: builtin_target("gaussian", 3),
 FORWARD_POINTS = 500
 
 
-def sha256_json(doc: dict) -> str:
-    """The sha256 of the JSON text ``kst`` writes for doc."""
-    return hashlib.sha256(cli._json_text(doc).encode()).hexdigest()
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def digest_lines(seed: int, name: str, target) -> list[str]:
     """The report and state lines of one run_pipeline call."""
     caps = PipelineCaps(r_cap=3, seed=seed)
     _, report, state = run_pipeline(target, EPS, caps, params=make_params(target.dim))
-    return [f"{seed} {name} report {sha256_json(report.to_json_dict())}",
-            f"{seed} {name} state {sha256_json(state_to_json_dict(state))}"]
+    return [f"{seed} {name} report {sha256_text(cli._json_text(report.to_json_dict()))}",
+            f"{seed} {name} state {sha256_text(state_json_text(state))}"]
 
 
 def n3_line(seed: int) -> str:
@@ -93,7 +97,7 @@ def n3_line(seed: int) -> str:
     target = make()
     _, report, _ = run_pipeline(target, EPS, PipelineCaps(**caps, seed=seed),
                                 params=make_params(target.dim))
-    return f"{seed} {name} report {sha256_json(report.to_json_dict())}"
+    return f"{seed} {name} report {sha256_text(cli._json_text(report.to_json_dict()))}"
 
 
 def cli_lines(seed: int) -> list[str]:
