@@ -610,9 +610,8 @@ def _check_rounds(state) -> None:
     under the state's caps. The exact overlap audit is left to the build."""
     g, n, r = state.params.gamma, state.params.n, state.r
     for key, extra in (("k_warnings", 0), ("coeff", 0), ("residual_norms", 1)):
-        if len(getattr(state, key)) != r + extra:
-            raise DomainError(f"state.{key} has {len(getattr(state, key))} entries "
-                              f"for the {r} rounds of state.k_list")
+        if (count := len(getattr(state, key))) != r + extra:
+            raise DomainError(f"state.{key} has {count} entries for the {r} rounds of state.k_list")
     for l, (k, coeff) in enumerate(zip(state.k_list, state.coeff)):
         # gamma**k exceeds the coefficient count once k exceeds the count's
         # bit length, so no grid size or ramp is computed for an absurd depth
