@@ -5,7 +5,8 @@ residual oscillates by at most delta times its sup norm over one grid
 cell, evaluates the residual at every level-k_r grid point, and adds a
 layer of trapezoidal bumps to each of the m+1 outer approximants: the
 bump for grid vector d sits at the image of d shifted by the family
-index, with coefficient e_{r-1}(d)/(m+1).
+index, with coefficient e_{r-1}(d)/(m+1). A state holds that vector
+once per round; family_grid places its bumps for each family.
 
 Residual sup norms are measured on a fixed audit mesh plus a seeded
 batch of random points, one AuditSample that every state of a
@@ -13,13 +14,12 @@ decomposition shares; the true sup norm is unobservable and the same
 estimator is used both for choosing k_r and for reporting.
 
 States are immutable snapshots; iterate() returns a new one. The inner
-evaluator's lattices and float tables are shared caches whose population
-is observationally invisible.
+evaluator's lattices and float tables, and the bump grids, are shared
+caches whose population is observationally invisible.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -38,6 +38,7 @@ from .params import (
     superpose,
     to_json,
 )
+from .relunet import json_parts
 from .target import (
     TargetFunction,
     default_audit_resolution,
@@ -54,15 +55,16 @@ PHI_BLOCK = 1 << 14
 @dataclass(frozen=True, eq=False)
 class Grid:
     """The bump supports of one family at one depth, sorted by image
-    position: bump i's support is the open interval (lo[i], hi[i]).
-    Every layer of a family at that depth holds the same Grid, which
-    compares and hashes by identity."""
+    position: slot i holds the bump of grid vector order[i] (a row-major
+    index into a round's coefficients), with support (lo[i], hi[i]). One
+    per parameter record, family and depth; it hashes by identity."""
 
     k: int
     slope: float
     plateau: float
     ramp: float
     xi: np.ndarray
+    order: np.ndarray
 
     @cached_property
     def lo(self) -> np.ndarray:
@@ -77,20 +79,11 @@ class Grid:
         """True at slot i when bump i-1's support reaches past lo[i]."""
         return np.concatenate(([False], self.hi[:-1] > self.lo[1:]))
 
-
-@dataclass(frozen=True)
-class Layer:
-    """One iteration's bump coefficients for one family, on its grid."""
-
-    grid: Grid
-    coeff: np.ndarray
-
-    def overreach(self) -> int | None:
-        """The first bump with a nonzero coefficient whose support reaches
-        past its next neighbour (hi[i] > lo[i+2]), or None."""
-        g = self.grid
-        bad = np.flatnonzero((g.hi[:-2] > g.lo[2:]) & (self.coeff[:-2] != 0.0))
-        return int(bad[0]) if bad.size else None
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """The grid vectors, in slot order, of the bumps whose support
+        reaches past the next neighbour (hi[i] > lo[i+2])."""
+        return self.order[np.flatnonzero(self.hi[:-2] > self.lo[2:])]
 
 
 @dataclass(frozen=True)
@@ -145,10 +138,10 @@ class AuditSample:
 
 @dataclass
 class DecompositionState:
-    """A decomposition after r rounds. Round l has depth k_list[l] and
-    coeff[l], one coefficient per depth-k grid vector in row-major
-    order; outer[j] is family j's layers, that vector in the order of
-    the family's grid (round_layers), which phi_batch evaluates."""
+    """A decomposition after r rounds, as its file holds it. Round l has
+    depth k_list[l] and coeff[l], one coefficient per depth-k grid vector
+    in row-major order, the same for every family; family_grid(state, j,
+    k) places family j's bumps."""
 
     params: KstParams
     lambdas: LambdaCoeffs
@@ -158,7 +151,6 @@ class DecompositionState:
     k_list: tuple[int, ...]
     k_warnings: tuple[bool, ...]
     coeff: tuple[np.ndarray, ...]
-    outer: tuple[tuple[Layer, ...], ...]
     residual_norms: tuple[float, ...]
     audit: AuditSample
 
@@ -202,7 +194,6 @@ def init_state(
         k_list=(),
         k_warnings=(),
         coeff=(),
-        outer=((),) * (params.m + 1),
         residual_norms=(),
         audit=AuditSample.draw(target, caps),
     )
@@ -215,16 +206,17 @@ def init_state(
 
 def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
     """Outer approximant phi_j at a flat array of points, in blocks of
-    PHI_BLOCK. In each grid a point takes the bump whose support starts
-    last at or below it and, in the slots of Grid.shared, that bump's
-    predecessor: every support containing the point, provided no bump
-    with a nonzero coefficient reaches past its next neighbour
-    (Layer.overreach is None), which round_layers checks.
+    PHI_BLOCK: the sum over the rounds of each round's coefficients times
+    its depth's bumps on family j's grid. In each grid a point takes the
+    bump whose support starts last at or below it and, in the slots of
+    Grid.shared, that bump's predecessor: every support containing the
+    point, provided no bump with a nonzero coefficient reaches past its
+    next neighbour, which check_overreach ensures for every round.
 
-    Per block, _locate finds the slots and bump shapes once for each
-    grid, so the layers of one depth, which share their grid, each add
-    only their coefficients times those shapes, in layer order: the same
-    sums, bit for bit, as evaluating every layer on its own.
+    Per block, _locate finds the grid vectors and bump shapes once for
+    each depth, so the rounds of one depth each add only their
+    coefficients times those shapes, in round order: the same sums, bit
+    for bit, as evaluating every round on its own.
 
     A block whose points ascend (the audit grids of build_univariate)
     takes its slots from _ascending_slots, which merges the few bump
@@ -233,26 +225,25 @@ def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
     one ascends. Both give the same slots, so the values are the same
     bit for bit."""
     out = np.zeros(len(y))
-    layers = state.outer[j]
-    grids = dict.fromkeys(layer.grid for layer in layers)
+    grids = {k: family_grid(state, j, k) for k in dict.fromkeys(state.k_list)}
     for start in range(0, len(y), PHI_BLOCK):
         yb = y[start : start + PHI_BLOCK]
         ob = out[start : start + PHI_BLOCK]
         ascending = bool(np.all(yb[1:] >= yb[:-1]))
-        found = {grid: _locate(grid, yb, ascending) for grid in grids}
-        for layer in layers:
-            slot, shape, two, prev, prev_shape = found[layer.grid]
+        found = {k: _locate(grid, yb, ascending) for k, grid in grids.items()}
+        for k, coeff in zip(state.k_list, state.coeff):
+            vec, shape, two, prev, prev_shape = found[k]
             # outside its support a term is -0.0 where coeff < 0; added to
             # out, which is never -0.0, it changes nothing, as +0.0 would not
-            ob += layer.coeff[slot] * shape
+            ob += coeff[vec] * shape
             if two.size:
-                ob[two] += layer.coeff[prev] * prev_shape
+                ob[two] += coeff[prev] * prev_shape
     return out
 
 
 def _locate(grid: Grid, yb: np.ndarray, ascending: bool) -> tuple[np.ndarray, ...]:
-    """Each point's slot and that bump's shape there; the points in
-    shared slots, their predecessor bumps and those bumps' shapes."""
+    """Each point's bump, as its grid vector, and its shape there; the
+    points in shared slots, their predecessor bumps and those shapes."""
     if ascending:
         slot = _ascending_slots(grid.lo, yb)
     else:
@@ -260,7 +251,8 @@ def _locate(grid: Grid, yb: np.ndarray, ascending: bool) -> tuple[np.ndarray, ..
     np.maximum(slot, 0, out=slot)
     two = np.flatnonzero(grid.shared[slot])
     prev = slot[two] - 1
-    return slot, _shape(grid, yb, slot), two, prev, _shape(grid, yb[two], prev)
+    return (grid.order[slot], _shape(grid, yb, slot), two, grid.order[prev],
+            _shape(grid, yb[two], prev))
 
 
 def _ascending_slots(lo: np.ndarray, yb: np.ndarray) -> np.ndarray:
@@ -332,9 +324,9 @@ def residual_modulus(state, h: float) -> float:
     return worst
 
 
-# Per parameter record, each depth's float bump shape and the exact depth-1
-# min_gap ("gap"), computed on first use: pure functions of the record,
-# so, like the inner evaluator's lattices, a cache only.
+# Per parameter record, each depth k's float bump shape, each family j's
+# Grid at depth k (key (k, j)) and the exact depth-1 min_gap ("gap"),
+# computed on first use: pure functions of the record, a cache only.
 _geometry: dict[KstParams, dict] = {}
 
 
@@ -406,52 +398,44 @@ def _bump_shape(params: KstParams, lambdas: LambdaCoeffs, k: int) -> tuple[float
     return float(slope_int), plateau, float(Fraction(1, slope_int))
 
 
-def family_grid(state, j: int, k: int, earlier: tuple[Layer, ...]) -> tuple[Grid, np.ndarray]:
-    """Family j's depth-k bump grid, and the order that sorts the
-    depth-k grid vectors d, taken in row-major order, by their images
-    sum_i lambda_i * psi(d_i + j * a_k), where a_k = sum_{l=2..k}
-    gamma**-l is the shift a cut at depth k: slot i of the grid holds
-    the bump of vector order[i]. When one of the family's earlier
-    layers has depth k, its Grid holds the same images and is returned,
-    so the layers of a family at one depth share one Grid.
+def family_grid(state, j: int, k: int) -> Grid:
+    """Family j's depth-k bump grid: the depth-k grid vectors d, taken in
+    row-major order, sorted by their images sum_i lambda_i * psi(d_i +
+    j * a_k), where a_k = sum_{l=2..k} gamma**-l is the shift a cut at
+    depth k. One Grid per parameter record, family and depth, shared by
+    every state of that record and computed on first use.
     """
     p = state.params
-    # the images are the superposition of one identity outer at the
-    # family's lattice indices, which carry its shift
-    axes = np.ix_(*[family_axis(p, k, j)] * p.n)
-    xi_flat = superpose(state.ev.float_table(k).take, [lambda y: y], state.lambdas.floats,
-                        0, axes).ravel()
-    order = np.argsort(xi_flat, kind="stable")
-    grid = next((old.grid for old in earlier if old.grid.k == k), None)
-    if grid is None:
+
+    def build():
+        # the images are the superposition of one identity outer at the
+        # family's lattice indices, which carry its shift
+        axes = np.ix_(*[family_axis(p, k, j)] * p.n)
+        xi_flat = superpose(state.ev.float_table(k).take, [lambda y: y], state.lambdas.floats,
+                            0, axes).ravel()
+        order = np.argsort(xi_flat, kind="stable")
         shape = _memo(state, k, lambda: _bump_shape(p, state.lambdas, k))
-        grid = Grid(k, *shape, xi=xi_flat[order])
-    return grid, order
+        return Grid(k, *shape, xi=xi_flat[order], order=order)
+
+    return _memo(state, (k, j), build)
 
 
-def round_layers(state, k: int, coeff: np.ndarray) -> tuple[tuple[Layer, ...], ...]:
-    """The families' layers with one more round, at depth k, appended:
-    family j's layer holds coeff, one coefficient per depth-k grid
-    vector in row-major order, in the order of its grid (family_grid).
-
-    Raises ConstraintViolation naming the round, the coefficient and
-    its grid vector when a nonzero coefficient sits on a bump whose
-    support reaches past its next neighbour (Layer.overreach)."""
-    p = state.params
-    outer = []
-    for j, earlier in enumerate(state.outer):
-        grid, order = family_grid(state, j, k, earlier)
-        layer = Layer(grid, coeff[order])
-        if (i := layer.overreach()) is not None:
-            c = int(order[i])
+def check_overreach(state, l: int) -> None:
+    """Raise ConstraintViolation naming the round, the coefficient and
+    its grid vector when round l puts a nonzero coefficient on a bump
+    whose support reaches past its next neighbour (Grid.reach) in some
+    family."""
+    p, k, coeff = state.params, state.k_list[l], state.coeff[l]
+    for j in range(p.m + 1):
+        reach = family_grid(state, j, k).reach
+        if (bad := reach[coeff[reach] != 0.0]).size:
+            c = int(bad[0])
             d = tuple(int(x) for x in np.unravel_index(c, (p.gamma**k + 1,) * p.n))
             raise ConstraintViolation(
                 "bump supports reach no further than the next bump",
-                f"state.coeff[{len(earlier)}][{c}], grid vector {d}, is nonzero on a depth-{k} "
+                f"state.coeff[{l}][{c}], grid vector {d}, is nonzero on a depth-{k} "
                 f"bump of family {j} that reaches past the next bump",
             )
-        outer.append(earlier + (layer,))
-    return tuple(outer)
 
 
 def iterate(state: DecompositionState) -> DecompositionState:
@@ -460,7 +444,8 @@ def iterate(state: DecompositionState) -> DecompositionState:
     Raises the error of depth_refusal for the chosen depth: that of its
     cheap part before the residual sweep, so no grid above the budget is
     allocated, and that of the exact audit after it, when a coefficient
-    is nonzero (the null layers of a zero residual are built at depth 1).
+    is nonzero (the null rounds of a zero residual are built at depth 1);
+    then that of check_overreach.
     """
     p = state.params
     g, n, m = p.gamma, p.n, p.m
@@ -486,8 +471,8 @@ def iterate(state: DecompositionState) -> DecompositionState:
         k_list=state.k_list + (k_r,),
         k_warnings=state.k_warnings + (warned,),
         coeff=state.coeff + (coeff,),
-        outer=round_layers(state, k_r, coeff),
     )
+    check_overreach(nxt, state.r)
     nxt.residual_norms = state.residual_norms + (measure_residual_norm(nxt),)
     return nxt
 
@@ -523,8 +508,8 @@ def lipschitz_report(state) -> dict:
 
 
 def state_to_json_dict(state) -> dict:
-    """The state as JSON: everything but the layers, which round_layers
-    builds from each round's depth and coefficients."""
+    """The state document, each round's coefficient vector left as an
+    array; render it with state_json_text."""
     return to_json({
         "schema": STATE_SCHEMA,
         "params": state.params.to_json_dict(),
@@ -533,14 +518,13 @@ def state_to_json_dict(state) -> dict:
         "k_list": state.k_list,
         "k_warnings": state.k_warnings,
         "residual_norms": state.residual_norms,
-        "coeff": [c.tolist() for c in state.coeff],
-    })
+    }) | {"coeff": list(state.coeff)}
 
 
 def state_json_text(state) -> str:
-    """The text of a state file: state_to_json_dict as compact JSON
-    with sorted keys, and a final newline."""
-    return json.dumps(state_to_json_dict(state), sort_keys=True, separators=(",", ":")) + "\n"
+    """The text of a state file: state_to_json_dict as compact JSON with
+    sorted keys and %.17g coefficient strings, and a final newline."""
+    return b"".join(json_parts(state_to_json_dict(state))).decode() + "\n"
 
 
 # JSON layout of a state file: a dict maps keys to layouts, a one-item
@@ -644,11 +628,10 @@ def state_from_json_dict(d: dict) -> DecompositionState:
         k_list=tuple(d["k_list"]),
         k_warnings=tuple(d["k_warnings"]),
         coeff=tuple(np.fromiter(map(float, c), float, len(c)) for c in d["coeff"]),
-        outer=((),) * (params.m + 1),
         residual_norms=tuple(float(v) for v in d["residual_norms"]),
         audit=AuditSample.draw(target, caps),
     )
     _check_rounds(state)
-    for k, coeff in zip(state.k_list, state.coeff):
-        state.outer = round_layers(state, k, coeff)
+    for l in range(state.r):
+        check_overreach(state, l)
     return state

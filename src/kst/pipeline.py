@@ -24,6 +24,7 @@ from .decompose import (
     f_r,
     init_state,
     iterate,
+    family_grid,
     lipschitz_report,
     phi_batch,
 )
@@ -36,6 +37,9 @@ from .target import TargetFunction, mesh_points
 
 @dataclass(frozen=True)
 class PipelineCaps:
+    """Caps of a run; DomainError refuses a negative ``r_cap`` or ``seed``
+    and a ``knot_budget`` or ``n_random`` below 1."""
+
     r_cap: int = 3
     k_max: int = 3
     knot_budget: int = 10**6
@@ -43,6 +47,11 @@ class PipelineCaps:
     audit_resolution: int | None = None  # None: init_state's default for n
     n_random: int = 10**4
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("r_cap", 0), ("knot_budget", 1), ("n_random", 1), ("seed", 0)):
+            if (value := getattr(self, name)) < least:
+                raise DomainError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass
@@ -169,11 +178,11 @@ def build_inner_net(
 
 
 def _corner_knots(state: DecompositionState, j: int, M: float) -> np.ndarray:
-    """0, M and the bump corners in [0, M] of family j's layers that have
-    a nonzero coefficient: the breakpoints of phi_j."""
+    """0, M and the bump corners in [0, M] of family j's grids at the
+    depths of rounds with a nonzero coefficient: the breakpoints of phi_j."""
     pieces = [np.asarray([0.0, M])]
-    layers = (layer for layer in state.outer[j] if np.any(layer.coeff))
-    for grid in dict.fromkeys(layer.grid for layer in layers):
+    depths = dict.fromkeys(k for k, coeff in zip(state.k_list, state.coeff) if np.any(coeff))
+    for grid in (family_grid(state, j, k) for k in depths):
         for off in (-grid.ramp, 0.0, grid.plateau, grid.plateau + grid.ramp):
             pieces.append(grid.xi + off)
     knots = np.unique(np.concatenate(pieces))
@@ -206,10 +215,6 @@ def assemble_from_state(
 ) -> tuple[AssembledKst, PipelineReport]:
     """Build and audit the network for an existing decomposition."""
     caps = PipelineCaps() if caps is None else caps
-    if caps.n_random < 1:
-        raise DomainError(f"the assembly's random batch needs n_random >= 1, got {caps.n_random}")
-    if caps.seed < 0:
-        raise DomainError(f"the assembly's random batch needs seed >= 0, got {caps.seed}")
     p = state.params
     timings: dict[str, float] = {}
 
@@ -303,8 +308,6 @@ def run_pipeline(
     params = make_params(f.dim) if params is None else params
     if f.sup_norm_bound > 1.0 + 1e-12:
         raise DomainError("target sup-norm bound must be at most 1")
-    if caps.r_cap < 0:
-        raise DomainError(f"r_cap must be at least 0, got {caps.r_cap}")
     r_target = r_of_epsilon(params.eta, eps)
     r_used = min(r_target, caps.r_cap)
     state = init_state(

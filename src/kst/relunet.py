@@ -152,9 +152,13 @@ def json_parts(doc) -> list:
     byte parts to be written in order. Joined, they equal
     ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` with each
     int column spelled as its list, each float column as the list of
-    its ``%.17g`` strings and each string column as its list."""
+    its ``%.17g`` strings and each string column as its list; a list
+    of columns is a list of those lists."""
     if isinstance(doc, np.ndarray):
         return _column_parts(doc)
+    if isinstance(doc, list) and doc and all(isinstance(c, np.ndarray) for c in doc):
+        parts = [part for column in doc for part in [b","] + _column_parts(column)]
+        return [b"[", *parts[1:], b"]"]
     if isinstance(doc, dict):
         parts = [b"{"]
         for i, key in enumerate(sorted(doc)):

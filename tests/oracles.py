@@ -7,7 +7,7 @@ function (``DigitPsi`` over ``BaseGammaPoint``), with its certified
 continuum reader, is the reference for the lattice walk of
 ``InnerEvaluator``. The single trapezoidal bump
 (``BumpSpec``, ``theta``, ``theta_exact``) lives here too: the library
-stores bumps as whole layers and never builds one alone. So does the
+stores bumps as whole rounds on shared grids and never builds one alone. So does the
 point-by-point expression walker (``oracle_eval_expr``) that the
 compiled whole-array targets are checked against, with the
 parenthesized rendering that parses back (``pretty``), and the shifted grids
@@ -32,6 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from kst import decompose
 from kst.errors import DomainError
 from kst.params import beta
 from kst.relunet import UnivariateNet
@@ -293,12 +294,19 @@ def xi(params, lambdas, ev, d: tuple[Fraction, ...]) -> Fraction:
     return acc
 
 
+def family_rounds(state, j: int):
+    """Family j's rounds, each as its grid (``decompose.family_grid``,
+    looked up at call time) and its coefficients in the grid's slot order."""
+    for k, coeff in zip(state.k_list, state.coeff):
+        grid = decompose.family_grid(state, j, k)
+        yield grid, coeff[grid.order]
+
+
 def dense_phi_sum(state, j: int, y: float) -> float:
     """Outer-function value by brute summation over every stored bump."""
     total = 0.0
-    for layer in state.outer[j]:
-        g = layer.grid
-        for xi, coeff in zip(g.xi, layer.coeff):
+    for g, round_coeff in family_rounds(state, j):
+        for xi, coeff in zip(g.xi, round_coeff):
             t1 = min(max(g.slope * (y - xi) + 1.0, 0.0), 1.0)
             t2 = min(max(g.slope * (y - xi - g.plateau), 0.0), 1.0)
             total += coeff * (t1 - t2)
@@ -307,12 +315,11 @@ def dense_phi_sum(state, j: int, y: float) -> float:
 
 def two_candidate_phi(state, j: int, y: np.ndarray) -> np.ndarray:
     """Outer-approximant values by the earlier unblocked evaluator: per
-    layer, the bump whose support starts last at or below each point
+    round, the bump whose support starts last at or below each point
     and its predecessor, over the whole array at once. Sums in the same
     order as ``phi_batch``, so the two agree bit for bit."""
     out = np.zeros_like(y, dtype=float)
-    for layer in state.outer[j]:
-        g = layer.grid
+    for g, round_coeff in family_rounds(state, j):
         lo = g.xi - g.ramp
         idx = np.searchsorted(lo, y, side="right") - 1
         for off in (0, -1):
@@ -323,15 +330,14 @@ def two_candidate_phi(state, j: int, y: np.ndarray) -> np.ndarray:
             inside = inb & (y > xi_c - g.ramp) & (y < xi_c + g.plateau + g.ramp)
             t1 = np.clip(g.slope * (y - xi_c) + 1.0, 0.0, 1.0)
             t2 = np.clip(g.slope * (y - xi_c - g.plateau), 0.0, 1.0)
-            out += np.where(inside, layer.coeff[cc] * (t1 - t2), 0.0)
+            out += np.where(inside, round_coeff[cc] * (t1 - t2), 0.0)
     return out
 
 
 def active_bump_counts(state, j: int, y: float) -> list[int]:
-    """Number of bumps with positive value at y, per layer."""
+    """Number of bumps with positive value at y, per round."""
     counts = []
-    for layer in state.outer[j]:
-        g = layer.grid
+    for g, _ in family_rounds(state, j):
         lo = g.xi - g.ramp
         hi = g.xi + g.plateau + g.ramp
         counts.append(int(np.sum((y > lo) & (y < hi))))

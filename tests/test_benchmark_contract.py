@@ -94,3 +94,24 @@ def test_decompose_state_file_holds_k_list(tmp_path):
                          "--out-csv", str(tmp_path / "decay.csv")]) == 0
     k_list = json.loads(state.read_text())["k_list"]
     assert k_list == [2] and all(type(k) is int for k in k_list)
+
+
+def test_tracer_counts_phi_batch_points():
+    # the tracer counts decompose.phi_batch_points from phi_batch's third
+    # argument, the points; a signature that moves them should fail here
+    import numpy as np
+
+    from kst import decompose
+    from kst.target import builtin_target
+
+    state = decompose.init_state(builtin_target("zero", 2),
+                                 caps=decompose.DecompositionCaps(audit_resolution=5,
+                                                                  n_random=3))
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        decompose.phi_batch(state, 1, np.linspace(0.0, 1.0, 17))
+    finally:
+        t.unpatch()
+    assert t.counts["decompose.phi_batch_points"] == 17

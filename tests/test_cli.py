@@ -231,12 +231,14 @@ class TestAssembleCmd:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags", [["--n-random", "0"], ["--n-random", "-1"], ["--seed", "-1"]]
+        "flags", [["--n-random", "0"], ["--n-random", "-1"], ["--seed", "-1"],
+                  ["--knot-budget", "0"], ["--knot-budget", "-5"]]
     )
     def test_bad_option_exit_2(self, saved_state, capsys, flags):
         code = run(["assemble", "--decomp", str(saved_state), "--eps", "0.5"] + flags)
         assert code == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
 
     def test_overreach_names_bump(self, tmp_path, capsys):
         # depth-1 supports overlap: some bumps reach past their next
@@ -244,9 +246,8 @@ class TestAssembleCmd:
         # named by its round and grid vector; at depth 1 the family shift
         # is empty, so every family sorts the 7**2 vectors alike
         d = json.loads(_zero_two_rounds())
-        grid, order = family_grid(state_from_json_dict(d), 0, 1, ())
-        reach = grid.hi[:-2] > grid.lo[2:]
-        c, ok = int(order[np.flatnonzero(reach)[0]]), int(order[np.flatnonzero(~reach)[0]])
+        grid = family_grid(state_from_json_dict(d), 0, 1)
+        c, ok = int(grid.reach[0]), int(np.setdiff1d(grid.order, grid.reach)[0])
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text(json.dumps(_edit_coeff(d, ok, "0.25", l=1)))
         assert run(["assemble", "--decomp", str(good), "--eps", "0.5"]) == 0

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,9 +15,9 @@ from kst.bumps import b_k
 from kst.decompose import (
     DecompositionCaps,
     Grid,
-    Layer,
     choose_k_r,
     f_r,
+    family_grid,
     init_state,
     iterate,
     lipschitz_report,
@@ -27,7 +28,7 @@ from kst.decompose import (
 )
 from kst.errors import BudgetError, ConstraintViolation, DomainError
 from kst.inner import InnerEvaluator
-from kst.params import beta, make_params
+from kst.params import beta, f17, make_params
 from kst.target import builtin_target, mesh_points
 from oracles import (
     active_bump_counts,
@@ -108,9 +109,8 @@ class TestIterate:
         s1 = iterate(zero_state)
         assert s1.residual_norms == (0.0, 0.0)
         assert s1.k_list == (1,)
-        for layers in s1.outer:
-            assert len(layers) == 1
-            assert np.all(layers[0].coeff == 0.0)
+        assert len(s1.coeff) == 1
+        assert np.all(s1.coeff[0] == 0.0)
 
     def test_forced_overlapping_depth_refused(self, one_state, monkeypatch):
         force_depth(monkeypatch, 1)
@@ -119,13 +119,14 @@ class TestIterate:
 
     def test_layer_shapes(self, product_r1):
         p = product_r1.params
-        assert len(product_r1.outer) == p.m + 1
         k = product_r1.k_list[0]
         expected = (p.gamma**k + 1) ** p.n
-        for layers in product_r1.outer:
-            layer = layers[0]
-            assert layer.grid.xi.size == expected
-            assert np.all(np.diff(layer.grid.xi) >= 0)
+        assert product_r1.coeff[0].size == expected
+        for j in range(p.m + 1):
+            grid = family_grid(product_r1, j, k)
+            assert grid.xi.size == expected
+            assert np.all(np.diff(grid.xi) >= 0)
+            assert np.array_equal(np.sort(grid.order), np.arange(expected))
 
     def test_first_contraction(self, product_r1):
         p = product_r1.params
@@ -183,8 +184,7 @@ class TestIterate:
     def test_layer_coefficients_scale(self, product_r1):
         p = product_r1.params
         norm0 = product_r1.residual_norms[0]
-        for layers in product_r1.outer:
-            assert np.max(np.abs(layers[0].coeff)) <= norm0 / (p.m + 1) + 1e-12
+        assert np.max(np.abs(product_r1.coeff[0])) <= norm0 / (p.m + 1) + 1e-12
 
 
 def phi_at(state, j: int, y: float) -> float:
@@ -192,9 +192,10 @@ def phi_at(state, j: int, y: float) -> float:
 
 
 @st.composite
-def bump_grids(draw):
-    """A grid of a few bumps spaced at 0.5 to 2 support widths, so that
-    neighbours may overlap or touch but none reaches past its next one."""
+def bump_grids(draw, k):
+    """A depth-k grid of a few bumps spaced at 0.5 to 2 support widths,
+    so that neighbours may overlap or touch but none reaches past its
+    next one, over grid vectors in a drawn order."""
     slope = float(draw(st.integers(2, 64)))
     ramp = 1.0 / slope
     plateau = draw(st.floats(1e-3, 0.5))
@@ -203,20 +204,32 @@ def bump_grids(draw):
     gaps = draw(st.lists(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.5, 2.0)),
                          min_size=size - 1, max_size=size - 1))
     xi = draw(st.floats(0.0, 1.0)) + np.concatenate(([0.0], np.cumsum(np.multiply(gaps, width))))
-    return Grid(k=1, slope=slope, plateau=plateau, ramp=ramp, xi=xi)
-
-
-def bump_coeffs(draw, grid):
-    """Coefficients for grid, zero among them."""
-    return np.asarray(draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
-                                    min_size=grid.xi.size, max_size=grid.xi.size)))
+    order = np.asarray(draw(st.permutations(range(size))))
+    return Grid(k=k, slope=slope, plateau=plateau, ramp=ramp, xi=xi, order=order)
 
 
 @st.composite
-def bump_layers(draw):
-    """A layer on a grid of bump_grids, with coefficients of bump_coeffs."""
-    grid = draw(bump_grids())
-    return Layer(grid, bump_coeffs(draw, grid))
+def bump_rounds(draw, depths=None):
+    """Rounds at the given depths (1 to 3 rounds at depths 1, 2, ... when
+    None) on grids of bump_grids, one per depth, with coefficient vectors
+    with zeros among them: the grids by depth and a stand-in state."""
+    depths = tuple(range(1, draw(st.integers(1, 3)) + 1)) if depths is None else depths
+    grids = {k: draw(bump_grids(k)) for k in sorted(set(depths))}
+    coeff = tuple(np.asarray(draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                                            min_size=grids[k].xi.size,
+                                            max_size=grids[k].xi.size)))
+                  for k in depths)
+    # two gaps of half a width may round to an overreach
+    assume(not any(np.any(c[grids[k].reach]) for k, c in zip(depths, coeff)))
+    return grids, SimpleNamespace(k_list=depths, coeff=coeff)
+
+
+@contextmanager
+def on_grids(grids):
+    """family_grid, for phi_batch and the oracles, gives grids[k] at depth k."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "family_grid", lambda state, j, k: grids[k])
+        yield
 
 
 class TestEvaluatePhi:
@@ -224,17 +237,17 @@ class TestEvaluatePhi:
         assert phi_at(zero_state, 0, 0.5) == 0.0
 
     def test_outside_supports_is_zero(self, product_r1):
-        layer = product_r1.outer[0][0]
-        y = float(layer.grid.xi[0] + layer.grid.plateau + 2 * layer.grid.ramp)
-        between = 0.5 * (y + float(layer.grid.xi[1] - layer.grid.ramp))
+        grid = family_grid(product_r1, 0, product_r1.k_list[0])
+        y = float(grid.xi[0] + grid.plateau + 2 * grid.ramp)
+        between = 0.5 * (y + float(grid.xi[1] - grid.ramp))
         assert phi_at(product_r1, 0, between) == 0.0
 
     def test_plateau_midpoint_returns_coefficient(self, product_r1):
-        layer = product_r1.outer[2][0]
+        grid = family_grid(product_r1, 2, product_r1.k_list[0])
         idx = 100
-        y = float(layer.grid.xi[idx]) + layer.grid.plateau / 2
+        y = float(grid.xi[idx]) + grid.plateau / 2
         assert phi_at(product_r1, 2, y) == pytest.approx(
-            float(layer.coeff[idx]), abs=1e-15
+            float(product_r1.coeff[0][grid.order[idx]]), abs=1e-15
         )
 
     def test_sparse_equals_dense(self, product_r1):
@@ -252,12 +265,11 @@ class TestEvaluatePhi:
         # by the candidate search would show at once; probe the ramps
         # and plateaus of a seeded sample of bumps
         s1 = iterate(one_state)
-        layer = s1.outer[0][0]
+        grid = family_grid(s1, 0, s1.k_list[0])
         rng = np.random.default_rng(59)
-        xi = layer.grid.xi[rng.choice(layer.grid.xi.size, 150, replace=False)]
+        xi = grid.xi[rng.choice(grid.xi.size, 150, replace=False)]
         ys = np.concatenate(
-            [xi - layer.grid.ramp / 2, xi + layer.grid.plateau / 2,
-             xi + layer.grid.plateau + layer.grid.ramp / 2]
+            [xi - grid.ramp / 2, xi + grid.plateau / 2, xi + grid.plateau + grid.ramp / 2]
         )
         batch = phi_batch(s1, 0, ys)
         for y, got in zip(ys, batch):
@@ -274,10 +286,10 @@ class TestEvaluatePhi:
         batch = phi_batch(product_r1, 1, ys)
         for y, got in zip(ys, batch):
             assert got == pytest.approx(dense_phi_sum(product_r1, 1, float(y)), abs=1e-13)
-        layer = product_r1.outer[1][0]
-        two = np.flatnonzero(layer.grid.shared)
-        ys = np.concatenate([ys, layer.grid.lo[two], layer.grid.hi[two - 1],
-                             0.5 * (layer.grid.lo[two] + layer.grid.hi[two - 1])])
+        grid = family_grid(product_r1, 1, product_r1.k_list[0])
+        two = np.flatnonzero(grid.shared)
+        ys = np.concatenate([ys, grid.lo[two], grid.hi[two - 1],
+                             0.5 * (grid.lo[two] + grid.hi[two - 1])])
         rng.shuffle(ys)
         assert np.array_equal(phi_batch(product_r1, 1, ys),
                               two_candidate_phi(product_r1, 1, ys))
@@ -306,21 +318,19 @@ class TestEvaluatePhi:
             assert abs(phi_at(product_r1, 0, y)) <= cap + 1e-12
 
     @settings(derandomize=True, deadline=None)
-    @given(st.lists(bump_layers(), min_size=1, max_size=3), st.data())
-    def test_batch_equals_dense_random_layers(self, layers, data):
+    @given(bump_rounds(), st.data())
+    def test_batch_equals_dense_random_layers(self, rounds, data):
         # points on every support's ends, ramps and plateau, and
         # between supports, checked against the sum over all bumps
-        state = SimpleNamespace(outer=[tuple(layers)])
-        # two gaps of half a width may round to an overreach
-        assume(all(layer.overreach() is None for layer in layers))
+        grids, state = rounds
         ys = np.concatenate([
-            np.concatenate([layer.grid.lo, layer.grid.lo + layer.grid.ramp / 3, layer.grid.xi,
-                            layer.grid.xi + layer.grid.plateau / 2, layer.grid.hi - layer.grid.ramp,
-                            layer.grid.hi - layer.grid.ramp / 3, layer.grid.hi])
-            for layer in layers
+            np.concatenate([g.lo, g.lo + g.ramp / 3, g.xi, g.xi + g.plateau / 2, g.hi - g.ramp,
+                            g.hi - g.ramp / 3, g.hi])
+            for g in grids.values()
         ] + [data.draw(st.lists(st.floats(-0.5, 30.0), max_size=20))])
-        for y, got in zip(ys, phi_batch(state, 0, ys)):
-            assert got == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
+        with on_grids(grids):
+            for y, got in zip(ys, phi_batch(state, 0, ys)):
+                assert got == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
 
     @pytest.mark.parametrize("name", ["product", "gaussian", "one"])
     def test_blocks_match_two_candidates_bitwise(self, name, monkeypatch):
@@ -332,26 +342,26 @@ class TestEvaluatePhi:
         monkeypatch.setattr(decompose, "PHI_BLOCK", 97)
         rng = np.random.default_rng(61)
         sup = float(state.params.phi_domain_sup)
-        for j, layers in enumerate(state.outer):
+        for j in range(state.params.m + 1):
             pieces = [np.linspace(0.0, sup, 4001), rng.uniform(0.0, sup, 2000)]
-            for layer in layers:
-                two = np.flatnonzero(layer.grid.shared)
-                pieces += [layer.grid.lo[two], layer.grid.hi[two - 1],
-                           0.5 * (layer.grid.lo[two] + layer.grid.hi[two - 1]), layer.grid.lo[:50]]
+            for k in state.k_list:
+                grid = family_grid(state, j, k)
+                two = np.flatnonzero(grid.shared)
+                pieces += [grid.lo[two], grid.hi[two - 1],
+                           0.5 * (grid.lo[two] + grid.hi[two - 1]), grid.lo[:50]]
             ys = np.concatenate(pieces)
             for y in (ys, np.sort(ys)):
                 assert phi_batch(state, j, y).tobytes() == two_candidate_phi(state, j, y).tobytes()
 
     @settings(derandomize=True, deadline=None)
-    @given(st.lists(bump_layers(), min_size=1, max_size=3), st.data())
-    def test_ascending_blocks_match_two_candidates(self, layers, data):
+    @given(bump_rounds(), st.data())
+    def test_ascending_blocks_match_two_candidates(self, rounds, data):
         # sorted points with repeats, on every support end, below the
         # first and above the last; blocks of 1 to 7 points, the last of
         # one point, the second block reversed so that an ascending
         # block follows a descending one, and NaNs among the points
-        state = SimpleNamespace(outer=[tuple(layers)])
-        assume(all(layer.overreach() is None for layer in layers))
-        ends = np.concatenate([np.concatenate([layer.grid.lo, layer.grid.hi]) for layer in layers])
+        grids, state = rounds
+        ends = np.concatenate([np.concatenate([g.lo, g.hi]) for g in grids.values()])
         marks = np.concatenate([ends, [ends.min() - 1.0, ends.max() + 1.0]])
         block = data.draw(st.integers(1, 7))
         picks = data.draw(st.lists(st.one_of(st.sampled_from(marks.tolist()),
@@ -372,15 +382,16 @@ class TestEvaluatePhi:
             merged.append(yb.size)
             return slot
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decompose, "PHI_BLOCK", block)
-            mp.setattr(decompose, "_ascending_slots", checked)
-            got = phi_batch(state, 0, ys)
-        assert merged
-        assert got.tobytes() == two_candidate_phi(state, 0, ys).tobytes()
-        for y, value in zip(ys, got):
-            if not math.isnan(y):
-                assert value == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
+        with on_grids(grids):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(decompose, "PHI_BLOCK", block)
+                mp.setattr(decompose, "_ascending_slots", checked)
+                got = phi_batch(state, 0, ys)
+            assert merged
+            assert got.tobytes() == two_candidate_phi(state, 0, ys).tobytes()
+            for y, value in zip(ys, got):
+                if not math.isnan(y):
+                    assert value == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
 
     @settings(derandomize=True, deadline=None)
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=30),
@@ -396,14 +407,11 @@ class TestEvaluatePhi:
     @settings(derandomize=True, deadline=None)
     @given(st.sampled_from([(2, 2), (2, 3, 3), (3, 2, 3), (3, 3, 3)]), st.data())
     def test_shared_grids_match_two_candidates(self, depths, data):
-        # layers of one depth share one grid object, as iterate builds
-        # them: each block locates its points once per grid, and the sums
-        # are those of every layer on its own. Points on every support
+        # rounds of one depth share one grid object, as family_grid gives
+        # it: each block locates its points once per grid, and the sums
+        # are those of every round on its own. Points on every support
         # end and shared slot, first ascending, then shuffled with NaNs.
-        grids = {k: data.draw(bump_grids()) for k in sorted(set(depths))}
-        layers = tuple(Layer(grids[k], bump_coeffs(data.draw, grids[k])) for k in depths)
-        assume(all(layer.overreach() is None for layer in layers))
-        state = SimpleNamespace(outer=[layers])
+        grids, state = data.draw(bump_rounds(depths))
         marks = []
         for g in grids.values():
             two = np.flatnonzero(g.shared)
@@ -421,18 +429,19 @@ class TestEvaluatePhi:
             located.append((grid, ascending))
             return locate(grid, yb, ascending)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decompose, "PHI_BLOCK", block)
-            mp.setattr(decompose, "_locate", counted)
-            got = phi_batch(state, 0, ys)
-        blocks = -(-ys.size // block)
-        assert len(located) == blocks * len(grids)
-        assert {grid for grid, _ in located} == set(grids.values())
-        assert located[0][1] and not all(ascending for _, ascending in located)
-        assert got.tobytes() == two_candidate_phi(state, 0, ys).tobytes()
-        for y, value in zip(ys, got):
-            if not math.isnan(y):
-                assert value == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
+        with on_grids(grids):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(decompose, "PHI_BLOCK", block)
+                mp.setattr(decompose, "_locate", counted)
+                got = phi_batch(state, 0, ys)
+            blocks = -(-ys.size // block)
+            assert len(located) == blocks * len(grids)
+            assert {grid for grid, _ in located} == set(grids.values())
+            assert located[0][1] and not all(ascending for _, ascending in located)
+            assert got.tobytes() == two_candidate_phi(state, 0, ys).tobytes()
+            for y, value in zip(ys, got):
+                if not math.isnan(y):
+                    assert value == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
 
     def test_outer_audit_grids_match_two_candidates(self, product_r3, monkeypatch):
         # the ascending blocks of audit points build_outer_nets hands to
@@ -462,28 +471,43 @@ class TestEvaluatePhi:
                 assert phi_batch(state, j, y).tobytes() == two_candidate_phi(state, j, y).tobytes()
 
 
+def family_grids(state) -> dict:
+    """Each family's grid at each depth of the state's rounds, by (j, k)."""
+    return {(j, k): family_grid(state, j, k)
+            for j in range(state.params.m + 1) for k in state.k_list}
+
+
 class TestSharedGrid:
     def test_same_depth_layers_hold_one_grid(self, product_r3):
         assert product_r3.k_list == (2, 3, 3)
-        for layers in product_r3.outer:
-            first, second, third = (layer.grid for layer in layers)
-            assert second is third and first is not second
+        grids = family_grids(product_r3)
+        for j in range(product_r3.params.m + 1):
+            assert family_grid(product_r3, j, 3) is grids[j, 3] is not grids[j, 2]
         # the families' images differ, so each family has its own grids
-        assert len({layer.grid for layers in product_r3.outer for layer in layers}) == 10
+        assert len(set(grids.values())) == 10
 
     def test_reload_keeps_sharing_and_values(self, product_r3):
-        blob = json.dumps(state_to_json_dict(product_r3))
-        loaded = state_from_json_dict(json.loads(blob))
+        loaded = state_from_json_dict(json.loads(state_json_text(product_r3)))
         rng = np.random.default_rng(67)
         sup = float(product_r3.params.phi_domain_sup)
         ys = np.concatenate([np.linspace(0.0, sup, 4001), rng.uniform(0.0, sup, 4000)])
-        for j, (layers, back) in enumerate(zip(product_r3.outer, loaded.outer)):
-            first, second, third = (layer.grid for layer in back)
-            assert second is third and first is not second
-            for layer, again in zip(layers, back):
-                assert layer.grid.xi.tobytes() == again.grid.xi.tobytes()
-                assert layer.coeff.tobytes() == again.coeff.tobytes()
+        assert family_grids(loaded) == family_grids(product_r3)
+        assert [c.tobytes() for c in loaded.coeff] == [c.tobytes() for c in product_r3.coeff]
+        for j in range(product_r3.params.m + 1):
             assert phi_batch(loaded, j, ys).tobytes() == phi_batch(product_r3, j, ys).tobytes()
+
+    def test_one_grid_per_record_family_and_depth(self, product_r1):
+        # decompositions of other targets under an equal parameter record,
+        # and a state read from a file, get the very Grid objects that
+        # product_r1's rounds are evaluated on
+        caps = DecompositionCaps(audit_resolution=21, n_random=10)
+        gaussian = iterate(init_state(builtin_target("gaussian", 2), caps=caps))
+        loaded = state_from_json_dict(json.loads(state_json_text(gaussian)))
+        assert gaussian.params is not product_r1.params
+        assert gaussian.k_list == loaded.k_list == product_r1.k_list == (2,)
+        grids = family_grids(product_r1)
+        for state in (gaussian, loaded):
+            assert all(family_grid(state, j, k) is g for (j, k), g in grids.items())
 
     def test_audit_mesh_approximant_once_per_state(self, monkeypatch):
         # f_r on the audit mesh is computed once per state, whichever of
@@ -501,7 +525,7 @@ class TestSharedGrid:
         monkeypatch.setattr(decompose, "f_r", counted)
         s0 = init_state(builtin_target("product", 2))
         s1 = iterate(s0)
-        loaded = state_from_json_dict(state_to_json_dict(s1))
+        loaded = state_from_json_dict(json.loads(state_json_text(s1)))
         assert s1.audit is s0.audit
         assert loaded.audit.points.tobytes() == s0.audit.points.tobytes()
         for state in (s0, s1, loaded):
@@ -622,7 +646,7 @@ class TestThreeDimensions:
         state = init_state(builtin_target("gaussian", 3), caps=caps)
         assert state.params.gamma == 8
         s1 = iterate(state)
-        assert len(s1.outer) == s1.params.m + 1
+        assert s1.coeff[0].size == (8 ** s1.k_list[0] + 1) ** 3
         assert s1.residual_norms[1] <= s1.params.eta * s1.residual_norms[0]
 
     def test_modulus_paths_n3(self):
@@ -662,29 +686,33 @@ class TestLipschitzReport:
 
 class TestSerialization:
     def test_round_trip_evaluates_identically(self, product_r1, zero_state):
-        # the loader rebuilds every grid, bit for bit, from the parameters;
-        # the zero state's families hold two depth-1 layers each
+        # with the record's memo dropped, the loaded state's grids are
+        # built afresh from the parameters, bit for bit; the zero state
+        # holds two depth-1 rounds
         pts = np.random.default_rng(53).random((2000, 2))
         for state in (product_r1, iterate(iterate(zero_state))):
-            blob = json.dumps(state_to_json_dict(state), sort_keys=True)
-            loaded = state_from_json_dict(json.loads(blob))
-            for layers, back in zip(state.outer, loaded.outer, strict=True):
-                for layer, again in zip(layers, back, strict=True):
-                    g, h = layer.grid, again.grid
-                    assert (h.k, h.slope, h.plateau, h.ramp) == (g.k, g.slope, g.plateau, g.ramp)
-                    assert h.xi.tobytes() == g.xi.tobytes()
-                    assert again.coeff.tobytes() == layer.coeff.tobytes()
-                    assert h is next(x.grid for x in back if x.grid.k == h.k)
+            text = state_json_text(state)
+            before = family_grids(state)
+            decompose._geometry.pop(state.params)
+            loaded = state_from_json_dict(json.loads(text))
+            for key, g in before.items():
+                h = family_grid(loaded, *key)
+                assert h is not g
+                assert (h.k, h.slope, h.plateau, h.ramp) == (g.k, g.slope, g.plateau, g.ramp)
+                assert h.xi.tobytes() == g.xi.tobytes()
+                assert h.order.tobytes() == g.order.tobytes()
+            assert [c.tobytes() for c in loaded.coeff] == [c.tobytes() for c in state.coeff]
             assert f_r(loaded, pts.T).tobytes() == f_r(state, pts.T).tobytes()
-            assert json.dumps(state_to_json_dict(loaded), sort_keys=True) == blob
+            assert state_json_text(loaded) == text
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(st.sampled_from(["zero", "product", "gaussian", "ridge"]), st.integers(0, 3),
            st.integers(1, 2), st.integers(0, 3))
     def test_written_state_loads_exactly(self, name, rounds, k_max, seed):
-        # a state file holds each round's depth and coefficient vector;
-        # the loader rebuilds every family's layers from them, bit for bit
-        assume(k_max == 2 or name == "zero")  # depth 1 takes only null layers
+        # a state file holds each round's depth and coefficient vector,
+        # which the loader reads back bit for bit; its rounds are
+        # evaluated on the grids of the written state
+        assume(k_max == 2 or name == "zero")  # depth 1 takes only null rounds
         caps = DecompositionCaps(k_max=k_max, audit_resolution=11, n_random=20, seed=seed)
         state = init_state(builtin_target(name, 2), caps=caps)
         for _ in range(rounds):
@@ -693,26 +721,23 @@ class TestSerialization:
         loaded = state_from_json_dict(json.loads(text))
         assert loaded.r == rounds
         assert [c.tobytes() for c in loaded.coeff] == [c.tobytes() for c in state.coeff]
-        for layers, back in zip(state.outer, loaded.outer, strict=True):
-            grids = {again.grid.k: again.grid for again in back}
-            for layer, again in zip(layers, back, strict=True):
-                g, h = layer.grid, again.grid
-                assert (h.k, h.slope, h.plateau, h.ramp) == (g.k, g.slope, g.plateau, g.ramp)
-                assert h.xi.tobytes() == g.xi.tobytes()
-                assert again.coeff.tobytes() == layer.coeff.tobytes()
-                assert h is grids[h.k]
+        assert loaded.k_list == state.k_list
+        assert family_grids(loaded) == family_grids(state)
         pts = np.random.default_rng(seed).random((500, 2))
         assert f_r(loaded, pts.T).tobytes() == f_r(state, pts.T).tobytes()
         assert state_json_text(loaded) == text
 
     def test_round_trip_metadata(self, product_r1):
-        d = state_to_json_dict(product_r1)
-        loaded = state_from_json_dict(d)
+        loaded = state_from_json_dict(json.loads(state_json_text(product_r1)))
         assert loaded.k_list == product_r1.k_list
         assert loaded.residual_norms == product_r1.residual_norms
         assert loaded.params == product_r1.params
 
     def test_deterministic_serialization(self, product_r1):
-        a = json.dumps(state_to_json_dict(product_r1), sort_keys=True)
-        b = json.dumps(state_to_json_dict(product_r1), sort_keys=True)
-        assert a == b
+        # the coefficient columns are written as json.dumps writes their
+        # 17-digit texts
+        doc = state_to_json_dict(product_r1)
+        listed = doc | {"coeff": [[f17(v) for v in c.tolist()] for c in doc["coeff"]]}
+        text = state_json_text(product_r1)
+        assert text == json.dumps(listed, sort_keys=True, separators=(",", ":")) + "\n"
+        assert state_json_text(product_r1) == text

@@ -246,7 +246,7 @@ class TestLattice:
         for j in range(p.m + 1):
             psi = want[family_axis(p, k, j)]
             images = (lams[0] * psi)[:, None] + (lams[1] * psi)[None, :]
-            grid, _ = family_grid(state, j, k, ())
+            grid = family_grid(state, j, k)
             assert grid.xi.tobytes() == np.sort(images.ravel()).tobytes()
 
     def test_trunc_float_edges(self, ev6):

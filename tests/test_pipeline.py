@@ -160,15 +160,19 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize(
         "caps",
-        [PipelineCaps(audit_resolution=0), PipelineCaps(audit_resolution=-3),
-         PipelineCaps(r_cap=0, n_random=0), PipelineCaps(r_cap=0, seed=-1),
-         PipelineCaps(r_cap=-1), PipelineCaps(k_max=0), PipelineCaps(k_max=-1)],
+        [dict(audit_resolution=0), dict(audit_resolution=-3),
+         dict(r_cap=0, n_random=0), dict(r_cap=0, seed=-1),
+         dict(r_cap=-1), dict(k_max=0), dict(k_max=-1),
+         dict(r_cap=0, knot_budget=0), dict(r_cap=0, knot_budget=-5)],
         ids=["audit-res-zero", "audit-res-negative", "n-random-zero", "seed-negative",
-             "r-cap-negative", "k-max-zero", "k-max-negative"],
+             "r-cap-negative", "k-max-zero", "k-max-negative",
+             "knot-budget-zero", "knot-budget-negative"],
     )
     def test_caps_guard(self, caps):
+        # the caps are built inside the test: PipelineCaps refuses its own
+        # fields, and the decomposition's caps refuse theirs
         with pytest.raises(DomainError):
-            run_pipeline(builtin_target("zero", 2), 0.5, caps)
+            run_pipeline(builtin_target("zero", 2), 0.5, PipelineCaps(**caps))
 
 
 def test_outer_nets_take_the_breakpoints():

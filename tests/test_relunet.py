@@ -358,9 +358,7 @@ class TestBuildUnivariate:
         state = iterate(init_state(builtin_target("product", 2)))
         M = float(state.params.phi_domain_sup)
         g = lambda y: phi_batch(state, 0, np.asarray(y, dtype=float))
-        tallest = max(
-            float(np.max(np.abs(layer.coeff))) for layer in state.outer[0]
-        )
+        tallest = max(float(np.max(np.abs(coeff))) for coeff in state.coeff)
         for N in (8, 16, 32, 64):
             uni = build_univariate(g, M, N)
             assert uni.eps_measured <= tallest + 1e-12
