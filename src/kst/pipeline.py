@@ -22,9 +22,9 @@ from .decompose import (
     DecompositionCaps,
     DecompositionState,
     f_r,
+    family_grid,
     init_state,
     iterate,
-    family_grid,
     lipschitz_report,
     phi_batch,
 )

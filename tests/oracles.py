@@ -7,9 +7,10 @@ function (``DigitPsi`` over ``BaseGammaPoint``), with its certified
 continuum reader, is the reference for the lattice walk of
 ``InnerEvaluator``. The single trapezoidal bump
 (``BumpSpec``, ``theta``, ``theta_exact``) lives here too: the library
-stores bumps as whole rounds on shared grids and never builds one alone. So does the
-point-by-point expression walker (``oracle_eval_expr``) that the
-compiled whole-array targets are checked against, with the
+stores bumps as whole rounds on shared grids and never builds one
+alone. So does the point-by-point expression walker
+(``oracle_eval_expr``) that the compiled whole-array targets are
+checked against, with the
 parenthesized rendering that parses back (``pretty``), and the shifted grids
 of ``Fraction`` coordinates (``grid_shift``, ``ShiftedGrid``) with their
 images through the digit recursion (``xi``), the reference for the
