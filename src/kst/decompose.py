@@ -20,6 +20,7 @@ caches whose population is observationally invisible.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -507,9 +508,9 @@ def lipschitz_report(state) -> dict:
 # -- serialization --------------------------------------------------------------
 
 
-def state_to_json_dict(state) -> dict:
-    """The state document, each round's coefficient vector left as an
-    array; render it with state_json_text."""
+def _state_document(state) -> dict:
+    """The state document with each round's coefficient vector left as
+    an array, for json_parts to render."""
     return to_json({
         "schema": STATE_SCHEMA,
         "params": state.params.to_json_dict(),
@@ -522,9 +523,14 @@ def state_to_json_dict(state) -> dict:
 
 
 def state_json_text(state) -> str:
-    """The text of a state file: state_to_json_dict as compact JSON with
+    """The text of a state file: the state document as compact JSON with
     sorted keys and %.17g coefficient strings, and a final newline."""
-    return b"".join(json_parts(state_to_json_dict(state))).decode() + "\n"
+    return b"".join(json_parts(_state_document(state))).decode() + "\n"
+
+
+def state_to_json_dict(state) -> dict:
+    """The state file's document, as state_from_json_dict reads it."""
+    return json.loads(state_json_text(state))
 
 
 # JSON layout of a state file: a dict maps keys to layouts, a one-item

@@ -247,7 +247,10 @@ class TestAssembleCmd:
         # is empty, so every family sorts the 7**2 vectors alike
         d = json.loads(_zero_two_rounds())
         grid = family_grid(state_from_json_dict(d), 0, 1)
-        c, ok = int(grid.reach[0]), int(np.setdiff1d(grid.order, grid.reach)[0])
+        reach = grid.hi[:-2] > grid.lo[2:]
+        c = int(grid.order[np.flatnonzero(reach)[0]])
+        ok = int(grid.order[np.flatnonzero(~reach)[0]])
+        assert grid.reach.tolist() == grid.order[np.flatnonzero(reach)].tolist()
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text(json.dumps(_edit_coeff(d, ok, "0.25", l=1)))
         assert run(["assemble", "--decomp", str(good), "--eps", "0.5"]) == 0

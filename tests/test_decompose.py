@@ -487,7 +487,8 @@ class TestSharedGrid:
         assert len(set(grids.values())) == 10
 
     def test_reload_keeps_sharing_and_values(self, product_r3):
-        loaded = state_from_json_dict(json.loads(state_json_text(product_r3)))
+        blob = json.dumps(state_to_json_dict(product_r3))
+        loaded = state_from_json_dict(json.loads(blob))
         rng = np.random.default_rng(67)
         sup = float(product_r3.params.phi_domain_sup)
         ys = np.concatenate([np.linspace(0.0, sup, 4001), rng.uniform(0.0, sup, 4000)])
@@ -525,7 +526,7 @@ class TestSharedGrid:
         monkeypatch.setattr(decompose, "f_r", counted)
         s0 = init_state(builtin_target("product", 2))
         s1 = iterate(s0)
-        loaded = state_from_json_dict(json.loads(state_json_text(s1)))
+        loaded = state_from_json_dict(state_to_json_dict(s1))
         assert s1.audit is s0.audit
         assert loaded.audit.points.tobytes() == s0.audit.points.tobytes()
         for state in (s0, s1, loaded):
@@ -728,16 +729,18 @@ class TestSerialization:
         assert state_json_text(loaded) == text
 
     def test_round_trip_metadata(self, product_r1):
-        loaded = state_from_json_dict(json.loads(state_json_text(product_r1)))
+        d = state_to_json_dict(product_r1)
+        loaded = state_from_json_dict(d)
         assert loaded.k_list == product_r1.k_list
         assert loaded.residual_norms == product_r1.residual_norms
         assert loaded.params == product_r1.params
 
     def test_deterministic_serialization(self, product_r1):
         # the coefficient columns are written as json.dumps writes their
-        # 17-digit texts
+        # 17-digit texts, and the document is the file's text parsed
         doc = state_to_json_dict(product_r1)
-        listed = doc | {"coeff": [[f17(v) for v in c.tolist()] for c in doc["coeff"]]}
+        assert doc["coeff"] == [[f17(v) for v in c.tolist()] for c in product_r1.coeff]
         text = state_json_text(product_r1)
-        assert text == json.dumps(listed, sort_keys=True, separators=(",", ":")) + "\n"
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         assert state_json_text(product_r1) == text
+        assert state_to_json_dict(state_from_json_dict(doc)) == doc
