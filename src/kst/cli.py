@@ -88,10 +88,10 @@ def cmd_params(args) -> int:
 
 def cmd_inner(args) -> int:
     p = make_params(args.n, gamma=args.gamma)
-    ev = InnerEvaluator(p)
-    rows = ev.psi_plot_data(args.k)
+    table = InnerEvaluator(p).float_table(args.k)  # refuses k < 1 and oversized grids
+    scale = p.gamma**args.k
     lines = ["d,psi"]
-    lines.extend(f"{f17(d)},{f17(v)}" for d, v in rows)
+    lines.extend(f"{f17(i / scale)},{f17(v)}" for i, v in enumerate(table[:scale].tolist()))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

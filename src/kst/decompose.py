@@ -557,40 +557,43 @@ _STATE_LAYOUT = {
 _PROVENANCE_KEY = {"builtin": "name", "expression": "text"}
 
 
-def _all_decimal(texts) -> bool:
-    """True when every item is a finite decimal string; each text is parsed once."""
+def _decimals(texts: list) -> np.ndarray | None:
+    """Floats of a list of finite decimal strings, each parsed once, else None."""
+    if not set(map(type, texts)) <= {str}:
+        return None
     try:
-        distinct = set(texts)  # TypeError: a list or object among them
-        if not set(map(type, distinct)) <= {str}:
-            return False
-        values = np.fromiter(map(float, distinct), dtype=float, count=len(distinct))
-    except (TypeError, ValueError):  # ValueError: a text that is not a number
-        return False
-    return bool(np.all(np.isfinite(values)))
+        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    except ValueError:  # a text that is not a number
+        return None
+    return values if np.all(np.isfinite(values)) else None
 
 
-def _check_layout(value, layout, where: str) -> None:
-    """Raise DomainError naming the first place value departs from layout."""
+def _check_layout(value, layout, where: str):
+    """value with its decimal strings parsed, a list of them as one array;
+    DomainError names the first place value departs from layout."""
     if isinstance(layout, dict):
         if not isinstance(value, dict):
             raise DomainError(f"{where} is not a JSON object")
+        checked = {}
         for key, sub in layout.items():
             if key not in value:
                 raise DomainError(f"{where} has no {key!r} entry")
-            _check_layout(value[key], sub, f"{where}.{key}")
-    elif isinstance(layout, list):
+            checked[key] = _check_layout(value[key], sub, f"{where}.{key}")
+        return checked
+    if isinstance(layout, list):
         if not isinstance(value, list):
             raise DomainError(f"{where} is not a JSON list")
         # a list of decimals is checked whole; the walk names the first bad place
-        if layout[0] is float and _all_decimal(value):
-            return
-        for i, item in enumerate(value):
-            _check_layout(item, layout[0], f"{where}[{i}]")
-    elif layout is float:
-        if not _all_decimal([value]):
+        if layout[0] is float and (values := _decimals(value)) is not None:
+            return values
+        return [_check_layout(item, layout[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    if layout is float:
+        if (values := _decimals([value])) is None:
             raise DomainError(f"{where} is not a finite decimal string")
-    elif not isinstance(value, layout) or isinstance(value, bool) != (layout is bool):
+        return float(values[0])
+    if not isinstance(value, layout) or isinstance(value, bool) != (layout is bool):
         raise DomainError(f"{where} is not of JSON type {layout.__name__}")
+    return value
 
 
 def _check_rounds(state) -> None:
@@ -616,7 +619,7 @@ def state_from_json_dict(d: dict) -> DecompositionState:
     _check_layout(d, {"schema": str}, "state")
     if d["schema"] != STATE_SCHEMA:
         raise DomainError(f"unrecognized decomposition schema {d['schema']!r}")
-    _check_layout(d, _STATE_LAYOUT, "state")
+    doc = _check_layout(d, _STATE_LAYOUT, "state")
     provenance = d["target"]["provenance"]
     if provenance["kind"] not in _PROVENANCE_KEY:
         raise DomainError(f"state.target.provenance.kind {provenance['kind']!r} "
@@ -633,8 +636,8 @@ def state_from_json_dict(d: dict) -> DecompositionState:
         caps=caps,
         k_list=tuple(d["k_list"]),
         k_warnings=tuple(d["k_warnings"]),
-        coeff=tuple(np.fromiter(map(float, c), float, len(c)) for c in d["coeff"]),
-        residual_norms=tuple(float(v) for v in d["residual_norms"]),
+        coeff=tuple(doc["coeff"]),
+        residual_norms=tuple(doc["residual_norms"].tolist()),
         audit=AuditSample.draw(target, caps),
     )
     _check_rounds(state)

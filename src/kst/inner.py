@@ -23,7 +23,7 @@ the lattice index i of i * gamma**-k over [0, 2): entry i is
 (i // gamma**k * D_k + N_k[i % gamma**k]) / D_k, one integer true
 division, so psi(x) = 1 + psi(x - 1) on [1, 2) is rounded once too. The
 vector reader takes the nudged floor of u * gamma**k as the index, the
-exact reader the exact floor.
+exact reader the exact floor; ``kst inner`` prints the [0, 1) half.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .params import KstParams, beta
 
-HOLDER_PAIR_BUDGET = 10**4   # max gamma**k for pairwise audits
-PLOT_ROW_BUDGET = 10**6      # max gamma**k for grid sweeps
+PLOT_ROW_BUDGET = 10**6      # max gamma**k of a lattice
 TRUNC_NUDGE = 1e-6           # upward nudge of the truncation index
 
 
@@ -179,38 +178,3 @@ class InnerEvaluator:
         scale = self.params.gamma**k_trunc
         idx = np.floor(np.asarray(u, dtype=float) * scale + TRUNC_NUDGE).astype(np.int64)
         return self.float_table(k_trunc)[np.clip(idx, 0, 2 * scale - 1)]
-
-    # -- audits and sweeps --------------------------------------------------
-
-    def holder_audit(self, k: int) -> dict:
-        """Worst Hoelder ratio over all pairs in D_k united with D_k + 1.
-
-        Returns max over x != y of |psi(x)-psi(y)| / (nu*|x-y|**alpha),
-        which the construction promises is at most 1, plus the witness
-        pair attaining it.
-        """
-        p = self.params
-        if p.gamma**k > HOLDER_PAIR_BUDGET:
-            raise BudgetError(
-                f"gamma**k = {p.gamma**k} exceeds the pair budget {HOLDER_PAIR_BUDGET}"
-            )
-        x = np.arange(2 * p.gamma**k) / p.gamma**k
-        y = self.float_table(k)
-        dx = np.abs(x[:, None] - x[None, :])
-        dy = np.abs(y[:, None] - y[None, :])
-        np.fill_diagonal(dx, 1.0)  # excluded pairs; dy diagonal is 0
-        ratio = dy / (p.nu * dx**p.alpha)
-        idx = int(np.argmax(ratio))
-        i, j = divmod(idx, ratio.shape[1])
-        return {
-            "max_ratio": float(ratio[i, j]),
-            "witness": (x[i], x[j]),
-            "points": len(x),
-        }
-
-    def psi_plot_data(self, k: int) -> list[tuple[Fraction, Fraction]]:
-        """(d, psi(d)) for every d in D_k, ascending in d; ``lattice``
-        refuses k < 1 and grids past PLOT_ROW_BUDGET."""
-        nums, den = self.lattice(k)
-        scale = self.params.gamma**k
-        return [(Fraction(i, scale), Fraction(nums[i], den)) for i in range(scale)]

@@ -16,13 +16,13 @@ net), is never stored: per cache-sized chunk of the next layer, each
 run of hinges reading one source unit is added to their biases in the
 term array, then rectified, weighted and summed per unit.
 
-The builder realizes the interpolant of a sampled function as
-c_0 + sum_i a_i * ReLU(x - t_i), a depth-2 network whose size is linear
-in the knot count. The assembled network replicates the inner net once
-per (coordinate, family) pair with the family shift applied through
-hinge biases, wires the weighted sums into one outer-net copy per
-family, and sums the copies. Both builders fill the columns with
-whole-array operations, never one Python object per unit, and
+The builder's hinge coefficients spell the interpolant of a sampled
+function as c_0 + sum_i a_i * ReLU(x - t_i), a depth-2 network linear
+in the knot count that only the assembled network builds. The assembly
+replicates the inner net once per (coordinate, family) pair with the
+family shift applied through hinge biases, wires the weighted sums into
+one outer-net copy per family, and sums the copies, filling its columns
+by whole-array operations, never one Python object per unit;
 ``json_parts`` writes a network's JSON text from the same columns.
 
 Network size W counts edges plus nonzero biases; depth L is the largest
@@ -168,13 +168,6 @@ def json_parts(doc) -> list:
     return [json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()]
 
 
-def _layer_columns(kinds: Sequence[str], counts) -> tuple[np.ndarray, np.ndarray]:
-    """Kind and layer columns of a network whose layer l holds counts[l]
-    units, all of kind kinds[l]."""
-    layer = np.repeat(np.arange(len(counts)), counts)
-    return np.asarray(kinds)[layer], layer
-
-
 class ReluNetwork:
     """Immutable layered network of ReLU and linear units, as columns.
 
@@ -193,7 +186,6 @@ class ReluNetwork:
         dst: Sequence[int],
         w: Sequence[float],
         output_ids: Sequence[int],
-        domain: tuple[float, float] | None = None,
     ):
         self.kind = np.asarray(kind, dtype=str)
         self.layer = np.asarray(layer, dtype=np.int64)
@@ -202,7 +194,6 @@ class ReluNetwork:
         self.dst = np.asarray(dst, dtype=np.int64)
         self.w = np.asarray(w, dtype=float)
         self.output_ids = [int(o) for o in output_ids]
-        self.domain = domain
         n_units = len(self.layer)
         if not (len(self.kind) == len(self.bias) == n_units > 0):
             raise InternalCheckError("unit columns are empty or differ in length")
@@ -358,26 +349,23 @@ class ReluNetwork:
     def to_json_dict(self) -> dict:
         """The network document, its columns left as arrays; render it
         with ``json_parts``."""
-        meta = {"W": self.W, "L": self.L, "outputs": self.output_ids}
-        if self.domain is not None:
-            meta["domain"] = np.asarray(self.domain, dtype=float)
         return {
             "units": {"kind": self.kind, "layer": self.layer, "bias": self.bias},
             "edges": {"from": self.src, "to": self.dst, "w": self.w},
-            "meta": meta,
+            "meta": {"W": self.W, "L": self.L, "outputs": self.output_ids},
         }
 
 
 @dataclass
 class UnivariateNet:
-    """Piecewise-linear interpolant of a reference function on [0, M],
-    realizable exactly as a depth-2 ReLU network."""
+    """Piecewise-linear interpolant of a reference function on [0, M];
+    ``hinge_coeffs`` realize it exactly as a depth-2 ReLU network of
+    size ``W``, which the assembly wires in."""
 
     knots: np.ndarray
     values: np.ndarray
     domain: float
     eps_measured: float
-    _network: ReluNetwork | None = field(default=None, repr=False)
 
     @property
     def n_segments(self) -> int:
@@ -402,25 +390,6 @@ class UnivariateNet:
     @property
     def L(self) -> int:
         return 2
-
-    @property
-    def network(self) -> ReluNetwork:
-        if self._network is None:
-            c0, t, a = self.hinge_coeffs()
-            hinges = np.arange(1, len(t) + 1)
-            net = ReluNetwork(
-                *_layer_columns(("input", "relu", "linear"), [1, len(t), 1]),
-                bias=np.concatenate([[0.0], -t, [c0]]),
-                src=np.concatenate([np.zeros(len(t), dtype=np.int64), hinges]),
-                dst=np.concatenate([hinges, np.full(len(t), len(t) + 1)]),
-                w=np.concatenate([np.ones(len(t)), a]),
-                output_ids=[len(t) + 1],
-                domain=(0.0, self.domain),
-            )
-            if net.W != self.W:
-                raise InternalCheckError("size accounting does not match the graph")
-            self._network = net
-        return self._network
 
 
 def _sample(g: Callable, x: np.ndarray) -> np.ndarray:
@@ -642,7 +611,6 @@ def _materialize(asm: AssembledKst) -> ReluNetwork:
         np.concatenate([a for _, _, a in phis]),
         np.ones(fams),
     ])
-    return ReluNetwork(
-        *_layer_columns(("input", "relu", "linear", "linear", "relu", "linear", "linear"), counts),
-        bias=bias, src=src, dst=dst, w=w, output_ids=[final],
-    )
+    layer = np.repeat(np.arange(len(counts)), counts)
+    kinds = np.asarray(("input", "relu", "linear", "linear", "relu", "linear", "linear"))
+    return ReluNetwork(kinds[layer], layer, bias=bias, src=src, dst=dst, w=w, output_ids=[final])

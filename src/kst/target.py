@@ -11,8 +11,9 @@ Grammar (EBNF):
     VAR    := 'x' [1-9][0-9]*
 
 Precedence is ^ above unary minus above * and /, with ^ right
-associative. NUMBER is a plain decimal literal. The only functions are
-sin, cos, exp, abs and sqrt.
+associative. NUMBER is a plain decimal literal; all digits and letters
+are ASCII. The only functions are sin, cos, exp, abs and sqrt. Parse
+and tree nest at most MAX_DEPTH levels (a sum of n terms is n deep).
 
 Targets are evaluated on whole (N, dim) arrays of points; an expression
 is compiled once into a closure over numpy ufuncs. A division by zero,
@@ -34,6 +35,7 @@ FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sqrt":
 # float_power calls the C library's pow like Python's ``**``; power
 # takes a vectorized path that differs from it in the last bit.
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.float_power}
+MAX_DEPTH = 100  # keeps the parser and the compiled closures off the recursion limit
 
 
 # -- abstract syntax ---------------------------------------------------------
@@ -92,10 +94,10 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(c, c, i))
             i += 1
             continue
-        if c.isdigit() or c == ".":
+        if c in "0123456789.":
             start = i
             seen_dot = False
-            while i < len(text) and (text[i].isdigit() or text[i] == "."):
+            while i < len(text) and text[i] in "0123456789.":
                 if text[i] == ".":
                     if seen_dot:
                         raise ExpressionError("malformed number", i)
@@ -106,9 +108,9 @@ def _tokenize(text: str) -> list[_Token]:
                 raise ExpressionError("malformed number", start)
             tokens.append(_Token("num", lit, start))
             continue
-        if c.isalpha():
+        if c.isascii() and c.isalpha():
             start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+            while i < len(text) and text[i].isascii() and (text[i].isalnum() or text[i] == "_"):
                 i += 1
             word = text[start:i]
             if word[0] == "x" and len(word) > 1 and word[1:].isdigit():
@@ -126,6 +128,7 @@ class _Parser:
         self.tokens = tokens
         self.n = n
         self.i = 0
+        self.nesting = 0  # factor calls under way
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -163,10 +166,16 @@ class _Parser:
         return node
 
     def factor(self) -> Expr:
+        if self.nesting == MAX_DEPTH:  # every nested parse passes through here
+            raise ExpressionError(f"nested deeper than {MAX_DEPTH} levels", self.peek().pos)
+        self.nesting += 1
         if self.peek().kind == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -208,7 +217,13 @@ def parse(text: str, n: int) -> Expr:
     """Parse an expression over x1..xn; errors carry byte offsets."""
     if not text.strip():
         raise ExpressionError("empty expression", 0)
-    return _Parser(_tokenize(text), n).parse()
+    tree = _Parser(_tokenize(text), n).parse()
+    depth, level = 1, [tree]
+    while level := [c for e in level for c in vars(e).values() if isinstance(c, Expr)]:
+        depth += 1  # level by level: the tree may be too deep to recurse into
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"expression tree {depth} levels deep, over {MAX_DEPTH}")
+    return tree
 
 
 def _compile(e: Expr) -> Callable[[np.ndarray], np.ndarray]:

@@ -21,7 +21,12 @@ the gather-based forward pass (``take_forward``), the bit-for-bit
 reference for ``ReluNetwork.eval_batch``, and the univariate build that
 samples its whole audit grid in one call (``whole_grid_univariate``,
 over ``audit_grid``), the bit-for-bit reference for the blocked audit
-of ``build_univariate``.
+of ``build_univariate``. The depth-2 network of a univariate
+interpolant's hinge coefficients (``univariate_network``) is built here
+only: the library wires those hinges straight into the assembled
+network. The pairwise Hoelder audit of the inner function's float
+table (``holder_audit``) is a check of the construction, not part of
+it, so it lives here too.
 """
 
 import itertools
@@ -34,9 +39,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from kst import decompose
-from kst.errors import DomainError
+from kst.errors import BudgetError, DomainError
 from kst.params import beta
-from kst.relunet import UnivariateNet
+from kst.relunet import ReluNetwork, UnivariateNet
 from kst.target import BinOp, Call, Neg, Num, Var
 
 
@@ -432,6 +437,23 @@ def whole_grid_univariate(g, M: float, N: int, knots=None, audit_factor: int = 1
     return UnivariateNet(knots=knots, values=values, domain=float(M), eps_measured=eps)
 
 
+def univariate_network(uni: UnivariateNet) -> ReluNetwork:
+    """The depth-2 network c_0 + sum_i a_i * ReLU(x - t_i) of an
+    interpolant's ``hinge_coeffs``: the input, one hinge per knot but
+    the last, and one linear output."""
+    c0, t, a = uni.hinge_coeffs()
+    hinges = np.arange(1, len(t) + 1)
+    return ReluNetwork(
+        kind=["input"] + ["relu"] * len(t) + ["linear"],
+        layer=[0] + [1] * len(t) + [2],
+        bias=np.concatenate([[0.0], -t, [c0]]),
+        src=np.concatenate([np.zeros(len(t), dtype=np.int64), hinges]),
+        dst=np.concatenate([hinges, np.full(len(t), len(t) + 1)]),
+        w=np.concatenate([np.ones(len(t)), a]),
+        output_ids=[len(t) + 1],
+    )
+
+
 def json_network(doc: dict) -> SimpleNamespace:
     """The units, edges and outputs of a ``--out-net`` document, in the
     shape ``dag_forward`` reads."""
@@ -456,14 +478,11 @@ def net_json_text(net) -> str:
     """The ``--out-net`` text of a network as a dict of Python lists,
     floats as ``f17_list`` strings, rendered by ``json.dumps``: the byte
     reference for the column encoder ``relunet.json_bytes``."""
-    meta = {"W": net.W, "L": net.L, "outputs": net.output_ids}
-    if net.domain is not None:
-        meta["domain"] = f17_list(np.asarray(net.domain, dtype=float))
     doc = {
         "units": {"kind": net.kind.tolist(), "layer": net.layer.tolist(),
                   "bias": f17_list(net.bias)},
         "edges": {"from": net.src.tolist(), "to": net.dst.tolist(), "w": f17_list(net.w)},
-        "meta": meta,
+        "meta": {"W": net.W, "L": net.L, "outputs": net.output_ids},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -480,6 +499,37 @@ def columns_json_text(doc) -> str:
         return node
 
     return json.dumps(plain(doc), sort_keys=True, separators=(",", ":"))
+
+
+HOLDER_PAIR_BUDGET = 10**4  # max gamma**k for the pairwise audit
+
+
+def holder_audit(ev, k: int) -> dict:
+    """Worst Hoelder ratio of an ``InnerEvaluator``'s depth-k float
+    table over all pairs in D_k united with D_k + 1.
+
+    Returns max over x != y of |psi(x)-psi(y)| / (nu*|x-y|**alpha),
+    which the construction promises is at most 1, plus the witness
+    pair attaining it.
+    """
+    p = ev.params
+    if p.gamma**k > HOLDER_PAIR_BUDGET:
+        raise BudgetError(
+            f"gamma**k = {p.gamma**k} exceeds the pair budget {HOLDER_PAIR_BUDGET}"
+        )
+    x = np.arange(2 * p.gamma**k) / p.gamma**k
+    y = ev.float_table(k)
+    dx = np.abs(x[:, None] - x[None, :])
+    dy = np.abs(y[:, None] - y[None, :])
+    np.fill_diagonal(dx, 1.0)  # excluded pairs; dy diagonal is 0
+    ratio = dy / (p.nu * dx**p.alpha)
+    idx = int(np.argmax(ratio))
+    i, j = divmod(idx, ratio.shape[1])
+    return {
+        "max_ratio": float(ratio[i, j]),
+        "witness": (x[i], x[j]),
+        "points": len(x),
+    }
 
 
 def sigma(x: float) -> float:

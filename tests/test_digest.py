@@ -1,7 +1,8 @@
-"""tools/digest.py prints one sha256 per run_pipeline report and state,
-of the JSON text kst writes, one per file the cli-net-n2 commands
-write, and one of the net file's forward pass. Checked on the cheap
-zero target; the n=3 run of --n3 is run once in full."""
+"""tools/digest.py prints one sha256 per kst inner and kst params
+command it pins, one per run_pipeline report and state, of the JSON
+text kst writes, one per file the cli-net-n2 commands write, and one
+of the net file's forward pass. Checked on the cheap zero target; the
+n=3 run of --n3 is run once in full."""
 
 import hashlib
 import importlib.util
@@ -54,8 +55,26 @@ def _cheap_cli(tool):
             [arg.replace("20000", "2000") for arg in assemble]]
 
 
+def test_printed_outputs_come_first(monkeypatch, capsys):
+    tool = _load_tool()
+    assert tool.CLI_STDOUT == [
+        ["inner", "--n", "2", "--gamma", "10", "--k", "3"], ["inner", "--n", "3", "--k", "2"],
+        ["params", "--n", "2"], ["params", "--n", "3"]]
+    monkeypatch.setattr(tool, "TARGETS", [])
+    monkeypatch.setattr(tool, "cli_lines", lambda seed: [f"{seed} cli"])
+    assert tool.main(["--seeds", "5,6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4:] == ["5 cli", "6 cli"]
+    # each line against the text the command prints
+    for argv, line in zip(tool.CLI_STDOUT, lines):
+        assert main(argv) == 0
+        sha = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert line == f"kst {' '.join(argv)} {sha}"
+
+
 def test_one_line_per_report_and_state(monkeypatch, capsys, tmp_path):
     tool = _load_tool()
+    monkeypatch.setattr(tool, "CLI_STDOUT", [])
     monkeypatch.setattr(tool, "TARGETS", [("zero", lambda: builtin_target("zero", 2))])
     monkeypatch.setattr(tool, "CLI_NET_N2", _cheap_cli(tool))
     assert tool.main(["--seeds", "5,6"]) == 0
@@ -94,6 +113,7 @@ def test_n3_adds_one_report_line_per_seed(monkeypatch, capsys):
     assert make().provenance == {"kind": "builtin", "name": "gaussian"}
     assert caps == dict(k_max=2, knot_budget=1_200_000, r_cap=1)
     # the same line on the cheap zero target, after each seed's other lines
+    monkeypatch.setattr(tool, "CLI_STDOUT", [])
     monkeypatch.setattr(tool, "TARGETS", [])
     monkeypatch.setattr(tool, "cli_lines", lambda seed: [f"{seed} cli"])
     monkeypatch.setattr(tool, "N3", ("zero-n3", lambda: builtin_target("zero", 3), caps))

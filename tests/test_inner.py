@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from kst.bumps import family_axis
+from kst.cli import main
 from kst.decompose import family_grid
 from kst.errors import BudgetError, DomainError
 from kst.inner import InnerEvaluator
 from kst.params import beta, lambda_coeffs, make_params
-from oracles import BaseGammaPoint, DigitPsi, oracle_closed_form, oracle_psi
+from oracles import BaseGammaPoint, DigitPsi, holder_audit, oracle_closed_form, oracle_psi
 
 
 @pytest.fixture(scope="module")
@@ -143,41 +144,61 @@ class TestHolderAudit:
     @pytest.mark.parametrize("gamma,k", [(6, 1), (6, 2), (10, 1)])
     def test_ratio_below_one(self, gamma, k):
         ev = InnerEvaluator(make_params(2, gamma=gamma))
-        audit = ev.holder_audit(k)
+        audit = holder_audit(ev, k)
         assert audit["max_ratio"] <= 1.0
 
     def test_budget_guard(self, ev10):
         with pytest.raises(BudgetError):
-            ev10.holder_audit(8)
+            holder_audit(ev10, 8)
 
     def test_single_pair_value(self, ev10):
         # ratio over (0, 1/gamma) is gamma^-1 / (nu * gamma^-alpha) < 1
         p = ev10.params
         expected = (1 / p.gamma) / (p.nu * (1 / p.gamma) ** p.alpha)
-        audit = ev10.holder_audit(1)
+        audit = holder_audit(ev10, 1)
         assert audit["max_ratio"] >= expected - 1e-15
         assert expected < 1
+        # the witness pair attains the reported ratio
+        x, y = audit["witness"]
+        table = ev10.float_table(1)
+        ratio = abs(table[round(x * p.gamma)] - table[round(y * p.gamma)]) / (
+            p.nu * abs(x - y) ** p.alpha)
+        assert x != y and ratio == pytest.approx(audit["max_ratio"], rel=1e-14)
+
+
+def inner_rows(tmp_path, gamma: int, k: int) -> list[list[str]]:
+    """The data rows of ``kst inner --n 2 --gamma G --k K``, as text pairs."""
+    out = tmp_path / "psi.csv"
+    assert main(["inner", "--n", "2", "--gamma", str(gamma), "--k", str(k),
+                 "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "d,psi"
+    return [row.split(",") for row in rows]
 
 
 class TestPlotData:
-    def test_level_one_rows(self, ev10):
-        rows = ev10.psi_plot_data(1)
+    # the rows kst inner prints, against the exact lattice
+    def test_level_one_rows(self, tmp_path):
+        rows = inner_rows(tmp_path, 10, 1)
         assert len(rows) == 10
         assert all(d == v for d, v in rows)
 
-    def test_level_three_monotone(self, ev10):
-        rows = ev10.psi_plot_data(3)
+    def test_level_three_monotone(self, tmp_path, ev10):
+        rows = inner_rows(tmp_path, 10, 3)
         assert len(rows) == 1000
-        vals = [v for _, v in rows]
+        nums, den = ev10.lattice(3)
+        assert [(float(d), float(v)) for d, v in rows] == [
+            (float(Fraction(i, 1000)), float(Fraction(nums[i], den))) for i in range(1000)]
+        vals = [float(v) for _, v in rows]
         assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
 
-    def test_k_zero_rejected(self, ev10):
-        with pytest.raises(DomainError):
-            ev10.psi_plot_data(0)
+    def test_k_zero_rejected(self, capsys):
+        assert main(["inner", "--n", "2", "--gamma", "10", "--k", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
 
-    def test_budget_guard(self, ev10):
-        with pytest.raises(BudgetError):
-            ev10.psi_plot_data(7)
+    def test_budget_guard(self, capsys):
+        assert main(["inner", "--n", "2", "--gamma", "10", "--k", "7"]) == 3
+        assert "budget guard:" in capsys.readouterr().err
 
 
 @st.composite

@@ -27,6 +27,7 @@ from oracles import (
     dag_forward,
     net_json_text,
     take_forward,
+    univariate_network,
     whole_grid_univariate,
 )
 
@@ -95,7 +96,13 @@ class TestEvalNet:
         np.testing.assert_allclose(dag_forward(net, xs), want, rtol=0, atol=1e-15)
 
     def test_views_yield_python_scalars(self):
-        net = build_univariate(lambda x: x * x, 1.0, 4).network
+        # the hinges of x -> x * x on four segments of [0, 1]
+        net = ReluNetwork(
+            kind=["input"] + ["relu"] * 4 + ["linear"], layer=[0, 1, 1, 1, 1, 2],
+            bias=[0.0, 0.0, -0.25, -0.5, -0.75, 0.0],
+            src=[0, 0, 0, 0, 1, 2, 3, 4], dst=[1, 2, 3, 4, 5, 5, 5, 5],
+            w=[1.0, 1.0, 1.0, 1.0, 0.25, 0.5, 0.5, 0.5], output_ids=[5],
+        )
         units, edges = list(net.units), list(net.edges)
         assert len(units) == len(net.units) == 6
         assert len(edges) == len(net.edges) == 8
@@ -274,7 +281,7 @@ class TestForwardReference:
         widths = np.bincount(net.layer[net.dst])
         assert net._widest == max(len(chunk[2]) for chunks in fused_steps(net) for chunk in chunks)
         assert net._widest < widths.max() and net._widest >= max(widths[3], widths[6])
-        uni = build_univariate(lambda x: x * x, 1.0, 9).network
+        uni = univariate_network(build_univariate(lambda x: x * x, 1.0, 9))
         assert [type(plan[1]) for plan in uni._plan] == [tuple]
 
     def test_chunks_fit_the_bound_at_one_point_per_block(self, small_assembly):
@@ -306,22 +313,24 @@ class TestBuildUnivariate:
     def test_network_matches_interp(self):
         g = lambda x: np.sin(3 * x) + 0.2 * x
         uni = build_univariate(g, 2.0, 17)
+        net = univariate_network(uni)
         rng = random.Random(3)
         for _ in range(200):
             x = rng.uniform(0, 2)
-            assert one_row(uni.network, [x])[0] == pytest.approx(
+            assert one_row(net, [x])[0] == pytest.approx(
                 float(uni.eval(x)), abs=1e-12
             )
 
     def test_exact_at_knots_and_midpoints(self):
         g = lambda x: np.cos(x)
         uni = build_univariate(g, 1.0, 9)
+        net = univariate_network(uni)
         for t, v in zip(uni.knots, uni.values):
-            assert one_row(uni.network, [t])[0] == pytest.approx(float(v), abs=1e-12)
+            assert one_row(net, [t])[0] == pytest.approx(float(v), abs=1e-12)
         mids = 0.5 * (uni.knots[:-1] + uni.knots[1:])
         expected = 0.5 * (uni.values[:-1] + uni.values[1:])
         for t, v in zip(mids, expected):
-            assert one_row(uni.network, [t])[0] == pytest.approx(float(v), abs=1e-12)
+            assert one_row(net, [t])[0] == pytest.approx(float(v), abs=1e-12)
 
     def test_psi_error_within_holder_bound(self):
         p = make_params(2)
@@ -372,7 +381,7 @@ class TestBuildUnivariate:
         for N in (2, 5, 20):
             uni = build_univariate(lambda x: x * x, 1.0, N)
             assert N + 2 <= uni.W <= 3 * N + 4
-            assert uni.W == uni.network.W
+            assert uni.W == univariate_network(uni).W
 
     @pytest.mark.parametrize("knots", [None, np.array([0.0, 0.1, 0.35, 0.36, 1.3, 2.0])])
     def test_each_audit_point_once(self, knots, monkeypatch):
@@ -646,8 +655,8 @@ def floats():
 @st.composite
 def networks(draw):
     """Small valid networks: random layer sizes, kinds mixed within a
-    layer, 1-3 incoming edges per unit from lower layers, and biases,
-    weights and domain ends drawn from ``floats``."""
+    layer, 1-3 incoming edges per unit from lower layers, and biases
+    and weights drawn from ``floats``."""
     sizes = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     layer = np.repeat(np.arange(len(sizes)), sizes)
     kinds = st.sampled_from(["relu", "linear"])
@@ -664,7 +673,6 @@ def networks(draw):
         src=src, dst=dst,
         w=draw(st.lists(floats(), min_size=len(src), max_size=len(src))),
         output_ids=[len(layer) - 1],
-        domain=draw(st.none() | st.tuples(floats(), floats())),
     )
 
 
@@ -688,14 +696,6 @@ class TestJsonParts:
     @given(networks())
     def test_random_networks_match_reference(self, net):
         assert json_bytes(net.to_json_dict()) + b"\n" == net_json_text(net).encode()
-
-    @pytest.mark.parametrize("chunk", [relunet._ROW_CHUNK, 3])
-    def test_univariate_network_keeps_its_domain(self, monkeypatch, chunk):
-        monkeypatch.setattr(relunet, "_ROW_CHUNK", chunk)
-        net = build_univariate(lambda x: x * x, 1.5, 5).network
-        text = json_bytes(net.to_json_dict()) + b"\n"
-        assert text == net_json_text(net).encode()
-        assert json.loads(text)["meta"]["domain"] == ["0", "1.5"]
 
     def test_unknown_column_dtype_refused(self):
         with pytest.raises(InternalCheckError, match="dtype bool"):

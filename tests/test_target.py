@@ -10,6 +10,7 @@ from kst.cli import main
 from kst.decompose import DecompositionCaps, init_state, residual_modulus
 from kst.errors import DomainError, ExpressionError
 from kst.target import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Neg,
@@ -123,6 +124,15 @@ class TestCompiled:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        "x1\u00b2", "\u00b2", "x1+\u0663", "x\u0661",
+        "(" * 400 + "x1" + ")" * 400, "x1^" * 2000 + "x1", "x1+" * 2000 + "x1"])
+    def test_cli_refuses_malformed_expression(self, capsys, text):
+        # non-ASCII digits and letters, and expressions nested too deep
+        assert main(["decompose", "--n", "2", "--f", text, "--iters", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_builtins_match_scalar_lambdas(self, n):
         scalar = {
@@ -175,6 +185,28 @@ class TestParse:
     def test_power_with_negative_exponent(self):
         ast = parse("x1^-2", 1)
         assert eval_expr(ast, (2.0,)) == 0.25
+
+    # Unicode digits and letters that Python's str methods accept
+    @pytest.mark.parametrize(
+        "text, offset", [("x1\u00b2", 2), ("\u00b2", 0), ("x1+\u0663", 3), ("x\u0661", 1)])
+    def test_non_ascii_digits_refused(self, text, offset):
+        with pytest.raises(ExpressionError, match="unexpected character") as err:
+            parse(text, 2)
+        assert err.value.offset == offset
+
+    def test_depth_limit(self):
+        # MAX_DEPTH levels parse, one more is refused: nested
+        # parentheses, a power tower, unary minus and a flat sum
+        d = MAX_DEPTH
+        parse("(" * (d - 1) + "x1" + ")" * (d - 1), 1)
+        parse("x1^" * (d - 1) + "x1", 1)
+        parse("-" * (d - 1) + "x1", 1)
+        parse("x1+" * (d - 1) + "x1", 1)
+        for text, offset in [("(" * d + "x1" + ")" * d, d), ("x1^" * d + "x1", 3 * d),
+                             ("-" * d + "x1", d), ("x1+" * d + "x1", None)]:
+            with pytest.raises(ExpressionError, match="deep") as err:
+                parse(text, 1)
+            assert err.value.offset == offset
 
 
 class TestEval:

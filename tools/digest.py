@@ -4,7 +4,10 @@ that two checkouts are compared bit for bit by one diff of two outputs.
 
     PYTHONPATH=src python3 tools/digest.py --seeds 5,302
 
-For each seed and each target of the benchmark workload pipeline-n2
+First come four lines, one per command of ``CLI_STDOUT`` (``kst inner
+--n 2 --gamma 10 --k 3``, ``kst inner --n 3 --k 2``, ``kst params --n 2``
+and ``kst params --n 3``): ``kst ARGS SHA256``, the sha256 of what the
+command prints. Then, for each seed and each target of the benchmark workload pipeline-n2
 (product, gaussian and ridge at n = 2, and exp(-(x1^2+x2^2))), it runs
 ``run_pipeline(target, 0.25, PipelineCaps(r_cap=3, seed=S))`` as that
 workload does and prints two lines, ``S TARGET report SHA256`` and
@@ -40,7 +43,9 @@ forward lines do not depend on the schema.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -73,6 +78,13 @@ CLI_NET_N2 = [
      "--out-report", "{report}", "--out-net", "{net}"],
 ]
 CLI_FILES = ("state", "csv", "report", "net")
+# The commands whose printed output is digested once per invocation.
+CLI_STDOUT = [
+    ["inner", "--n", "2", "--gamma", "10", "--k", "3"],
+    ["inner", "--n", "3", "--k", "2"],
+    ["params", "--n", "2"],
+    ["params", "--n", "3"],
+]
 # The n=3 run of --n3: its name, target and caps but the seed.
 N3 = ("gaussian-n3", lambda: builtin_target("gaussian", 3),
       dict(k_max=2, knot_budget=1_200_000, r_cap=1))
@@ -98,6 +110,19 @@ def n3_line(seed: int) -> str:
     _, report, _ = run_pipeline(target, EPS, PipelineCaps(**caps, seed=seed),
                                 params=make_params(target.dim))
     return f"{seed} {name} report {sha256_text(cli._json_text(report.to_json_dict()))}"
+
+
+def stdout_lines() -> list[str]:
+    """The line of each command of CLI_STDOUT: its arguments and the
+    sha256 of what it prints."""
+    lines = []
+    for argv in CLI_STDOUT:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            if cli.main(argv) != 0:
+                raise SystemExit(f"kst {' '.join(argv)} failed")
+        lines.append(f"kst {' '.join(argv)} {sha256_text(out.getvalue())}")
+    return lines
 
 
 def cli_lines(seed: int) -> list[str]:
@@ -134,6 +159,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", required=True, help="comma-separated")
     ap.add_argument("--n3", action="store_true", help="add the n=3 report line per seed")
     args = ap.parse_args(argv)
+    for line in stdout_lines():
+        print(line, flush=True)
     for seed in (int(s) for s in args.seeds.split(",")):
         for name, make in TARGETS:
             for line in digest_lines(seed, name, make()):
