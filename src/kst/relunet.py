@@ -16,9 +16,9 @@ net), is never stored: per cache-sized chunk of the next layer, each
 run of hinges reading one source unit is added to their biases in the
 term array, then rectified, weighted and summed per unit.
 
-The builder's hinge coefficients spell the interpolant of a sampled
-function as c_0 + sum_i a_i * ReLU(x - t_i), a depth-2 network linear
-in the knot count that only the assembled network builds. The assembly
+The hinge coefficients of a ``build_univariate`` interpolant spell it
+as c_0 + sum_i a_i * ReLU(x - t_i), a depth-2 network linear in the
+knot count that only the assembled network builds. The assembly
 replicates the inner net once per (coordinate, family) pair with the
 family shift applied through hinge biases, wires the weighted sums into
 one outer-net copy per family, and sums the copies, filling its columns
