@@ -39,7 +39,7 @@ from .params import (
     superpose,
     to_json,
 )
-from .relunet import json_parts
+from .relunet import AUDIT_BLOCK_CELLS, audit_points, json_parts
 from .target import (
     TargetFunction,
     default_audit_resolution,
@@ -208,52 +208,63 @@ def init_state(
 def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
     """Outer approximant phi_j at a flat array of points, in blocks of
     PHI_BLOCK: the sum over the rounds of each round's coefficients times
-    its depth's bumps on family j's grid. In each grid a point takes the
-    bump whose support starts last at or below it and, in the slots of
-    Grid.shared, that bump's predecessor: every support containing the
-    point, provided no bump with a nonzero coefficient reaches past its
-    next neighbour, which check_overreach ensures for every round.
+    its depth's bumps on family j's grid, added by _add_rounds. In each
+    grid a point takes the bump whose support starts last at or below it
+    and, in the slots of Grid.shared, that bump's predecessor: every
+    support containing the point, provided no bump with a nonzero
+    coefficient reaches past its next neighbour, which check_overreach
+    ensures for every round.
 
-    Per block, _locate finds the grid vectors and bump shapes once for
-    each depth, so the rounds of one depth each add only their
-    coefficients times those shapes, in round order: the same sums, bit
-    for bit, as evaluating every round on its own.
+    Per block, _locate finds the slots once for each depth, so the
+    rounds of one depth share them.
 
-    A block whose points ascend (the audit grids of build_univariate)
-    takes its slots from _ascending_slots, which merges the few bump
-    starts inside the block into it. Other blocks search every point;
-    a NaN fails the comparison, so no block of two or more points with
-    one ascends. Both give the same slots, so the values are the same
-    bit for bit."""
+    A block whose points ascend takes its slots from _ascending_slots,
+    which merges the few bump starts inside the block into it. Other
+    blocks search every point; a NaN fails the comparison, so no block
+    of two or more points with one ascends. Both give the same slots, so
+    the values are the same bit for bit."""
     out = np.zeros(len(y))
+    rounds = list(zip(state.k_list, state.coeff))
     grids = {k: family_grid(state, j, k) for k in dict.fromkeys(state.k_list)}
     for start in range(0, len(y), PHI_BLOCK):
         yb = y[start : start + PHI_BLOCK]
-        ob = out[start : start + PHI_BLOCK]
         ascending = bool(np.all(yb[1:] >= yb[:-1]))
-        found = {k: _locate(grid, yb, ascending) for k, grid in grids.items()}
-        for k, coeff in zip(state.k_list, state.coeff):
-            vec, shape, two, prev, prev_shape = found[k]
-            # outside its support a term is -0.0 where coeff < 0; added to
-            # out, which is never -0.0, it changes nothing, as +0.0 would not
-            ob += coeff[vec] * shape
-            if two.size:
-                ob[two] += coeff[prev] * prev_shape
+        slots = {k: _locate(grid, yb, ascending) for k, grid in grids.items()}
+        _add_rounds(out[start : start + PHI_BLOCK], rounds, grids, yb, slots)
     return out
 
 
-def _locate(grid: Grid, yb: np.ndarray, ascending: bool) -> tuple[np.ndarray, ...]:
-    """Each point's bump, as its grid vector, and its shape there; the
-    points in shared slots, their predecessor bumps and those shapes."""
+def _locate(grid: Grid, yb: np.ndarray, ascending: bool) -> np.ndarray:
+    """Each point's slot: the last bump whose support starts at or below
+    it, and slot 0 below the first."""
     if ascending:
         slot = _ascending_slots(grid.lo, yb)
     else:
         slot = np.searchsorted(grid.lo, yb, side="right") - 1
-    np.maximum(slot, 0, out=slot)
-    two = np.flatnonzero(grid.shared[slot])
-    prev = slot[two] - 1
-    return (grid.order[slot], _shape(grid, yb, slot), two, grid.order[prev],
-            _shape(grid, yb[two], prev))
+    return np.maximum(slot, 0, out=slot)
+
+
+def _add_rounds(out: np.ndarray, rounds, grids: dict, y: np.ndarray, slots: dict) -> None:
+    """Add to out, round by round, each (depth k, coefficients) round's
+    coefficients times the shapes at y of the bumps in the points' slots
+    slots[k] of grids[k] and, in shared slots, of their predecessors.
+    The shapes are found once per depth. Outside its support a term is
+    -0.0 where a coefficient is negative; added to out, which is never
+    -0.0, it changes nothing, as +0.0 would not."""
+    found = {}
+    for k, grid in grids.items():
+        slot = slots[k]
+        two = np.flatnonzero(grid.shared[slot])
+        prev = slot[two] - 1
+        found[k] = (grid.order[slot], _shape(grid, y, slot), two, grid.order[prev],
+                    _shape(grid, y[two], prev))
+    for k, coeff in rounds:
+        vec, shape, two, prev, prev_shape = found[k]
+        term = coeff[vec]
+        term *= shape
+        out += term
+        if two.size:
+            out[two] += coeff[prev] * prev_shape
 
 
 def _ascending_slots(lo: np.ndarray, yb: np.ndarray) -> np.ndarray:
@@ -266,12 +277,99 @@ def _ascending_slots(lo: np.ndarray, yb: np.ndarray) -> np.ndarray:
 
 
 def _shape(grid: Grid, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Bump c's unit-height trapezoid at y, and +0.0 outside its support."""
-    d = y - grid.xi[c]
-    t1 = np.clip(grid.slope * d + 1.0, 0.0, 1.0)
-    t2 = np.clip(grid.slope * (d - grid.plateau), 0.0, 1.0)
-    inside = (y > grid.lo[c]) & (y < grid.hi[c])
-    return np.where(inside, t1 - t2, 0.0)
+    """Bump c's unit-height trapezoid at y, and +0.0 outside its support:
+    min(max(slope * d + 1, 0), 1) - min(max(slope * (d - plateau), 0), 1)
+    with d = y - xi[c], computed in two buffers."""
+    inside = y > grid.lo[c]
+    buf = grid.hi[c]
+    np.logical_and(inside, y < buf, out=inside)
+    d = np.subtract(y, grid.xi.take(c, out=buf), out=buf)
+    t2 = d - grid.plateau
+    t2 *= grid.slope
+    np.maximum(t2, 0.0, out=t2)
+    np.minimum(t2, 1.0, out=t2)
+    d *= grid.slope
+    d += 1.0
+    np.maximum(d, 0.0, out=d)
+    np.minimum(d, 1.0, out=d)
+    d -= t2
+    np.logical_not(inside, out=inside)
+    d[inside] = 0.0
+    return d
+
+
+def _flat(grid: Grid, left: np.ndarray, right: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """True for the cells [left, right] on which the bump in each cell's
+    slot and, in shared slots, its predecessor have a constant shape."""
+    flat = _constant(grid, left, right, slot)
+    two = np.flatnonzero(grid.shared[slot])
+    flat[two] &= _constant(grid, left[two], right[two], slot[two] - 1)
+    return flat
+
+
+def _constant(grid: Grid, left: np.ndarray, right: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """True where _shape(grid, y, c) is +0.0 for every y in [left, right]
+    (outside the open support), or 1.0 (inside it, with y - xi >= 0 and
+    (y - xi) - plateau <= 0). Rounding to nearest is monotone, so each
+    test holds between the ends when it holds at the end that bounds it."""
+    lo, hi, xi = grid.lo[c], grid.hi[c], grid.xi[c]
+    zero = (right <= lo) | (left >= hi)
+    one = (left > lo) & (right < hi) & (left - xi >= 0.0) & (right - xi - grid.plateau <= 0.0)
+    return zero | one
+
+
+def _cell_points(knots: np.ndarray, cells: np.ndarray, frac: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The audit points of the given cells of ascending knots, and the
+    index of each one's knot: its cell's left knot, or the right one
+    where it rounds onto that knot (as in cells one ulp wide)."""
+    x = audit_points(knots[cells], knots[cells + 1], frac)
+    at = np.repeat(cells, len(frac))
+    at += x == knots[at + 1]
+    return x, at
+
+
+def nonzero_rounds(state) -> list[tuple[int, np.ndarray]]:
+    """The (depth, coefficients) rounds with a nonzero coefficient: the
+    others add zeros in _add_rounds, which change no value."""
+    return [(k, coeff) for k, coeff in zip(state.k_list, state.coeff) if np.any(coeff)]
+
+
+def phi_on_knots(state, j: int, knots: np.ndarray, frac: np.ndarray) -> tuple[np.ndarray, float]:
+    """phi_j at ascending knots, and the largest deviation from phi_j of
+    their interpolant at the audit points (audit_points with frac) of
+    every cell: phi_batch's values there, bit for bit. The knots must
+    hold every support start in [knots[0], knots[-1]] of the grids of
+    nonzero_rounds.
+
+    Per block of AUDIT_BLOCK_CELLS cells the knots' slots are found once
+    per grid. No support starts inside a cell, so an audit point takes
+    its cell's left knot's slots, or its right knot's where it rounds
+    onto that knot (_cell_points). A cell on which every bump of its
+    slots is exactly flat (_flat) and whose end values are equal has
+    phi_j equal to its left value throughout, as the interpolant does:
+    its deviation is exactly 0.0, so its points are not evaluated.
+    DomainError refuses a non-finite value."""
+    rounds = nonzero_rounds(state)
+    grids = {k: family_grid(state, j, k) for k, _ in rounds}
+    values = np.zeros(len(knots))
+    eps = 0.0
+    for s in range(0, len(knots) - 1, AUDIT_BLOCK_CELLS):
+        kb = knots[s : s + AUDIT_BLOCK_CELLS + 1]
+        vb = values[s : s + AUDIT_BLOCK_CELLS + 1]
+        slots = {k: _locate(grid, kb, True) for k, grid in grids.items()}
+        vb[:] = 0.0
+        _add_rounds(vb, rounds, grids, kb, slots)
+        left, right = kb[:-1], kb[1:]
+        live = vb[:-1] != vb[1:]
+        for k, grid in grids.items():
+            live |= ~_flat(grid, left, right, slots[k][:-1])
+        x, at = _cell_points(kb, np.flatnonzero(live), frac)
+        fx = np.zeros(len(x))
+        _add_rounds(fx, rounds, grids, x, {k: slot[at] for k, slot in slots.items()})
+        if not (np.all(np.isfinite(vb)) and np.all(np.isfinite(fx))):
+            raise DomainError(f"outer function {j} is not finite on the audit grid")
+        eps = max(eps, float(np.max(np.abs(fx - np.interp(x, kb, vb)), initial=0.0)))
+    return values, eps
 
 
 def f_r(state, columns) -> np.ndarray:
@@ -557,9 +655,20 @@ _STATE_LAYOUT = {
 _PROVENANCE_KEY = {"builtin": "name", "expression": "text"}
 
 
+# The characters of a decimal string; float() also reads other digits,
+# underscores, padding and the names of infinities and NaN
+_DECIMAL_BYTES = b"0123456789+-.eE"
+
+
 def _decimals(texts: list) -> np.ndarray | None:
-    """Floats of a list of finite decimal strings, each parsed once, else None."""
+    """Floats of a list of finite decimal strings in ASCII, each parsed
+    once, else None."""
     if not set(map(type, texts)) <= {str}:
+        return None
+    try:
+        if "".join(texts).encode("ascii").translate(None, _DECIMAL_BYTES):
+            return None
+    except UnicodeEncodeError:  # a text that is not ASCII
         return None
     try:
         values = np.fromiter(map(float, texts), dtype=float, count=len(texts))

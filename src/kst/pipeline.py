@@ -26,12 +26,13 @@ from .decompose import (
     init_state,
     iterate,
     lipschitz_report,
-    phi_batch,
+    nonzero_rounds,
+    phi_on_knots,
 )
 from .errors import BudgetError, DomainError
 from .inner import TRUNC_NUDGE
 from .params import KstParams, make_params, to_json
-from .relunet import AssembledKst, UnivariateNet, assemble_kst, build_univariate
+from .relunet import AssembledKst, UnivariateNet, assemble_kst, audit_fractions, build_univariate
 from .target import TargetFunction, mesh_points
 
 
@@ -179,14 +180,19 @@ def build_inner_net(
 
 def _corner_knots(state: DecompositionState, j: int, M: float) -> np.ndarray:
     """0, M and the bump corners in [0, M] of family j's grids at the
-    depths of rounds with a nonzero coefficient: the breakpoints of phi_j."""
+    depths of rounds with a nonzero coefficient: the breakpoints of phi_j.
+    Each corner xi + offset of a grid ascends with xi, so the sorted
+    copies are merged by one stable sort of their concatenation, which
+    runs over sorted runs, and equal neighbours are dropped."""
     pieces = [np.asarray([0.0, M])]
-    depths = dict.fromkeys(k for k, coeff in zip(state.k_list, state.coeff) if np.any(coeff))
-    for grid in (family_grid(state, j, k) for k in depths):
+    for k in dict.fromkeys(k for k, _ in nonzero_rounds(state)):
+        grid = family_grid(state, j, k)
         for off in (-grid.ramp, 0.0, grid.plateau, grid.plateau + grid.ramp):
-            pieces.append(grid.xi + off)
-    knots = np.unique(np.concatenate(pieces))
-    return knots[(knots >= 0.0) & (knots <= M)]
+            corners = grid.xi + off
+            pieces.append(corners[np.searchsorted(corners, 0.0):
+                                  np.searchsorted(corners, M, side="right")])
+    knots = np.sort(np.concatenate(pieces), kind="stable")
+    return knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
 
 
 def build_outer_nets(
@@ -194,7 +200,11 @@ def build_outer_nets(
 ) -> tuple[list[UnivariateNet], bool]:
     """One approximant per family, interpolating phi_j at its
     breakpoints: phi_j is a sum of trapezoids, so it is linear between
-    them and the net reproduces it up to rounding."""
+    them and the net reproduces it up to rounding. phi_on_knots gives
+    the knot values and the error at build_univariate's audit points
+    (audit factor 4), the same bits as build_univariate over phi_batch,
+    reading the points' slots off the knots' and skipping the cells
+    where phi_j is exactly flat."""
     p = state.params
     M = float(p.phi_domain_sup)
     nets = []
@@ -202,8 +212,8 @@ def build_outer_nets(
         knots = _corner_knots(state, j, M)
         if len(knots) - 1 > caps.knot_budget:
             raise BudgetError(f"breakpoint count {len(knots) - 1} exceeds the knot budget")
-        ref = lambda y, jj=j: phi_batch(state, jj, np.asarray(y, dtype=float))
-        nets.append(build_univariate(ref, M, 0, knots=knots, audit_factor=4))
+        values, eps = phi_on_knots(state, j, knots, audit_fractions(len(knots) - 1, 4))
+        nets.append(UnivariateNet(knots=knots, values=values, domain=M, eps_measured=eps))
     return nets, any(net.eps_measured > eps_phi for net in nets)
 
 

@@ -51,9 +51,9 @@ FORWARD_BLOCK_ELEMENTS = 1 << 20
 # Hinges evaluated inside the sums that read them go in chunks of whole
 # sums whose terms per block stay under this many floats (512 KB, in L2).
 FUSED_CHUNK_ELEMENTS = 1 << 16
-# build_univariate audits its cells in blocks of this many, so one
-# block's interior audit points (cells times the audit factor less one)
-# take a few MB, whatever the knot count.
+# build_univariate and decompose.phi_on_knots audit their cells in
+# blocks of this many, so one block's interior audit points (cells times
+# the audit factor less one) take a few MB, whatever the knot count.
 AUDIT_BLOCK_CELLS = 1 << 14
 KINDS = ("input", "relu", "linear")
 _ROW_CHUNK = 1 << 16
@@ -372,7 +372,17 @@ class UnivariateNet:
         return len(self.knots) - 1
 
     def eval(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.knots, self.values)
+        """The interpolant at x, of x's shape. np.interp starts each
+        point's knot search from the previous point's cell, so the points
+        go through it in ascending order, from one argsort, and their
+        values are scattered back: each is np.interp's value at its
+        point, bit for bit."""
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        order = np.argsort(flat)
+        out = np.empty_like(flat)
+        out[order] = np.interp(flat[order], self.knots, self.values)
+        return out.reshape(x.shape)
 
     def hinge_coeffs(self) -> tuple[float, np.ndarray, np.ndarray]:
         """(c0, hinge positions t_i, jump coefficients a_i)."""
@@ -390,6 +400,20 @@ class UnivariateNet:
     @property
     def L(self) -> int:
         return 2
+
+
+def audit_fractions(cells: int, audit_factor: int) -> np.ndarray:
+    """The fractions i / factor, 0 < i < factor, at which the audit of
+    an interpolant samples each of its cells: factor is at least
+    audit_factor, and at least 1024 parts over all the cells."""
+    factor = max(audit_factor, -(-1024 // cells))
+    return np.arange(1, factor) / factor
+
+
+def audit_points(left: np.ndarray, right: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """The audit points left + (right - left) * frac of the cells
+    [left, right], cell by cell in ascending order of frac."""
+    return (left[:, None] + (right - left)[:, None] * frac).ravel()
 
 
 def _sample(g: Callable, x: np.ndarray) -> np.ndarray:
@@ -451,13 +475,11 @@ def build_univariate(
         if values.shape != knots.shape or not np.all(np.isfinite(values)):
             raise DomainError("knot values are not finite or do not match the knot set")
         eps = float(np.max(np.abs(g_knots - values)))
-    factor = max(audit_factor, -(-1024 // (len(knots) - 1)))
-    frac = np.arange(1, factor) / factor
+    frac = audit_fractions(len(knots) - 1, audit_factor)
     for s in range(0, len(knots) - 1, AUDIT_BLOCK_CELLS):
         xp = knots[s : s + AUDIT_BLOCK_CELLS + 1]
         fp = values[s : s + AUDIT_BLOCK_CELLS + 1]
-        left = xp[:-1, None]
-        x = (left + (xp[1:, None] - left) * frac).ravel()
+        x = audit_points(xp[:-1], xp[1:], frac)
         deviation = np.abs(_sample(g, x) - np.interp(x, xp, fp))
         eps = max(eps, float(np.max(deviation, initial=0.0)))
     return UnivariateNet(

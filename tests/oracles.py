@@ -21,7 +21,10 @@ the gather-based forward pass (``take_forward``), the bit-for-bit
 reference for ``ReluNetwork.eval_batch``, and the univariate build that
 samples its whole audit grid in one call (``whole_grid_univariate``,
 over ``audit_grid``), the bit-for-bit reference for the blocked audit
-of ``build_univariate``. The depth-2 network of a univariate
+of ``build_univariate``, and the outer nets as that build gave them
+over ``phi_batch`` at ``np.unique`` corner knots
+(``phi_batch_outer_net``), the bit-for-bit reference for
+``pipeline.build_outer_nets``. The depth-2 network of a univariate
 interpolant's hinge coefficients (``univariate_network``) is built here
 only: the library wires those hinges straight into the assembled
 network. The pairwise Hoelder audit of the inner function's float
@@ -41,7 +44,7 @@ import numpy as np
 from kst import decompose
 from kst.errors import BudgetError, DomainError
 from kst.params import beta
-from kst.relunet import ReluNetwork, UnivariateNet
+from kst.relunet import ReluNetwork, UnivariateNet, build_univariate
 from kst.target import BinOp, Call, Neg, Num, Var
 
 
@@ -435,6 +438,30 @@ def whole_grid_univariate(g, M: float, N: int, knots=None, audit_factor: int = 1
         values = g_audit[::factor].copy()
     eps = float(np.max(np.abs(g_audit - np.interp(audit, knots, values))))
     return UnivariateNet(knots=knots, values=values, domain=float(M), eps_measured=eps)
+
+
+def unique_corner_knots(state, j: int, M: float) -> np.ndarray:
+    """``pipeline._corner_knots`` as ``np.unique`` over every corner
+    copy of the grids of the rounds with a nonzero coefficient, then
+    cut to [0, M]."""
+    pieces = [np.asarray([0.0, M])]
+    depths = dict.fromkeys(k for k, coeff in zip(state.k_list, state.coeff) if np.any(coeff))
+    for grid in (decompose.family_grid(state, j, k) for k in depths):
+        for off in (-grid.ramp, 0.0, grid.plateau, grid.plateau + grid.ramp):
+            pieces.append(grid.xi + off)
+    knots = np.unique(np.concatenate(pieces))
+    return knots[(knots >= 0.0) & (knots <= M)]
+
+
+def phi_batch_outer_net(state, j: int) -> UnivariateNet:
+    """Family j's outer net as ``pipeline.build_outer_nets`` built it
+    before it derived the audit points' slots from the knots' and
+    skipped the flat cells: ``build_univariate`` over ``phi_batch`` at
+    ``unique_corner_knots``, audit factor 4, every audit point
+    evaluated."""
+    M = float(state.params.phi_domain_sup)
+    g = lambda y: decompose.phi_batch(state, j, np.asarray(y, dtype=float))
+    return build_univariate(g, M, 0, knots=unique_corner_knots(state, j, M), audit_factor=4)
 
 
 def univariate_network(uni: UnivariateNet) -> ReluNetwork:

@@ -216,12 +216,15 @@ class TestAssembleCmd:
             lambda d: d | {"caps": d["caps"] | {"audit_resolution": -3}},
             lambda d: d | {"caps": d["caps"] | {"seed": -1}},
             lambda d: d | {"caps": d["caps"] | {"k_max": 0}},
+            lambda d: _edit_coeff(d, 0, "\u0660"),
+            lambda d: d | {"residual_norms": [" 1_0 "] + d["residual_norms"][1:]},
         ],
         ids=["list", "no-params", "k-list-string", "warning-int", "seed-float",
              "no-builtin-name", "bump-keys", "norm-text", "norm-nan",
              "bump-missing", "r-count", "warnings-count", "norms-count", "k-list-depth",
              "coeff-inf", "schema-v1", "provenance-kind",
-             "audit-res-zero", "audit-res-negative", "seed-negative", "k-max-zero"],
+             "audit-res-zero", "audit-res-negative", "seed-negative", "k-max-zero",
+             "coeff-arabic-indic-zero", "norm-underscore-padded"],
     )
     def test_malformed_state_exit_2(self, saved_state, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"

@@ -444,31 +444,95 @@ class TestEvaluatePhi:
                     assert value == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
 
     def test_outer_audit_grids_match_two_candidates(self, product_r3, monkeypatch):
-        # the ascending blocks of audit points build_outer_nets hands to
-        # phi_batch for the breakpoint-knot nets of an r=3 product state:
-        # per family the knots, then the interior points block by block
+        # build_outer_nets evaluates phi_j block by block at the knots and
+        # at the audit points of the cells where it is not exactly flat,
+        # for the breakpoint-knot nets of an r=3 product state. Every
+        # point of audit_grid(net.knots, 4) is evaluated, with
+        # two_candidate_phi's bits, or lies in a cell with equal end
+        # values, where the oracle deviates from the net by exactly 0.0
         state = product_r3
-        blocks = []
+        calls = []
 
-        def keep(state, j, y):
-            blocks.append((j, y))
-            return phi_batch(state, j, y)
+        def keep(out, rounds, grids, y, slots, add=decompose._add_rounds):
+            add(out, rounds, grids, y, slots)
+            calls.append((tuple(grids.values()), y.copy(), out.copy()))
 
-        monkeypatch.setattr(pipeline, "phi_batch", keep)
+        monkeypatch.setattr(decompose, "_add_rounds", keep)
         nu = lipschitz_report(state)["nu_r"]
         eps_phi = pipeline.epsilon_split(state.params, nu, 0.25)["eps_phi"]
         nets, _ = pipeline.build_outer_nets(state, eps_phi, pipeline.PipelineCaps())
-        families = [j for j, _ in blocks]
-        assert families == sorted(families) and set(families) == set(range(state.params.m + 1))
+        monkeypatch.undo()
+        k = state.k_list[-1]
         for j, net in enumerate(nets):
-            ys = [y for jj, y in blocks if jj == j]
-            assert ys[0].tobytes() == net.knots.tobytes() and len(ys) > 2
+            mine = [(y, v) for grids, y, v in calls if family_grid(state, j, k) in grids]
+            ys = np.concatenate([y for y, _ in mine])
+            assert np.concatenate([v for _, v in mine]).tobytes() == \
+                two_candidate_phi(state, j, ys).tobytes()
             grid, factor = audit_grid(net.knots, 4)
             assert factor == 4 and grid.size > 500_000
-            assert np.sort(np.concatenate(ys)).tobytes() == grid.tobytes()
-            for y in ys:
-                assert np.all(y[1:] >= y[:-1])
-                assert phi_batch(state, j, y).tobytes() == two_candidate_phi(state, j, y).tobytes()
+            assert np.all(np.isin(ys, grid)) and np.all(np.isin(net.knots, ys))
+            skipped = grid[~np.isin(grid, ys)]
+            assert 0.3 * grid.size < skipped.size < 0.7 * grid.size
+            cell = np.searchsorted(net.knots, skipped, side="right") - 1
+            assert np.array_equal(net.values[cell], net.values[cell + 1])
+            oracle = two_candidate_phi(state, j, skipped)
+            assert np.all(oracle == net.eval(skipped))
+            deviation = np.abs(two_candidate_phi(state, j, grid) - net.eval(grid))
+            assert net.eps_measured == deviation.max()
+
+    @settings(derandomize=True, deadline=None)
+    @given(bump_grids(2), st.data())
+    def test_audit_point_slots_equal_search(self, grid, data):
+        # knots holding every support start (the corners of a drawn grid,
+        # points below and above it, and one-ulp cells beside drawn
+        # corners): each audit point's slot, read off its knot, is the
+        # slot _locate's search gives, for points that round onto the
+        # right knot of their cell too
+        corners = np.concatenate([grid.lo, grid.xi, grid.xi + grid.plateau,
+                                  grid.xi + (grid.plateau + grid.ramp)])
+        near = np.asarray(data.draw(st.lists(st.sampled_from(corners.tolist()), max_size=8)))
+        knots = np.unique(np.concatenate([corners, np.nextafter(near, np.inf),
+                                          np.nextafter(near, -np.inf),
+                                          [corners.min() - 1.0, corners.max() + 1.0]]))
+        factor = data.draw(st.integers(2, 8))
+        frac = np.arange(1, factor) / factor
+        # a drawn subset of the cells, with every one-ulp cell
+        ulp = knots[1:] == np.nextafter(knots[:-1], np.inf)
+        pick = data.draw(st.lists(st.booleans(), min_size=ulp.size, max_size=ulp.size))
+        cells = np.flatnonzero(ulp | np.asarray(pick, dtype=bool))
+        x, at = decompose._cell_points(knots, cells, frac)
+        left = np.repeat(cells, factor - 1)
+        assert np.array_equal(at, left + (x == knots[left + 1]))
+        assert np.array_equal(decompose._locate(grid, knots, True)[at],
+                              decompose._locate(grid, x, False))
+        if near.size and factor > 2:
+            # 1 - 1/factor of one ulp rounds onto the right knot
+            assert np.any(at > left)
+
+    @settings(derandomize=True, deadline=None)
+    @given(bump_grids(2), st.data())
+    def test_flat_cells_have_constant_shapes(self, grid, data):
+        # cells between the support ends, points inside the ramps and
+        # plateaus, and drawn points: where _flat holds, the bump of the
+        # cell's slot and, in a shared slot, its predecessor have at the
+        # right end and at every audit point the shape they have at the
+        # left end, and that shape is 0.0 or 1.0
+        marks = [grid.lo, grid.xi, grid.xi + grid.plateau, grid.hi, grid.lo + grid.ramp / 2,
+                 grid.hi - grid.ramp / 2, grid.xi + grid.plateau / 3,
+                 np.asarray(data.draw(st.lists(st.floats(-1.0, 40.0), max_size=10)))]
+        knots = np.unique(np.concatenate(marks))
+        slot = decompose._locate(grid, knots, True)[:-1]
+        flat = decompose._flat(grid, knots[:-1], knots[1:], slot)
+        cells = np.arange(len(knots) - 1)
+        x, at = decompose._cell_points(knots, cells, np.arange(1, 8) / 8)
+        x = np.concatenate([x, knots[1:]])
+        cell = np.concatenate([np.repeat(cells, 7), cells])
+        for c in (slot, np.where(grid.shared[slot], slot - 1, slot)):
+            at_left = decompose._shape(grid, knots[:-1], c)
+            assert np.all(np.isin(at_left[flat], [0.0, 1.0]))
+            inside = decompose._shape(grid, x, c[cell])
+            assert np.array_equal(inside[flat[cell]], at_left[cell][flat[cell]])
+        assert flat.any() and not flat.all()
 
 
 def family_grids(state) -> dict:

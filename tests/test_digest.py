@@ -7,6 +7,7 @@ n=3 run of --n3 is run once in full."""
 import hashlib
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,10 +83,10 @@ def test_one_line_per_report_and_state(monkeypatch, capsys, tmp_path):
     files = ["state", "csv", "report", "net"]
     assert [line.rsplit(" ", 1)[0] for line in lines] == [
         f"{seed} {what}" for seed in (5, 6)
-        for what in ["zero report", "zero state"]
+        for what in ["zero report", "zero state", "zero outer"]
         + [f"cli-net-n2 {f}" for f in files + ["forward"]]]
     # the digests of the files the commands write and of the forward pass
-    for seed, cli_lines in zip((5, 6), (lines[2:7], lines[9:14])):
+    for seed, cli_lines in zip((5, 6), (lines[3:8], lines[11:16])):
         paths = {f: str(tmp_path / f"{seed}-{f}") for f in files}
         for command in tool.CLI_NET_N2:
             assert main([arg.format(seed=seed, **paths) for arg in command]) == 0
@@ -96,14 +97,32 @@ def test_one_line_per_report_and_state(monkeypatch, capsys, tmp_path):
         block = relunet.FORWARD_BLOCK_ELEMENTS // max(len(net.w), len(net.layer))
         out = take_forward(net, np.random.default_rng(seed).random((500, 2)), block)
         assert cli_lines[4].endswith(" " + hashlib.sha256(out.tobytes()).hexdigest())
-    # the digests of the texts kst writes, seed by seed
-    for seed, (report_line, state_line) in zip((5, 6), (lines[:2], lines[7:9])):
+    # the digests of the texts kst writes and of the outer nets, seed by seed
+    for seed, (report_line, state_line, outer_line) in zip((5, 6), (lines[:3], lines[8:11])):
         caps = PipelineCaps(r_cap=3, seed=seed)
-        _, report, state = run_pipeline(builtin_target("zero", 2), 0.25, caps, make_params(2))
+        asm, report, state = run_pipeline(builtin_target("zero", 2), 0.25, caps, make_params(2))
         sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
         assert report_line.endswith(" " + sha(_json_text(report.to_json_dict())))
         assert state_line.endswith(" " + sha(state_json_text(state)))
-    assert lines[1].split()[-1] != lines[8].split()[-1]  # the state records its seed
+        arrays = b"".join(net.knots.tobytes() + net.values.tobytes() for net in asm.phi_nets)
+        assert outer_line.endswith(" " + hashlib.sha256(arrays).hexdigest())
+    assert lines[1].split()[-1] != lines[9].split()[-1]  # the state records its seed
+
+
+def test_outer_line_reads_every_knot_and_value():
+    # a one-ulp change of any knot or value, or a swap of two families,
+    # changes the outer digest
+    tool = _load_tool()
+    asm, _, _ = run_pipeline(builtin_target("product", 2), 0.5, PipelineCaps(r_cap=1, seed=5))
+    nets = asm.phi_nets
+    base = tool.outer_sha256(nets)
+    assert base == tool.outer_sha256([replace(net) for net in nets])
+    for j, field in ((0, "knots"), (len(nets) - 1, "values")):
+        array = getattr(nets[j], field).copy()
+        array[len(array) // 2] = np.nextafter(array[len(array) // 2], np.inf)
+        changed = nets[:j] + [replace(nets[j], **{field: array})] + nets[j + 1 :]
+        assert tool.outer_sha256(changed) != base
+    assert tool.outer_sha256([nets[1], nets[0], *nets[2:]]) != base
 
 
 def test_n3_adds_one_report_line_per_seed(monkeypatch, capsys):

@@ -1,10 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kst import pipeline
+from kst import decompose, pipeline
 from kst.errors import DomainError
 from kst.params import make_params
 from kst.pipeline import (
@@ -15,8 +18,9 @@ from kst.pipeline import (
     run_pipeline,
     size_bound_report,
 )
-from kst.decompose import init_state, iterate
+from kst.decompose import DecompositionCaps, init_state, iterate
 from kst.target import builtin_target, expression_target
+from oracles import phi_batch_outer_net
 
 
 class TestRofEpsilon:
@@ -186,6 +190,46 @@ def test_outer_nets_take_the_breakpoints():
         assert net.knots.tobytes() == pipeline._corner_knots(state, j, M).tobytes()
     assert rep.phi_knots == 5475
     assert rep.errors_overall["fr_minus_net"] <= 1e-9
+
+
+# States by (target, gamma), one per round count r = 1..3; depth 3 at
+# gamma 8 gives a million knots per outer net, so gamma 8 stops at depth 2
+_STATES: dict = {}
+
+
+def _state(name: str, gamma: int, r: int):
+    if (name, gamma) not in _STATES:
+        target = (expression_target("exp(-(x1^2+x2^2))", 2) if name == "expression"
+                  else builtin_target(name, 2))
+        state = init_state(target, make_params(2, gamma=gamma),
+                           DecompositionCaps(k_max=3 if gamma == 6 else 2, seed=5))
+        _STATES[name, gamma] = [state := iterate(state) for _ in range(3)]
+    return _STATES[name, gamma][r - 1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.sampled_from(["product", "gaussian", "ridge", "expression", "zero"]),
+       st.sampled_from([6, 8]), st.integers(1, 3), st.data())
+def test_outer_nets_equal_the_phi_batch_build(name, gamma, r, data):
+    # the knots, values and measured error of every family's net, bit
+    # for bit, with one round's coefficients set to zero in some states,
+    # and blocks of a drawn number of cells
+    state = _state(name, gamma, r)
+    zero = data.draw(st.sampled_from([None, *range(r)]))
+    if zero is not None:
+        state = replace(state, coeff=tuple(np.zeros_like(c) if l == zero else c
+                                           for l, c in enumerate(state.coeff)))
+    block = data.draw(st.sampled_from([1000, 4097, decompose.AUDIT_BLOCK_CELLS]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "AUDIT_BLOCK_CELLS", block)
+        nets, _ = pipeline.build_outer_nets(state, 1.0, PipelineCaps())
+    j = data.draw(st.integers(0, state.params.m))
+    want = phi_batch_outer_net(state, j)
+    assert nets[j].knots.tobytes() == want.knots.tobytes()
+    assert nets[j].values.tobytes() == want.values.tobytes()
+    assert nets[j].eps_measured == want.eps_measured
+    if name == "zero" or (zero is not None and r == 1):
+        assert want.knots.tolist() == [0.0, float(state.params.phi_domain_sup)]
 
 
 class TestSizeBoundReport:

@@ -310,6 +310,19 @@ class TestBuildUnivariate:
         assert net.eps_measured == 0.0
         assert net.eval(0.37) == pytest.approx(0.37, abs=1e-15)
 
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-0.5, 2.5), st.just(np.nan), st.just(1.25)),
+                    min_size=1, max_size=60),
+           st.sampled_from([(-1,), (2, -1)]))
+    def test_eval_is_interp_pointwise(self, points, shape):
+        # unsorted points, repeats, NaNs, points outside [0, M] and on
+        # knots, flat and as a 2-D array: np.interp's bits at each point
+        uni = build_univariate(lambda x: np.sin(3 * x) + 0.2 * x, 2.0, 8)
+        x = np.asarray(points * (2 if len(shape) == 2 else 1)).reshape(shape)
+        want = np.interp(x.ravel(), uni.knots, uni.values).reshape(x.shape)
+        assert uni.eval(x).tobytes() == want.tobytes()
+        assert uni.eval(x).shape == x.shape
+
     def test_network_matches_interp(self):
         g = lambda x: np.sin(3 * x) + 0.2 * x
         uni = build_univariate(g, 2.0, 17)

@@ -10,11 +10,13 @@ and ``kst params --n 3``): ``kst ARGS SHA256``, the sha256 of what the
 command prints. Then, for each seed and each target of the benchmark workload pipeline-n2
 (product, gaussian and ridge at n = 2, and exp(-(x1^2+x2^2))), it runs
 ``run_pipeline(target, 0.25, PipelineCaps(r_cap=3, seed=S))`` as that
-workload does and prints two lines, ``S TARGET report SHA256`` and
-``S TARGET state SHA256``: the sha256 of the report's and the state's
-JSON text as ``kst`` writes them (the report with sorted keys and
-indent 2, the state by ``state_json_text``: sorted keys, compact
-separators). Then it runs
+workload does and prints three lines, ``S TARGET report SHA256``,
+``S TARGET state SHA256`` and ``S TARGET outer SHA256``: the sha256 of
+the report's and the state's JSON text as ``kst`` writes them (the
+report with sorted keys and indent 2, the state by ``state_json_text``:
+sorted keys, compact separators), and of the outer nets' float64 knot
+and value bytes, family by family (each family's knots, then its
+values), which no file holds whole. Then it runs
 the ``kst decompose`` and ``kst assemble`` commands of the workload
 cli-net-n2 with ``--seed S`` in a temporary directory and prints
 ``S cli-net-n2 FILE SHA256`` for each file they write: state, csv,
@@ -29,6 +31,9 @@ With ``--n3`` each seed ends with one more line, ``S gaussian-n3 report
 SHA256``: the report of ``run_pipeline(gaussian n=3, 0.25,
 PipelineCaps(k_max=2, knot_budget=1_200_000, r_cap=1, seed=S))``, whose
 outer nets have 1,093,039 breakpoint knots each (about 4 s per seed).
+
+Outer lines read only the nets' arrays, so run with an older
+checkout's ``src`` on PYTHONPATH this tool digests its outer nets too.
 
 State lines differ by design between checkouts that write different
 state schemas: a ``kst-decomposition/3`` state holds each round's depth
@@ -96,11 +101,21 @@ def sha256_text(text: str) -> str:
 
 
 def digest_lines(seed: int, name: str, target) -> list[str]:
-    """The report and state lines of one run_pipeline call."""
+    """The report, state and outer-net lines of one run_pipeline call."""
     caps = PipelineCaps(r_cap=3, seed=seed)
-    _, report, state = run_pipeline(target, EPS, caps, params=make_params(target.dim))
+    asm, report, state = run_pipeline(target, EPS, caps, params=make_params(target.dim))
     return [f"{seed} {name} report {sha256_text(cli._json_text(report.to_json_dict()))}",
-            f"{seed} {name} state {sha256_text(state_json_text(state))}"]
+            f"{seed} {name} state {sha256_text(state_json_text(state))}",
+            f"{seed} {name} outer {outer_sha256(asm.phi_nets)}"]
+
+
+def outer_sha256(nets) -> str:
+    """The sha256 of each net's knot bytes, then its value bytes, net by net."""
+    sha = hashlib.sha256()
+    for net in nets:
+        sha.update(net.knots.tobytes())
+        sha.update(net.values.tobytes())
+    return sha.hexdigest()
 
 
 def n3_line(seed: int) -> str:
