@@ -21,6 +21,7 @@ caches whose population is observationally invisible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -52,6 +53,10 @@ STATE_SCHEMA = "kst-decomposition/3"
 # Points per phi_batch block, whose temporaries then stay in cache
 PHI_BLOCK = 1 << 14
 
+# Rows along axis 0 in the first block of a residual_modulus sweep; each
+# later block doubles, so a failing depth test stops after a few blocks
+MODULUS_FIRST_ROWS = 4
+
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -71,8 +76,9 @@ class Grid:
     def lo(self) -> np.ndarray:
         return self.xi - self.ramp
 
-    @cached_property
+    @property
     def hi(self) -> np.ndarray:
+        """The support ends (xi + plateau) + ramp, built on each read."""
         return self.xi + self.plateau + self.ramp
 
     @cached_property
@@ -281,7 +287,9 @@ def _shape(grid: Grid, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     min(max(slope * d + 1, 0), 1) - min(max(slope * (d - plateau), 0), 1)
     with d = y - xi[c], computed in two buffers."""
     inside = y > grid.lo[c]
-    buf = grid.hi[c]
+    buf = grid.xi[c]
+    buf += grid.plateau
+    buf += grid.ramp
     np.logical_and(inside, y < buf, out=inside)
     d = np.subtract(y, grid.xi.take(c, out=buf), out=buf)
     t2 = d - grid.plateau
@@ -312,7 +320,8 @@ def _constant(grid: Grid, left: np.ndarray, right: np.ndarray, c: np.ndarray) ->
     (outside the open support), or 1.0 (inside it, with y - xi >= 0 and
     (y - xi) - plateau <= 0). Rounding to nearest is monotone, so each
     test holds between the ends when it holds at the end that bounds it."""
-    lo, hi, xi = grid.lo[c], grid.hi[c], grid.xi[c]
+    lo, xi = grid.lo[c], grid.xi[c]
+    hi = (xi + grid.plateau) + grid.ramp
     zero = (right <= lo) | (left >= hi)
     one = (left > lo) & (right < hi) & (left - xi >= 0.0) & (right - xi - grid.plateau <= 0.0)
     return zero | one
@@ -401,8 +410,19 @@ def measure_residual_norm(state) -> float:
 # -- the iteration ------------------------------------------------------------
 
 
-def residual_modulus(state, h: float) -> float:
-    """Empirical oscillation of the residual over axis step h."""
+def residual_modulus(state, h: float, bound: float = math.inf) -> float:
+    """Empirical oscillation of the residual over axis step h: the max
+    over the axes i of |e(x + h u_i) - e(x)| at the audit mesh points x
+    that the shift keeps in the cube.
+
+    Each shifted mesh is swept in blocks of rows along axis 0, the first
+    MODULUS_FIRST_ROWS rows and each later block twice the one before,
+    and the sweep stops at the first block that takes the running max
+    strictly above bound. f_r on a block of rows is those rows of f_r on
+    the whole mesh, bit for bit (superpose and phi_batch work point by
+    point), and the target is evaluated on the whole shifted mesh and
+    sliced. So the value is the exact max when that max is at most
+    bound, and a value in (bound, max] otherwise."""
     axis = state.audit.axis
     base = state.audit.f_mesh - state.fr_mesh
     n = state.params.n
@@ -413,13 +433,19 @@ def residual_modulus(state, h: float) -> float:
     shifted = axis[keep] + h
     for ax_i in range(n):
         axes = [axis] * n
-        axes = axes[:ax_i] + [shifted] + axes[ax_i + 1 :]
+        axes[ax_i] = shifted
         f_mesh = target_on_mesh(state.target, axes)
-        e_mesh = f_mesh - f_r(state, np.ix_(*axes))
         sel = [slice(None)] * n
         sel[ax_i] = keep
-        diff = np.abs(e_mesh - base[tuple(sel)])
-        worst = max(worst, float(np.max(diff)))
+        base_i = base[tuple(sel)]
+        start, rows = 0, MODULUS_FIRST_ROWS
+        while start < len(axes[0]):
+            block = slice(start, start + rows)
+            e_block = f_mesh[block] - f_r(state, np.ix_(axes[0][block], *axes[1:]))
+            worst = max(worst, float(np.max(np.abs(e_block - base_i[block]))))
+            if worst > bound:
+                return worst
+            start, rows = block.stop, 2 * rows
     return worst
 
 
@@ -476,14 +502,18 @@ def choose_k_r(state) -> tuple[int, bool]:
     delta times the residual norm and that depth_refusal lets a nonzero
     layer take, (k_max, True) when none qualifies: depths its cheap part
     refuses are not swept, and its audit is asked after a sweep passes.
-    A zero residual gives depth 1, whose layer is null."""
+    The sweep is given delta times the norm as its bound, so a failing
+    depth stops at its first row block above it; the value it returns
+    then still exceeds the bound, and the depth is decided as by a whole
+    sweep. A zero residual gives depth 1, whose layer is null."""
     norm = state.residual_norms[-1]
     if norm == 0.0:
         return 1, False
     p = state.params
+    bound = p.delta * norm
     for k in range(1, state.caps.k_max + 1):
         if (depth_refusal(state, k) is None
-                and residual_modulus(state, float(p.gamma) ** -k) <= p.delta * norm
+                and residual_modulus(state, float(p.gamma) ** -k, bound) <= bound
                 and depth_refusal(state, k, nonzero=True) is None):
             return k, False
     return state.caps.k_max, True

@@ -24,7 +24,9 @@ over ``audit_grid``), the bit-for-bit reference for the blocked audit
 of ``build_univariate``, and the outer nets as that build gave them
 over ``phi_batch`` at ``np.unique`` corner knots
 (``phi_batch_outer_net``), the bit-for-bit reference for
-``pipeline.build_outer_nets``. The depth-2 network of a univariate
+``pipeline.build_outer_nets``. The residual oscillation swept over
+each whole shifted audit mesh (``whole_mesh_modulus``) is the reference
+for the blocked sweep of ``decompose.residual_modulus``. The depth-2 network of a univariate
 interpolant's hinge coefficients (``univariate_network``) is built here
 only: the library wires those hinges straight into the assembled
 network. The pairwise Hoelder audit of the inner function's float
@@ -309,6 +311,31 @@ def family_rounds(state, j: int):
     for k, coeff in zip(state.k_list, state.coeff):
         grid = decompose.family_grid(state, j, k)
         yield grid, coeff[grid.order]
+
+
+def whole_mesh_modulus(state, h: float) -> float:
+    """Residual oscillation over axis step h, by one sweep of each whole
+    shifted mesh: the bit-for-bit reference for the value of
+    ``decompose.residual_modulus``, which sweeps in row blocks and stops
+    above a bound."""
+    axis = state.audit.axis
+    base = state.audit.f_mesh - state.fr_mesh
+    n = state.params.n
+    worst = 0.0
+    keep = axis + h <= 1.0 + 1e-12
+    if not np.any(keep):
+        return worst
+    shifted = axis[keep] + h
+    for ax_i in range(n):
+        axes = [axis] * n
+        axes = axes[:ax_i] + [shifted] + axes[ax_i + 1 :]
+        f_mesh = decompose.target_on_mesh(state.target, axes)
+        e_mesh = f_mesh - decompose.f_r(state, np.ix_(*axes))
+        sel = [slice(None)] * n
+        sel[ax_i] = keep
+        diff = np.abs(e_mesh - base[tuple(sel)])
+        worst = max(worst, float(np.max(diff)))
+    return worst
 
 
 def dense_phi_sum(state, j: int, y: float) -> float:

@@ -1,7 +1,8 @@
 """tools/bench_pairs.py keeps every series it records, summarizes each
-from the last lines of its runs, chains the series' ratios and compiles
-each checkout's source first. Checked on synthetic last lines and a
-temporary checkout; no benchmark is run."""
+from the last lines of its runs and prints the summary when the series
+ends, chains the series' ratios and compiles each checkout's source
+first. Checked on synthetic last lines and temporary checkouts whose
+runs print fixed lines; no benchmark is run."""
 
 import importlib.util
 import json
@@ -150,3 +151,51 @@ def test_compile_sources_writes_bytecode_that_a_later_run_reads(tmp_path, monkey
     proc = subprocess.run([sys.executable, "-c", "import pkg.mod; print(pkg.mod.VALUE)"],
                           env=env, stdout=subprocess.PIPE, text=True, check=True)
     assert proc.stdout.strip() == "1"
+
+
+def test_summary_lines_name_medians_ratio_wins_and_spread():
+    tool = _load_tool()
+    pairs = [_pair(0, (4.0, 1.0), (3.0, 2.0)), _pair(1, (5.0, 1.0), (6.0, 2.0)),
+             _pair(2, (6.0, 3.0), (4.0, 1.0)), _pair(3, (7.0, 1.0), (5.0, 2.0)),
+             _pair(4, (8.0, 1.0), (7.0, 2.0))]
+    assert tool.summary_lines(tool.summarize(pairs, END_TO_END)) == [
+        "wall_s: parent 6 s, change 5 s, median ratio 0.750, change won 4 of 5, "
+        "gain within parent IQR",
+        "rate: parent 1 1/s, change 2 1/s, median ratio 2.000, change won 4 of 5, "
+        "gain exceeds parent IQR",
+    ]
+    assert tool.summary_lines({}) == []
+
+
+# A checkout's perfbench/run.py that prints a run record and a last line
+# whose wall_s is WALL + seed / 100 and whose rate is 1
+FAKE_RUN = """import argparse, json
+ap = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    ap.add_argument(flag)
+seed = int(ap.parse_args().seed)
+print(f"run: seed={seed} commit=COMMIT")
+metrics = {"wall_s": {"value": WALL + seed / 100, "unit": "s"}, "rate": {"value": 1.0, "unit": "1/s"}}
+print(json.dumps({"correct": True, "metrics": metrics}))
+"""
+
+
+def test_series_end_prints_the_summary(tmp_path):
+    for side, wall in (("parent", 2.0), ("change", 1.5)):
+        checkout = tmp_path / side
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "src").mkdir()
+        (checkout / "perfbench" / "run.py").write_text(
+            FAKE_RUN.replace("COMMIT", side[0] + "1").replace("WALL", str(wall)))
+        (checkout / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": END_TO_END, "run_seconds": 1}))
+    out = tmp_path / "out"
+    out.mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(TOOL_PATH), "--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change"), "--workload", "w", "--seeds", "1,2,3"],
+        cwd=out, stdout=subprocess.PIPE, text=True, check=True)
+    doc = json.loads((out / "BENCH_w.json").read_text())
+    assert proc.stdout.splitlines()[-2:] == _load_tool().summary_lines(doc["series"][0]["summary"])
+    assert proc.stdout.splitlines()[-2] == ("wall_s: parent 2.02 s, change 1.52 s, median ratio "
+                                            "0.752, change won 3 of 3, gain exceeds parent IQR")

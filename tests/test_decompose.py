@@ -22,6 +22,7 @@ from kst.decompose import (
     iterate,
     lipschitz_report,
     phi_batch,
+    residual_modulus,
     state_from_json_dict,
     state_json_text,
     state_to_json_dict,
@@ -36,6 +37,7 @@ from oracles import (
     dense_phi_sum,
     grid_shift,
     two_candidate_phi,
+    whole_mesh_modulus,
 )
 
 
@@ -68,6 +70,40 @@ def force_depth(monkeypatch, k):
     monkeypatch.setattr(decompose, "choose_k_r", lambda state: (k, False))
 
 
+@contextmanager
+def phi_points():
+    """A list of the point counts of the phi_batch calls made inside."""
+    seen = []
+    original = decompose.phi_batch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "phi_batch",
+                   lambda state, j, y: seen.append(len(y)) or original(state, j, y))
+        yield seen
+
+
+def full_sweep_points(state, k: int) -> int:
+    """The points a whole-mesh residual_modulus sweep at step gamma**-k
+    hands phi_batch: every family on each of the n shifted meshes."""
+    p, axis = state.params, state.audit.axis
+    rows = int(np.sum(axis + float(p.gamma) ** -k <= 1.0 + 1e-12))
+    return (p.m + 1) * p.n * rows * len(axis) ** (p.n - 1)
+
+
+# The states of TestResidualModulus, per (target, gamma, audit
+# resolution): entry r is the state after r rounds
+_chains: dict[tuple, list] = {}
+
+
+def chain_state(name: str, gamma: int, resolution: int, r: int):
+    chain = _chains.setdefault((name, gamma, resolution), [])
+    if not chain:
+        caps = DecompositionCaps(audit_resolution=resolution, n_random=20, seed=3)
+        chain.append(init_state(builtin_target(name, 2), make_params(2, gamma=gamma), caps))
+    while len(chain) <= r:
+        chain.append(iterate(chain[-1]))
+    return chain[r]
+
+
 class TestChooseK:
     def test_zero_residual_gives_one(self, zero_state):
         assert choose_k_r(zero_state) == (1, False)
@@ -97,11 +133,51 @@ class TestChooseK:
         steps = []
         original = decompose.residual_modulus
         monkeypatch.setattr(decompose, "residual_modulus",
-                            lambda st, h: steps.append(h) or original(st, h))
+                            lambda st, h, bound=math.inf: steps.append(h) or original(st, h, bound))
         assert choose_k_r(state) == (3, True)
         assert steps == [1 / 6]
         with pytest.raises(BudgetError, match="depth-3 grid size"):
             iterate(state)
+
+    def test_failing_depths_stop_early(self, product_r1):
+        # every depth of the second round fails its test: each sweep
+        # stops at its first row block above delta times the norm, far
+        # short of the whole shifted meshes
+        tested = [k for k in range(1, product_r1.caps.k_max + 1)
+                  if decompose.depth_refusal(product_r1, k) is None]
+        full = sum(full_sweep_points(product_r1, k) for k in tested)
+        with phi_points() as seen:
+            assert choose_k_r(product_r1) == (product_r1.caps.k_max, True)
+        assert 0 < sum(seen) < full / 4
+
+
+class TestResidualModulus:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.sampled_from(["zero", "one", "product", "gaussian"]), st.sampled_from([6, 8]),
+           st.sampled_from([2, 5, 9, 17]), st.integers(0, 2), st.integers(1, 3),
+           st.floats(0.0, 2.0))
+    def test_blocked_sweep_equals_whole_mesh(self, name, gamma, resolution, r, k, scale):
+        # without a bound the value is the whole sweep's, bit for bit and
+        # at the same cost; with a bound b it is that value when it is at
+        # most b (b equal to it included), and lies in (b, value] above
+        state = chain_state(name, gamma, resolution, r)
+        h = float(gamma) ** -k
+        want = whole_mesh_modulus(state, h)
+        with phi_points() as full:
+            assert residual_modulus(state, h) == want
+        assert sum(full) == full_sweep_points(state, k)
+        for bound in (want, scale * want, 0.0):
+            with phi_points() as seen:
+                got = residual_modulus(state, h, bound)
+            if want <= bound:
+                assert got == want and sum(seen) == sum(full)
+            else:
+                assert bound < got <= want and sum(seen) <= sum(full)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose, "residual_modulus",
+                       lambda st, h, bound=math.inf: whole_mesh_modulus(st, h))
+            oracle = choose_k_r(state)
+        assert choose_k_r(state) == oracle
 
 
 class TestIterate:

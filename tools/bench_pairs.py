@@ -20,7 +20,9 @@ of each run verbatim and the change/parent ratio of each end-to-end
 metric of BENCHMARK.json; and, per metric, each side's median and
 quartiles, the median ratio and how many pairs the change won. The file
 is rewritten after every pair, so an interrupted series keeps the pairs
-it finished.
+it finished. When the series ends, one line per end-to-end metric gives
+both medians, the median ratio, the change's wins and whether the median
+gain exceeds the parent's interquartile range.
 
 ``--chain`` only reads a file: per end-to-end metric it prints the
 product of the series' median ratios, taking for each parent commit
@@ -95,6 +97,17 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def summary_lines(summary: dict) -> list[str]:
+    """One line per metric of a series summary: both medians, the median
+    change/parent ratio, the change's wins and whether the median gain
+    exceeds the parent's interquartile range."""
+    return [f"{name}: parent {m['parent']['median']:.4g} {m['unit']}, "
+            f"change {m['change']['median']:.4g} {m['unit']}, "
+            f"median ratio {m['median_ratio']:.3f}, change won {m['change_wins']} of {m['pairs']}, "
+            f"gain {'exceeds' if m['gain_exceeds_parent_iqr'] else 'within'} parent IQR"
+            for name, m in summary.items()]
+
+
 def open_series(path: str, workload: str, seconds: int) -> tuple[dict, dict]:
     """The document at path, or a new one, with an empty series appended."""
     if os.path.exists(path):
@@ -163,6 +176,8 @@ def main() -> int:
             pair[side] = {"commit": commit, "last_line": last}
         add_pair(out, doc, series, pair, end_to_end)
         print(f"pair {i}: seed {seed}, {order[0]} first, done", flush=True)
+    for line in summary_lines(series.get("summary", {})):
+        print(line)
     return 0
 
 
