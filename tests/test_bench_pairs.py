@@ -160,7 +160,7 @@ def test_summary_lines_name_medians_ratio_wins_and_spread():
              _pair(4, (8.0, 1.0), (7.0, 2.0))]
     assert tool.summary_lines(tool.summarize(pairs, END_TO_END)) == [
         "wall_s: parent 6 s, change 5 s, median ratio 0.750, change won 4 of 5, "
-        "gain within parent IQR",
+        "gain does not exceed parent IQR",
         "rate: parent 1 1/s, change 2 1/s, median ratio 2.000, change won 4 of 5, "
         "gain exceeds parent IQR",
     ]
@@ -175,7 +175,8 @@ for flag in ("--workload", "--seed", "--seconds", "--trace"):
     ap.add_argument(flag)
 seed = int(ap.parse_args().seed)
 print(f"run: seed={seed} commit=COMMIT")
-metrics = {"wall_s": {"value": WALL + seed / 100, "unit": "s"}, "rate": {"value": 1.0, "unit": "1/s"}}
+metrics = {"wall_s": {"value": WALL + seed / 100, "unit": "s"},
+           "rate": {"value": 1.0, "unit": "1/s"}}
 print(json.dumps({"correct": True, "metrics": metrics}))
 """
 

@@ -139,6 +139,12 @@ class TestChooseK:
         with pytest.raises(BudgetError, match="depth-3 grid size"):
             iterate(state)
 
+    def test_oscillation_at_the_bound_passes(self, monkeypatch):
+        # a depth whose oscillation equals delta times the norm qualifies;
+        # depth 1 is then left out by its audit alone
+        monkeypatch.setattr(decompose, "residual_modulus", lambda st, h, bound=math.inf: bound)
+        assert choose_k_r(init_state(builtin_target("product", 2))) == (2, False)
+
     def test_failing_depths_stop_early(self, product_r1):
         # every depth of the second round fails its test: each sweep
         # stops at its first row block above delta times the norm, far

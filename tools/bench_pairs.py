@@ -104,7 +104,7 @@ def summary_lines(summary: dict) -> list[str]:
     return [f"{name}: parent {m['parent']['median']:.4g} {m['unit']}, "
             f"change {m['change']['median']:.4g} {m['unit']}, "
             f"median ratio {m['median_ratio']:.3f}, change won {m['change_wins']} of {m['pairs']}, "
-            f"gain {'exceeds' if m['gain_exceeds_parent_iqr'] else 'within'} parent IQR"
+            f"gain {'exceeds' if m['gain_exceeds_parent_iqr'] else 'does not exceed'} parent IQR"
             for name, m in summary.items()]
 
 
