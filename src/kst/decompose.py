@@ -11,7 +11,15 @@ once per round; family_grid places its bumps for each family.
 Residual sup norms are measured on a fixed audit mesh plus a seeded
 batch of random points, one AuditSample that every state of a
 decomposition shares; the true sup norm is unobservable and the same
-estimator is used both for choosing k_r and for reporting.
+estimator is used both for choosing k_r and for reporting. The sample
+also keeps the target on every sweep and shifted mesh it is evaluated on.
+
+A state carries each family's phi_j on the audit mesh and points
+(phi_mesh, phi_points) and, before its last round, on that round's
+sweep mesh (phi_sweep): iterate adds only the new round, which gives
+phi_batch's bits, as phi_batch adds the rounds in order to +0.0. That
+is 0.45 MB per n=2 state, and 1.9 MB more on a depth-3 sweep mesh at
+gamma 6. A state loaded from a file computes them from scratch.
 
 States are immutable snapshots; iterate() returns a new one. The inner
 evaluator's lattices and float tables, and the bump grids, are shared
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -35,6 +43,7 @@ from .params import (
     KstParams,
     LambdaCoeffs,
     beta,
+    images,
     lambda_coeffs,
     make_params,
     superpose,
@@ -121,11 +130,12 @@ class AuditSample:
     """The fixed sample on which the states of one decomposition measure
     their residuals: the audit mesh axis, the seeded random points, and
     the target on the mesh and at the points, each evaluated on first
-    use."""
+    use, and on every other mesh it is asked for (f_on)."""
 
     target: TargetFunction
     axis: np.ndarray
     points: np.ndarray
+    meshes: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def draw(cls, target: TargetFunction, caps: DecompositionCaps) -> "AuditSample":
@@ -134,9 +144,21 @@ class AuditSample:
         return cls(target, np.linspace(0.0, 1.0, caps.audit_resolution),
                    rng.random((caps.n_random, target.dim)))
 
-    @cached_property
+    @property
+    def mesh(self) -> tuple[np.ndarray, ...]:
+        """The audit mesh as coordinate columns, np.ix_ of the axis."""
+        return np.ix_(*[self.axis] * self.target.dim)
+
+    @property
     def f_mesh(self) -> np.ndarray:
-        return target_on_mesh(self.target, [self.axis] * self.target.dim)
+        return self.f_on([self.axis] * self.target.dim)
+
+    def f_on(self, axes: list[np.ndarray]) -> np.ndarray:
+        """The target on the product mesh of axes, evaluated once."""
+        key = tuple(ax.tobytes() for ax in axes)
+        if key not in self.meshes:
+            self.meshes[key] = target_on_mesh(self.target, axes)
+        return self.meshes[key]
 
     @cached_property
     def f_points(self) -> np.ndarray:
@@ -169,15 +191,31 @@ class DecompositionState:
     def k_trunc(self) -> int:
         return self.caps.k_max + 2
 
+    @property
+    def rounds(self) -> list[tuple[int, np.ndarray]]:
+        return list(zip(self.k_list, self.coeff))
+
+    # The carried values of the module docstring, which iterate sets on
+    # the state it makes; phi_sweep is None on any other state.
+    phi_sweep = None
+
+    @cached_property
+    def phi_mesh(self) -> tuple[np.ndarray, ...]:
+        return carry(self, self.audit.mesh, self.rounds)
+
+    @cached_property
+    def phi_points(self) -> tuple[np.ndarray, ...]:
+        return carry(self, self.audit.points.T, self.rounds)
+
     @cached_property
     def fr_mesh(self) -> np.ndarray:
         """f_r on the audit mesh, computed once per state."""
-        return f_r(self, np.ix_(*[self.audit.axis] * self.params.n))
+        return sum(self.phi_mesh)
 
     @cached_property
     def fr_points(self) -> np.ndarray:
         """f_r at the audit sample's random points, computed once per state."""
-        return f_r(self, self.audit.points.T)
+        return sum(self.phi_points)
 
 
 def init_state(
@@ -212,14 +250,13 @@ def init_state(
 
 
 def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
-    """Outer approximant phi_j at a flat array of points, in blocks of
-    PHI_BLOCK: the sum over the rounds of each round's coefficients times
-    its depth's bumps on family j's grid, added by _add_rounds. In each
-    grid a point takes the bump whose support starts last at or below it
-    and, in the slots of Grid.shared, that bump's predecessor: every
-    support containing the point, provided no bump with a nonzero
-    coefficient reaches past its next neighbour, which check_overreach
-    ensures for every round.
+    """Outer approximant phi_j at a flat array of points: the rounds
+    added to +0.0 by _fold, in blocks of PHI_BLOCK. In each grid a point
+    takes the bump whose support starts last at or below it and, in the
+    slots of Grid.shared, that bump's predecessor: every support
+    containing the point, provided no bump with a nonzero coefficient
+    reaches past its next neighbour, which check_overreach ensures for
+    every round.
 
     Per block, _locate finds the slots once for each depth, so the
     rounds of one depth share them.
@@ -229,9 +266,13 @@ def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
     blocks search every point; a NaN fails the comparison, so no block
     of two or more points with one ascends. Both give the same slots, so
     the values are the same bit for bit."""
-    out = np.zeros(len(y))
-    rounds = list(zip(state.k_list, state.coeff))
-    grids = {k: family_grid(state, j, k) for k in dict.fromkeys(state.k_list)}
+    return _fold(state, j, y, list(zip(state.k_list, state.coeff)), np.zeros(len(y)))
+
+
+def _fold(state, j: int, y: np.ndarray, rounds, out: np.ndarray) -> np.ndarray:
+    """out plus, added in place by _add_rounds, each (depth, coefficients)
+    round's coefficients times its depth's bumps on family j's grid at y."""
+    grids = {k: family_grid(state, j, k) for k, _ in rounds}
     for start in range(0, len(y), PHI_BLOCK):
         yb = y[start : start + PHI_BLOCK]
         ascending = bool(np.all(yb[1:] >= yb[:-1]))
@@ -381,6 +422,18 @@ def phi_on_knots(state, j: int, knots: np.ndarray, frac: np.ndarray) -> tuple[np
     return values, eps
 
 
+def carry(state, columns, rounds, start=None) -> tuple[np.ndarray, ...]:
+    """Each family's phi_j where f_r reads it at coordinate columns, in
+    their broadcast shape: start[j] (or +0.0) plus the rounds, by _fold.
+    From the earlier rounds' values, phi_batch's bits; summed, f_r's."""
+    k = state.k_trunc
+    ys = images(lambda u: state.ev.psi_trunc_vector(u, k), state.lambdas.floats,
+                float(state.params.a), columns, state.params.m + 1)
+    return tuple(_fold(state, j, y.ravel(), rounds,
+                       np.zeros(y.size) if start is None else start[j].ravel().copy())
+                 .reshape(y.shape) for j, y in enumerate(ys))
+
+
 def f_r(state, columns) -> np.ndarray:
     """The approximant at coordinate columns, broadcast as superpose
     does: ``pts.T`` of an (N, n) array of points gives the N values, and
@@ -420,7 +473,7 @@ def residual_modulus(state, h: float, bound: float = math.inf) -> float:
     and the sweep stops at the first block that takes the running max
     strictly above bound. f_r on a block of rows is those rows of f_r on
     the whole mesh, bit for bit (superpose and phi_batch work point by
-    point), and the target is evaluated on the whole shifted mesh and
+    point), and the target is the sample's on the whole shifted mesh,
     sliced. So the value is the exact max when that max is at most
     bound, and a value in (bound, max] otherwise."""
     axis = state.audit.axis
@@ -434,7 +487,7 @@ def residual_modulus(state, h: float, bound: float = math.inf) -> float:
     for ax_i in range(n):
         axes = [axis] * n
         axes[ax_i] = shifted
-        f_mesh = target_on_mesh(state.target, axes)
+        f_mesh = state.audit.f_on(axes)
         sel = [slice(None)] * n
         sel[ax_i] = keep
         base_i = base[tuple(sel)]
@@ -574,7 +627,8 @@ def iterate(state: DecompositionState) -> DecompositionState:
     cheap part before the residual sweep, so no grid above the budget is
     allocated, and that of the exact audit after it, when a coefficient
     is nonzero (the null rounds of a zero residual are built at depth 1);
-    then that of check_overreach.
+    then that of check_overreach. The sweep values are carried on from
+    the parent's when the depth repeats, else computed from scratch.
     """
     p = state.params
     g, n, m = p.gamma, p.n, p.m
@@ -588,10 +642,12 @@ def iterate(state: DecompositionState) -> DecompositionState:
     # i/gamma**k + j*float(a) reads the cell of its exact argument, whose
     # position in the cell is 0 (j = 0, kept by the nudge) or j/(gamma-1).
     axis = np.arange(g**k_r + 1) / g**k_r
-
-    f_mesh = target_on_mesh(state.target, [axis] * n)
-    fr_mesh = f_r(state, np.ix_(*[axis] * n))
-    coeff = ((f_mesh - fr_mesh) / (m + 1)).ravel()
+    sweep = np.ix_(*[axis] * n)
+    if state.phi_sweep is not None and state.k_list[-1] == k_r:
+        phi_sweep = carry(state, sweep, state.rounds[-1:], state.phi_sweep)
+    else:
+        phi_sweep = carry(state, sweep, state.rounds)
+    coeff = ((state.audit.f_on([axis] * n) - sum(phi_sweep)) / (m + 1)).ravel()
     if (err := depth_refusal(state, k_r, nonzero=bool(np.any(coeff)))) is not None:
         raise err
 
@@ -602,6 +658,10 @@ def iterate(state: DecompositionState) -> DecompositionState:
         coeff=state.coeff + (coeff,),
     )
     check_overreach(nxt, state.r)
+    new = [(k_r, coeff)]
+    nxt.phi_mesh = carry(nxt, nxt.audit.mesh, new, state.phi_mesh)
+    nxt.phi_points = carry(nxt, nxt.audit.points.T, new, state.phi_points)
+    nxt.phi_sweep = phi_sweep
     nxt.residual_norms = state.residual_norms + (measure_residual_norm(nxt),)
     return nxt
 

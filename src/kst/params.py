@@ -76,10 +76,16 @@ def superpose(inner, outers, lams, shift: float, columns):
     axes (``np.ix_``) give the values on their product mesh, in the same
     bits as at the mesh's points."""
     total = 0.0
-    for j, outer in enumerate(outers):
-        y = sum(lam * inner(col + j * shift) for lam, col in zip(lams, columns))
+    for outer, y in zip(outers, images(inner, lams, shift, columns, len(outers))):
         total = total + outer(y.ravel()).reshape(y.shape)
     return total
+
+
+def images(inner, lams, shift: float, columns, count: int):
+    """The points sum_i lams[i] * inner(columns[i] + j * shift) at which
+    superpose reads outer j, for j < count, broadcast over the columns."""
+    for j in range(count):
+        yield sum(lam * inner(col + j * shift) for lam, col in zip(lams, columns))
 
 
 def beta(n: int, ell: int) -> int:

@@ -33,7 +33,7 @@ from .errors import BudgetError, DomainError
 from .inner import TRUNC_NUDGE
 from .params import KstParams, make_params, to_json
 from .relunet import AssembledKst, UnivariateNet, assemble_kst, audit_fractions, build_univariate
-from .target import TargetFunction, mesh_points
+from .target import TargetFunction
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def assemble_from_state(
 
     t0 = time.perf_counter()
     f_mesh, fr_mesh = state.audit.f_mesh, state.fr_mesh
-    net_mesh = asm.eval_batch(mesh_points([state.audit.axis] * p.n))
+    net_mesh = asm.eval_columns(state.audit.mesh).ravel()
 
     rng = np.random.Generator(np.random.PCG64(caps.seed))
     rand_pts = rng.random((caps.n_random, p.n))
@@ -333,6 +333,9 @@ def run_pipeline(
     t0 = time.perf_counter()
     for _ in range(r_used):
         state = iterate(state)
+    # only a further round reads the sweep values, and without them it
+    # computes the same bits; the outer-net build then runs without them
+    state.phi_sweep = None
     decompose_time = time.perf_counter() - t0
     asm, report = assemble_from_state(state, eps, caps)
     report.timings["decompose"] = decompose_time

@@ -512,9 +512,12 @@ class AssembledKst:
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Outputs at the rows of X, through the interpolants."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return self.eval_columns(np.atleast_2d(np.asarray(X, dtype=float)).T)
+
+    def eval_columns(self, columns) -> np.ndarray:
+        """Outputs at coordinate columns, broadcast as superpose does."""
         return superpose(self.psi_net.eval, [net.eval for net in self.phi_nets],
-                         self.lam_floats, float(self.params.a), X.T)
+                         self.lam_floats, float(self.params.a), columns)
 
     @property
     def unit_count(self) -> int:

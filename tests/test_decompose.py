@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kst import decompose, pipeline
@@ -29,7 +29,7 @@ from kst.decompose import (
 )
 from kst.errors import BudgetError, ConstraintViolation, DomainError
 from kst.inner import InnerEvaluator
-from kst.params import beta, f17, make_params
+from kst.params import beta, f17, make_params, superpose
 from kst.target import builtin_target, mesh_points
 from oracles import (
     active_bump_counts,
@@ -48,11 +48,13 @@ def product_r1():
 
 
 @pytest.fixture(scope="module")
-def product_r3():
-    state = init_state(builtin_target("product", 2))
-    for _ in range(3):
-        state = iterate(state)
-    return state
+def product_r2(product_r1):
+    return iterate(product_r1)
+
+
+@pytest.fixture(scope="module")
+def product_r3(product_r2):
+    return iterate(product_r2)
 
 
 @pytest.fixture(scope="module")
@@ -89,15 +91,32 @@ def full_sweep_points(state, k: int) -> int:
     return (p.m + 1) * p.n * rows * len(axis) ** (p.n - 1)
 
 
-# The states of TestResidualModulus, per (target, gamma, audit
-# resolution): entry r is the state after r rounds
+def family_images(state, columns) -> list[np.ndarray]:
+    """Each family's flat points at which f_r reads phi_j at the
+    coordinate columns, taken from superpose."""
+    seen = []
+    k = state.k_trunc
+    superpose(lambda u: state.ev.psi_trunc_vector(u, k),
+              [lambda y: seen.append(y) or y] * (state.params.m + 1),
+              state.lambdas.floats, float(state.params.a), columns)
+    return seen
+
+
+def sweep_mesh(state, k: int) -> tuple[np.ndarray, ...]:
+    """The depth-k sweep mesh of iterate as coordinate columns."""
+    g = state.params.gamma
+    return np.ix_(*[np.arange(g**k + 1) / g**k] * state.params.n)
+
+
+# The states of TestResidualModulus and TestCarriedValues, per (target,
+# gamma, audit resolution, k_max): entry r is the state after r rounds
 _chains: dict[tuple, list] = {}
 
 
-def chain_state(name: str, gamma: int, resolution: int, r: int):
-    chain = _chains.setdefault((name, gamma, resolution), [])
+def chain_state(name: str, gamma: int, resolution: int, r: int, k_max: int = 3):
+    chain = _chains.setdefault((name, gamma, resolution, k_max), [])
     if not chain:
-        caps = DecompositionCaps(audit_resolution=resolution, n_random=20, seed=3)
+        caps = DecompositionCaps(k_max=k_max, audit_resolution=resolution, n_random=20, seed=3)
         chain.append(init_state(builtin_target(name, 2), make_params(2, gamma=gamma), caps))
     while len(chain) <= r:
         chain.append(iterate(chain[-1]))
@@ -184,6 +203,82 @@ class TestResidualModulus:
                        lambda st, h, bound=math.inf: whole_mesh_modulus(st, h))
             oracle = choose_k_r(state)
         assert choose_k_r(state) == oracle
+
+
+class TestCarriedValues:
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(st.sampled_from(["zero", "one", "product", "gaussian"]), st.sampled_from([6, 8]),
+           st.integers(2, 17), st.integers(2, 3), st.integers(0, 3))
+    @example("product", 6, 9, 3, 1)  # depths 2, 3: the sweep mesh changes
+    @example("gaussian", 8, 5, 3, 2)  # depths 2, 3, 3: the sweep values are carried on
+    def test_carried_values_are_from_scratch(self, name, gamma, resolution, k_max, r):
+        # the values the state after round r + 1 carries on the audit
+        # mesh and points, and on its sweep mesh those of the state
+        # before it, are phi_batch's and f_r's computed from scratch, bit
+        # for bit; the state before it, read back from its file, computes
+        # them from scratch and iterates to the same next state
+        state = chain_state(name, gamma, resolution, r, k_max)
+        nxt = chain_state(name, gamma, resolution, r + 1, k_max)
+        audit = nxt.audit
+        for values, columns in ((nxt.phi_mesh, audit.mesh), (nxt.phi_points, audit.points.T)):
+            for j, y in enumerate(family_images(nxt, columns)):
+                assert values[j].tobytes() == phi_batch(nxt, j, y).tobytes()
+        assert nxt.fr_mesh.tobytes() == f_r(nxt, audit.mesh).tobytes()
+        assert nxt.fr_points.tobytes() == f_r(nxt, audit.points.T).tobytes()
+        sweep = sweep_mesh(state, nxt.k_list[-1])
+        for j, y in enumerate(family_images(state, sweep)):
+            assert nxt.phi_sweep[j].tobytes() == phi_batch(state, j, y).tobytes()
+        loaded = state_from_json_dict(json.loads(state_json_text(state)))
+        assert loaded.phi_sweep is None
+        assert state_json_text(iterate(loaded)) == state_json_text(nxt)
+
+    def test_a_round_costs_one_grid(self, product_r2, monkeypatch):
+        # the third round of product repeats depth 3 (depths 2, 3, 3):
+        # the audit mesh, the audit points and the sweep mesh are each
+        # evaluated on the depth-3 grid once per family, one shape per
+        # point and one per point in a shared slot, where the same round
+        # from a state read from its file evaluates both grids
+        k = choose_k_r(product_r2)
+        assert product_r2.k_list + (k[0],) == (2, 3, 3)
+        p, audit = product_r2.params, product_r2.audit
+        one_grid = 0
+        for columns in (sweep_mesh(product_r2, 3), audit.mesh, audit.points.T):
+            for j, y in enumerate(family_images(product_r2, columns)):
+                grid = family_grid(product_r2, j, 3)
+                slot = np.maximum(np.searchsorted(grid.lo, y, side="right") - 1, 0)
+                one_grid += y.size + np.count_nonzero(grid.shared[slot])
+        seen = []
+        original = decompose._shape
+        monkeypatch.setattr(decompose, "_shape", lambda grid, y, c: seen.append(len(y))
+                            or original(grid, y, c))
+        monkeypatch.setattr(decompose, "choose_k_r", lambda state: k)
+        nxt = iterate(product_r2)
+        assert sum(seen) == one_grid
+        assert one_grid < (p.m + 1) * (217**2 + 101**2 + audit.points.shape[0]) * 1.01
+        seen.clear()
+        loaded = state_from_json_dict(state_to_json_dict(product_r2))
+        assert state_json_text(iterate(loaded)) == state_json_text(nxt)
+        assert sum(seen) > 2 * one_grid
+
+    def test_target_once_per_mesh(self, monkeypatch):
+        # over a decomposition the target is evaluated once on the audit
+        # mesh, once on each depth's sweep mesh and once on each shifted
+        # mesh of the depth test, though each round sweeps and tests again
+        key = lambda axes: tuple(np.ravel(ax).tobytes() for ax in axes)
+        asked, meshes = [], []
+        f_on, on_mesh = decompose.AuditSample.f_on, decompose.target_on_mesh
+        monkeypatch.setattr(decompose.AuditSample, "f_on",
+                            lambda audit, axes: asked.append(key(axes)) or f_on(audit, axes))
+        monkeypatch.setattr(decompose, "target_on_mesh",
+                            lambda target, axes: meshes.append(key(axes)) or on_mesh(target, axes))
+        state = init_state(builtin_target("product", 2))
+        for _ in range(3):
+            state = iterate(state)
+        assert state.k_list == (2, 3, 3)
+        assert len(meshes) == len(set(meshes)) == len(set(asked)) < len(asked)
+        for k in (2, 3):
+            assert asked.count(key(sweep_mesh(state, k))) == state.k_list.count(k)
+            assert key(sweep_mesh(state, k)) in meshes
 
 
 class TestIterate:
@@ -657,19 +752,20 @@ class TestSharedGrid:
             assert all(family_grid(state, j, k) is g for (j, k), g in grids.items())
 
     def test_audit_mesh_approximant_once_per_state(self, monkeypatch):
-        # f_r on the audit mesh is computed once per state, whichever of
-        # the norm, the depth choice, the oscillation and the assembly
+        # the outer values of f_r on the audit mesh are computed once per
+        # state (from scratch, or by iterate from the parent's), whichever
+        # of the norm, the depth choice, the oscillation and the assembly
         # asks first, and also for a state read from a file; the states
         # of one decomposition hold one audit sample
         counts = {}
-        original = decompose.f_r
+        original = decompose.carry
 
-        def counted(state, columns):
+        def counted(state, columns, *args):
             if all(np.array_equal(np.ravel(c), state.audit.axis) for c in columns):
                 counts[id(state)] = counts.get(id(state), 0) + 1
-            return original(state, columns)
+            return original(state, columns, *args)
 
-        monkeypatch.setattr(decompose, "f_r", counted)
+        monkeypatch.setattr(decompose, "carry", counted)
         s0 = init_state(builtin_target("product", 2))
         s1 = iterate(s0)
         loaded = state_from_json_dict(state_to_json_dict(s1))

@@ -2,7 +2,8 @@
 command it pins, one per run_pipeline report and state, of the JSON
 text kst writes, one per file the cli-net-n2 commands write, and one
 of the net file's forward pass. Checked on the cheap zero target; the
-n=3 run of --n3 is run once in full."""
+n=3 run of --n3 is run once in full, and the 20-round run of --long is
+checked on the zero target only."""
 
 import hashlib
 import importlib.util
@@ -146,6 +147,28 @@ def test_n3_adds_one_report_line_per_seed(monkeypatch, capsys):
                                     PipelineCaps(**caps, seed=seed), make_params(3))
         sha = hashlib.sha256(_json_text(report.to_json_dict()).encode()).hexdigest()
         assert line == f"{seed} zero-n3 report {sha}"
+
+
+def test_long_adds_two_lines_per_seed(monkeypatch, capsys):
+    tool = _load_tool()
+    name, make, caps = tool.LONG
+    assert name == "product-r20" and make().provenance == {"kind": "builtin", "name": "product"}
+    assert caps == dict(r_cap=20)
+    # the same lines on the cheap zero target, after each seed's other lines
+    monkeypatch.setattr(tool, "CLI_STDOUT", [])
+    monkeypatch.setattr(tool, "TARGETS", [])
+    monkeypatch.setattr(tool, "cli_lines", lambda seed: [f"{seed} cli"])
+    monkeypatch.setattr(tool, "LONG", ("zero-r20", lambda: builtin_target("zero", 2), caps))
+    assert tool.main(["--seeds", "5,6", "--long"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0::3] == ["5 cli", "6 cli"]
+    for seed, (report_line, state_line) in zip((5, 6), (lines[1:3], lines[4:6])):
+        _, report, state = run_pipeline(builtin_target("zero", 2), 0.25,
+                                        PipelineCaps(**caps, seed=seed), make_params(2))
+        assert state.r == 20
+        sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+        assert report_line == f"{seed} zero-r20 report {sha(_json_text(report.to_json_dict()))}"
+        assert state_line == f"{seed} zero-r20 state {sha(state_json_text(state))}"
 
 
 def test_n3_run_end_to_end():

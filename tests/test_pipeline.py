@@ -19,7 +19,7 @@ from kst.pipeline import (
     size_bound_report,
 )
 from kst.decompose import DecompositionCaps, init_state, iterate
-from kst.target import builtin_target, expression_target
+from kst.target import builtin_target, expression_target, mesh_points
 from oracles import phi_batch_outer_net
 
 
@@ -230,6 +230,20 @@ def test_outer_nets_equal_the_phi_batch_build(name, gamma, r, data):
     assert nets[j].eps_measured == want.eps_measured
     if name == "zero" or (zero is not None and r == 1):
         assert want.knots.tolist() == [0.0, float(state.params.phi_domain_sup)]
+
+
+@pytest.mark.parametrize("name", ["product", "ridge", "expression"])
+def test_net_on_the_audit_mesh_equals_its_points(name):
+    # assemble_from_state measures the net on the audit mesh through
+    # superpose's product-mesh broadcast (the inner interpolants read at
+    # the axis values); the values are eval_batch's at the mesh's points
+    state = _state(name, 6, 3)
+    asm, report = assemble_from_state(state, 0.25, PipelineCaps(seed=5))
+    on_mesh = asm.eval_columns(state.audit.mesh).ravel()
+    at_points = asm.eval_batch(mesh_points([state.audit.axis] * 2))
+    assert np.array_equal(on_mesh.view(np.int64), at_points.view(np.int64))
+    fr = state.fr_mesh.ravel()
+    assert report.errors_grid["fr_minus_net"] == float(np.max(np.abs(fr - at_points)))
 
 
 class TestSizeBoundReport:

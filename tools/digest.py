@@ -31,6 +31,11 @@ With ``--n3`` each seed ends with one more line, ``S gaussian-n3 report
 SHA256``: the report of ``run_pipeline(gaussian n=3, 0.25,
 PipelineCaps(k_max=2, knot_budget=1_200_000, r_cap=1, seed=S))``, whose
 outer nets have 1,093,039 breakpoint knots each (about 4 s per seed).
+With ``--long`` each seed ends with two more lines, ``S product-r20
+report SHA256`` and ``S product-r20 state SHA256``: the report and state
+of ``run_pipeline(product, 0.25, PipelineCaps(r_cap=20, seed=S))``, whose
+20 rounds have depths 2, 3, 3, ..., so that a round's outer values are
+carried on from the round before it 19 times (about 1.5 s per seed).
 
 Outer lines read only the nets' arrays, so run with an older
 checkout's ``src`` on PYTHONPATH this tool digests its outer nets too.
@@ -93,6 +98,8 @@ CLI_STDOUT = [
 # The n=3 run of --n3: its name, target and caps but the seed.
 N3 = ("gaussian-n3", lambda: builtin_target("gaussian", 3),
       dict(k_max=2, knot_budget=1_200_000, r_cap=1))
+# The long run of --long: its name, target and caps but the seed.
+LONG = ("product-r20", lambda: builtin_target("product", 2), dict(r_cap=20))
 FORWARD_POINTS = 500
 
 
@@ -125,6 +132,16 @@ def n3_line(seed: int) -> str:
     _, report, _ = run_pipeline(target, EPS, PipelineCaps(**caps, seed=seed),
                                 params=make_params(target.dim))
     return f"{seed} {name} report {sha256_text(cli._json_text(report.to_json_dict()))}"
+
+
+def long_lines(seed: int) -> list[str]:
+    """The report and state lines of the long run."""
+    name, make, caps = LONG
+    target = make()
+    _, report, state = run_pipeline(target, EPS, PipelineCaps(**caps, seed=seed),
+                                    params=make_params(target.dim))
+    return [f"{seed} {name} report {sha256_text(cli._json_text(report.to_json_dict()))}",
+            f"{seed} {name} state {sha256_text(state_json_text(state))}"]
 
 
 def stdout_lines() -> list[str]:
@@ -173,6 +190,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", required=True, help="comma-separated")
     ap.add_argument("--n3", action="store_true", help="add the n=3 report line per seed")
+    ap.add_argument("--long", action="store_true",
+                    help="add the report and state lines of the 20-round run per seed")
     args = ap.parse_args(argv)
     for line in stdout_lines():
         print(line, flush=True)
@@ -184,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
             print(line, flush=True)
         if args.n3:
             print(n3_line(seed), flush=True)
+        if args.long:
+            for line in long_lines(seed):
+                print(line, flush=True)
     return 0
 
 
