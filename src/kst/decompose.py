@@ -269,14 +269,20 @@ def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
     return _fold(state, j, y, list(zip(state.k_list, state.coeff)), np.zeros(len(y)))
 
 
-def _fold(state, j: int, y: np.ndarray, rounds, out: np.ndarray) -> np.ndarray:
+def _fold(state, j: int, y: np.ndarray, rounds, out: np.ndarray, own=None) -> np.ndarray:
     """out plus, added in place by _add_rounds, each (depth, coefficients)
-    round's coefficients times its depth's bumps on family j's grid at y."""
+    round's coefficients times its depth's bumps on family j's grid at y.
+    With own a depth whose grid vectors, in row-major order, y images
+    (a sweep mesh), that depth's slots are those _confirm confirms."""
     grids = {k: family_grid(state, j, k) for k, _ in rounds}
+    if own in grids:
+        rank = np.empty_like(grids[own].order)
+        rank[grids[own].order] = np.arange(len(rank))
     for start in range(0, len(y), PHI_BLOCK):
         yb = y[start : start + PHI_BLOCK]
         ascending = bool(np.all(yb[1:] >= yb[:-1]))
-        slots = {k: _locate(grid, yb, ascending) for k, grid in grids.items()}
+        slots = {k: _confirm(grid, yb, rank[start : start + PHI_BLOCK]) if k == own
+                 else _locate(grid, yb, ascending) for k, grid in grids.items()}
         _add_rounds(out[start : start + PHI_BLOCK], rounds, grids, yb, slots)
     return out
 
@@ -288,6 +294,17 @@ def _locate(grid: Grid, yb: np.ndarray, ascending: bool) -> np.ndarray:
         slot = _ascending_slots(grid.lo, yb)
     else:
         slot = np.searchsorted(grid.lo, yb, side="right") - 1
+    return np.maximum(slot, 0, out=slot)
+
+
+def _confirm(grid: Grid, yb: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """_locate's slots from a guess per point: a sweep point lies on its
+    own bump, in its grid vector's slot, so lo[guess] <= y < lo[guess+1]
+    confirms most guesses, and the others are searched."""
+    lo = grid.lo
+    wrong = np.flatnonzero(~((lo[guess] <= yb) & (lo[np.minimum(guess + 1, len(lo) - 1)] > yb)))
+    slot = guess.copy()
+    slot[wrong] = np.searchsorted(lo, yb[wrong], side="right") - 1
     return np.maximum(slot, 0, out=slot)
 
 
@@ -422,15 +439,16 @@ def phi_on_knots(state, j: int, knots: np.ndarray, frac: np.ndarray) -> tuple[np
     return values, eps
 
 
-def carry(state, columns, rounds, start=None) -> tuple[np.ndarray, ...]:
+def carry(state, columns, rounds, start=None, own=None) -> tuple[np.ndarray, ...]:
     """Each family's phi_j where f_r reads it at coordinate columns, in
     their broadcast shape: start[j] (or +0.0) plus the rounds, by _fold.
-    From the earlier rounds' values, phi_batch's bits; summed, f_r's."""
+    From the earlier rounds' values, phi_batch's bits; summed, f_r's.
+    own is _fold's."""
     k = state.k_trunc
     ys = images(lambda u: state.ev.psi_trunc_vector(u, k), state.lambdas.floats,
                 float(state.params.a), columns, state.params.m + 1)
     return tuple(_fold(state, j, y.ravel(), rounds,
-                       np.zeros(y.size) if start is None else start[j].ravel().copy())
+                       np.zeros(y.size) if start is None else start[j].ravel().copy(), own)
                  .reshape(y.shape) for j, y in enumerate(ys))
 
 
@@ -644,9 +662,9 @@ def iterate(state: DecompositionState) -> DecompositionState:
     axis = np.arange(g**k_r + 1) / g**k_r
     sweep = np.ix_(*[axis] * n)
     if state.phi_sweep is not None and state.k_list[-1] == k_r:
-        phi_sweep = carry(state, sweep, state.rounds[-1:], state.phi_sweep)
+        phi_sweep = carry(state, sweep, state.rounds[-1:], state.phi_sweep, k_r)
     else:
-        phi_sweep = carry(state, sweep, state.rounds)
+        phi_sweep = carry(state, sweep, state.rounds, own=k_r)
     coeff = ((state.audit.f_on([axis] * n) - sum(phi_sweep)) / (m + 1)).ravel()
     if (err := depth_refusal(state, k_r, nonzero=bool(np.any(coeff)))) is not None:
         raise err

@@ -240,21 +240,27 @@ class TestCarriedValues:
         # from a state read from its file evaluates both grids
         k = choose_k_r(product_r2)
         assert product_r2.k_list + (k[0],) == (2, 3, 3)
-        p, audit = product_r2.params, product_r2.audit
+        audit = product_r2.audit
         one_grid = 0
         for columns in (sweep_mesh(product_r2, 3), audit.mesh, audit.points.T):
             for j, y in enumerate(family_images(product_r2, columns)):
                 grid = family_grid(product_r2, j, 3)
                 slot = np.maximum(np.searchsorted(grid.lo, y, side="right") - 1, 0)
                 one_grid += y.size + np.count_nonzero(grid.shared[slot])
-        seen = []
-        original = decompose._shape
+        seen, guessed = [], []
+        original, confirm = decompose._shape, decompose._confirm
         monkeypatch.setattr(decompose, "_shape", lambda grid, y, c: seen.append(len(y))
                             or original(grid, y, c))
+        # the sweep mesh's slots are guessed from the grid vectors' bumps
+        monkeypatch.setattr(decompose, "_confirm", lambda grid, yb, guess: guessed.append(len(yb))
+                            or confirm(grid, yb, guess))
         monkeypatch.setattr(decompose, "choose_k_r", lambda state: k)
-        nxt = iterate(product_r2)
+        with pytest.MonkeyPatch.context() as mp:
+            # the second round evaluated the target on the depth-3 sweep mesh
+            mp.setattr(decompose, "target_on_mesh", lambda target, axes: pytest.fail("again"))
+            nxt = iterate(product_r2)
         assert sum(seen) == one_grid
-        assert one_grid < (p.m + 1) * (217**2 + 101**2 + audit.points.shape[0]) * 1.01
+        assert sum(guessed) == (product_r2.params.m + 1) * 217**2
         seen.clear()
         loaded = state_from_json_dict(state_to_json_dict(product_r2))
         assert state_json_text(iterate(loaded)) == state_json_text(nxt)
@@ -582,6 +588,22 @@ class TestEvaluatePhi:
                               np.searchsorted(lo, yb, side="right") - 1)
 
     @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.integers(0, 20), min_size=1, max_size=30),
+           st.lists(st.one_of(st.integers(-2, 22), st.just(None)), min_size=1, max_size=40),
+           st.data())
+    def test_confirmed_slots_equal_search(self, starts, points, data):
+        # any guess, right or wrong, of each point's slot among repeated
+        # starts gives the searched slot, for points on and off the
+        # starts, below and above them, and NaN
+        lo = np.sort(np.asarray(starts, dtype=float) / 4)
+        yb = np.asarray([math.nan if p is None else p / 4 for p in points])
+        guess = np.asarray(data.draw(st.lists(st.integers(0, lo.size - 1),
+                                              min_size=yb.size, max_size=yb.size)))
+        grid = SimpleNamespace(lo=lo)
+        assert np.array_equal(decompose._confirm(grid, yb, guess),
+                              decompose._locate(grid, yb, False))
+
+    @settings(derandomize=True, deadline=None)
     @given(st.sampled_from([(2, 2), (2, 3, 3), (3, 2, 3), (3, 3, 3)]), st.data())
     def test_shared_grids_match_two_candidates(self, depths, data):
         # rounds of one depth share one grid object, as family_grid gives
@@ -760,10 +782,10 @@ class TestSharedGrid:
         counts = {}
         original = decompose.carry
 
-        def counted(state, columns, *args):
+        def counted(state, columns, *args, **kwargs):
             if all(np.array_equal(np.ravel(c), state.audit.axis) for c in columns):
                 counts[id(state)] = counts.get(id(state), 0) + 1
-            return original(state, columns, *args)
+            return original(state, columns, *args, **kwargs)
 
         monkeypatch.setattr(decompose, "carry", counted)
         s0 = init_state(builtin_target("product", 2))
