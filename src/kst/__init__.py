@@ -14,7 +14,6 @@ from .decompose import (
     iterate,
     lipschitz_report,
     state_from_json_dict,
-    state_to_json_dict,
 )
 from .relunet import ReluNetwork, UnivariateNet, assemble_kst, build_univariate
 from .pipeline import (
@@ -24,7 +23,6 @@ from .pipeline import (
     epsilon_split,
     r_of_epsilon,
     run_pipeline,
-    size_bound_report,
 )
 
 __version__ = "0.1.0"
@@ -58,7 +56,5 @@ __all__ = [
     "parse",
     "r_of_epsilon",
     "run_pipeline",
-    "size_bound_report",
     "state_from_json_dict",
-    "state_to_json_dict",
 ]

@@ -28,8 +28,8 @@ caches whose population is observationally invisible.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -71,8 +71,14 @@ MODULUS_FIRST_ROWS = 4
 class Grid:
     """The bump supports of one family at one depth, sorted by image
     position: slot i holds the bump of grid vector order[i] (a row-major
-    index into a round's coefficients), with support (lo[i], hi[i]). One
-    per parameter record, family and depth; it hashes by identity."""
+    index into a round's coefficients), whose plateau starts at its
+    image xi[i]. One per parameter record, family and depth; it hashes
+    by identity.
+
+    Every reader takes a bump's corners from here: the support start
+    xi - ramp, xi, the plateau end xi + plateau and the support end
+    (xi + plateau) + ramp. So each support end of a grid is, bit for
+    bit, a knot of the outer nets."""
 
     k: int
     slope: float
@@ -81,14 +87,26 @@ class Grid:
     xi: np.ndarray
     order: np.ndarray
 
+    def start(self, xi: np.ndarray) -> np.ndarray:
+        """The support starts of the bumps at xi."""
+        return xi - self.ramp
+
+    def end(self, xi: np.ndarray) -> np.ndarray:
+        """The support ends of the bumps at xi."""
+        return (xi + self.plateau) + self.ramp
+
+    def corners(self) -> tuple[np.ndarray, ...]:
+        """The four corners of every bump, each ascending in slot order."""
+        return self.lo, self.xi, self.xi + self.plateau, self.hi
+
     @cached_property
     def lo(self) -> np.ndarray:
-        return self.xi - self.ramp
+        return self.start(self.xi)
 
     @property
     def hi(self) -> np.ndarray:
-        """The support ends (xi + plateau) + ramp, built on each read."""
-        return self.xi + self.plateau + self.ramp
+        """The support ends, built on each read."""
+        return self.end(self.xi)
 
     @cached_property
     def shared(self) -> np.ndarray:
@@ -344,12 +362,10 @@ def _shape(grid: Grid, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Bump c's unit-height trapezoid at y, and +0.0 outside its support:
     min(max(slope * d + 1, 0), 1) - min(max(slope * (d - plateau), 0), 1)
     with d = y - xi[c], computed in two buffers."""
-    inside = y > grid.lo[c]
-    buf = grid.xi[c]
-    buf += grid.plateau
-    buf += grid.ramp
-    np.logical_and(inside, y < buf, out=inside)
-    d = np.subtract(y, grid.xi.take(c, out=buf), out=buf)
+    x = grid.xi[c]
+    inside = y > grid.start(x)
+    np.logical_and(inside, y < grid.end(x), out=inside)
+    d = np.subtract(y, x, out=x)
     t2 = d - grid.plateau
     t2 *= grid.slope
     np.maximum(t2, 0.0, out=t2)
@@ -378,8 +394,8 @@ def _constant(grid: Grid, left: np.ndarray, right: np.ndarray, c: np.ndarray) ->
     (outside the open support), or 1.0 (inside it, with y - xi >= 0 and
     (y - xi) - plateau <= 0). Rounding to nearest is monotone, so each
     test holds between the ends when it holds at the end that bounds it."""
-    lo, xi = grid.lo[c], grid.xi[c]
-    hi = (xi + grid.plateau) + grid.ramp
+    xi = grid.xi[c]
+    lo, hi = grid.start(xi), grid.end(xi)
     zero = (right <= lo) | (left >= hi)
     one = (left > lo) & (right < hi) & (left - xi >= 0.0) & (right - xi - grid.plateau <= 0.0)
     return zero | one
@@ -551,7 +567,7 @@ def depth_refusal(state, k: int, nonzero: bool = False) -> KstError | None:
     p, caps = state.params, state.caps
     if not 1 <= k <= caps.k_max:
         return ConstraintViolation("1 <= k <= k_max", f"depth {k}, k_max {caps.k_max}")
-    ramp = float(Fraction(1, p.gamma ** beta(p.n, k + 1)))
+    ramp = _bump_shape(state, k)[2]
     spacing = float(np.spacing(float(p.phi_domain_sup)))
     if ramp <= spacing:
         return ConstraintViolation(f"bump ramp wider than the float spacing {spacing:.3e}",
@@ -590,12 +606,19 @@ def choose_k_r(state) -> tuple[int, bool]:
     return state.caps.k_max, True
 
 
-def _bump_shape(params: KstParams, lambdas: LambdaCoeffs, k: int) -> tuple[float, float, float]:
+def _bump_shape(state, k: int) -> tuple[float, float, float]:
     """Slope gamma**beta_n(k+1), plateau width (gamma - 2) * b_k and ramp
-    width 1/slope of a depth-k bump, as floats."""
-    slope_int = params.gamma ** beta(params.n, k + 1)
-    plateau = float((params.gamma - 2) * b_k(params, lambdas, k).value)
-    return float(slope_int), plateau, float(Fraction(1, slope_int))
+    width 1/slope of a depth-k bump, as floats, computed once per
+    parameter record. A slope past the float range, whose depth
+    depth_refusal refuses for its ramp, reads as the largest float."""
+    p = state.params
+
+    def compute():
+        slope = p.gamma ** beta(p.n, k + 1)
+        plateau = float((p.gamma - 2) * b_k(p, state.lambdas, k).value)
+        return float(min(slope, sys.float_info.max)), plateau, float(Fraction(1, slope))
+
+    return _memo(state, k, compute)
 
 
 def family_grid(state, j: int, k: int) -> Grid:
@@ -614,8 +637,7 @@ def family_grid(state, j: int, k: int) -> Grid:
         xi_flat = superpose(state.ev.float_table(k).take, [lambda y: y], state.lambdas.floats,
                             0, axes).ravel()
         order = np.argsort(xi_flat, kind="stable")
-        shape = _memo(state, k, lambda: _bump_shape(p, state.lambdas, k))
-        return Grid(k, *shape, xi=xi_flat[order], order=order)
+        return Grid(k, *_bump_shape(state, k), xi=xi_flat[order], order=order)
 
     return _memo(state, (k, j), build)
 
@@ -732,11 +754,6 @@ def state_json_text(state) -> str:
     """The text of a state file: the state document as compact JSON with
     sorted keys and %.17g coefficient strings, and a final newline."""
     return b"".join(json_parts(_state_document(state))).decode() + "\n"
-
-
-def state_to_json_dict(state) -> dict:
-    """The state file's document, as state_from_json_dict reads it."""
-    return json.loads(state_json_text(state))
 
 
 # JSON layout of a state file: a dict maps keys to layouts, a one-item

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .params import KstParams, beta
 
-PLOT_ROW_BUDGET = 10**6      # max gamma**k of a lattice
+LATTICE_BUDGET = 10**6       # max gamma**k of a lattice
 TRUNC_NUDGE = 1e-6           # upward nudge of the truncation index
 
 
@@ -64,7 +64,7 @@ class InnerEvaluator:
             g, n = self.params.gamma, self.params.n
             if k < 1:
                 raise DomainError("k must be >= 1")
-            if g**k > PLOT_ROW_BUDGET:
+            if g**k > LATTICE_BUDGET:
                 raise BudgetError(f"gamma**k = {g**k} exceeds the table budget")
             if k == 1:
                 got = (list(range(g + 1)), g)

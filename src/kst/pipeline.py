@@ -179,16 +179,14 @@ def build_inner_net(
 
 
 def _corner_knots(state: DecompositionState, j: int, M: float) -> np.ndarray:
-    """0, M and the bump corners in [0, M] of family j's grids at the
-    depths of rounds with a nonzero coefficient: the breakpoints of phi_j.
-    Each corner xi + offset of a grid ascends with xi, so the sorted
+    """0, M and the bump corners (Grid.corners) in [0, M] of family j's
+    grids at the depths of rounds with a nonzero coefficient: the
+    breakpoints of phi_j. Each corner copy of a grid ascends, so the
     copies are merged by one stable sort of their concatenation, which
     runs over sorted runs, and equal neighbours are dropped."""
     pieces = [np.asarray([0.0, M])]
     for k in dict.fromkeys(k for k, _ in nonzero_rounds(state)):
-        grid = family_grid(state, j, k)
-        for off in (-grid.ramp, 0.0, grid.plateau, grid.plateau + grid.ramp):
-            corners = grid.xi + off
+        for corners in family_grid(state, j, k).corners():
             pieces.append(corners[np.searchsorted(corners, 0.0):
                                   np.searchsorted(corners, M, side="right")])
     knots = np.sort(np.concatenate(pieces), kind="stable")
@@ -341,38 +339,3 @@ def run_pipeline(
     report.timings["decompose"] = decompose_time
     return asm, report, state
 
-
-def size_bound_report(report: PipelineReport, params: KstParams) -> dict:
-    """Measured size and depth against the headline bound, evaluated
-    with unit placeholders for the three generic approximation
-    constants (the comparison targets the eps exponent, not the
-    constant, which is why the margins are enormous)."""
-    n = params.n
-    eps = report.eps_target
-    r = report.r_target
-    C = max(report.k_list) if report.k_list else 1
-    c0 = c1 = c2 = 1.0
-    exp_psi = (1.0 + math.log2(n + 1)) / 2.0
-    c3 = ((2 * n + 5) * c1) ** exp_psi * c2**0.5
-    big = float((2 * n + 2) ** (2 * n**C))
-    c4 = (c1 * c2 / n * r * big) ** 0.5
-    c3t = ((4 * n + 2) / n * r * big) ** exp_psi * c3
-    c4t = (8 * n + 4) ** 0.5 * c4
-    W_bound = n * (2 * n + 1) * c3t * eps**-exp_psi + (2 * n + 1) * c4t * eps**-0.5
-    L_bound = c0 * c3t * eps**-exp_psi + c0 * c4t * eps**-0.5
-    return {
-        "placeholder_constants": {"c0(1)": c0, "c1(1)": c1, "c2(1)": c2},
-        "exponent_psi": exp_psi,
-        "exponent_phi": 0.5,
-        "c3": c3,
-        "c4": c4,
-        "c3_tilde": c3t,
-        "c4_tilde": c4t,
-        "C": C,
-        "W_measured": report.W,
-        "W_bound": W_bound,
-        "W_within_bound": report.W <= W_bound,
-        "L_measured": report.L,
-        "L_bound": L_bound,
-        "L_within_bound": report.L <= L_bound,
-    }

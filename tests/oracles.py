@@ -31,7 +31,9 @@ interpolant's hinge coefficients (``univariate_network``) is built here
 only: the library wires those hinges straight into the assembled
 network. The pairwise Hoelder audit of the inner function's float
 table (``holder_audit``) is a check of the construction, not part of
-it, so it lives here too.
+it, so it lives here too. So is the disjointness audit over integer
+images (``integer_image_audit``), checked against the ``Fraction``
+audit of ``bumps.disjoint_support_audit``.
 """
 
 import itertools
@@ -44,6 +46,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from kst import decompose
+from kst.bumps import DisjointnessAudit, b_k, family_axis
 from kst.errors import BudgetError, DomainError
 from kst.params import beta
 from kst.relunet import ReluNetwork, UnivariateNet, build_univariate
@@ -305,6 +308,28 @@ def xi(params, lambdas, ev, d: tuple[Fraction, ...]) -> Fraction:
     return acc
 
 
+def integer_image_audit(params, lambdas, ev, k: int, j: int) -> DisjointnessAudit:
+    """``bumps.disjoint_support_audit`` with each image an integer over
+    the common denominator lcm(lambda denominators) * D_k: the lattice
+    numerators read at ``family_axis`` are weighted by each lambda's
+    numerator over that lcm, the sums are sorted and their smallest step
+    is taken in integers. A gap is the step less the plateau (upper tail
+    constant) and two ramps, so the least gap is that of the least step,
+    as a Fraction."""
+    g = params.gamma
+    nums, den = ev.lattice(k)
+    scale = g**k
+    psi = [i // scale * den + nums[i % scale] for i in family_axis(params, k, j)[:-1].tolist()]
+    lcm = math.lcm(*(lam.denominator for lam in lambdas.values))
+    weights = [lam.numerator * (lcm // lam.denominator) for lam in lambdas.values]
+    images = sorted(map(sum, itertools.product(*[[w * v for v in psi] for w in weights])))
+    ramp = Fraction(1, g ** beta(params.n, k + 1))
+    plateau_hi = (g - 2) * b_k(params, lambdas, k).hi
+    steps = [b - a for a, b in zip(images, images[1:])]
+    min_gap = Fraction(min(steps), lcm * den) - plateau_hi - 2 * ramp if steps else Fraction(0)
+    return DisjointnessAudit(min_gap=min_gap, ok=min_gap > 0, count=len(images), k=k, j=j)
+
+
 def family_rounds(state, j: int):
     """Family j's rounds, each as its grid (``decompose.family_grid``,
     looked up at call time) and its coefficients in the grid's slot order."""
@@ -474,8 +499,8 @@ def unique_corner_knots(state, j: int, M: float) -> np.ndarray:
     pieces = [np.asarray([0.0, M])]
     depths = dict.fromkeys(k for k, coeff in zip(state.k_list, state.coeff) if np.any(coeff))
     for grid in (decompose.family_grid(state, j, k) for k in depths):
-        for off in (-grid.ramp, 0.0, grid.plateau, grid.plateau + grid.ramp):
-            pieces.append(grid.xi + off)
+        top = grid.xi + grid.plateau
+        pieces += [grid.xi - grid.ramp, grid.xi, top, top + grid.ramp]
     knots = np.unique(np.concatenate(pieces))
     return knots[(knots >= 0.0) & (knots <= M)]
 
@@ -531,7 +556,7 @@ def f17_list(values: np.ndarray) -> list[str]:
 def net_json_text(net) -> str:
     """The ``--out-net`` text of a network as a dict of Python lists,
     floats as ``f17_list`` strings, rendered by ``json.dumps``: the byte
-    reference for the column encoder ``relunet.json_bytes``."""
+    reference for the column encoder ``relunet.json_parts``."""
     doc = {
         "units": {"kind": net.kind.tolist(), "layer": net.layer.tolist(),
                   "bias": f17_list(net.bias)},

@@ -1,7 +1,7 @@
 """tools/bench_pairs.py keeps every series it records, summarizes each
-from the last lines of its runs and prints the summary when the series
-ends, chains the series' ratios and compiles each checkout's source
-first. Checked on synthetic last lines and temporary checkouts whose
+from the last lines of its runs and prints the summary and each
+metric's no-regression verdict when the series ends, chains the
+series' ratios and compiles each checkout's source first. Checked on synthetic last lines and temporary checkouts whose
 runs print fixed lines; no benchmark is run."""
 
 import importlib.util
@@ -167,6 +167,46 @@ def test_summary_lines_name_medians_ratio_wins_and_spread():
     assert tool.summary_lines({}) == []
 
 
+def _verdicts(parent_walls, change_walls, parent_rates, change_rates):
+    pairs = [_pair(i, sides[:2], sides[2:]) for i, sides in
+             enumerate(zip(parent_walls, parent_rates, change_walls, change_rates))]
+    summary = _load_tool().summarize(pairs, END_TO_END)
+    return summary["wall_s"]["verdict"], summary["rate"]["verdict"]
+
+
+STEADY = [10.0, 10.5, 11.0, 11.5, 12.0]  # median 11, IQR 1: 9% of the median
+WIDE = [4.0, 6.0, 8.0, 10.0, 12.0]  # median 8, IQR 4: 50% of the median
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    # the change's median is 9% worse, within the bound of 25%
+    ((STEADY, STEADY), ([11.0, 11.5, 12.0, 12.5, 13.0], [9.0, 9.5, 10.0, 10.5, 11.0]),
+     ("within bound", "within bound")),
+    # 36% worse in wall time (lower is better) and 27% in rate (higher is better)
+    ((STEADY, STEADY), ([14.0, 14.5, 15.0, 15.5, 16.0], [7.0, 7.5, 8.0, 8.5, 9.0]),
+     ("worse", "worse")),
+    # the parent spreads by more than the bound: a 12% better median and
+    # a 25% worse one cannot be told from noise
+    ((WIDE, WIDE), ([5.0, 6.0, 7.0, 8.0, 9.0], [4.0, 5.0, 6.0, 7.0, 8.0]),
+     ("unresolved", "unresolved")),
+    # unless every change run beats every parent run
+    ((WIDE, WIDE), ([1.0, 1.5, 2.0, 2.5, 3.0], [13.0, 14.0, 15.0, 16.0, 17.0]),
+     ("within bound", "within bound")),
+])
+def test_verdict_per_metric_against_its_bound(parent, change, want):
+    assert _verdicts(parent[0], change[0], parent[1], change[1]) == want
+
+
+def test_verdict_lines_name_each_metric_and_its_bound():
+    tool = _load_tool()
+    pairs = [_pair(i, (w, 1.0), (w + 5.0, 1.0)) for i, w in enumerate(STEADY)]
+    assert tool.verdict_lines(tool.summarize(pairs, END_TO_END)) == [
+        "wall_s: worse (bound 0.25 of the parent's median)",
+        "rate: within bound (bound 0.25 of the parent's median)",
+    ]
+    assert tool.verdict_lines({}) == []
+
+
 # A checkout's perfbench/run.py that prints a run record and a last line
 # whose wall_s is WALL + seed / 100 and whose rate is 1
 FAKE_RUN = """import argparse, json
@@ -197,6 +237,8 @@ def test_series_end_prints_the_summary(tmp_path):
          "--change", str(tmp_path / "change"), "--workload", "w", "--seeds", "1,2,3"],
         cwd=out, stdout=subprocess.PIPE, text=True, check=True)
     doc = json.loads((out / "BENCH_w.json").read_text())
-    assert proc.stdout.splitlines()[-2:] == _load_tool().summary_lines(doc["series"][0]["summary"])
-    assert proc.stdout.splitlines()[-2] == ("wall_s: parent 2.02 s, change 1.52 s, median ratio "
+    tool, summary = _load_tool(), doc["series"][0]["summary"]
+    assert proc.stdout.splitlines()[-4:] == tool.summary_lines(summary) + tool.verdict_lines(summary)
+    assert proc.stdout.splitlines()[-4] == ("wall_s: parent 2.02 s, change 1.52 s, median ratio "
                                             "0.752, change won 3 of 3, gain exceeds parent IQR")
+    assert proc.stdout.splitlines()[-2] == "wall_s: within bound (bound 0.25 of the parent's median)"

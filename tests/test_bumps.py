@@ -11,6 +11,7 @@ from oracles import (
     DigitPsi,
     ShiftedGrid,
     grid_shift,
+    integer_image_audit,
     make_bump,
     sigma,
     theta,
@@ -210,6 +211,15 @@ class TestDisjointness:
             gap = min((b - ramp) - (a + plateau_hi + ramp) for a, b in zip(images, images[1:]))
             audit = disjoint_support_audit(p, lam, InnerEvaluator(p), k, j)
             assert (audit.min_gap, audit.count) == (gap, len(images)), j
+
+    @pytest.mark.parametrize("m, gamma, k", [(None, 6, 1), (None, 6, 2), (None, 8, 1),
+                                             (8, 10, 1)])
+    def test_integer_images_give_the_fraction_audit(self, m, gamma, k):
+        p = make_params(2, m=m, gamma=gamma)
+        lam, ev = lambda_coeffs(p), InnerEvaluator(p)
+        for j in range(p.m + 1):
+            want = disjoint_support_audit(p, lam, ev, k, j)
+            assert integer_image_audit(p, lam, ev, k, j) == want, j
 
     def test_json_shape(self, setup6):
         p, lam, ev = setup6

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -25,7 +26,6 @@ from kst.decompose import (
     residual_modulus,
     state_from_json_dict,
     state_json_text,
-    state_to_json_dict,
 )
 from kst.errors import BudgetError, ConstraintViolation, DomainError
 from kst.inner import InnerEvaluator
@@ -262,7 +262,7 @@ class TestCarriedValues:
         assert sum(seen) == one_grid
         assert sum(guessed) == (product_r2.params.m + 1) * 217**2
         seen.clear()
-        loaded = state_from_json_dict(state_to_json_dict(product_r2))
+        loaded = state_from_json_dict(json.loads(state_json_text(product_r2)))
         assert state_json_text(iterate(loaded)) == state_json_text(nxt)
         assert sum(seen) > 2 * one_grid
 
@@ -351,6 +351,14 @@ class TestIterate:
         force_depth(monkeypatch, k)
         with pytest.raises(ConstraintViolation, match=f"depth {k}"):
             iterate(state)
+
+    def test_slope_past_the_float_range_refused_on_its_ramp(self, product_r1):
+        # the depth-8 slope 6**511 at n=2 has no float (a live state at
+        # these caps fails on its inner table first, but one at n=4,
+        # gamma 10, k_max 4 has the slope 10**341); the depth is refused
+        # on its ramp like any other, with no OverflowError
+        state = replace(product_r1, caps=replace(product_r1.caps, k_max=8))
+        assert "float spacing" in str(decompose.depth_refusal(state, 8))
 
     @pytest.mark.parametrize("k_max", [0, -1])
     def test_caps_refuse_k_max_below_one(self, k_max):
@@ -750,7 +758,7 @@ class TestSharedGrid:
         assert len(set(grids.values())) == 10
 
     def test_reload_keeps_sharing_and_values(self, product_r3):
-        blob = json.dumps(state_to_json_dict(product_r3))
+        blob = state_json_text(product_r3)
         loaded = state_from_json_dict(json.loads(blob))
         rng = np.random.default_rng(67)
         sup = float(product_r3.params.phi_domain_sup)
@@ -790,7 +798,7 @@ class TestSharedGrid:
         monkeypatch.setattr(decompose, "carry", counted)
         s0 = init_state(builtin_target("product", 2))
         s1 = iterate(s0)
-        loaded = state_from_json_dict(state_to_json_dict(s1))
+        loaded = state_from_json_dict(json.loads(state_json_text(s1)))
         assert s1.audit is s0.audit
         assert loaded.audit.points.tobytes() == s0.audit.points.tobytes()
         for state in (s0, s1, loaded):
@@ -993,7 +1001,7 @@ class TestSerialization:
         assert state_json_text(loaded) == text
 
     def test_round_trip_metadata(self, product_r1):
-        d = state_to_json_dict(product_r1)
+        d = json.loads(state_json_text(product_r1))
         loaded = state_from_json_dict(d)
         assert loaded.k_list == product_r1.k_list
         assert loaded.residual_norms == product_r1.residual_norms
@@ -1002,9 +1010,9 @@ class TestSerialization:
     def test_deterministic_serialization(self, product_r1):
         # the coefficient columns are written as json.dumps writes their
         # 17-digit texts, and the document is the file's text parsed
-        doc = state_to_json_dict(product_r1)
+        doc = json.loads(state_json_text(product_r1))
         assert doc["coeff"] == [[f17(v) for v in c.tolist()] for c in product_r1.coeff]
         text = state_json_text(product_r1)
         assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         assert state_json_text(product_r1) == text
-        assert state_to_json_dict(state_from_json_dict(doc)) == doc
+        assert json.loads(state_json_text(state_from_json_dict(doc))) == doc

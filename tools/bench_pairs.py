@@ -22,7 +22,9 @@ quartiles, the median ratio and how many pairs the change won. The file
 is rewritten after every pair, so an interrupted series keeps the pairs
 it finished. When the series ends, one line per end-to-end metric gives
 both medians, the median ratio, the change's wins and whether the median
-gain exceeds the parent's interquartile range.
+gain exceeds the parent's interquartile range; then one line per metric
+gives its no-regression verdict against the metric's bound in
+BENCHMARK.json (``verdict``).
 
 ``--chain`` only reads a file: per end-to-end metric it prints the
 product of the series' median ratios, taking for each parent commit
@@ -93,8 +95,25 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "median_gain": gap,
             "median_ratio": statistics.median(ratio(p, name) for p in pairs),
             "gain_exceeds_parent_iqr": gap > stats["parent"]["iqr"],
+            "bound": m["bound"],
+            "verdict": verdict(side, stats, sign, m["bound"]),
         }
     return out
+
+
+def verdict(side: dict, stats: dict, sign: int, bound: float) -> str:
+    """The no-regression verdict of one metric, from each side's runs,
+    their spread and the metric's bound, a fraction of the parent's median:
+    "unresolved" when the parent's IQR is wider than the bound and not
+    every change run beats every parent run, else "worse" when the
+    change's median is worse than the parent's by more than the bound,
+    else "within bound"."""
+    allowed = bound * abs(stats["parent"]["median"])
+    beats_all = all(sign * (p - c) > 0 for p in side["parent"] for c in side["change"])
+    if stats["parent"]["iqr"] > allowed and not beats_all:
+        return "unresolved"
+    worse = sign * (stats["change"]["median"] - stats["parent"]["median"])
+    return "worse" if worse > allowed else "within bound"
 
 
 def summary_lines(summary: dict) -> list[str]:
@@ -105,6 +124,12 @@ def summary_lines(summary: dict) -> list[str]:
             f"change {m['change']['median']:.4g} {m['unit']}, "
             f"median ratio {m['median_ratio']:.3f}, change won {m['change_wins']} of {m['pairs']}, "
             f"gain {'exceeds' if m['gain_exceeds_parent_iqr'] else 'does not exceed'} parent IQR"
+            for name, m in summary.items()]
+
+
+def verdict_lines(summary: dict) -> list[str]:
+    """One line per metric of a series summary: its no-regression verdict."""
+    return [f"{name}: {m['verdict']} (bound {m['bound']:g} of the parent's median)"
             for name, m in summary.items()]
 
 
@@ -176,7 +201,8 @@ def main() -> int:
             pair[side] = {"commit": commit, "last_line": last}
         add_pair(out, doc, series, pair, end_to_end)
         print(f"pair {i}: seed {seed}, {order[0]} first, done", flush=True)
-    for line in summary_lines(series.get("summary", {})):
+    summary = series.get("summary", {})
+    for line in summary_lines(summary) + verdict_lines(summary):
         print(line)
     return 0
 
