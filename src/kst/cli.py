@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .decompose import (
@@ -137,14 +138,18 @@ def cmd_assemble(args) -> int:
         seed=args.seed,
     )
     asm, report = assemble_from_state(state, args.eps, caps)
-    # the net is encoded before any output is opened, so that a failure
-    # leaves no partial file
+    # the net is encoded before any output is opened, and written before
+    # the report, whose failure removes it: a failure leaves no file
     if args.out_net is not None:
         net_parts = json_parts(asm.network.to_json_dict()) + [b"\n"]
-    _write_text(args.out_report, _json_text(report.to_json_dict()))
-    if args.out_net is not None:
         with open(args.out_net, "wb") as fh:
             fh.writelines(net_parts)
+    try:
+        _write_text(args.out_report, _json_text(report.to_json_dict()))
+    except OSError:
+        if args.out_net is not None:
+            os.remove(args.out_net)
+        raise
     timings = ", ".join(f"{k}={v:.2f}s" for k, v in report.timings.items())
     print(f"assembled: W={report.W} L={report.L} ({timings})", file=sys.stderr)
     return 0

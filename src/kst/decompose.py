@@ -16,8 +16,8 @@ also keeps the target on every sweep and shifted mesh it is evaluated on.
 
 A state carries each family's phi_j on the audit mesh and points
 (phi_mesh, phi_points) and, before its last round, on that round's
-sweep mesh (phi_sweep): iterate adds only the new round, which gives
-phi_batch's bits, as phi_batch adds the rounds in order to +0.0. That
+sweep mesh (phi_sweep): phi_batch adds only the new round to them,
+which gives the bits of every round added in order to +0.0. That
 is 0.45 MB per n=2 state, and 1.9 MB more on a depth-3 sweep mesh at
 gamma 6. A state loaded from a file computes them from scratch.
 
@@ -32,7 +32,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .params import (
     images,
     lambda_coeffs,
     make_params,
-    superpose,
     to_json,
 )
 from .relunet import AUDIT_BLOCK_CELLS, audit_points, json_parts
@@ -126,8 +125,8 @@ class DecompositionCaps:
 
     ``audit_resolution`` is the points per axis of the audit mesh; None
     takes the default for the dimension when the state is created.
-    DomainError refuses a ``k_max`` or an audit resolution below 1, a
-    negative ``n_random`` and a negative ``seed``.
+    DomainError refuses a ``k_max``, a grid budget or an audit resolution
+    below 1, a negative ``n_random`` and a negative ``seed``.
     """
 
     k_max: int = 3
@@ -137,7 +136,8 @@ class DecompositionCaps:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("k_max", 1), ("audit_resolution", 1), ("n_random", 0), ("seed", 0)):
+        for name, least in (("k_max", 1), ("grid_budget", 1), ("audit_resolution", 1),
+                            ("n_random", 0), ("seed", 0)):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise DomainError(f"{name} must be at least {least}, got {value}")
@@ -267,51 +267,38 @@ def init_state(
 # -- vectorized evaluation ----------------------------------------------------
 
 
-def phi_batch(state, j: int, y: np.ndarray) -> np.ndarray:
-    """Outer approximant phi_j at a flat array of points: the rounds
-    added to +0.0 by _fold, in blocks of PHI_BLOCK. In each grid a point
-    takes the bump whose support starts last at or below it and, in the
-    slots of Grid.shared, that bump's predecessor: every support
-    containing the point, provided no bump with a nonzero coefficient
-    reaches past its next neighbour, which check_overreach ensures for
-    every round.
+def phi_batch(state, j: int, y: np.ndarray, rounds=None, out=None, own=None) -> np.ndarray:
+    """Outer approximant phi_j at a flat array of points: out (or +0.0)
+    plus, added in place by _add_rounds in blocks of PHI_BLOCK, each
+    (depth, coefficients) round of rounds (or of the state) times its
+    depth's bumps on family j's grid. In each grid a point takes the
+    bump whose support starts last at or below it and, in the slots of
+    Grid.shared, that bump's predecessor: every support containing the
+    point, provided no bump with a nonzero coefficient reaches past its
+    next neighbour, which check_overreach ensures for every round.
 
     Per block, _locate finds the slots once for each depth, so the
-    rounds of one depth share them.
-
-    A block whose points ascend takes its slots from _ascending_slots,
-    which merges the few bump starts inside the block into it. Other
-    blocks search every point; a NaN fails the comparison, so no block
-    of two or more points with one ascends. Both give the same slots, so
-    the values are the same bit for bit."""
-    return _fold(state, j, y, list(zip(state.k_list, state.coeff)), np.zeros(len(y)))
-
-
-def _fold(state, j: int, y: np.ndarray, rounds, out: np.ndarray, own=None) -> np.ndarray:
-    """out plus, added in place by _add_rounds, each (depth, coefficients)
-    round's coefficients times its depth's bumps on family j's grid at y.
-    With own a depth whose grid vectors, in row-major order, y images
-    (a sweep mesh), that depth's slots are those _confirm confirms."""
+    rounds of one depth share them. With own a depth whose grid vectors,
+    in row-major order, y images (a sweep mesh), that depth's slots are
+    those _confirm confirms."""
+    rounds = list(zip(state.k_list, state.coeff)) if rounds is None else rounds
+    out = np.zeros(len(y)) if out is None else out
     grids = {k: family_grid(state, j, k) for k, _ in rounds}
     if own in grids:
         rank = np.empty_like(grids[own].order)
         rank[grids[own].order] = np.arange(len(rank))
     for start in range(0, len(y), PHI_BLOCK):
         yb = y[start : start + PHI_BLOCK]
-        ascending = bool(np.all(yb[1:] >= yb[:-1]))
         slots = {k: _confirm(grid, yb, rank[start : start + PHI_BLOCK]) if k == own
-                 else _locate(grid, yb, ascending) for k, grid in grids.items()}
+                 else _locate(grid, yb) for k, grid in grids.items()}
         _add_rounds(out[start : start + PHI_BLOCK], rounds, grids, yb, slots)
     return out
 
 
-def _locate(grid: Grid, yb: np.ndarray, ascending: bool) -> np.ndarray:
+def _locate(grid: Grid, yb: np.ndarray) -> np.ndarray:
     """Each point's slot: the last bump whose support starts at or below
     it, and slot 0 below the first."""
-    if ascending:
-        slot = _ascending_slots(grid.lo, yb)
-    else:
-        slot = np.searchsorted(grid.lo, yb, side="right") - 1
+    slot = np.searchsorted(grid.lo, yb, side="right") - 1
     return np.maximum(slot, 0, out=slot)
 
 
@@ -350,12 +337,12 @@ def _add_rounds(out: np.ndarray, rounds, grids: dict, y: np.ndarray, slots: dict
 
 
 def _ascending_slots(lo: np.ndarray, yb: np.ndarray) -> np.ndarray:
-    """searchsorted(lo, yb, side="right") - 1 for ascending yb, found by
+    """_locate's slots in a grid of starts lo for ascending yb, found by
     placing the starts that lie in (yb[0], yb[-1]] among the points: a
     point's slot rises by one at each start at or below it."""
     a, b = np.searchsorted(lo, yb[[0, -1]], side="right")
     at = np.searchsorted(yb, lo[a:b], side="left")
-    return np.repeat(np.arange(a - 1, b), np.diff(at, prepend=0, append=len(yb)))
+    return np.repeat(np.maximum(np.arange(a - 1, b), 0), np.diff(at, prepend=0, append=len(yb)))
 
 
 def _shape(grid: Grid, y: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -425,13 +412,13 @@ def phi_on_knots(state, j: int, knots: np.ndarray, frac: np.ndarray) -> tuple[np
     nonzero_rounds.
 
     Per block of AUDIT_BLOCK_CELLS cells the knots' slots are found once
-    per grid. No support starts inside a cell, so an audit point takes
-    its cell's left knot's slots, or its right knot's where it rounds
-    onto that knot (_cell_points). A cell on which every bump of its
-    slots is exactly flat (_flat) and whose end values are equal has
-    phi_j equal to its left value throughout, as the interpolant does:
-    its deviation is exactly 0.0, so its points are not evaluated.
-    DomainError refuses a non-finite value."""
+    per grid, by _ascending_slots. No support starts inside a cell, so
+    an audit point takes its cell's left knot's slots, or its right
+    knot's where it rounds onto that knot (_cell_points). A cell on
+    which every bump of its slots is exactly flat (_flat) and whose end
+    values are equal has phi_j equal to its left value throughout, as
+    the interpolant does: its deviation is exactly 0.0, so its points
+    are not evaluated. DomainError refuses a non-finite value."""
     rounds = nonzero_rounds(state)
     grids = {k: family_grid(state, j, k) for k, _ in rounds}
     values = np.zeros(len(knots))
@@ -439,7 +426,7 @@ def phi_on_knots(state, j: int, knots: np.ndarray, frac: np.ndarray) -> tuple[np
     for s in range(0, len(knots) - 1, AUDIT_BLOCK_CELLS):
         kb = knots[s : s + AUDIT_BLOCK_CELLS + 1]
         vb = values[s : s + AUDIT_BLOCK_CELLS + 1]
-        slots = {k: _locate(grid, kb, True) for k, grid in grids.items()}
+        slots = {k: _ascending_slots(grid.lo, kb) for k, grid in grids.items()}
         vb[:] = 0.0
         _add_rounds(vb, rounds, grids, kb, slots)
         left, right = kb[:-1], kb[1:]
@@ -457,28 +444,25 @@ def phi_on_knots(state, j: int, knots: np.ndarray, frac: np.ndarray) -> tuple[np
 
 def carry(state, columns, rounds, start=None, own=None) -> tuple[np.ndarray, ...]:
     """Each family's phi_j where f_r reads it at coordinate columns, in
-    their broadcast shape: start[j] (or +0.0) plus the rounds, by _fold.
-    From the earlier rounds' values, phi_batch's bits; summed, f_r's.
-    own is _fold's."""
+    their broadcast shape: phi_batch of the rounds, with its own, from
+    start[j] (or +0.0). From the earlier rounds' values, the bits of
+    every round added to +0.0."""
     k = state.k_trunc
     ys = images(lambda u: state.ev.psi_trunc_vector(u, k), state.lambdas.floats,
                 float(state.params.a), columns, state.params.m + 1)
-    return tuple(_fold(state, j, y.ravel(), rounds,
-                       np.zeros(y.size) if start is None else start[j].ravel().copy(), own)
+    return tuple(phi_batch(state, j, y.ravel(), rounds,
+                           None if start is None else start[j].ravel().copy(), own)
                  .reshape(y.shape) for j, y in enumerate(ys))
 
 
 def f_r(state, columns) -> np.ndarray:
-    """The approximant at coordinate columns, broadcast as superpose
-    does: ``pts.T`` of an (N, n) array of points gives the N values, and
-    ``np.ix_(*axes)`` the values on the product mesh of the axes. The
-    inner function is read at the float-rounded sums x + j*float(a)
-    through the shared nudged-floor rule, so the approximant is
-    evaluated at exactly the argument a network sees."""
-    k = state.k_trunc
-    outers = [partial(phi_batch, state, j) for j in range(state.params.m + 1)]
-    return superpose(lambda u: state.ev.psi_trunc_vector(u, k), outers,
-                     state.lambdas.floats, float(state.params.a), columns)
+    """The approximant at coordinate columns, carry's phi_j summed in
+    family order: ``pts.T`` of an (N, n) array of points gives the N
+    values, and ``np.ix_(*axes)`` the values on the product mesh of the
+    axes. The inner function is read at the float-rounded sums x +
+    j*float(a) through the shared nudged-floor rule, so the approximant
+    is evaluated at exactly the argument a network sees."""
+    return sum(carry(state, columns, state.rounds))
 
 
 def target_on_mesh(target: TargetFunction, axes: list[np.ndarray]) -> np.ndarray:
@@ -506,7 +490,7 @@ def residual_modulus(state, h: float, bound: float = math.inf) -> float:
     MODULUS_FIRST_ROWS rows and each later block twice the one before,
     and the sweep stops at the first block that takes the running max
     strictly above bound. f_r on a block of rows is those rows of f_r on
-    the whole mesh, bit for bit (superpose and phi_batch work point by
+    the whole mesh, bit for bit (images and phi_batch work point by
     point), and the target is the sample's on the whole shifted mesh,
     sliced. So the value is the exact max when that max is at most
     bound, and a value in (bound, max] otherwise."""
@@ -536,13 +520,16 @@ def residual_modulus(state, h: float, bound: float = math.inf) -> float:
     return worst
 
 
-# Per parameter record, each depth k's float bump shape, each family j's
-# Grid at depth k (key (k, j)) and the exact depth-1 min_gap ("gap"),
-# computed on first use: pure functions of the record, a cache only.
+# For the parameter record last asked (a state of another record clears
+# it), each depth k's float bump shape, each family j's Grid at depth k
+# (key (k, j)) and the exact depth-1 min_gap ("gap"), computed on first
+# use: pure functions of the record, a cache only.
 _geometry: dict[KstParams, dict] = {}
 
 
 def _memo(state, key, compute):
+    if state.params not in _geometry:
+        _geometry.clear()
     known = _geometry.setdefault(state.params, {})
     if key not in known:
         known[key] = compute()
@@ -631,13 +618,11 @@ def family_grid(state, j: int, k: int) -> Grid:
     p = state.params
 
     def build():
-        # the images are the superposition of one identity outer at the
-        # family's lattice indices, which carry its shift
+        # the images at the family's lattice indices, which carry its shift
         axes = np.ix_(*[family_axis(p, k, j)] * p.n)
-        xi_flat = superpose(state.ev.float_table(k).take, [lambda y: y], state.lambdas.floats,
-                            0, axes).ravel()
-        order = np.argsort(xi_flat, kind="stable")
-        return Grid(k, *_bump_shape(state, k), xi=xi_flat[order], order=order)
+        xi = next(images(state.ev.float_table(k).take, state.lambdas.floats, 0, axes, 1)).ravel()
+        order = np.argsort(xi, kind="stable")
+        return Grid(k, *_bump_shape(state, k), xi=xi[order], order=order)
 
     return _memo(state, (k, j), build)
 

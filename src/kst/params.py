@@ -10,9 +10,10 @@ numerators and denominators; gamma**(-beta_n(l)) underflows double
 precision already at n=2, l=4, so floating conversion happens only at
 evaluation boundaries.
 
-The module also holds the superposition formula itself (``superpose``),
-which the approximant, the assembled network and the bump images all
-evaluate, and the one text format of floats in JSON output (``f17``).
+The module also holds the inner sums of the superposition formula
+(``images``), at which the approximant, the assembled network and the
+bump grids read their outer functions, and the one text format of
+floats in JSON output (``f17``).
 """
 
 from __future__ import annotations
@@ -67,23 +68,14 @@ def to_json(value):
     return value
 
 
-def superpose(inner, outers, lams, shift: float, columns):
-    """sum_j outers[j](sum_i lams[i] * inner(columns[i] + j * shift)).
-
-    inner maps an array to its values elementwise, each outer a flat
-    array. The coordinate columns broadcast: 1-D columns of one length
-    give the values at those points, and columns laid along their own
-    axes (``np.ix_``) give the values on their product mesh, in the same
-    bits as at the mesh's points."""
-    total = 0.0
-    for outer, y in zip(outers, images(inner, lams, shift, columns, len(outers))):
-        total = total + outer(y.ravel()).reshape(y.shape)
-    return total
-
-
 def images(inner, lams, shift: float, columns, count: int):
     """The points sum_i lams[i] * inner(columns[i] + j * shift) at which
-    superpose reads outer j, for j < count, broadcast over the columns."""
+    the superposition sum_j phi_j(...) reads outer j, for j < count.
+
+    inner maps an array to its values elementwise. The coordinate columns
+    broadcast: 1-D columns of one length give the images of those points,
+    and columns laid along their own axes (``np.ix_``) the images on
+    their product mesh, in the same bits as at the mesh's points."""
     for j in range(count):
         yield sum(lam * inner(col + j * shift) for lam, col in zip(lams, columns))
 

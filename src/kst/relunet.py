@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetError, DomainError, InternalCheckError
-from .params import KstParams, LambdaCoeffs, superpose
+from .params import KstParams, LambdaCoeffs, images
 
 MATERIALIZE_UNIT_CAP = 2_000_000
 # Points per forward block are chosen so that one block's (points x
@@ -515,9 +515,11 @@ class AssembledKst:
         return self.eval_columns(np.atleast_2d(np.asarray(X, dtype=float)).T)
 
     def eval_columns(self, columns) -> np.ndarray:
-        """Outputs at coordinate columns, broadcast as superpose does."""
-        return superpose(self.psi_net.eval, [net.eval for net in self.phi_nets],
-                         self.lam_floats, float(self.params.a), columns)
+        """Outputs at coordinate columns, broadcast as images does: the sum
+        in family order of each outer net at its images."""
+        ys = images(self.psi_net.eval, self.lam_floats, float(self.params.a), columns,
+                    len(self.phi_nets))
+        return sum(net.eval(y.ravel()).reshape(y.shape) for net, y in zip(self.phi_nets, ys))
 
     @property
     def unit_count(self) -> int:

@@ -115,3 +115,25 @@ def test_tracer_counts_phi_batch_points():
     finally:
         t.unpatch()
     assert t.counts["decompose.phi_batch_points"] == 17
+
+
+def test_tracer_counts_carried_rounds(monkeypatch):
+    # iterate carries phi_j on through phi_batch, so the tracer counts
+    # the points of every round it adds: per round and family the depth-2
+    # sweep mesh (37**2 points at gamma 6), the 5**2 audit mesh and the 3
+    # audit points
+    from kst import decompose
+    from kst.target import builtin_target
+
+    state = decompose.init_state(builtin_target("product", 2),
+                                 caps=decompose.DecompositionCaps(audit_resolution=5,
+                                                                  n_random=3))
+    monkeypatch.setattr(decompose, "choose_k_r", lambda state: (2, False))
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        decompose.iterate(decompose.iterate(state))
+    finally:
+        t.unpatch()
+    assert t.counts["decompose.phi_batch_points"] == 2 * 5 * (37**2 + 5**2 + 3) == 13_970

@@ -91,7 +91,8 @@ class TestDecomposeCmd:
     @pytest.mark.parametrize(
         "flags",
         [["--audit-res", "0"], ["--audit-res", "-3"], ["--n-random", "-1"], ["--iters", "-1"],
-         ["--seed", "-1"], ["--k-max", "0"], ["--k-max", "-1"]],
+         ["--seed", "-1"], ["--k-max", "0"], ["--k-max", "-1"], ["--grid-budget", "0"],
+         ["--grid-budget", "-5"]],
     )
     def test_bad_option_exit_2(self, tmp_path, capsys, flags):
         args = ["decompose", "--n", "2", "--f", "zero", "--iters", "1",
@@ -185,12 +186,17 @@ class TestAssembleCmd:
     @pytest.mark.parametrize("where", ["directory", "under-file"])
     @pytest.mark.parametrize("flag", ["--out-report", "--out-net"])
     def test_unwritable_output_exit_2(self, saved_state, tmp_path, capsys, flag, where):
+        # the other output's path is writable, but neither file is left
+        bad = _unwritable(tmp_path, where)
+        other = tmp_path / "other.json"
         code = run(["assemble", "--decomp", str(saved_state), "--eps", "0.5",
                     "--n-random", "200", "--knot-budget", "6000", "--uniform-inner",
-                    flag, str(_unwritable(tmp_path, where))])
+                    flag, str(bad),
+                    {"--out-report": "--out-net", "--out-net": "--out-report"}[flag], str(other)])
         assert code == 2
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
+        assert not bad.is_file() and not other.exists()
 
     @pytest.mark.parametrize(
         "edit",

@@ -29,7 +29,7 @@ from kst.decompose import (
 )
 from kst.errors import BudgetError, ConstraintViolation, DomainError
 from kst.inner import InnerEvaluator
-from kst.params import beta, f17, make_params, superpose
+from kst.params import beta, f17, images, make_params
 from kst.target import builtin_target, mesh_points
 from oracles import (
     active_bump_counts,
@@ -79,7 +79,7 @@ def phi_points():
     original = decompose.phi_batch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decompose, "phi_batch",
-                   lambda state, j, y: seen.append(len(y)) or original(state, j, y))
+                   lambda state, j, y, *rest: seen.append(len(y)) or original(state, j, y, *rest))
         yield seen
 
 
@@ -93,13 +93,11 @@ def full_sweep_points(state, k: int) -> int:
 
 def family_images(state, columns) -> list[np.ndarray]:
     """Each family's flat points at which f_r reads phi_j at the
-    coordinate columns, taken from superpose."""
-    seen = []
+    coordinate columns, taken from images."""
     k = state.k_trunc
-    superpose(lambda u: state.ev.psi_trunc_vector(u, k),
-              [lambda y: seen.append(y) or y] * (state.params.m + 1),
-              state.lambdas.floats, float(state.params.a), columns)
-    return seen
+    return [y.ravel() for y in images(lambda u: state.ev.psi_trunc_vector(u, k),
+                                      state.lambdas.floats, float(state.params.a), columns,
+                                      state.params.m + 1)]
 
 
 def sweep_mesh(state, k: int) -> tuple[np.ndarray, ...]:
@@ -550,7 +548,8 @@ class TestEvaluatePhi:
         # sorted points with repeats, on every support end, below the
         # first and above the last; blocks of 1 to 7 points, the last of
         # one point, the second block reversed so that an ascending
-        # block follows a descending one, and NaNs among the points
+        # block follows a descending one, and NaNs among the points: the
+        # searched slots of every block give the oracles' values
         grids, state = rounds
         ends = np.concatenate([np.concatenate([g.lo, g.hi]) for g in grids.values()])
         marks = np.concatenate([ends, [ends.min() - 1.0, ends.max() + 1.0]])
@@ -565,20 +564,10 @@ class TestEvaluatePhi:
         ys = np.insert(ys, sorted(at), np.nan)
         # the NaNs shift the blocks; trim again so the last block is one point
         ys = ys[: len(ys) - (len(ys) - 1) % block]
-        merged = []
-
-        def checked(lo, yb, merge=decompose._ascending_slots):
-            slot = merge(lo, yb)
-            assert np.array_equal(slot, np.searchsorted(lo, yb, side="right") - 1)
-            merged.append(yb.size)
-            return slot
-
         with on_grids(grids):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(decompose, "PHI_BLOCK", block)
-                mp.setattr(decompose, "_ascending_slots", checked)
                 got = phi_batch(state, 0, ys)
-            assert merged
             assert got.tobytes() == two_candidate_phi(state, 0, ys).tobytes()
             for y, value in zip(ys, got):
                 if not math.isnan(y):
@@ -593,7 +582,7 @@ class TestEvaluatePhi:
         lo = np.sort(np.asarray(starts, dtype=float) / 4)
         yb = np.sort(np.asarray(points, dtype=float) / 4)
         assert np.array_equal(decompose._ascending_slots(lo, yb),
-                              np.searchsorted(lo, yb, side="right") - 1)
+                              np.maximum(np.searchsorted(lo, yb, side="right") - 1, 0))
 
     @settings(derandomize=True, deadline=None)
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=30),
@@ -609,7 +598,7 @@ class TestEvaluatePhi:
                                               min_size=yb.size, max_size=yb.size)))
         grid = SimpleNamespace(lo=lo)
         assert np.array_equal(decompose._confirm(grid, yb, guess),
-                              decompose._locate(grid, yb, False))
+                              decompose._locate(grid, yb))
 
     @settings(derandomize=True, deadline=None)
     @given(st.sampled_from([(2, 2), (2, 3, 3), (3, 2, 3), (3, 3, 3)]), st.data())
@@ -628,13 +617,12 @@ class TestEvaluatePhi:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         shuffled = rng.permutation(np.concatenate([marks, np.full(3, np.nan)]))
         ys = np.concatenate([marks, shuffled])
-        # blocks of two or more points: one with a NaN does not ascend
         block = data.draw(st.integers(2, 7))
         located = []
 
-        def counted(grid, yb, ascending, locate=decompose._locate):
-            located.append((grid, ascending))
-            return locate(grid, yb, ascending)
+        def counted(grid, yb, locate=decompose._locate):
+            located.append(grid)
+            return locate(grid, yb)
 
         with on_grids(grids):
             with pytest.MonkeyPatch.context() as mp:
@@ -643,8 +631,7 @@ class TestEvaluatePhi:
                 got = phi_batch(state, 0, ys)
             blocks = -(-ys.size // block)
             assert len(located) == blocks * len(grids)
-            assert {grid for grid, _ in located} == set(grids.values())
-            assert located[0][1] and not all(ascending for _, ascending in located)
+            assert set(located) == set(grids.values())
             assert got.tobytes() == two_candidate_phi(state, 0, ys).tobytes()
             for y, value in zip(ys, got):
                 if not math.isnan(y):
@@ -710,8 +697,8 @@ class TestEvaluatePhi:
         x, at = decompose._cell_points(knots, cells, frac)
         left = np.repeat(cells, factor - 1)
         assert np.array_equal(at, left + (x == knots[left + 1]))
-        assert np.array_equal(decompose._locate(grid, knots, True)[at],
-                              decompose._locate(grid, x, False))
+        assert np.array_equal(decompose._ascending_slots(grid.lo, knots)[at],
+                              decompose._locate(grid, x))
         if near.size and factor > 2:
             # 1 - 1/factor of one ulp rounds onto the right knot
             assert np.any(at > left)
@@ -728,7 +715,7 @@ class TestEvaluatePhi:
                  grid.hi - grid.ramp / 2, grid.xi + grid.plateau / 3,
                  np.asarray(data.draw(st.lists(st.floats(-1.0, 40.0), max_size=10)))]
         knots = np.unique(np.concatenate(marks))
-        slot = decompose._locate(grid, knots, True)[:-1]
+        slot = decompose._ascending_slots(grid.lo, knots)[:-1]
         flat = decompose._flat(grid, knots[:-1], knots[1:], slot)
         cells = np.arange(len(knots) - 1)
         x, at = decompose._cell_points(knots, cells, np.arange(1, 8) / 8)
@@ -749,6 +736,15 @@ def family_grids(state) -> dict:
 
 
 class TestSharedGrid:
+    def test_memo_keeps_one_record(self):
+        # a decomposition under another parameter record clears the
+        # memo, so only the last record's grids are held
+        caps = DecompositionCaps(audit_resolution=5, n_random=3)
+        for gamma in (6, 8):
+            iterate(init_state(builtin_target("product", 2), make_params(2, gamma=gamma), caps))
+        assert list(decompose._geometry) == [make_params(2, gamma=8)]
+        assert any(isinstance(g, Grid) for g in decompose._geometry[make_params(2, gamma=8)].values())
+
     def test_same_depth_layers_hold_one_grid(self, product_r3):
         assert product_r3.k_list == (2, 3, 3)
         grids = family_grids(product_r3)

@@ -251,7 +251,7 @@ def test_every_support_end_is_a_knot(name):
 @pytest.mark.parametrize("name", ["product", "ridge", "expression"])
 def test_net_on_the_audit_mesh_equals_its_points(name):
     # assemble_from_state measures the net on the audit mesh through
-    # superpose's product-mesh broadcast (the inner interpolants read at
+    # the images' product-mesh broadcast (the inner interpolants read at
     # the axis values); the values are eval_batch's at the mesh's points
     state = _state(name, 6, 3)
     asm, report = assemble_from_state(state, 0.25, PipelineCaps(seed=5))

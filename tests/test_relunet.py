@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kst.decompose import init_state, iterate, lipschitz_report, phi_batch
 from kst.errors import DomainError, InternalCheckError
-from kst.params import lambda_coeffs, make_params, superpose
+from kst.params import lambda_coeffs, make_params
 from kst import relunet
 from kst.relunet import (
     ReluNetwork,
@@ -602,12 +602,11 @@ class TestAssembly:
             assert abs(fast[row] - by_formula) <= 1e-10
 
     def test_mesh_columns_match_eval_batch(self, small_assembly):
-        # the interpolant form on a product mesh, through superpose's
+        # the interpolant form on a product mesh, through the images'
         # broadcast, is eval_batch at the mesh's points, bit for bit
         _, asm = small_assembly
         axes = [np.linspace(0.0, 1.0, 41), np.random.default_rng(13).random(29)]
-        on_mesh = superpose(asm.psi_net.eval, [net.eval for net in asm.phi_nets],
-                            asm.lam_floats, float(asm.params.a), np.ix_(*axes))
+        on_mesh = asm.eval_columns(np.ix_(*axes))
         assert on_mesh.shape == (41, 29)
         assert on_mesh.ravel().tobytes() == asm.eval_batch(mesh_points(axes)).tobytes()
 
