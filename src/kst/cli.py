@@ -15,8 +15,10 @@ stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import stat
 import sys
 
 from .decompose import (
@@ -40,12 +42,34 @@ from .relunet import json_parts
 from .target import builtin_names, builtin_target, expression_target
 
 
+def _remove(path: str, opened: os.stat_result) -> None:
+    """Remove path if it still names the regular file opened there, never
+    a link or device the output went through."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(path)):
+            os.remove(path)
+
+
+def _write_file(path: str, parts, binary: bool = False) -> os.stat_result:
+    """Write parts to path and return the stat of the file opened. A write
+    or close that fails removes the file, so a failed command leaves no
+    partial output; a path whose open fails is left as it was."""
+    fh = open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="\n")
+    opened = os.fstat(fh.fileno())
+    try:
+        with fh:
+            fh.writelines(parts)
+    except BaseException:
+        _remove(path, opened)
+        raise
+    return opened
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_file(path, [text])
 
 
 def _json_text(obj) -> str:
@@ -142,13 +166,12 @@ def cmd_assemble(args) -> int:
     # the report, whose failure removes it: a failure leaves no file
     if args.out_net is not None:
         net_parts = json_parts(asm.network.to_json_dict()) + [b"\n"]
-        with open(args.out_net, "wb") as fh:
-            fh.writelines(net_parts)
+        net = _write_file(args.out_net, net_parts, binary=True)
     try:
         _write_text(args.out_report, _json_text(report.to_json_dict()))
-    except OSError:
+    except BaseException:
         if args.out_net is not None:
-            os.remove(args.out_net)
+            _remove(args.out_net, net)
         raise
     timings = ", ".join(f"{k}={v:.2f}s" for k, v in report.timings.items())
     print(f"assembled: W={report.W} L={report.L} ({timings})", file=sys.stderr)

@@ -188,6 +188,15 @@ def make_params(
     m = 2 * n if m is None else m
     gamma = 2 * n + 2 if gamma is None else gamma
     delta = DEFAULT_DELTA if delta is None else delta
+    # a non-finite value has no exact Fraction: name the bound it fails
+    if not math.isfinite(delta):
+        raise ConstraintViolation(
+            "delta < 1 - n/(n-m+1)" if delta > 0 else "0 < delta", f"delta={delta}"
+        )
+    if eta is not None and not math.isfinite(eta):
+        raise ConstraintViolation(
+            "eta < 1" if eta > 0 else "eta >= (m-n+1)/(n+1)*delta + 2n/(m+1)", f"eta={eta}"
+        )
     if eta is None:
         # The contraction lower bound delta + 2n/(m+1)-style grows with n
         # and crosses 0.9 at n = 3, so the default moves to the midpoint

@@ -45,7 +45,6 @@ class PipelineCaps:
     k_max: int = 3
     knot_budget: int = 10**6
     align_inner_knots: bool = True
-    audit_resolution: int | None = None  # None: init_state's default for n
     n_random: int = 10**4
     seed: int = 0
 
@@ -323,7 +322,6 @@ def run_pipeline(
         params,
         DecompositionCaps(
             k_max=caps.k_max,
-            audit_resolution=caps.audit_resolution,
             n_random=1000,
             seed=caps.seed,
         ),

@@ -51,8 +51,7 @@ def test_untraced_attributes_the_workloads_read():
     from kst.target import builtin_target
 
     assert callable(kst.cli.assemble_from_state)
-    caps = PipelineCaps(r_cap=1, knot_budget=6000, align_inner_knots=False,
-                        n_random=100, audit_resolution=21)
+    caps = PipelineCaps(r_cap=1, knot_budget=6000, align_inner_knots=False, n_random=100)
     asm, rep, state = run_pipeline(builtin_target("product", 2), 0.5, caps)
     assert list(rep.k_list) == list(state.k_list)
     assert rep.psi_knots > 0 and rep.phi_knots > 0

@@ -1,3 +1,4 @@
+import errno
 import functools
 import json
 import os
@@ -34,6 +35,21 @@ class TestParamsCmd:
 
     def test_constraint_violation_exit_2(self):
         assert run(["params", "--n", "2", "--gamma", "5"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--delta", "--eta"])
+@pytest.mark.parametrize(
+    "command",
+    [["params"], ["decompose", "--f", "zero", "--iters", "0"],
+     ["experiment", "--f", "zero", "--eps-list", "0.5"]],
+    ids=["params", "decompose", "experiment"],
+)
+def test_non_finite_contraction_exit_2(capsys, command, flag, value):
+    # "--eta=-inf": as a separate word, argparse would read -inf as a flag
+    assert run(command + ["--n", "2", f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "error: constraint violated: " in err and "Traceback" not in err
 
 
 class TestInnerCmd:
@@ -100,20 +116,57 @@ class TestDecomposeCmd:
         assert run(args + flags) == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["directory", "under-file"])
+    @pytest.mark.parametrize("where", ["directory", "under-file", "mid-write"])
     @pytest.mark.parametrize("flag", ["--out-state", "--out-csv"])
-    def test_unwritable_output_exit_2(self, tmp_path, capsys, flag, where):
-        code = run(["decompose", "--n", "2", "--f", "zero", "--iters", "0",
-                    flag, str(_unwritable(tmp_path, where))])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch, flag, where):
+        bad = _unwritable(tmp_path, where, monkeypatch)
+        code = run(["decompose", "--n", "2", "--f", "zero", "--iters", "0", flag, str(bad)])
         assert code == 2
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
+        assert not bad.is_file()
 
 
-def _unwritable(tmp_path, where):
-    """A directory, or a path under a regular file."""
+class _DiskFull:
+    """A file whose first write stores half its data and then fails, as
+    on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def writelines(self, parts):
+        part = next(iter(parts))
+        self._fh.write(part[: len(part) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, data):
+        self.writelines([data])
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _unwritable(tmp_path, where, monkeypatch):
+    """A directory, a path under a regular file, or a path that opens
+    but whose write fails midway."""
     if where == "directory":
         return tmp_path
+    if where == "mid-write":
+        path = tmp_path / "out"
+
+        def disk_full_open(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            return _DiskFull(fh) if os.fspath(file) == str(path) else fh
+
+        monkeypatch.setattr(kst.cli, "open", disk_full_open, raising=False)
+        return path
     (tmp_path / "file").write_text("")
     return tmp_path / "file" / "out"
 
@@ -183,11 +236,12 @@ class TestAssembleCmd:
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("where", ["directory", "under-file"])
+    @pytest.mark.parametrize("where", ["directory", "under-file", "mid-write"])
     @pytest.mark.parametrize("flag", ["--out-report", "--out-net"])
-    def test_unwritable_output_exit_2(self, saved_state, tmp_path, capsys, flag, where):
+    def test_unwritable_output_exit_2(self, saved_state, tmp_path, capsys, monkeypatch,
+                                      flag, where):
         # the other output's path is writable, but neither file is left
-        bad = _unwritable(tmp_path, where)
+        bad = _unwritable(tmp_path, where, monkeypatch)
         other = tmp_path / "other.json"
         code = run(["assemble", "--decomp", str(saved_state), "--eps", "0.5",
                     "--n-random", "200", "--knot-budget", "6000", "--uniform-inner",

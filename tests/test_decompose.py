@@ -363,6 +363,12 @@ class TestIterate:
         with pytest.raises(DomainError, match=f"k_max must be at least 1, got {k_max}"):
             DecompositionCaps(k_max=k_max)
 
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_caps_refuse_audit_resolution_below_one(self, resolution):
+        with pytest.raises(DomainError,
+                           match=f"audit_resolution must be at least 1, got {resolution}"):
+            DecompositionCaps(audit_resolution=resolution)
+
     def test_depth_above_k_max_refused(self, product_r1, monkeypatch):
         k = product_r1.caps.k_max + 1
         assert "k_max" in str(decompose.depth_refusal(product_r1, k))

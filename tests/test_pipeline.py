@@ -89,17 +89,20 @@ class _StateBuilt(Exception):
     pass
 
 
-@pytest.mark.parametrize("n, requested, used", [(2, None, 101), (3, None, 31), (3, 21, 21)])
-def test_audit_resolution_default_per_dimension(monkeypatch, n, requested, used):
+@pytest.mark.parametrize("n, used", [(2, 101), (3, 31)])
+def test_audit_resolution_default_per_dimension(monkeypatch, n, used):
     real_init = pipeline.init_state
 
-    def stop_after_init(*args, **kwargs):
-        raise _StateBuilt(real_init(*args, **kwargs))
+    def stop_after_init(f, params, caps):
+        raise _StateBuilt(caps, real_init(f, params, caps))
 
     monkeypatch.setattr(pipeline, "init_state", stop_after_init)
     with pytest.raises(_StateBuilt) as built:
-        run_pipeline(builtin_target("zero", n), 0.5, PipelineCaps(audit_resolution=requested))
-    assert built.value.args[0].caps.audit_resolution == used
+        run_pipeline(builtin_target("zero", n), 0.5)
+    # run_pipeline leaves the resolution to init_state's default for n
+    received, state = built.value.args
+    assert received.audit_resolution is None
+    assert state.caps.audit_resolution == used
 
 
 @pytest.fixture(scope="module")
@@ -163,13 +166,11 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize(
         "caps",
-        [dict(audit_resolution=0), dict(audit_resolution=-3),
-         dict(r_cap=0, n_random=0), dict(r_cap=0, seed=-1),
+        [dict(r_cap=0, n_random=0), dict(r_cap=0, seed=-1),
          dict(r_cap=-1), dict(k_max=0), dict(k_max=-1),
          dict(r_cap=0, knot_budget=0), dict(r_cap=0, knot_budget=-5)],
-        ids=["audit-res-zero", "audit-res-negative", "n-random-zero", "seed-negative",
-             "r-cap-negative", "k-max-zero", "k-max-negative",
-             "knot-budget-zero", "knot-budget-negative"],
+        ids=["n-random-zero", "seed-negative", "r-cap-negative", "k-max-zero",
+             "k-max-negative", "knot-budget-zero", "knot-budget-negative"],
     )
     def test_caps_guard(self, caps):
         # the caps are built inside the test: PipelineCaps refuses its own
