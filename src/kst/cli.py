@@ -136,14 +136,21 @@ def cmd_decompose(args) -> int:
     state = init_state(target, params, caps)
     for _ in range(args.iters):
         state = iterate(state)
-    if args.out_state:
-        _write_text(args.out_state, state_json_text(state))
     lines = ["r,residual_norm,eta_power_bound"]
     for r in range(1, state.r + 1):
         lines.append(
             f"{r},{f17(state.residual_norms[r])},{f17(params.eta**r)}"
         )
-    _write_text(args.out_csv, "\n".join(lines) + "\n")
+    # both texts are rendered first, and a failed CSV removes the state file
+    state_text, csv_text = state_json_text(state), "\n".join(lines) + "\n"
+    if args.out_state:
+        written = _write_file(args.out_state, [state_text])
+    try:
+        _write_text(args.out_csv, csv_text)
+    except BaseException:
+        if args.out_state:
+            _remove(args.out_state, written)
+        raise
     print(
         f"decomposed {args.f!r} to r={state.r}: k={list(state.k_list)} "
         f"norms={[float(f17(v)) for v in state.residual_norms]}",

@@ -48,7 +48,7 @@ from .params import (
     make_params,
     to_json,
 )
-from .relunet import AUDIT_BLOCK_CELLS, audit_points, json_parts
+from .relunet import json_parts
 from .target import (
     TargetFunction,
     default_audit_resolution,
@@ -58,8 +58,11 @@ from .target import (
 
 STATE_SCHEMA = "kst-decomposition/3"
 
-# Points per phi_batch block, whose temporaries then stay in cache
+# Points per phi_batch or phi_on_knots block, whose temporaries then stay in cache
 PHI_BLOCK = 1 << 14
+
+# The unit roundoff u of float64
+UNIT_ROUNDOFF = 2.0**-53
 
 # Rows along axis 0 in the first block of a residual_modulus sweep; each
 # later block doubles, so a failing depth test stops after a few blocks
@@ -111,6 +114,17 @@ class Grid:
     def shared(self) -> np.ndarray:
         """True at slot i when bump i-1's support reaches past lo[i]."""
         return np.concatenate(([False], self.hi[:-1] > self.lo[1:]))
+
+    @cached_property
+    def corner_error(self) -> np.ndarray:
+        """Per bump, in slot order, the largest of its corner discrepancies
+        at lo, at the plateau end and at hi, plus 3 * 4u(slope * (hi - lo)
+        + 2) + 3u for rounding: how far a unit coefficient on it moves phi_j
+        off its knots' interpolant (README, "Notes on numerics")."""
+        (lo, xi, top, hi), s, p = self.corners(), self.slope, self.plateau
+        err = np.maximum(np.abs(s * (lo - xi) + 1.0), np.abs(s * ((top - xi) - p)))
+        np.maximum(err, np.abs(1.0 - s * ((hi - xi) - p)), out=err)
+        return err + 12.0 * UNIT_ROUNDOFF * (s * (hi - lo) + 2.0) + 3.0 * UNIT_ROUNDOFF
 
     @cached_property
     def reach(self) -> np.ndarray:
@@ -367,79 +381,44 @@ def _shape(grid: Grid, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     return d
 
 
-def _flat(grid: Grid, left: np.ndarray, right: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """True for the cells [left, right] on which the bump in each cell's
-    slot and, in shared slots, its predecessor have a constant shape."""
-    flat = _constant(grid, left, right, slot)
-    two = np.flatnonzero(grid.shared[slot])
-    flat[two] &= _constant(grid, left[two], right[two], slot[two] - 1)
-    return flat
-
-
-def _constant(grid: Grid, left: np.ndarray, right: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """True where _shape(grid, y, c) is +0.0 for every y in [left, right]
-    (outside the open support), or 1.0 (inside it, with y - xi >= 0 and
-    (y - xi) - plateau <= 0). Rounding to nearest is monotone, so each
-    test holds between the ends when it holds at the end that bounds it."""
-    xi = grid.xi[c]
-    lo, hi = grid.start(xi), grid.end(xi)
-    zero = (right <= lo) | (left >= hi)
-    one = (left > lo) & (right < hi) & (left - xi >= 0.0) & (right - xi - grid.plateau <= 0.0)
-    return zero | one
-
-
-def _cell_points(knots: np.ndarray, cells: np.ndarray, frac: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The audit points of the given cells of ascending knots, and the
-    index of each one's knot: its cell's left knot, or the right one
-    where it rounds onto that knot (as in cells one ulp wide)."""
-    x = audit_points(knots[cells], knots[cells + 1], frac)
-    at = np.repeat(cells, len(frac))
-    at += x == knots[at + 1]
-    return x, at
-
-
 def nonzero_rounds(state) -> list[tuple[int, np.ndarray]]:
     """The (depth, coefficients) rounds with a nonzero coefficient: the
     others add zeros in _add_rounds, which change no value."""
     return [(k, coeff) for k, coeff in zip(state.k_list, state.coeff) if np.any(coeff)]
 
 
-def phi_on_knots(state, j: int, knots: np.ndarray, frac: np.ndarray) -> tuple[np.ndarray, float]:
-    """phi_j at ascending knots, and the largest deviation from phi_j of
-    their interpolant at the audit points (audit_points with frac) of
-    every cell: phi_batch's values there, bit for bit. The knots must
-    hold every support start in [knots[0], knots[-1]] of the grids of
-    nonzero_rounds.
-
-    Per block of AUDIT_BLOCK_CELLS cells the knots' slots are found once
-    per grid, by _ascending_slots. No support starts inside a cell, so
-    an audit point takes its cell's left knot's slots, or its right
-    knot's where it rounds onto that knot (_cell_points). A cell on
-    which every bump of its slots is exactly flat (_flat) and whose end
-    values are equal has phi_j equal to its left value throughout, as
-    the interpolant does: its deviation is exactly 0.0, so its points
-    are not evaluated. DomainError refuses a non-finite value."""
+def phi_on_knots(state, j: int, knots: np.ndarray) -> np.ndarray:
+    """phi_j at ascending knots, phi_batch's values there bit for bit,
+    from the rounds of nonzero_rounds. Per block of PHI_BLOCK knots
+    their slots are found once per grid, by _ascending_slots. DomainError
+    refuses a non-finite value."""
     rounds = nonzero_rounds(state)
     grids = {k: family_grid(state, j, k) for k, _ in rounds}
     values = np.zeros(len(knots))
-    eps = 0.0
-    for s in range(0, len(knots) - 1, AUDIT_BLOCK_CELLS):
-        kb = knots[s : s + AUDIT_BLOCK_CELLS + 1]
-        vb = values[s : s + AUDIT_BLOCK_CELLS + 1]
+    for s in range(0, len(knots), PHI_BLOCK):
+        kb = knots[s : s + PHI_BLOCK]
         slots = {k: _ascending_slots(grid.lo, kb) for k, grid in grids.items()}
-        vb[:] = 0.0
-        _add_rounds(vb, rounds, grids, kb, slots)
-        left, right = kb[:-1], kb[1:]
-        live = vb[:-1] != vb[1:]
-        for k, grid in grids.items():
-            live |= ~_flat(grid, left, right, slots[k][:-1])
-        x, at = _cell_points(kb, np.flatnonzero(live), frac)
-        fx = np.zeros(len(x))
-        _add_rounds(fx, rounds, grids, x, {k: slot[at] for k, slot in slots.items()})
-        if not (np.all(np.isfinite(vb)) and np.all(np.isfinite(fx))):
-            raise DomainError(f"outer function {j} is not finite on the audit grid")
-        eps = max(eps, float(np.max(np.abs(fx - np.interp(x, kb, vb)), initial=0.0)))
-    return values, eps
+        _add_rounds(values[s : s + PHI_BLOCK], rounds, grids, kb, slots)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"outer function {j} is not finite at its knots")
+    return values
+
+
+def outer_error_bound(state, j: int) -> float:
+    """A proven bound on |phi_j - interpolant| between ascending knots
+    that hold every corner among them of the grids of nonzero_rounds,
+    rounding included (README, "Notes on numerics"): a round puts on a
+    knot cell one bump, or two where its grid has shared slots, each
+    within |coefficient| * Grid.corner_error of its chord."""
+    total = scale = terms = 0.0
+    for k, coeff in nonzero_rounds(state):
+        grid = family_grid(state, j, k)
+        c = np.abs(coeff[grid.order])
+        count = 2 if grid.shared.any() else 1
+        total += count * float(np.max(c * grid.corner_error))
+        scale += count * float(np.max(c))
+        terms += count
+    return (total + (2 * terms + 16) * UNIT_ROUNDOFF * scale) * (1 + 2.0**-40)
 
 
 def carry(state, columns, rounds, start=None, own=None) -> tuple[np.ndarray, ...]:

@@ -27,12 +27,13 @@ from .decompose import (
     iterate,
     lipschitz_report,
     nonzero_rounds,
+    outer_error_bound,
     phi_on_knots,
 )
 from .errors import BudgetError, DomainError
 from .inner import TRUNC_NUDGE
 from .params import KstParams, make_params, to_json
-from .relunet import AssembledKst, UnivariateNet, assemble_kst, audit_fractions, build_univariate
+from .relunet import AssembledKst, UnivariateNet, assemble_kst, build_univariate
 from .target import TargetFunction
 
 
@@ -56,6 +57,10 @@ class PipelineCaps:
 
 @dataclass
 class PipelineReport:
+    """What a run built and measured. ``eps_phi_measured`` is not a
+    sample: it is the largest over the families of outer_error_bound,
+    a proven bound on the outer nets' deviation from phi_j."""
+
     eps_target: float
     r_target: int
     r_used: int
@@ -198,10 +203,8 @@ def build_outer_nets(
     """One approximant per family, interpolating phi_j at its
     breakpoints: phi_j is a sum of trapezoids, so it is linear between
     them and the net reproduces it up to rounding. phi_on_knots gives
-    the knot values and the error at build_univariate's audit points
-    (audit factor 4), the same bits as build_univariate over phi_batch,
-    reading the points' slots off the knots' and skipping the cells
-    where phi_j is exactly flat."""
+    the knot values; a net's eps_measured is outer_error_bound, a proven
+    bound on its deviation from phi_j, not a sample."""
     p = state.params
     M = float(p.phi_domain_sup)
     nets = []
@@ -209,8 +212,8 @@ def build_outer_nets(
         knots = _corner_knots(state, j, M)
         if len(knots) - 1 > caps.knot_budget:
             raise BudgetError(f"breakpoint count {len(knots) - 1} exceeds the knot budget")
-        values, eps = phi_on_knots(state, j, knots, audit_fractions(len(knots) - 1, 4))
-        nets.append(UnivariateNet(knots=knots, values=values, domain=M, eps_measured=eps))
+        nets.append(UnivariateNet(knots=knots, values=phi_on_knots(state, j, knots), domain=M,
+                                  eps_measured=outer_error_bound(state, j)))
     return nets, any(net.eps_measured > eps_phi for net in nets)
 
 

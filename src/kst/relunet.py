@@ -6,15 +6,16 @@ A ``ReluNetwork`` keeps its units as kind/layer/bias arrays in
 layer-major order, so a unit's id is its position and each layer is a
 contiguous range, and its edges as src/dst/w arrays sorted by
 (dst, src). The forward pass runs layer by layer over blocks of points,
-in one (points x units) value array and one term array allocated per
-call. A layer reads its sources as a slice or by one gather, weights
-them, sums them per destination and adds the bias; then ReLU is applied
-in place on the relu units. A relu layer of one-edge, weight-1 units
-whose sources are not one slice, read only by the next layer as its
-whole source slice and holding no output (the hinges of a univariate
-net), is never stored: per cache-sized chunk of the next layer, each
-run of hinges reading one source unit is added to their biases in the
-term array, then rectified, weighted and summed per unit.
+in one value array, with a column per input and per unit a layer
+writes, and one term array, both allocated per call. A layer reads its
+sources as a slice or by one gather, weights them, sums them per
+destination and adds the bias; then ReLU is applied in place on the
+relu units. A relu layer of one-edge, weight-1 units whose sources are
+not one slice, read only by the next layer as its whole source slice
+and holding no output (the hinges of a univariate net), has no value
+column: per cache-sized chunk of the next layer, each run of hinges
+reading one source unit is added to their biases in the term array,
+then rectified, weighted and summed per unit.
 
 The hinge coefficients of a ``build_univariate`` interpolant spell it
 as c_0 + sum_i a_i * ReLU(x - t_i), a depth-2 network linear in the
@@ -51,9 +52,9 @@ FORWARD_BLOCK_ELEMENTS = 1 << 20
 # Hinges evaluated inside the sums that read them go in chunks of whole
 # sums whose terms per block stay under this many floats (512 KB, in L2).
 FUSED_CHUNK_ELEMENTS = 1 << 16
-# build_univariate and decompose.phi_on_knots audit their cells in
-# blocks of this many, so one block's interior audit points (cells times
-# the audit factor less one) take a few MB, whatever the knot count.
+# build_univariate audits its cells in blocks of this many, so one
+# block's interior audit points (cells times the audit factor less one)
+# take a few MB, whatever the knot count.
 AUDIT_BLOCK_CELLS = 1 << 14
 KINDS = ("input", "relu", "linear")
 _ROW_CHUNK = 1 << 16
@@ -226,6 +227,15 @@ class ReluNetwork:
             if fused := self._fused_plan(*self._plan[i - 1 : i + 1]):
                 self._plan[i - 1 : i + 1] = [fused]
         self._widest = max(step[-1] for step in self._plan)
+        # only the inputs and the units a step writes have a value column
+        written = np.zeros(n_units, dtype=bool)
+        written[: self.n_inputs] = True
+        for step in self._plan:
+            written[step[0]] = True
+        column = np.cumsum(written) - 1
+        self._column_bias = self.bias[written]
+        self._output_columns = column[self.output_ids]
+        self._steps = [self._in_columns(column, *step) for step in self._plan]
 
     def _layer_plan(self, lay: int) -> tuple:
         """Unit range, sources, weights (None when all are 1), per-unit
@@ -275,6 +285,18 @@ class ReluNetwork:
             u = v
         return units, tuple(chunks), None, None, relu, max(len(c[2]) for c in chunks)
 
+    @staticmethod
+    def _in_columns(col: np.ndarray, units: slice, sources, *rest) -> tuple:
+        """A plan step with its unit ids as the value columns col gives
+        them; slices stay slices."""
+        span = lambda ids: slice(int(col[ids.start]), int(col[ids.start]) + ids.stop - ids.start)
+        if isinstance(sources, tuple):
+            sources = tuple((span(sums), [(int(col[s]), a, b) for s, a, b in runs], *more)
+                            for sums, runs, *more in sources)
+        else:
+            sources = span(sources) if isinstance(sources, slice) else col[sources]
+        return span(units), sources, *rest
+
     def _block_rows(self) -> int:
         """Points per forward block (see FORWARD_BLOCK_ELEMENTS)."""
         return max(1, FORWARD_BLOCK_ELEMENTS // max(len(self.w), len(self.layer)))
@@ -306,7 +328,7 @@ class ReluNetwork:
         out = np.empty((X.shape[0], len(self.output_ids)))
         step = self._block_rows()
         rows = min(step, X.shape[0])
-        vals = np.empty((rows, len(self.layer)))
+        vals = np.empty((rows, len(self._column_bias)))
         terms = np.empty(rows * self._widest)
         for start in range(0, X.shape[0], step):
             block = X[start : start + step]
@@ -314,12 +336,12 @@ class ReluNetwork:
         return out
 
     def _forward(self, X: np.ndarray, vals: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-        """Outputs at the rows of X, computed in vals, a (points, units)
+        """Outputs at the rows of X, computed in vals, a (points, columns)
         buffer, with buffer holding the (points x edges) terms of a layer
         or chunk."""
         vals[:, : self.n_inputs] = X
-        for units, sources, weights, heads, relu, _ in self._plan:
-            out, bias = vals[:, units], self.bias[units]
+        for units, sources, weights, heads, relu, _ in self._steps:
+            out, bias = vals[:, units], self._column_bias[units]
             if isinstance(sources, tuple):
                 for sums, runs, h_bias, w, h in sources:
                     terms = buffer[: len(X) * len(h_bias)].reshape(len(X), -1)
@@ -328,7 +350,8 @@ class ReluNetwork:
                     np.maximum(terms, 0.0, out=terms)
                     if w is not None:
                         np.multiply(terms, w, out=terms)
-                    np.add(np.add.reduceat(terms, h, axis=1), self.bias[sums], out=vals[:, sums])
+                    np.add(np.add.reduceat(terms, h, axis=1), self._column_bias[sums],
+                           out=vals[:, sums])
             else:
                 if isinstance(sources, slice):
                     terms = vals[:, sources]
@@ -344,7 +367,7 @@ class ReluNetwork:
                 np.maximum(out, 0.0, out=out)
             elif relu is not False:
                 out[:, relu] = np.maximum(out[:, relu], 0.0)
-        return vals[:, self.output_ids]
+        return vals[:, self._output_columns]
 
     def to_json_dict(self) -> dict:
         """The network document, its columns left as arrays; render it
@@ -400,20 +423,6 @@ class UnivariateNet:
     @property
     def L(self) -> int:
         return 2
-
-
-def audit_fractions(cells: int, audit_factor: int) -> np.ndarray:
-    """The fractions i / factor, 0 < i < factor, at which the audit of
-    an interpolant samples each of its cells: factor is at least
-    audit_factor, and at least 1024 parts over all the cells."""
-    factor = max(audit_factor, -(-1024 // cells))
-    return np.arange(1, factor) / factor
-
-
-def audit_points(left: np.ndarray, right: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """The audit points left + (right - left) * frac of the cells
-    [left, right], cell by cell in ascending order of frac."""
-    return (left[:, None] + (right - left)[:, None] * frac).ravel()
 
 
 def _sample(g: Callable, x: np.ndarray) -> np.ndarray:
@@ -475,11 +484,12 @@ def build_univariate(
         if values.shape != knots.shape or not np.all(np.isfinite(values)):
             raise DomainError("knot values are not finite or do not match the knot set")
         eps = float(np.max(np.abs(g_knots - values)))
-    frac = audit_fractions(len(knots) - 1, audit_factor)
+    factor = max(audit_factor, -(-1024 // (len(knots) - 1)))
+    frac = np.arange(1, factor) / factor
     for s in range(0, len(knots) - 1, AUDIT_BLOCK_CELLS):
         xp = knots[s : s + AUDIT_BLOCK_CELLS + 1]
         fp = values[s : s + AUDIT_BLOCK_CELLS + 1]
-        x = audit_points(xp[:-1], xp[1:], frac)
+        x = (xp[:-1, None] + np.diff(xp)[:, None] * frac).ravel()
         deviation = np.abs(_sample(g, x) - np.interp(x, xp, fp))
         eps = max(eps, float(np.max(deviation, initial=0.0)))
     return UnivariateNet(

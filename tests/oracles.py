@@ -23,8 +23,10 @@ samples its whole audit grid in one call (``whole_grid_univariate``,
 over ``audit_grid``), the bit-for-bit reference for the blocked audit
 of ``build_univariate``, and the outer nets as that build gave them
 over ``phi_batch`` at ``np.unique`` corner knots
-(``phi_batch_outer_net``), the bit-for-bit reference for
-``pipeline.build_outer_nets``. The residual oscillation swept over
+(``phi_batch_outer_net``), the bit-for-bit reference for the knots
+and values of ``pipeline.build_outer_nets`` and, by its sampled error,
+the floor that the proven ``decompose.outer_error_bound`` must not fall
+below. The residual oscillation swept over
 each whole shifted audit mesh (``whole_mesh_modulus``) is the reference
 for the blocked sweep of ``decompose.residual_modulus``. The depth-2 network of a univariate
 interpolant's hinge coefficients (``univariate_network``) is built here
@@ -506,11 +508,11 @@ def unique_corner_knots(state, j: int, M: float) -> np.ndarray:
 
 
 def phi_batch_outer_net(state, j: int) -> UnivariateNet:
-    """Family j's outer net as ``pipeline.build_outer_nets`` built it
-    before it derived the audit points' slots from the knots' and
-    skipped the flat cells: ``build_univariate`` over ``phi_batch`` at
-    ``unique_corner_knots``, audit factor 4, every audit point
-    evaluated."""
+    """Family j's outer net sampled as ``pipeline.build_outer_nets``
+    built it before its error became a proven bound: ``build_univariate``
+    over ``phi_batch`` at ``unique_corner_knots``, audit factor 4, every
+    audit point evaluated, so that eps_measured is the largest sampled
+    deviation."""
     M = float(state.params.phi_domain_sup)
     g = lambda y: decompose.phi_batch(state, j, np.asarray(y, dtype=float))
     return build_univariate(g, M, 0, knots=unique_corner_knots(state, j, M), audit_factor=4)

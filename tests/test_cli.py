@@ -126,6 +126,18 @@ class TestDecomposeCmd:
         assert "error: " in err and "Traceback" not in err
         assert not bad.is_file()
 
+    @pytest.mark.parametrize("where", ["directory", "under-file", "mid-write"])
+    def test_failed_csv_leaves_no_state(self, tmp_path, capsys, monkeypatch, where):
+        # the state file is written first, and the CSV's failure removes it
+        bad = _unwritable(tmp_path, where, monkeypatch)
+        state = tmp_path / "s.json"
+        code = run(["decompose", "--n", "2", "--f", "zero", "--iters", "0",
+                    "--out-state", str(state), "--out-csv", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert not state.exists() and not bad.is_file()
+
 
 class _DiskFull:
     """A file whose first write stores half its data and then fails, as

@@ -387,13 +387,22 @@ def phi_at(state, j: int, y: float) -> float:
 
 
 @st.composite
-def bump_grids(draw, k):
+def bump_grids(draw, k, shapes=False):
     """A depth-k grid of a few bumps spaced at 0.5 to 2 support widths,
     so that neighbours may overlap or touch but none reaches past its
-    next one, over grid vectors in a drawn order."""
+    next one, over grid vectors in a drawn order. With shapes, the slope
+    may be a power of ten up to 1e14 with a plateau of 4 to 10**4 ramps,
+    whose corners lie a few ulps off the ramp ends as at depth 3, and the
+    ramp may be 1/slope stretched by up to 5% either way, whose corner
+    discrepancies are as large."""
     slope = float(draw(st.integers(2, 64)))
-    ramp = 1.0 / slope
     plateau = draw(st.floats(1e-3, 0.5))
+    if shapes and draw(st.booleans()):
+        slope = 10.0 ** draw(st.integers(3, 14))
+        plateau = draw(st.floats(4.0, 1e4)) / slope
+    ramp = 1.0 / slope
+    if shapes and draw(st.booleans()):
+        ramp *= draw(st.floats(0.95, 1.05))
     width = plateau + 2 * ramp
     size = draw(st.integers(3, 12))
     gaps = draw(st.lists(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.5, 2.0)),
@@ -404,12 +413,12 @@ def bump_grids(draw, k):
 
 
 @st.composite
-def bump_rounds(draw, depths=None):
+def bump_rounds(draw, depths=None, shapes=False):
     """Rounds at the given depths (1 to 3 rounds at depths 1, 2, ... when
     None) on grids of bump_grids, one per depth, with coefficient vectors
     with zeros among them: the grids by depth and a stand-in state."""
     depths = tuple(range(1, draw(st.integers(1, 3)) + 1)) if depths is None else depths
-    grids = {k: draw(bump_grids(k)) for k in sorted(set(depths))}
+    grids = {k: draw(bump_grids(k, shapes)) for k in sorted(set(depths))}
     coeff = tuple(np.asarray(draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
                                             min_size=grids[k].xi.size,
                                             max_size=grids[k].xi.size)))
@@ -417,6 +426,16 @@ def bump_rounds(draw, depths=None):
     # two gaps of half a width may round to an overreach
     assume(not any(np.any(c[grids[k].reach]) for k, c in zip(depths, coeff)))
     return grids, SimpleNamespace(k_list=depths, coeff=coeff)
+
+
+def corner_knots(grids, near) -> np.ndarray:
+    """Ascending knots: every corner of the grids, the floats next to
+    the corners in near (cells one ulp wide), and one point below and
+    above them all."""
+    corners = np.concatenate([c for g in grids.values() for c in g.corners()])
+    return np.unique(np.concatenate([corners, np.nextafter(near, np.inf),
+                                     np.nextafter(near, -np.inf),
+                                     [corners.min() - 1.0, corners.max() + 1.0]]))
 
 
 @contextmanager
@@ -643,13 +662,12 @@ class TestEvaluatePhi:
                 if not math.isnan(y):
                     assert value == pytest.approx(dense_phi_sum(state, 0, float(y)), abs=1e-12)
 
-    def test_outer_audit_grids_match_two_candidates(self, product_r3, monkeypatch):
+    def test_outer_nets_evaluate_only_the_knots(self, product_r3, monkeypatch):
         # build_outer_nets evaluates phi_j block by block at the knots and
-        # at the audit points of the cells where it is not exactly flat,
-        # for the breakpoint-knot nets of an r=3 product state. Every
-        # point of audit_grid(net.knots, 4) is evaluated, with
-        # two_candidate_phi's bits, or lies in a cell with equal end
-        # values, where the oracle deviates from the net by exactly 0.0
+        # nowhere else, with two_candidate_phi's bits, for the
+        # breakpoint-knot nets of an r=3 product state. Each net's error is
+        # outer_error_bound, at least the deviation from the oracle over
+        # audit_grid(net.knots, 4), the sample that it replaces
         state = product_r3
         calls = []
 
@@ -660,79 +678,109 @@ class TestEvaluatePhi:
         monkeypatch.setattr(decompose, "_add_rounds", keep)
         nu = lipschitz_report(state)["nu_r"]
         eps_phi = pipeline.epsilon_split(state.params, nu, 0.25)["eps_phi"]
-        nets, _ = pipeline.build_outer_nets(state, eps_phi, pipeline.PipelineCaps())
+        nets, partial = pipeline.build_outer_nets(state, eps_phi, pipeline.PipelineCaps())
         monkeypatch.undo()
+        assert not partial
         k = state.k_list[-1]
         for j, net in enumerate(nets):
             mine = [(y, v) for grids, y, v in calls if family_grid(state, j, k) in grids]
             ys = np.concatenate([y for y, _ in mine])
-            assert np.concatenate([v for _, v in mine]).tobytes() == \
+            assert ys.tobytes() == net.knots.tobytes()
+            assert np.concatenate([v for _, v in mine]).tobytes() == net.values.tobytes() == \
                 two_candidate_phi(state, j, ys).tobytes()
             grid, factor = audit_grid(net.knots, 4)
             assert factor == 4 and grid.size > 500_000
-            assert np.all(np.isin(ys, grid)) and np.all(np.isin(net.knots, ys))
-            skipped = grid[~np.isin(grid, ys)]
-            assert 0.3 * grid.size < skipped.size < 0.7 * grid.size
-            cell = np.searchsorted(net.knots, skipped, side="right") - 1
-            assert np.array_equal(net.values[cell], net.values[cell + 1])
-            oracle = two_candidate_phi(state, j, skipped)
-            assert np.all(oracle == net.eval(skipped))
             deviation = np.abs(two_candidate_phi(state, j, grid) - net.eval(grid))
-            assert net.eps_measured == deviation.max()
+            assert net.eps_measured == decompose.outer_error_bound(state, j)
+            assert deviation.max() <= net.eps_measured <= eps_phi / 100
 
     @settings(derandomize=True, deadline=None)
-    @given(bump_grids(2), st.data())
-    def test_audit_point_slots_equal_search(self, grid, data):
-        # knots holding every support start (the corners of a drawn grid,
-        # points below and above it, and one-ulp cells beside drawn
-        # corners): each audit point's slot, read off its knot, is the
-        # slot _locate's search gives, for points that round onto the
-        # right knot of their cell too
-        corners = np.concatenate([grid.lo, grid.xi, grid.xi + grid.plateau,
-                                  grid.xi + (grid.plateau + grid.ramp)])
+    @given(bump_rounds(shapes=True), st.data())
+    def test_knot_values_equal_phi_batch(self, rounds, data):
+        # knots holding every corner, with one-ulp cells beside drawn
+        # corners and points below and above the grids, in blocks of a
+        # drawn size: phi_on_knots gives phi_batch's bits at every knot
+        grids, state = rounds
+        corners = np.concatenate([c for g in grids.values() for c in g.corners()])
         near = np.asarray(data.draw(st.lists(st.sampled_from(corners.tolist()), max_size=8)))
-        knots = np.unique(np.concatenate([corners, np.nextafter(near, np.inf),
-                                          np.nextafter(near, -np.inf),
-                                          [corners.min() - 1.0, corners.max() + 1.0]]))
-        factor = data.draw(st.integers(2, 8))
-        frac = np.arange(1, factor) / factor
-        # a drawn subset of the cells, with every one-ulp cell
-        ulp = knots[1:] == np.nextafter(knots[:-1], np.inf)
-        pick = data.draw(st.lists(st.booleans(), min_size=ulp.size, max_size=ulp.size))
-        cells = np.flatnonzero(ulp | np.asarray(pick, dtype=bool))
-        x, at = decompose._cell_points(knots, cells, frac)
-        left = np.repeat(cells, factor - 1)
-        assert np.array_equal(at, left + (x == knots[left + 1]))
-        assert np.array_equal(decompose._ascending_slots(grid.lo, knots)[at],
-                              decompose._locate(grid, x))
-        if near.size and factor > 2:
-            # 1 - 1/factor of one ulp rounds onto the right knot
-            assert np.any(at > left)
+        knots = corner_knots(grids, near)
+        with on_grids(grids):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(decompose, "PHI_BLOCK", data.draw(st.integers(1, 40)))
+                got = decompose.phi_on_knots(state, 0, knots)
+            assert got.tobytes() == phi_batch(state, 0, knots).tobytes()
 
     @settings(derandomize=True, deadline=None)
-    @given(bump_grids(2), st.data())
-    def test_flat_cells_have_constant_shapes(self, grid, data):
-        # cells between the support ends, points inside the ramps and
-        # plateaus, and drawn points: where _flat holds, the bump of the
-        # cell's slot and, in a shared slot, its predecessor have at the
-        # right end and at every audit point the shape they have at the
-        # left end, and that shape is 0.0 or 1.0
-        marks = [grid.lo, grid.xi, grid.xi + grid.plateau, grid.hi, grid.lo + grid.ramp / 2,
-                 grid.hi - grid.ramp / 2, grid.xi + grid.plateau / 3,
-                 np.asarray(data.draw(st.lists(st.floats(-1.0, 40.0), max_size=10)))]
-        knots = np.unique(np.concatenate(marks))
-        slot = decompose._ascending_slots(grid.lo, knots)[:-1]
-        flat = decompose._flat(grid, knots[:-1], knots[1:], slot)
-        cells = np.arange(len(knots) - 1)
-        x, at = decompose._cell_points(knots, cells, np.arange(1, 8) / 8)
-        x = np.concatenate([x, knots[1:]])
-        cell = np.concatenate([np.repeat(cells, 7), cells])
-        for c in (slot, np.where(grid.shared[slot], slot - 1, slot)):
-            at_left = decompose._shape(grid, knots[:-1], c)
-            assert np.all(np.isin(at_left[flat], [0.0, 1.0]))
-            inside = decompose._shape(grid, x, c[cell])
-            assert np.array_equal(inside[flat[cell]], at_left[cell][flat[cell]])
-        assert flat.any() and not flat.all()
+    @given(bump_grids(2, shapes=True))
+    def test_corner_error_covers_the_exact_discrepancy(self, grid):
+        # Grid.corner_error holds, per bump, the largest discrepancy of
+        # its float corners, taken in exact rationals, plus twice the
+        # rounding allowance rho = 4u(slope * (hi - lo) + 2) and 2u, which
+        # the bound's argument needs, and exceeds that by at most rho + u,
+        # the float evaluation's own error
+        u = Fraction(1, 2**53)
+        slope, plateau = Fraction(grid.slope), Fraction(grid.plateau)
+        lo, xi, top, hi = (list(map(Fraction, c.tolist())) for c in grid.corners())
+        for b, got in enumerate(grid.corner_error.tolist()):
+            exact = max(abs(slope * (lo[b] - xi[b]) + 1), abs(slope * (top[b] - xi[b] - plateau)),
+                        abs(1 - slope * (hi[b] - xi[b] - plateau)))
+            rho = 4 * u * (slope * (hi[b] - lo[b]) + 2)
+            assert exact + 2 * rho + 2 * u <= Fraction(got) <= exact + 4 * rho + 4 * u
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.sampled_from([(1,), (2, 2), (1, 2), (2, 1, 2), (1, 2, 3), (3, 3, 1)]), st.data())
+    def test_error_bound_covers_the_dense_deviation(self, depths, data):
+        # drawn rounds, a depth repeated or not, on grids with shared
+        # slots, steep ramps and stretched ramps; knots with one-ulp cells.
+        # outer_error_bound is at least |phi_j - interpolant| at 16 points
+        # per cell, at each corner and the floats next to it, and at
+        # random points
+        grids, state = data.draw(bump_rounds(depths, shapes=True))
+        corners = np.concatenate([c for g in grids.values() for c in g.corners()])
+        near = np.asarray(data.draw(st.lists(st.sampled_from(corners.tolist()), max_size=8)))
+        knots = corner_knots(grids, near)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ys = np.concatenate([
+            (knots[:-1, None] + np.diff(knots)[:, None] * (np.arange(1, 16) / 16)).ravel(),
+            corners, np.nextafter(corners, np.inf), np.nextafter(corners, -np.inf),
+            np.nextafter(np.nextafter(corners, np.inf), np.inf),
+            rng.uniform(knots[0], knots[-1], 500)])
+        with on_grids(grids):
+            values = decompose.phi_on_knots(state, 0, knots)
+            deviation = np.abs(phi_batch(state, 0, ys) - np.interp(ys, knots, values))
+            assert deviation.max() <= decompose.outer_error_bound(state, 0)
+
+    def test_error_bound_sums_the_rounds(self):
+        # one bump per round and no shared slot: each round adds its
+        # |coefficient| times the bump's corner error
+        grid = Grid(k=1, slope=4.0, plateau=0.5, ramp=0.25, xi=np.asarray([0.3, 3.0]),
+                    order=np.asarray([1, 0]))
+        assert not grid.shared.any()
+        state = SimpleNamespace(k_list=(1, 1, 1), coeff=(np.asarray([0.5, 0.0]), np.zeros(2),
+                                                         np.asarray([0.0, -2.0])))
+        with on_grids({1: grid}):
+            bound = decompose.outer_error_bound(state, 0)
+        u = decompose.UNIT_ROUNDOFF
+        corner = 0.5 * grid.corner_error[1] + 2.0 * grid.corner_error[0]
+        assert bound == (corner + 20 * u * 2.5) * (1 + 2.0**-40)
+        # the corners of slope 4 are exact, so only the allowances remain
+        assert grid.corner_error.tolist() == [12 * u * (4 * 1.0 + 2) + 3 * u] * 2
+
+    def test_error_bound_is_reached_by_one_bump(self):
+        # a ramp 4% short of 1/slope: phi_j jumps by 4% of the coefficient
+        # at the support start, the bound's corner term, while the
+        # interpolant starts from 0 there
+        grid = Grid(k=1, slope=4.0, plateau=0.5, ramp=0.24, xi=np.asarray([0.5, 3.0]),
+                    order=np.asarray([0, 1]))
+        state = SimpleNamespace(k_list=(1,), coeff=(np.asarray([0.75, 0.0]),))
+        knots = corner_knots({1: grid}, np.asarray([]))
+        ys = np.nextafter(grid.lo[0], np.inf)
+        with on_grids({1: grid}):
+            bound = decompose.outer_error_bound(state, 0)
+            values = decompose.phi_on_knots(state, 0, knots)
+            deviation = abs(phi_batch(state, 0, np.asarray([ys]))[0] - np.interp(ys, knots, values))
+        assert bound * (1 - 1e-9) <= deviation <= bound
+        assert deviation == pytest.approx(0.75 * 0.04)
 
 
 def family_grids(state) -> dict:

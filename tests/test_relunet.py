@@ -262,6 +262,8 @@ class TestForwardReference:
         if variant == "plain":
             assert [len(chunks) for chunks in fused_steps(net)] == [sums if chunk == 1 else 1]
             assert [type(plan[1]) for plan in net._plan] == [tuple]
+            # the hinges have no value column
+            assert len(net._column_bias) == cols["layer"].count(0) + sums
         else:
             assert fused_steps(net) == []
         n_inputs = cols["layer"].count(0)
@@ -277,6 +279,8 @@ class TestForwardReference:
         net = asm.network
         steps = [(int(net.layer[plan[0].start]), type(plan[1])) for plan in net._plan]
         assert steps == [(2, tuple), (3, slice), (5, tuple), (6, slice)]
+        # value columns only for the inputs and the layers a step writes
+        assert len(net._column_bias) == np.count_nonzero(~np.isin(net.layer, [1, 4]))
         # no step's terms are wider than its widest chunk or unfused layer
         widths = np.bincount(net.layer[net.dst])
         assert net._widest == max(len(chunk[2]) for chunks in fused_steps(net) for chunk in chunks)
