@@ -115,12 +115,11 @@ class Grid:
         """True at slot i when bump i-1's support reaches past lo[i]."""
         return np.concatenate(([False], self.hi[:-1] > self.lo[1:]))
 
-    @cached_property
     def corner_error(self) -> np.ndarray:
-        """Per bump, in slot order, the largest of its corner discrepancies
-        at lo, at the plateau end and at hi, plus 3 * 4u(slope * (hi - lo)
-        + 2) + 3u for rounding: how far a unit coefficient on it moves phi_j
-        off its knots' interpolant (README, "Notes on numerics")."""
+        """Per bump, in slot order, its largest corner discrepancy plus
+        3 * 4u(slope * (hi - lo) + 2) + 3u, built on each call: how far a
+        unit coefficient on it moves phi_j off its knots' interpolant
+        (README, "Notes on numerics")."""
         (lo, xi, top, hi), s, p = self.corners(), self.slope, self.plateau
         err = np.maximum(np.abs(s * (lo - xi) + 1.0), np.abs(s * ((top - xi) - p)))
         np.maximum(err, np.abs(1.0 - s * ((hi - xi) - p)), out=err)
@@ -410,12 +409,13 @@ def outer_error_bound(state, j: int) -> float:
     rounding included (README, "Notes on numerics"): a round puts on a
     knot cell one bump, or two where its grid has shared slots, each
     within |coefficient| * Grid.corner_error of its chord."""
+    rounds = nonzero_rounds(state)
+    grids = {k: family_grid(state, j, k) for k, _ in rounds}
+    errors = {k: grid.corner_error() for k, grid in grids.items()}
     total = scale = terms = 0.0
-    for k, coeff in nonzero_rounds(state):
-        grid = family_grid(state, j, k)
-        c = np.abs(coeff[grid.order])
-        count = 2 if grid.shared.any() else 1
-        total += count * float(np.max(c * grid.corner_error))
+    for k, coeff in rounds:
+        c, count = np.abs(coeff[grids[k].order]), 2 if grids[k].shared.any() else 1
+        total += count * float(np.max(c * errors[k]))
         scale += count * float(np.max(c))
         terms += count
     return (total + (2 * terms + 16) * UNIT_ROUNDOFF * scale) * (1 + 2.0**-40)

@@ -287,8 +287,7 @@ class ReluNetwork:
 
     @staticmethod
     def _in_columns(col: np.ndarray, units: slice, sources, *rest) -> tuple:
-        """A plan step with its unit ids as the value columns col gives
-        them; slices stay slices."""
+        """A plan step with its unit ids as their value columns col."""
         span = lambda ids: slice(int(col[ids.start]), int(col[ids.start]) + ids.stop - ids.start)
         if isinstance(sources, tuple):
             sources = tuple((span(sums), [(int(col[s]), a, b) for s, a, b in runs], *more)

@@ -713,7 +713,7 @@ class TestEvaluatePhi:
     @settings(derandomize=True, deadline=None)
     @given(bump_grids(2, shapes=True))
     def test_corner_error_covers_the_exact_discrepancy(self, grid):
-        # Grid.corner_error holds, per bump, the largest discrepancy of
+        # Grid.corner_error gives, per bump, the largest discrepancy of
         # its float corners, taken in exact rationals, plus twice the
         # rounding allowance rho = 4u(slope * (hi - lo) + 2) and 2u, which
         # the bound's argument needs, and exceeds that by at most rho + u,
@@ -721,7 +721,7 @@ class TestEvaluatePhi:
         u = Fraction(1, 2**53)
         slope, plateau = Fraction(grid.slope), Fraction(grid.plateau)
         lo, xi, top, hi = (list(map(Fraction, c.tolist())) for c in grid.corners())
-        for b, got in enumerate(grid.corner_error.tolist()):
+        for b, got in enumerate(grid.corner_error().tolist()):
             exact = max(abs(slope * (lo[b] - xi[b]) + 1), abs(slope * (top[b] - xi[b] - plateau)),
                         abs(1 - slope * (hi[b] - xi[b] - plateau)))
             rho = 4 * u * (slope * (hi[b] - lo[b]) + 2)
@@ -761,10 +761,10 @@ class TestEvaluatePhi:
         with on_grids({1: grid}):
             bound = decompose.outer_error_bound(state, 0)
         u = decompose.UNIT_ROUNDOFF
-        corner = 0.5 * grid.corner_error[1] + 2.0 * grid.corner_error[0]
+        corner = 0.5 * grid.corner_error()[1] + 2.0 * grid.corner_error()[0]
         assert bound == (corner + 20 * u * 2.5) * (1 + 2.0**-40)
         # the corners of slope 4 are exact, so only the allowances remain
-        assert grid.corner_error.tolist() == [12 * u * (4 * 1.0 + 2) + 3 * u] * 2
+        assert grid.corner_error().tolist() == [12 * u * (4 * 1.0 + 2) + 3 * u] * 2
 
     def test_error_bound_is_reached_by_one_bump(self):
         # a ramp 4% short of 1/slope: phi_j jumps by 4% of the coefficient
