@@ -6,7 +6,9 @@ cell, evaluates the residual at every level-k_r grid point, and adds a
 layer of trapezoidal bumps to each of the m+1 outer approximants: the
 bump for grid vector d sits at the image of d shifted by the family
 index, with coefficient e_{r-1}(d)/(m+1). A state holds that vector
-once per round; family_grid places its bumps for each family.
+once per round; family_grid places its bumps for each family, and
+outer_interpolant gives each family's outer net: the bump corners as
+its knots, phi_j at them, and a proven bound on its error.
 
 Residual sup norms are measured on a fixed audit mesh plus a seeded
 batch of random points, one AuditSample that every state of a
@@ -58,7 +60,7 @@ from .target import (
 
 STATE_SCHEMA = "kst-decomposition/3"
 
-# Points per phi_batch or phi_on_knots block, whose temporaries then stay in cache
+# Points per phi_batch or outer_interpolant block, whose temporaries then stay in cache
 PHI_BLOCK = 1 << 14
 
 # The unit roundoff u of float64
@@ -380,19 +382,30 @@ def _shape(grid: Grid, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     return d
 
 
-def nonzero_rounds(state) -> list[tuple[int, np.ndarray]]:
-    """The (depth, coefficients) rounds with a nonzero coefficient: the
-    others add zeros in _add_rounds, which change no value."""
-    return [(k, coeff) for k, coeff in zip(state.k_list, state.coeff) if np.any(coeff)]
-
-
-def phi_on_knots(state, j: int, knots: np.ndarray) -> np.ndarray:
-    """phi_j at ascending knots, phi_batch's values there bit for bit,
-    from the rounds of nonzero_rounds. Per block of PHI_BLOCK knots
-    their slots are found once per grid, by _ascending_slots. DomainError
-    refuses a non-finite value."""
-    rounds = nonzero_rounds(state)
+def outer_interpolant(state, j: int, M: float, knot_budget: int
+                      ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Family j's outer net on [0, M]: its knots, phi_j at them (phi_batch's
+    bits) and a proven bound on |phi_j - interpolant| (README, "Notes on
+    numerics"). The knots are 0, M and the corners in [0, M] of the grids
+    of rounds with a nonzero coefficient (a round of zeros changes no
+    value), where phi_j, a sum of trapezoids, breaks. Each corner copy of
+    a grid ascends, so one stable sort, which runs over sorted runs,
+    merges them. BudgetError refuses more than knot_budget cells before
+    any value, DomainError a non-finite value. In the bound a round puts
+    on a knot cell one bump, or two where its grid has shared slots, each
+    within |coefficient| * Grid.corner_error of its chord."""
+    rounds = [(k, coeff) for k, coeff in zip(state.k_list, state.coeff) if np.any(coeff)]
     grids = {k: family_grid(state, j, k) for k, _ in rounds}
+    pieces = [np.asarray([0.0, M])]
+    for grid in grids.values():
+        for corners in grid.corners():
+            pieces.append(corners[np.searchsorted(corners, 0.0):
+                                  np.searchsorted(corners, M, side="right")])
+    knots = np.sort(np.concatenate(pieces), kind="stable")
+    knots = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
+    if len(knots) - 1 > knot_budget:
+        raise BudgetError(f"breakpoint count {len(knots) - 1} exceeds the knot budget")
+
     values = np.zeros(len(knots))
     for s in range(0, len(knots), PHI_BLOCK):
         kb = knots[s : s + PHI_BLOCK]
@@ -400,17 +413,7 @@ def phi_on_knots(state, j: int, knots: np.ndarray) -> np.ndarray:
         _add_rounds(values[s : s + PHI_BLOCK], rounds, grids, kb, slots)
     if not np.all(np.isfinite(values)):
         raise DomainError(f"outer function {j} is not finite at its knots")
-    return values
 
-
-def outer_error_bound(state, j: int) -> float:
-    """A proven bound on |phi_j - interpolant| between ascending knots
-    that hold every corner among them of the grids of nonzero_rounds,
-    rounding included (README, "Notes on numerics"): a round puts on a
-    knot cell one bump, or two where its grid has shared slots, each
-    within |coefficient| * Grid.corner_error of its chord."""
-    rounds = nonzero_rounds(state)
-    grids = {k: family_grid(state, j, k) for k, _ in rounds}
     errors = {k: grid.corner_error() for k, grid in grids.items()}
     total = scale = terms = 0.0
     for k, coeff in rounds:
@@ -418,7 +421,7 @@ def outer_error_bound(state, j: int) -> float:
         total += count * float(np.max(c * errors[k]))
         scale += count * float(np.max(c))
         terms += count
-    return (total + (2 * terms + 16) * UNIT_ROUNDOFF * scale) * (1 + 2.0**-40)
+    return knots, values, (total + (2 * terms + 16) * UNIT_ROUNDOFF * scale) * (1 + 2.0**-40)
 
 
 def carry(state, columns, rounds, start=None, own=None) -> tuple[np.ndarray, ...]:

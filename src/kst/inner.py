@@ -24,6 +24,8 @@ the lattice index i of i * gamma**-k over [0, 2): entry i is
 division, so psi(x) = 1 + psi(x - 1) on [1, 2) is rounded once too. The
 vector reader takes the nudged floor of u * gamma**k as the index, the
 exact reader the exact floor; ``kst inner`` prints the [0, 1) half.
+``staircase`` gives the knots and values of the inner net, which
+realizes the vector reader's truncated function.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .params import KstParams, beta
 
 LATTICE_BUDGET = 10**6       # max gamma**k of a lattice
 TRUNC_NUDGE = 1e-6           # upward nudge of the truncation index
+STAIR_RAMP_WIDTH = 1e-9      # width of each ramp of the staircase net
 
 
 class InnerEvaluator:
@@ -178,3 +181,33 @@ class InnerEvaluator:
         scale = self.params.gamma**k_trunc
         idx = np.floor(np.asarray(u, dtype=float) * scale + TRUNC_NUDGE).astype(np.int64)
         return self.float_table(k_trunc)[np.clip(idx, 0, 2 * scale - 1)]
+
+    def staircase(self, k: int, M: float) -> tuple[np.ndarray, np.ndarray]:
+        """Knots and values of a piecewise-linear net equal to
+        psi_trunc_vector at depth k on [0, M] away from its jumps.
+
+        Under the nudged floor the truncated function is constant on
+        lattice cells and jumps at (i - TRUNC_NUDGE)/gamma**k. The net is
+        flat on each cell with a steep ramp of width STAIR_RAMP_WIDTH just
+        below every jump. The nudge keeps the jumps clear of all rational
+        coincidences of audit points, so evaluation points never land
+        inside a ramp and the net reproduces the truncated function
+        pointwise.
+        """
+        scale = self.params.gamma**k
+        table = self.float_table(k)
+        idx_top = math.floor(M * scale + TRUNC_NUDGE)
+        # jump i sits at (i - TRUNC_NUDGE)/scale; idx_top + 2 is past M
+        i = np.arange(1, idx_top + 3)
+        i = i[(i - TRUNC_NUDGE) / scale < M]
+        jumps = (i - TRUNC_NUDGE) / scale
+        # a ramp start left of jump i, where it clears the knot before it
+        lefts = jumps - STAIR_RAMP_WIDTH
+        has_left = lefts > np.concatenate(([0.0], jumps[:-1]))
+        keep = np.stack([has_left, np.ones_like(has_left)], axis=1).ravel()
+        knots = np.concatenate(([0.0], np.stack([lefts, jumps], axis=1).ravel()[keep]))
+        vals = table[np.concatenate(([0], np.stack([i - 1, i], axis=1).ravel()[keep]))]
+        if knots[-1] < M:
+            knots = np.append(knots, M)
+            vals = np.append(vals, table[idx_top])
+        return knots, vals

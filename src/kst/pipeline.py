@@ -8,6 +8,10 @@ which makes ((2n+1)^2/(2n))*nu*eps_psi and (2n+1)*eps_phi both equal
 eps/4. At desk scale eps_psi is usually unreachable within the knot
 budget; such runs are flagged partial and every error is still measured
 and reported honestly.
+
+The knots come from the modules that define the functions: the inner
+net's staircase from InnerEvaluator.staircase, and each outer net's
+knots, values and proven error bound from decompose.outer_interpolant.
 """
 
 from __future__ import annotations
@@ -22,16 +26,12 @@ from .decompose import (
     DecompositionCaps,
     DecompositionState,
     f_r,
-    family_grid,
     init_state,
     iterate,
     lipschitz_report,
-    nonzero_rounds,
-    outer_error_bound,
-    phi_on_knots,
+    outer_interpolant,
 )
 from .errors import BudgetError, DomainError
-from .inner import TRUNC_NUDGE
 from .params import KstParams, make_params, to_json
 from .relunet import AssembledKst, UnivariateNet, assemble_kst, build_univariate
 from .target import TargetFunction
@@ -58,8 +58,8 @@ class PipelineCaps:
 @dataclass
 class PipelineReport:
     """What a run built and measured. ``eps_phi_measured`` is not a
-    sample: it is the largest over the families of outer_error_bound,
-    a proven bound on the outer nets' deviation from phi_j."""
+    sample: it is the largest over the families of outer_interpolant's
+    proven bound on the outer nets' deviation from phi_j."""
 
     eps_target: float
     r_target: int
@@ -119,43 +119,6 @@ def epsilon_split(params: KstParams, nu_r: float, eps: float) -> dict[str, float
 # -- network construction ------------------------------------------------------
 
 
-STAIR_RAMP_WIDTH = 1e-9
-
-
-def _staircase_inner_knots(
-    state: DecompositionState, M: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Knot and value arrays realizing the depth-truncated inner
-    function on [0, M].
-
-    The decomposition evaluates the inner function truncated at depth
-    k_max + 2, which under the shared nudged-floor rule is constant on
-    lattice cells and jumps at (i - TRUNC_NUDGE)/gamma**depth. The network
-    is flat on each cell with a steep ramp of width STAIR_RAMP_WIDTH just
-    below every jump. The index nudge keeps the jumps clear of all
-    rational coincidences of audit points, so evaluation points never
-    land inside a ramp and the network reproduces the evaluated inner
-    function pointwise.
-    """
-    scale = state.params.gamma**state.k_trunc
-    table = state.ev.float_table(state.k_trunc)
-    idx_top = math.floor(M * scale + TRUNC_NUDGE)
-    # jump i sits at (i - TRUNC_NUDGE)/scale; idx_top + 2 is past M
-    i = np.arange(1, idx_top + 3)
-    i = i[(i - TRUNC_NUDGE) / scale < M]
-    jumps = (i - TRUNC_NUDGE) / scale
-    # a ramp start left of jump i, where it clears the knot before it
-    lefts = jumps - STAIR_RAMP_WIDTH
-    has_left = lefts > np.concatenate(([0.0], jumps[:-1]))
-    keep = np.stack([has_left, np.ones_like(has_left)], axis=1).ravel()
-    knots = np.concatenate(([0.0], np.stack([lefts, jumps], axis=1).ravel()[keep]))
-    vals = table[np.concatenate(([0], np.stack([i - 1, i], axis=1).ravel()[keep]))]
-    if knots[-1] < M:
-        knots = np.append(knots, M)
-        vals = np.append(vals, table[idx_top])
-    return knots, vals
-
-
 def build_inner_net(
     state: DecompositionState, eps_psi: float, caps: PipelineCaps
 ) -> tuple[UnivariateNet, bool]:
@@ -170,31 +133,19 @@ def build_inner_net(
     depth = state.k_trunc
     ref = lambda x: state.ev.psi_trunc_vector(np.asarray(x, dtype=float), depth)
     if caps.align_inner_knots:
-        knots, values = _staircase_inner_knots(state, M)
+        knots, values = state.ev.staircase(depth, M)
         if len(knots) - 1 > caps.knot_budget:
             raise BudgetError(f"staircase knot count {len(knots) - 1} exceeds the knot budget")
         net = build_univariate(ref, M, 0, knots=knots, values=values, audit_factor=4)
     else:
-        h = (eps_psi / p.nu) ** (1.0 / p.alpha) if eps_psi > 0 else 0.0
+        try:
+            h = (eps_psi / p.nu) ** (1.0 / p.alpha) if eps_psi > 0 else 0.0
+        except OverflowError:  # an h past the float range spans M, as at eps_psi = inf
+            h = math.inf
         n_req = math.inf if h == 0.0 else M / h
         N = int(min(n_req, caps.knot_budget)) if math.isfinite(n_req) else caps.knot_budget
         net = build_univariate(ref, M, max(N, 1))
     return net, net.eps_measured > eps_psi
-
-
-def _corner_knots(state: DecompositionState, j: int, M: float) -> np.ndarray:
-    """0, M and the bump corners (Grid.corners) in [0, M] of family j's
-    grids at the depths of rounds with a nonzero coefficient: the
-    breakpoints of phi_j. Each corner copy of a grid ascends, so the
-    copies are merged by one stable sort of their concatenation, which
-    runs over sorted runs, and equal neighbours are dropped."""
-    pieces = [np.asarray([0.0, M])]
-    for k in dict.fromkeys(k for k, _ in nonzero_rounds(state)):
-        for corners in family_grid(state, j, k).corners():
-            pieces.append(corners[np.searchsorted(corners, 0.0):
-                                  np.searchsorted(corners, M, side="right")])
-    knots = np.sort(np.concatenate(pieces), kind="stable")
-    return knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
 
 
 def build_outer_nets(
@@ -202,18 +153,15 @@ def build_outer_nets(
 ) -> tuple[list[UnivariateNet], bool]:
     """One approximant per family, interpolating phi_j at its
     breakpoints: phi_j is a sum of trapezoids, so it is linear between
-    them and the net reproduces it up to rounding. phi_on_knots gives
-    the knot values; a net's eps_measured is outer_error_bound, a proven
-    bound on its deviation from phi_j, not a sample."""
+    them and the net reproduces it up to rounding. outer_interpolant
+    gives the knots and values; a net's eps_measured is its proven
+    bound on the deviation from phi_j, not a sample."""
     p = state.params
     M = float(p.phi_domain_sup)
     nets = []
     for j in range(p.m + 1):
-        knots = _corner_knots(state, j, M)
-        if len(knots) - 1 > caps.knot_budget:
-            raise BudgetError(f"breakpoint count {len(knots) - 1} exceeds the knot budget")
-        nets.append(UnivariateNet(knots=knots, values=phi_on_knots(state, j, knots), domain=M,
-                                  eps_measured=outer_error_bound(state, j)))
+        knots, values, bound = outer_interpolant(state, j, M, caps.knot_budget)
+        nets.append(UnivariateNet(knots=knots, values=values, domain=M, eps_measured=bound))
     return nets, any(net.eps_measured > eps_phi for net in nets)
 
 

@@ -272,9 +272,6 @@ class TargetFunction:
     sup_norm_bound: float
     provenance: dict
 
-    def __call__(self, p: Sequence[float]) -> float:
-        return float(self.eval_batch(np.asarray(p, dtype=float)[None, :])[0])
-
     def eval_batch(self, pts: np.ndarray) -> np.ndarray:
         """Values at the rows of an (N, dim) array of points."""
         return _evaluate(self.fn, pts)

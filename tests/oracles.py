@@ -24,9 +24,8 @@ over ``audit_grid``), the bit-for-bit reference for the blocked audit
 of ``build_univariate``, and the outer nets as that build gave them
 over ``phi_batch`` at ``np.unique`` corner knots
 (``phi_batch_outer_net``), the bit-for-bit reference for the knots
-and values of ``pipeline.build_outer_nets`` and, by its sampled error,
-the floor that the proven ``decompose.outer_error_bound`` must not fall
-below. The residual oscillation swept over
+and values of ``decompose.outer_interpolant`` and, by its sampled
+error, the floor that its proven bound must not fall below. The residual oscillation swept over
 each whole shifted audit mesh (``whole_mesh_modulus``) is the reference
 for the blocked sweep of ``decompose.residual_modulus``. The depth-2 network of a univariate
 interpolant's hinge coefficients (``univariate_network``) is built here
@@ -495,9 +494,9 @@ def whole_grid_univariate(g, M: float, N: int, knots=None, audit_factor: int = 1
 
 
 def unique_corner_knots(state, j: int, M: float) -> np.ndarray:
-    """``pipeline._corner_knots`` as ``np.unique`` over every corner
-    copy of the grids of the rounds with a nonzero coefficient, then
-    cut to [0, M]."""
+    """The knots of ``decompose.outer_interpolant`` as ``np.unique`` over
+    every corner copy of the grids of the rounds with a nonzero
+    coefficient, then cut to [0, M]."""
     pieces = [np.asarray([0.0, M])]
     depths = dict.fromkeys(k for k, coeff in zip(state.k_list, state.coeff) if np.any(coeff))
     for grid in (decompose.family_grid(state, j, k) for k in depths):
@@ -509,8 +508,9 @@ def unique_corner_knots(state, j: int, M: float) -> np.ndarray:
 
 def phi_batch_outer_net(state, j: int) -> UnivariateNet:
     """Family j's outer net sampled as ``pipeline.build_outer_nets``
-    built it before its error became a proven bound: ``build_univariate``
-    over ``phi_batch`` at ``unique_corner_knots``, audit factor 4, every
+    built it before its error became the proven bound of
+    ``decompose.outer_interpolant``: ``build_univariate`` over
+    ``phi_batch`` at ``unique_corner_knots``, audit factor 4, every
     audit point evaluated, so that eps_measured is the largest sampled
     deviation."""
     M = float(state.params.phi_domain_sup)

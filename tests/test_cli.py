@@ -234,6 +234,20 @@ class TestAssembleCmd:
         assert grid["f_minus_net"] <= grid["f_minus_fr"] + grid["fr_minus_net"] + 1e-12
         assert grid["fr_minus_net"] <= 0.25
 
+    def test_uniform_inner_of_a_tiny_target(self, tmp_path, capsys):
+        # a 1e-200 * x1*x2 target gives eps_psi near 1e193, whose uniform
+        # knot spacing (eps_psi / nu)**(1 / alpha) is past the float range:
+        # the inner net takes one segment, as at eps_psi = inf
+        state, report = tmp_path / "state.json", tmp_path / "report.json"
+        assert run(["decompose", "--n", "2", "--f", "0.0000000001*" * 20 + "x1*x2",
+                    "--iters", "1", "--seed", "5", "--out-state", str(state),
+                    "--out-csv", str(tmp_path / "decay.csv")]) == 0
+        assert run(["assemble", "--decomp", str(state), "--eps", "0.5", "--uniform-inner",
+                    "--knot-budget", "6000", "--n-random", "100",
+                    "--out-report", str(report)]) == 0
+        rep = json.loads(report.read_text())
+        assert float(rep["eps_psi"]) > 1e192 and rep["psi_knots"] == 1
+
     def test_missing_file_exit_2(self, tmp_path):
         code = run(["assemble", "--decomp", str(tmp_path / "nope.json"), "--eps", "0.5"])
         assert code == 2

@@ -37,6 +37,7 @@ from oracles import (
     dense_phi_sum,
     grid_shift,
     two_candidate_phi,
+    unique_corner_knots,
     whole_mesh_modulus,
 )
 
@@ -428,14 +429,9 @@ def bump_rounds(draw, depths=None, shapes=False):
     return grids, SimpleNamespace(k_list=depths, coeff=coeff)
 
 
-def corner_knots(grids, near) -> np.ndarray:
-    """Ascending knots: every corner of the grids, the floats next to
-    the corners in near (cells one ulp wide), and one point below and
-    above them all."""
-    corners = np.concatenate([c for g in grids.values() for c in g.corners()])
-    return np.unique(np.concatenate([corners, np.nextafter(near, np.inf),
-                                     np.nextafter(near, -np.inf),
-                                     [corners.min() - 1.0, corners.max() + 1.0]]))
+def past_corners(grids) -> float:
+    """A domain end M one past the last corner of the grids."""
+    return max(float(c.max()) for g in grids.values() for c in g.corners()) + 1.0
 
 
 @contextmanager
@@ -666,8 +662,8 @@ class TestEvaluatePhi:
         # build_outer_nets evaluates phi_j block by block at the knots and
         # nowhere else, with two_candidate_phi's bits, for the
         # breakpoint-knot nets of an r=3 product state. Each net's error is
-        # outer_error_bound, at least the deviation from the oracle over
-        # audit_grid(net.knots, 4), the sample that it replaces
+        # outer_interpolant's bound, at least the deviation from the oracle
+        # over audit_grid(net.knots, 4), the sample that it replaces
         state = product_r3
         calls = []
 
@@ -691,24 +687,23 @@ class TestEvaluatePhi:
             grid, factor = audit_grid(net.knots, 4)
             assert factor == 4 and grid.size > 500_000
             deviation = np.abs(two_candidate_phi(state, j, grid) - net.eval(grid))
-            assert net.eps_measured == decompose.outer_error_bound(state, j)
+            assert net.eps_measured == decompose.outer_interpolant(state, j, net.domain, 10**6)[2]
             assert deviation.max() <= net.eps_measured <= eps_phi / 100
 
     @settings(derandomize=True, deadline=None)
     @given(bump_rounds(shapes=True), st.data())
     def test_knot_values_equal_phi_batch(self, rounds, data):
-        # knots holding every corner, with one-ulp cells beside drawn
-        # corners and points below and above the grids, in blocks of a
-        # drawn size: phi_on_knots gives phi_batch's bits at every knot
+        # in blocks of a drawn size, outer_interpolant's knots are the
+        # oracle's np.unique corner knots, the corners below 0 cut, and
+        # its values phi_batch's bits at every knot
         grids, state = rounds
-        corners = np.concatenate([c for g in grids.values() for c in g.corners()])
-        near = np.asarray(data.draw(st.lists(st.sampled_from(corners.tolist()), max_size=8)))
-        knots = corner_knots(grids, near)
+        M = past_corners(grids)
         with on_grids(grids):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(decompose, "PHI_BLOCK", data.draw(st.integers(1, 40)))
-                got = decompose.phi_on_knots(state, 0, knots)
-            assert got.tobytes() == phi_batch(state, 0, knots).tobytes()
+                knots, values, _ = decompose.outer_interpolant(state, 0, M, 10**6)
+            assert knots.tobytes() == unique_corner_knots(state, 0, M).tobytes()
+            assert values.tobytes() == phi_batch(state, 0, knots).tobytes()
 
     @settings(derandomize=True, deadline=None)
     @given(bump_grids(2, shapes=True))
@@ -731,24 +726,24 @@ class TestEvaluatePhi:
     @given(st.sampled_from([(1,), (2, 2), (1, 2), (2, 1, 2), (1, 2, 3), (3, 3, 1)]), st.data())
     def test_error_bound_covers_the_dense_deviation(self, depths, data):
         # drawn rounds, a depth repeated or not, on grids with shared
-        # slots, steep ramps and stretched ramps; knots with one-ulp cells.
-        # outer_error_bound is at least |phi_j - interpolant| at 16 points
-        # per cell, at each corner and the floats next to it, and at
-        # random points
+        # slots, steep ramps and stretched ramps. outer_interpolant's bound
+        # is at least |phi_j - interpolant| on its domain [0, M] at 16
+        # points per cell, at each corner and the floats next to it, and
+        # at random points
         grids, state = data.draw(bump_rounds(depths, shapes=True))
         corners = np.concatenate([c for g in grids.values() for c in g.corners()])
-        near = np.asarray(data.draw(st.lists(st.sampled_from(corners.tolist()), max_size=8)))
-        knots = corner_knots(grids, near)
+        M = past_corners(grids)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        ys = np.concatenate([
-            (knots[:-1, None] + np.diff(knots)[:, None] * (np.arange(1, 16) / 16)).ravel(),
-            corners, np.nextafter(corners, np.inf), np.nextafter(corners, -np.inf),
-            np.nextafter(np.nextafter(corners, np.inf), np.inf),
-            rng.uniform(knots[0], knots[-1], 500)])
         with on_grids(grids):
-            values = decompose.phi_on_knots(state, 0, knots)
+            knots, values, bound = decompose.outer_interpolant(state, 0, M, 10**6)
+            ys = np.concatenate([
+                (knots[:-1, None] + np.diff(knots)[:, None] * (np.arange(1, 16) / 16)).ravel(),
+                corners, np.nextafter(corners, np.inf), np.nextafter(corners, -np.inf),
+                np.nextafter(np.nextafter(corners, np.inf), np.inf),
+                rng.uniform(0.0, M, 500)])
+            ys = ys[(ys >= 0.0) & (ys <= M)]
             deviation = np.abs(phi_batch(state, 0, ys) - np.interp(ys, knots, values))
-            assert deviation.max() <= decompose.outer_error_bound(state, 0)
+            assert deviation.max() <= bound
 
     def test_error_bound_sums_the_rounds(self):
         # one bump per round and no shared slot: each round adds its
@@ -759,7 +754,7 @@ class TestEvaluatePhi:
         state = SimpleNamespace(k_list=(1, 1, 1), coeff=(np.asarray([0.5, 0.0]), np.zeros(2),
                                                          np.asarray([0.0, -2.0])))
         with on_grids({1: grid}):
-            bound = decompose.outer_error_bound(state, 0)
+            bound = decompose.outer_interpolant(state, 0, 5.0, 10**6)[2]
         u = decompose.UNIT_ROUNDOFF
         corner = 0.5 * grid.corner_error()[1] + 2.0 * grid.corner_error()[0]
         assert bound == (corner + 20 * u * 2.5) * (1 + 2.0**-40)
@@ -773,14 +768,32 @@ class TestEvaluatePhi:
         grid = Grid(k=1, slope=4.0, plateau=0.5, ramp=0.24, xi=np.asarray([0.5, 3.0]),
                     order=np.asarray([0, 1]))
         state = SimpleNamespace(k_list=(1,), coeff=(np.asarray([0.75, 0.0]),))
-        knots = corner_knots({1: grid}, np.asarray([]))
         ys = np.nextafter(grid.lo[0], np.inf)
         with on_grids({1: grid}):
-            bound = decompose.outer_error_bound(state, 0)
-            values = decompose.phi_on_knots(state, 0, knots)
+            knots, values, bound = decompose.outer_interpolant(state, 0, 5.0, 10**6)
             deviation = abs(phi_batch(state, 0, np.asarray([ys]))[0] - np.interp(ys, knots, values))
         assert bound * (1 - 1e-9) <= deviation <= bound
         assert deviation == pytest.approx(0.75 * 0.04)
+
+    def test_error_bound_doubles_a_shared_slot(self):
+        # bump 1's support starts at bump 0's plateau end, bit for bit: a
+        # shared slot, with no bump reaching past its next neighbour. One
+        # ulp right of that corner both bumps depart from the chord, by
+        # more together than one round's term, which the bound counts
+        # twice on a grid with shared slots
+        grid = Grid(k=1, slope=1e13, plateau=4.007828974742468e-12, ramp=9.999757166298915e-14,
+                    xi=np.asarray([0.5065940908262577, 0.5065940908303656]),
+                    order=np.asarray([0, 1]))
+        assert grid.lo[1] == grid.xi[0] + grid.plateau
+        assert grid.shared.tolist() == [False, True] and grid.reach.size == 0
+        state = SimpleNamespace(k_list=(1,),
+                                coeff=(np.asarray([0.7280003879599442, -0.6548428439482044]),))
+        ys = np.nextafter(grid.lo[1], np.inf)
+        with on_grids({1: grid}):
+            knots, values, bound = decompose.outer_interpolant(state, 0, 1.0, 10**6)
+            deviation = abs(phi_batch(state, 0, np.asarray([ys]))[0] - np.interp(ys, knots, values))
+        assert bound / 2 < deviation <= bound
+        assert deviation == pytest.approx(4.571e-4, rel=1e-3)
 
 
 def family_grids(state) -> dict:
@@ -871,7 +884,7 @@ class TestEvaluateFr:
         worst = 0.0
         for _ in range(2000):
             x = np.asarray([[rng.random(), rng.random()]])
-            worst = max(worst, abs(f(x[0]) - f_r(product_r1, x.T)[0]))
+            worst = max(worst, abs(f.eval_batch(x)[0] - f_r(product_r1, x.T)[0]))
         assert worst <= eta
 
     def test_grid_point_structure(self, product_r1):

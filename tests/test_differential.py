@@ -71,7 +71,7 @@ def oracle_f1(x, target, params, k1, lambda_depth, k_trunc):
                 lams[i] * oracle_psi_extended(d[i] + s_j, _depth_of(d[i] + s_j, g), n, g)
                 for i in range(n)
             )
-            coeff = target(tuple(float(v) for v in d)) / (m + 1)
+            coeff = float(target.eval_batch(np.asarray([d], dtype=float))[0]) / (m + 1)
             t1 = min(max(slope * (y - float(xi)) + 1.0, 0.0), 1.0)
             t2 = min(max(slope * (y - float(xi) - plateau), 0.0), 1.0)
             total += coeff * (t1 - t2)

@@ -19,7 +19,7 @@ from kst.pipeline import (
 )
 from kst.decompose import DecompositionCaps, init_state, iterate
 from kst.target import builtin_target, expression_target, mesh_points
-from oracles import phi_batch_outer_net
+from oracles import phi_batch_outer_net, unique_corner_knots
 
 
 class TestRofEpsilon:
@@ -187,7 +187,7 @@ def test_outer_nets_take_the_breakpoints():
                                    PipelineCaps(r_cap=1, seed=5))
     M = float(state.params.phi_domain_sup)
     for j, net in enumerate(asm.phi_nets):
-        assert net.knots.tobytes() == pipeline._corner_knots(state, j, M).tobytes()
+        assert net.knots.tobytes() == unique_corner_knots(state, j, M).tobytes()
     assert rep.phi_knots == 5475
     assert rep.errors_overall["fr_minus_net"] <= 1e-9
 
@@ -228,7 +228,9 @@ def test_outer_nets_equal_the_phi_batch_build(name, gamma, r, data):
     want = phi_batch_outer_net(state, j)
     assert nets[j].knots.tobytes() == want.knots.tobytes()
     assert nets[j].values.tobytes() == want.values.tobytes()
-    assert nets[j].eps_measured == decompose.outer_error_bound(state, j) >= want.eps_measured
+    M = float(state.params.phi_domain_sup)
+    bound = decompose.outer_interpolant(state, j, M, PipelineCaps().knot_budget)[2]
+    assert nets[j].eps_measured == bound >= want.eps_measured
     if name == "zero" or (zero is not None and r == 1):
         assert want.knots.tolist() == [0.0, float(state.params.phi_domain_sup)]
         assert nets[j].eps_measured == 0.0
@@ -240,8 +242,8 @@ def test_error_bound_covers_the_sampled_audit(name):
     # bound is at least the deviation that build_univariate samples at
     # audit factor 4 over phi_batch, and below eps_phi / 100
     state = _state(name, 6, 3)
-    _, report = assemble_from_state(state, 0.25, PipelineCaps(seed=5))
-    bounds = [decompose.outer_error_bound(state, j) for j in range(state.params.m + 1)]
+    asm, report = assemble_from_state(state, 0.25, PipelineCaps(seed=5))
+    bounds = [net.eps_measured for net in asm.phi_nets]
     for j, bound in enumerate(bounds):
         assert phi_batch_outer_net(state, j).eps_measured <= bound <= report.eps_phi / 100
     assert report.eps_phi_measured == max(bounds)
@@ -266,8 +268,8 @@ def test_every_support_end_is_a_knot(name):
         state = iterate(init_state(expression_target(name, 2), caps=DecompositionCaps(seed=5)))
     M = float(state.params.phi_domain_sup)
     for j in range(state.params.m + 1):
-        knots = pipeline._corner_knots(state, j, M)
-        for k in {k for k, _ in decompose.nonzero_rounds(state)}:
+        knots = decompose.outer_interpolant(state, j, M, PipelineCaps().knot_budget)[0]
+        for k in {k for k, coeff in zip(state.k_list, state.coeff) if np.any(coeff)}:
             hi = decompose.family_grid(state, j, k).hi
             assert np.isin(hi[(hi >= 0.0) & (hi <= M)], knots).all()
 

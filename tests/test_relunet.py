@@ -388,9 +388,9 @@ class TestBuildUnivariate:
         for N in (8, 16, 32, 64):
             uni = build_univariate(g, M, N)
             assert uni.eps_measured <= tallest + 1e-12
-        from kst.pipeline import _corner_knots
+        from kst.decompose import outer_interpolant
 
-        corners = _corner_knots(state, 0, M)
+        corners = outer_interpolant(state, 0, M, 10**6)[0]
         exact = build_univariate(g, M, 0, knots=corners, audit_factor=4)
         assert exact.eps_measured <= 1e-9
 

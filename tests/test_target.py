@@ -27,7 +27,8 @@ from oracles import SCALAR_FUNCTIONS, oracle_eval_expr, pretty
 
 def eval_expr(e, p) -> float:
     """Value of an expression tree at one point, through the compiled form."""
-    return TargetFunction(dim=len(p), fn=_compile(e), sup_norm_bound=0.0, provenance={})(p)
+    t = TargetFunction(dim=len(p), fn=_compile(e), sup_norm_bound=0.0, provenance={})
+    return float(t.eval_batch(np.asarray([p], dtype=float))[0])
 
 
 def modulus(t: TargetFunction, resolution: int, steps) -> dict[float, float]:
@@ -269,9 +270,10 @@ class TestBuiltins:
             assert t.sup_norm_bound <= 1.0
 
     def test_values(self):
-        assert builtin_target("product", 2)((0.5, 0.5)) == 0.25
-        assert builtin_target("gaussian", 2)((0.0, 0.0)) == 1.0
-        assert builtin_target("ridge", 2)((0.25, 0.25)) == pytest.approx(0.5)
+        at = lambda name, p: float(builtin_target(name, 2).eval_batch(np.asarray([p]))[0])
+        assert at("product", (0.5, 0.5)) == 0.25
+        assert at("gaussian", (0.0, 0.0)) == 1.0
+        assert at("ridge", (0.25, 0.25)) == pytest.approx(0.5)
 
     def test_unknown_builtin(self):
         with pytest.raises(ExpressionError):
@@ -280,9 +282,8 @@ class TestBuiltins:
     def test_expression_target_bound_dominates_samples(self):
         t = expression_target("x1*x2", 2)
         rng = random.Random(23)
-        for _ in range(200):
-            p = (rng.random(), rng.random())
-            assert abs(t(p)) <= t.sup_norm_bound + 1e-12
+        pts = np.asarray([(rng.random(), rng.random()) for _ in range(200)])
+        assert np.all(np.abs(t.eval_batch(pts)) <= t.sup_norm_bound + 1e-12)
 
 
 class TestModulus:
@@ -316,6 +317,5 @@ class TestModulus:
         assert table[1e-3] < 0.01
 
     def test_math_sanity(self):
-        assert math.isclose(
-            builtin_target("ridge", 2)((0.5, 0.5)), math.sin(math.pi) / 2, abs_tol=1e-15
-        )
+        assert math.isclose(builtin_target("ridge", 2).eval_batch(np.asarray([[0.5, 0.5]]))[0],
+                            math.sin(math.pi) / 2, abs_tol=1e-15)
