@@ -25,9 +25,10 @@ of ``build_univariate``, and the outer nets as that build gave them
 over ``phi_batch`` at ``np.unique`` corner knots
 (``phi_batch_outer_net``), the bit-for-bit reference for the knots
 and values of ``decompose.outer_interpolant`` and, by its sampled
-error, the floor that its proven bound must not fall below. The residual oscillation swept over
-each whole shifted audit mesh (``whole_mesh_modulus``) is the reference
-for the blocked sweep of ``decompose.residual_modulus``. The depth-2 network of a univariate
+error, the floor that its proven bound must not fall below. The
+residual oscillation swept over each whole shifted audit mesh
+(``whole_mesh_modulus``) is the reference for the blocked sweep of
+``decompose.residual_modulus``. The depth-2 network of a univariate
 interpolant's hinge coefficients (``univariate_network``) is built here
 only: the library wires those hinges straight into the assembled
 network. The pairwise Hoelder audit of the inner function's float
